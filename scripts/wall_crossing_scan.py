@@ -13,7 +13,7 @@ from ellpar import bundles as bd
 from ellpar import jaclattice as jl
 from ellpar import parabolic as pa
 from ellpar.jaclattice import CurveSpec
-from ellpar.weierstrass import PlanePoint
+from ellpar.weierstrass import PlanePoint, line_through_points
 
 
 def main():
@@ -40,7 +40,7 @@ def main():
             # force the flag point onto a configuration line
             p = PlanePoint.of(p.x, p.y, 0)
         q = PlanePoint.of(*(rng.randn(3) + 1j * rng.randn(3)))
-        flag = pa.Flag(p, pa._line_through_pair(p, q))
+        flag = pa.Flag(p, line_through_points(p, q))
         trio = tuple(pa.stability(cls, flag, w).status
                      for w in (pa.PROBE_MINUS, pa.PROBE_PLUS, pa.PROBE_WALL))
         verdicts[trio] += 1

@@ -81,8 +81,8 @@ def act_plane(g: ModularAuto, curve: CurveSpec) -> np.ndarray:
     for z in base:
         p = embed(z, curve)
         q = embed(act_point(g, z), curve)
-        x = np.array([p.x, p.y, p.z], dtype=complex)
-        xp = np.array([q.x, q.y, q.z], dtype=complex)
+        x = np.array(p.vec())
+        xp = np.array(q.vec())
         zero3 = np.zeros(3, dtype=complex)
         rows.append(np.concatenate([zero3, -xp[2] * x, xp[1] * x]))
         rows.append(np.concatenate([xp[2] * x, zero3, -xp[0] * x]))

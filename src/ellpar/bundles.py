@@ -127,10 +127,6 @@ def _snap_to_torsion(p: JacPoint, n: int) -> JacPoint:
     return JacPoint(p.curve, s=Fraction(round(s * n) % n, n), t=Fraction(round(t * n) % n, n))
 
 
-def make_t1(z1: JacPoint, z2: JacPoint, z3: JacPoint) -> BundleClass:
-    return classify_triple(z1, z2, z3)
-
-
 def make_t21(z: JacPoint) -> BundleClass:
     if jl.mul(3, z).is_zero():
         raise ValueError("T21 requires 3z != 0")

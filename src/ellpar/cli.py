@@ -60,6 +60,8 @@ def parse_point(v, curve: CurveSpec) -> JacPoint:
     if not isinstance(v, list):
         raise SchemaError(f"expected a point as a 2- or 4-list, got {v!r}")
     if len(v) == 4:
+        if not all(isinstance(c, int) for c in v) or v[1] == 0 or v[3] == 0:
+            raise SchemaError(f"exact point needs integers with nonzero denominators, got {v!r}")
         return JacPoint(curve, s=Fraction(v[0], v[1]) % 1, t=Fraction(v[2], v[3]) % 1)
     if len(v) == 2:
         return jl.canon(parse_complex(v), curve)

@@ -163,10 +163,6 @@ def equal(p: JacPoint, q: JacPoint, tol: float = DEFAULT_TOL) -> bool:
     return math.hypot(ds, dt) <= tol
 
 
-def is_torsion(p: JacPoint, n: int, tol: float = DEFAULT_TOL) -> bool:
-    return mul(n, p).is_zero(tol=tol)
-
-
 def torsion_points(n: int, curve: CurveSpec) -> list[JacPoint]:
     """The n^2 exact n-torsion points {(a/n, b/n)}."""
     if n < 1:

@@ -32,9 +32,8 @@ class IncidencePoint:
     line: PlaneLine
 
     def __post_init__(self):
-        val = self.x.x * self.line.u + self.x.y * self.line.v + self.x.z * self.line.w
-        if abs(val) > 1e-7:
-            raise ValueError(f"point not on line (residual {abs(val):.3g})")
+        if not self.line.contains(self.x, tol=1e-7):
+            raise ValueError(f"point not on line (residual {abs(self.line.eval(self.x)):.3g})")
 
 
 @dataclass(frozen=True)
@@ -75,9 +74,8 @@ def _affine_param(q: PlanePoint, p1: PlanePoint, p2: PlanePoint) -> ProjScalar:
 
     q = alpha p1 + beta p2; the parameter is beta/alpha.
     """
-    A = np.array([[p1.x, p2.x], [p1.y, p2.y], [p1.z, p2.z]], dtype=complex)
-    b = np.array([q.x, q.y, q.z], dtype=complex)
-    coeff, *_ = np.linalg.lstsq(A, b, rcond=None)
+    A = np.column_stack([p1.vec(), p2.vec()])
+    coeff, *_ = np.linalg.lstsq(A, q.vec(), rcond=None)
     return ProjScalar(coeff[1], coeff[0])
 
 

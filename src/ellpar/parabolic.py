@@ -12,6 +12,7 @@ the maximum induced degree is negative.  Weight triples given exactly
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -20,11 +21,9 @@ from typing import Optional, Union
 import numpy as np
 
 from .bundles import BundleClass, LineLocus, PointLocus, subbundle_config
-from .weierstrass import PlaneLine, PlanePoint, lines_meet
+from .weierstrass import PlaneLine, PlanePoint, line_through_points, lines_meet
 
 Scalar = Union[Fraction, float]
-
-INCIDENCE_TOL = 1e-9
 
 
 class InadmissibleWeightsError(ValueError):
@@ -101,7 +100,7 @@ class Flag:
     L: PlaneLine
 
     def __post_init__(self):
-        if not _on(self.P, self.L):
+        if not self.L.contains(self.P):
             raise FlagIncidenceError(f"flag point {self.P} not on flag line {self.L}")
 
 
@@ -120,32 +119,21 @@ class Verdict:
     witness: Optional[Witness] = None
 
 
-def _on(p: PlanePoint, l: PlaneLine, tol: float = INCIDENCE_TOL) -> bool:
-    val = p.x * l.u + p.y * l.v + p.z * l.w
-    scale = max(abs(p.x), abs(p.y), abs(p.z)) * max(abs(l.u), abs(l.v), abs(l.w))
-    return abs(val) <= tol * max(scale, 1e-30)
-
-
 def induced_pardeg(sub: Union[PlanePoint, PlaneLine], flag: Flag, w: Weights) -> Scalar:
     """Parabolic degree induced on a degree-0 subbundle by flag incidence."""
     if isinstance(sub, PlanePoint):
         if sub.close_to(flag.P):
             return w.mu1
-        if _on(sub, flag.L):
+        if flag.L.contains(sub):
             return w.mu2
         return w.mu3
     if isinstance(sub, PlaneLine):
         if sub.close_to(flag.L):
             return w.mu1 + w.mu2
-        if _on(flag.P, sub):
+        if sub.contains(flag.P):
             return w.mu1 + w.mu3
         return w.mu2 + w.mu3
     raise TypeError(f"sub must be a fiber point or line, got {type(sub)}")
-
-
-def _line_through_pair(p: PlanePoint, q: PlanePoint) -> PlaneLine:
-    a = np.cross(np.array([p.x, p.y, p.z]), np.array([q.x, q.y, q.z]))
-    return PlaneLine.of(*a)
 
 
 def _worst_point_member(loc: PointLocus, flag: Flag) -> PlanePoint:
@@ -154,7 +142,7 @@ def _worst_point_member(loc: PointLocus, flag: Flag) -> PlanePoint:
     if loc.dim == 1:
         # members sweep loc.sweep; the worst one is P itself if available,
         # otherwise the member sitting on the flag line
-        if _on(flag.P, loc.sweep):
+        if loc.sweep.contains(flag.P):
             return flag.P
         return lines_meet(loc.sweep, flag.L)
     return flag.P  # dim 2: every fiber point occurs
@@ -165,9 +153,9 @@ def _worst_line_member(loc: LineLocus, flag: Flag) -> PlaneLine:
         return loc.line
     if loc.dim == 1:
         # members form the pencil through loc.pencil
-        if _on(loc.pencil, flag.L):
+        if flag.L.contains(loc.pencil):
             return flag.L
-        return _line_through_pair(loc.pencil, flag.P)
+        return line_through_points(loc.pencil, flag.P)
     return flag.L  # dim 2: every line occurs
 
 
@@ -244,7 +232,7 @@ class ProjScalar:
         cross = self.num * other.den - other.num * self.den
         na = abs(self.num) ** 2 + abs(self.den) ** 2
         nb = abs(other.num) ** 2 + abs(other.den) ** 2
-        return abs(cross) <= tol * np.sqrt(na * nb)
+        return abs(cross) <= tol * math.sqrt(na * nb)
 
     def __repr__(self):
         return "ProjScalar(inf)" if self.is_inf else f"ProjScalar({self.num:.6g})"
@@ -311,8 +299,8 @@ def _gauge_to_standard_line(cls: BundleClass, L: PlaneLine) -> np.ndarray:
 def apply_gauge(g: np.ndarray, flag: Flag) -> Flag:
     """Transform a flag by a fiber gauge: points by g, lines by g^{-1} on the right."""
     gi = np.linalg.inv(g)
-    P = PlanePoint.of(*(g @ np.array([flag.P.x, flag.P.y, flag.P.z])))
-    L = PlaneLine.of(*(np.array([flag.L.u, flag.L.v, flag.L.w]) @ gi))
+    P = PlanePoint.of(*(g @ flag.P.vec()))
+    L = PlaneLine.of(*(flag.L.vec() @ gi))
     return Flag(P, L)
 
 

@@ -23,6 +23,7 @@ from .jaclattice import CurveSpec, JacPoint, add, canon, equal, neg, zero
 DEFAULT_TOL = 1e-9
 MERGE_TOL = 1e-6
 POLE_TOL = 1e-7
+INCIDENCE_TOL = 1e-9
 
 
 class PoleProximityError(ValueError):
@@ -44,6 +45,13 @@ def _normalize(v: Sequence[complex]) -> tuple[complex, complex, complex]:
     raise DegenerateGeometryError("cannot normalize homogeneous vector")
 
 
+def _cross(a: Sequence[complex], b: Sequence[complex]) -> tuple[complex, complex, complex]:
+    """Cross product: the line through two points, or the meet of two lines."""
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
 @dataclass(frozen=True)
 class PlanePoint:
     """Homogeneous [x : y : z], normalized so the first nonzero coordinate is 1."""
@@ -56,11 +64,11 @@ class PlanePoint:
     def of(x, y, z) -> "PlanePoint":
         return PlanePoint(*_normalize((x, y, z)))
 
-    def vec(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=complex)
+    def vec(self) -> tuple[complex, complex, complex]:
+        return (self.x, self.y, self.z)
 
     def close_to(self, other: "PlanePoint", tol: float = MERGE_TOL) -> bool:
-        return float(np.linalg.norm(np.cross(self.vec(), other.vec()))) <= tol
+        return math.hypot(*map(abs, _cross(self.vec(), other.vec()))) <= tol
 
 
 @dataclass(frozen=True)
@@ -75,27 +83,27 @@ class PlaneLine:
     def of(u, v, w) -> "PlaneLine":
         return PlaneLine(*_normalize((u, v, w)))
 
-    def vec(self) -> np.ndarray:
-        return np.array([self.u, self.v, self.w], dtype=complex)
+    def vec(self) -> tuple[complex, complex, complex]:
+        return (self.u, self.v, self.w)
 
     def eval(self, p: PlanePoint) -> complex:
         return self.u * p.x + self.v * p.y + self.w * p.z
 
-    def contains(self, p: PlanePoint, tol: float = MERGE_TOL) -> bool:
-        return abs(self.eval(p)) <= tol
+    def contains(self, p: PlanePoint, tol: float = INCIDENCE_TOL) -> bool:
+        """Incidence p in L relative to the coordinates: |l.p| <= tol max|p_i| max|l_i|."""
+        scale = max(map(abs, p.vec())) * max(map(abs, self.vec()))
+        return abs(self.eval(p)) <= tol * max(scale, 1e-30)
 
     def close_to(self, other: "PlaneLine", tol: float = MERGE_TOL) -> bool:
-        return float(np.linalg.norm(np.cross(self.vec(), other.vec()))) <= tol
+        return math.hypot(*map(abs, _cross(self.vec(), other.vec()))) <= tol
 
 
 def line_through_points(p: PlanePoint, q: PlanePoint) -> PlaneLine:
-    c = np.cross(p.vec(), q.vec())
-    return PlaneLine.of(*c)
+    return PlaneLine.of(*_cross(p.vec(), q.vec()))
 
 
 def lines_meet(l1: PlaneLine, l2: PlaneLine) -> PlanePoint:
-    c = np.cross(l1.vec(), l2.vec())
-    return PlanePoint.of(*c)
+    return PlanePoint.of(*_cross(l1.vec(), l2.vec()))
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +198,6 @@ def wp(z, curve: CurveSpec, check_pole: bool = True):
     if scalar:
         return complex(p[0]), complex(pp[0])
     return p, pp
-
-
-def wp_second(z: complex, curve: CurveSpec) -> complex:
-    """P'' = 6 P^2 - g2/2, from the differentiated cubic relation."""
-    g2, _, _ = curve_invariants(curve)
-    p, _ = wp(z, curve)
-    return 6 * p**2 - g2 / 2
 
 
 INFINITY_POINT = PlanePoint(0j, 1 + 0j, 0j)

@@ -82,7 +82,7 @@ def test_criterion_02_never_stable_types():
             p = P(1, 0.1 + 0.17 * i, 0.05 + 0.29 * i)
             for j in range(20):
                 q = P(1, 1.3 + 0.11 * j + 0.31 * i, -0.4 + 0.23 * j)
-                flag = pa.Flag(p, pa._line_through_pair(p, q))
+                flag = pa.Flag(p, we.line_through_points(p, q))
                 for cls in classes:
                     assert pa.stability(cls, flag, pa.PROBE_MINUS).status == "Unstable"
                     assert pa.stability(cls, flag, pa.PROBE_PLUS).status == "Unstable"

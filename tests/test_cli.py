@@ -130,6 +130,13 @@ def test_schema_errors_exit_3():
         {"command": "classify-bundle", "payload": {"tau": TAU}},
         {"command": "classify-bundle", "payload": {"tau": TAU, "triple": [[1, 5]]}},
         {"command": "flip", "payload": {"t": "nope"}},
+        # exact points need integer entries and nonzero denominators
+        {"command": "graded", "payload": {"tau": TAU, "class": {"label": "T21",
+                                                                 "point": [1.5, 2, 0, 1]}}},
+        {"command": "graded", "payload": {"tau": TAU, "class": {"label": "T21",
+                                                                 "point": ["a", 2, 0, 1]}}},
+        {"command": "graded", "payload": {"tau": TAU, "class": {"label": "T21",
+                                                                 "point": [1, 5, 1, 0]}}},
     ]:
         resp, code = cli.run(req)
         assert code == cli.EXIT_SCHEMA
@@ -185,13 +192,17 @@ def test_executable_exit_codes():
 
 def test_batch_file_mode(tmp_path):
     reqs = [{"command": "type-facts", "payload": {"label": "T1"}},
-            {"command": "type-facts", "payload": {"label": "T99"}}]
+            {"command": "type-facts", "payload": {"label": "T99"}},
+            {"command": "graded", "payload": {"tau": TAU, "class": {"label": "T21",
+                                                                     "point": [1.5, 2, 0, 1]}}},
+            {"command": "type-facts", "payload": {"label": "T31"}}]
     f = tmp_path / "batch.json"
     f.write_text(json.dumps(reqs))
     proc = run_cli(["--file", str(f)], "")
     assert proc.returncode == 3  # worst exit code of the batch
     out = json.loads(proc.stdout)
     assert out[0]["ok"] and not out[1]["ok"]
+    assert out[2]["result"]["error"] == "SchemaViolation" and out[3]["ok"]
 
 
 def test_tol_env_var(monkeypatch):

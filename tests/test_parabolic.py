@@ -9,7 +9,7 @@ from ellpar import bundles as bd
 from ellpar import jaclattice as jl
 from ellpar import parabolic as pa
 from ellpar.jaclattice import CurveSpec
-from ellpar.weierstrass import PlaneLine, PlanePoint
+from ellpar.weierstrass import PlaneLine, PlanePoint, line_through_points
 
 from conftest import TAU, exact
 
@@ -106,7 +106,7 @@ def test_chamber_constancy(curve):
     while len(flags) < 25:
         p = PlanePoint.of(*(rng.randn(3) + 1j * rng.randn(3)))
         q = PlanePoint.of(*(rng.randn(3) + 1j * rng.randn(3)))
-        l = pa._line_through_pair(p, q)
+        l = line_through_points(p, q)
         flags.append(pa.Flag(p, l))
     for flag in flags:
         verdicts = {pa.stability(t1, flag, w).status for w in weights_minus}
@@ -116,7 +116,7 @@ def test_chamber_constancy(curve):
 def test_locus_examples(curve):
     t1 = t1_class(curve)
     assert pa.locus(t1, pa.Flag(PlanePoint.of(1, 1, 1), PlaneLine.of(1, -2, 1))) == pa.LOCUS_UGEN
-    lm = pa._line_through_pair(PlanePoint.of(1, 0, 0), PlanePoint.of(1, 1, 1))
+    lm = line_through_points(PlanePoint.of(1, 0, 0), PlanePoint.of(1, 1, 1))
     assert pa.locus(t1, pa.Flag(PlanePoint.of(1, 1, 1), lm)) == pa.LOCUS_SIGMA_MINUS
     assert pa.locus(t1, pa.Flag(PlanePoint.of(1, 1, 0), PlaneLine.of(1, -1, -1))) == pa.LOCUS_SIGMA_PLUS
     # flag point at a fixed point of the configuration: stable nowhere

@@ -35,9 +35,24 @@ def test_incidence_helpers():
     q = we.PlanePoint.of(1, -1, 0)
     line = we.line_through_points(p, q)
     for pt in (p, q):
-        assert abs(pt.x * line.u + pt.y * line.v + pt.z * line.w) < 1e-12
+        assert abs(line.eval(pt)) < 1e-12
     m = we.lines_meet(we.PlaneLine.of(1, 0, 0), we.PlaneLine.of(0, 1, 0))
     assert m.close_to(we.PlanePoint.of(0, 0, 1))
+    # incidence is relative to the size of the coordinates, from 1e-6 to 1e6
+    a, b = 0.7 + 0.2j, -0.3 + 1.1j
+    for s in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+        p = we.PlanePoint.of(1, a * s, b * s)
+        q = we.PlanePoint.of(1.7 - 0.2j, 0.6 / s, 0.8 * s)
+        line = we.line_through_points(p, q)
+        assert line.contains(p) and line.contains(q)
+        other = we.PlaneLine.of(1, b * s, -a * s - 1 / (b * s))  # through p, l.p = 0 exactly
+        assert other.contains(p)
+        meet = we.lines_meet(line, other)
+        assert line.contains(meet) and other.contains(meet)
+        # moved off the line by a relative 1e-6, along the line's conjugate normal
+        k = 1e-6 * max(map(abs, p.vec())) / max(map(abs, other.vec()))
+        off = we.PlanePoint.of(*(x + k * c.conjugate() for x, c in zip(p.vec(), other.vec())))
+        assert not other.contains(off)
 
 
 def test_known_invariants_square_and_hexagonal():
