@@ -446,7 +446,7 @@ def run(request: dict, tol: Optional[float] = None) -> tuple[dict, int]:
     except SchemaError as exc:
         return ({"ok": False, "result": {"error": "SchemaViolation", "message": str(exc)},
                  "diagnostics": diagnostics}, EXIT_SCHEMA)
-    except (ValueError, ZeroDivisionError, np.linalg.LinAlgError) as exc:
+    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         return ({"ok": False, "result": {"error": type(exc).__name__, "message": str(exc)},
                  "diagnostics": diagnostics}, EXIT_DOMAIN)
 

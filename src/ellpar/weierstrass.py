@@ -154,30 +154,31 @@ def _dist_to_lattice(z: complex, curve: CurveSpec) -> float:
     return best
 
 
-def wp(z, curve: CurveSpec, check_pole: bool = True):
-    """Weierstrass P and P' at z (vectorized over numpy arrays).
+def wp(z: complex, curve: CurveSpec) -> tuple[complex, complex]:
+    """Weierstrass P and P' at z.
 
     Fourier expansion with u = e^{2*pi*i*z}, q = e^{2*pi*i*tau}:
       P / (2*pi*i)^2  = 1/12 + u/(1-u)^2
                         + sum_{n>=1} q^n [ u/(1-q^n u)^2 + 1/u /(1-q^n/u)^2 - 2 q^n/(1-q^n)^2 ]
       P' / (2*pi*i)^3 = sum_{n in Z} q^n u (1 + q^n u) / (1 - q^n u)^3
+    z is first reduced to the parallelogram centred at 0, and 1 - u is formed
+    as -expm1(2*pi*i*z), so the pole term keeps its relative accuracy near the
+    lattice.
     """
-    scalar = np.isscalar(z) or (isinstance(z, complex))
-    zarr = np.atleast_1d(np.asarray(z, dtype=complex))
     tau = curve.tau
-    # reduce to the fundamental parallelogram for numerical stability
-    t = zarr.imag / tau.imag
-    s = zarr.real - t * tau.real
-    zred = (s % 1.0) + (t % 1.0) * tau
-    if check_pole:
-        for val in np.ravel(zred):
-            if _dist_to_lattice(complex(val), curve) < POLE_TOL:
-                raise PoleProximityError(f"z = {val} within {POLE_TOL} of the lattice")
+    t = z.imag / tau.imag
+    s = z.real - t * tau.real
+    z = (s - round(s)) + (t - round(t)) * tau
+    if _dist_to_lattice(z, curve) < POLE_TOL:
+        raise PoleProximityError(f"z = {z} within {POLE_TOL} of the lattice")
 
     q = _nome(curve)
-    u = np.exp(2j * math.pi * zred)
-    p = 1.0 / 12.0 + u / (1 - u) ** 2
-    pp = u * (1 + u) / (1 - u) ** 3
+    w = 2j * math.pi * z
+    u = cmath.exp(w)
+    om = complex(2 * math.sin(w.imag / 2) ** 2 - math.expm1(w.real) * math.cos(w.imag),
+                 -math.exp(w.real) * math.sin(w.imag))  # 1 - u
+    p = 1.0 / 12.0 + u / om / om  # ratios, not powers: |u| reaches e^(pi Im tau)
+    pp = u / om * (1 + u) / om / om
     qn = q
     for n in range(1, _MAX_TERMS):
         qu = qn * u
@@ -186,18 +187,14 @@ def wp(z, curve: CurveSpec, check_pole: bool = True):
         tpp = qu * (1 + qu) / (1 - qu) ** 3 - qiu * (1 + qiu) / (1 - qiu) ** 3
         p = p + tp
         pp = pp + tpp
-        if np.max(np.abs(tp)) < 1e-17 and np.max(np.abs(tpp)) < 1e-17:
+        if abs(tp) < 1e-17 and abs(tpp) < 1e-17:
             break
         qn *= q
     else:
         raise ArithmeticError("P series did not converge")
     c = 2j * math.pi
-    p = c**2 * p
     # the n<=-1 half of the P' sum equals -(n>=1 half with u -> 1/u), folded in above
-    pp = c**3 * pp
-    if scalar:
-        return complex(p[0]), complex(pp[0])
-    return p, pp
+    return c**2 * p, c**3 * pp
 
 
 INFINITY_POINT = PlanePoint(0j, 1 + 0j, 0j)
@@ -250,52 +247,44 @@ def line_through(p1: JacPoint, p2: JacPoint, p3: JacPoint, curve: CurveSpec,
     return tangent_line(p1, curve)
 
 
-def _invert_embedding(x: complex, y: complex, curve: CurveSpec,
-                      grid: int = 28) -> JacPoint:
-    """Solve P(z) = x, P'(z) = y for z in the fundamental parallelogram."""
-    tau = curve.tau
-    ss = (np.arange(grid) + 0.5) / grid
-    tt = (np.arange(grid) + 0.5) / grid
-    zz = (ss[:, None] + tt[None, :] * tau).ravel()
-    pv, _ = wp(zz, curve, check_pole=False)
-    order = np.argsort(np.abs(pv - x))
-    seeds = [complex(zz[i]) for i in order[:3]]
-    if abs(x) > 10:
-        # pole asymptotics P(z) ~ 1/z^2 seed large-x inversions reliably
-        seeds.insert(0, 1 / cmath.sqrt(x))
+def _carlson_rf(x: complex, y: complex, z: complex) -> complex:
+    """Carlson's R_F(x, y, z) = 1/2 int_0^inf dt / sqrt((t+x)(t+y)(t+z)), by duplication.
 
-    def _newton(z0: complex):
-        z = z0
-        for _ in range(80):
-            p, pp = wp(z, curve, check_pole=False)
-            f = p - x
-            if abs(f) < 1e-13 * max(1.0, abs(x)):
-                return z, abs(f)
-            if abs(pp) > 1e-6:
-                step = f / pp
-            else:
-                # near a critical point of P, use the second-order model
-                ppp = 6 * p**2 - curve_invariants(curve)[0] / 2
-                step = cmath.sqrt(2 * f / ppp) if ppp != 0 else f
-            if abs(step) > 0.25:
-                step *= 0.25 / abs(step)
-            z = z - step
-        p, _ = wp(z, curve, check_pole=False)
-        return z, abs(p - x)
-
-    best_z, best_res = None, math.inf
-    for z0 in seeds:
-        z, res = _newton(z0)
-        if res < best_res:
-            best_z, best_res = z, res
-        if res < 1e-11 * max(1.0, abs(x)):
+    Principal square roots; valid off the cut (-inf, 0] with at most one zero
+    argument (Carlson, Numer. Algorithms 10, 1995).
+    """
+    for _ in range(100):
+        a = (x + y + z) / 3
+        # the series below is exact to ~1e-16 once the arguments agree to 1e-3
+        if max(abs(a - x), abs(a - y), abs(a - z)) < 1e-3 * abs(a):
             break
-    if best_res > 1e-6 * max(1.0, abs(x)):
-        raise DegenerateGeometryError(
-            f"could not invert the embedding at x = {x:.6g} (residual {best_res:.3g})")
-    z = best_z
-    _, pp = wp(z, curve, check_pole=False)
-    if abs(pp - y) > abs(-pp - y):
+        sx, sy, sz = cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        x, y, z = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4
+    else:
+        raise DegenerateGeometryError("Carlson duplication did not converge")
+    dx, dy = 1 - x / a, 1 - y / a
+    dz = -dx - dy
+    e2 = dx * dy - dz * dz
+    e3 = dx * dy * dz
+    return (1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44) / cmath.sqrt(a)
+
+
+def _invert_embedding(x: complex, y: complex, e: Sequence[complex],
+                      curve: CurveSpec) -> JacPoint:
+    """The elliptic logarithm: z with P(z) = x, P'(z) = y; e are the roots of 4t^3 - g2 t - g3.
+
+    z = R_F(a1, a2, a3)/u with a_i = (x - e_i)/u^2, u^2 = x/|x|, integrates
+    dt / sqrt(4t^3 - g2 t - g3) along the ray from x away from 0, so P(z) = x
+    and P'(z) = -2 u^3 sqrt(a1) sqrt(a2) sqrt(a3) with the same principal roots
+    (and signed zeros on R_F's cut).  Along the horizontal ray (u = 1) the
+    duplication cancels ~|x| against itself near the pole and can flip z.
+    """
+    u = cmath.sqrt(x / abs(x)) if x else 1.0
+    a = [(x - ei) / u**2 for ei in e]
+    z = _carlson_rf(*a) / u
+    pp = -2 * u**3 * cmath.sqrt(a[0]) * cmath.sqrt(a[1]) * cmath.sqrt(a[2])
+    if abs(pp - y) > abs(pp + y):
         z = -z
     return canon(z, curve)
 
@@ -315,12 +304,13 @@ def intersect_curve(line: PlaneLine, curve: CurveSpec,
         # the line at infinity meets the cubic only in the flex at the origin
         o = zero(curve)
         return [o, o, o]
+    e = [complex(r) for r in np.roots([4, 0, -g2, -g3])]
     if abs(v) <= 1e-12 * scale:
         # vertical line x = -w/u: points (x, +-y) plus the point at infinity
         x = -w / u
         ysq = 4 * x**3 - g2 * x - g3
         y = cmath.sqrt(ysq)
-        z1 = _invert_embedding(x, y, curve)
+        z1 = _invert_embedding(x, y, e, curve)
         return [z1, neg(z1), zero(curve)]
     # y = -(u x + w)/v substituted into y^2 = 4x^3 - g2 x - g3
     a3 = 4.0
@@ -344,7 +334,7 @@ def intersect_curve(line: PlaneLine, curve: CurveSpec,
     for c in clusters:
         x = complex(sum(c) / len(c))
         y = -(u * x + w) / v
-        zp = _invert_embedding(x, y, curve)
+        zp = _invert_embedding(x, y, e, curve)
         out.extend([zp] * len(c))
     return out
 

@@ -143,6 +143,9 @@ def test_schema_errors_exit_3():
         assert not resp["ok"]
 
 
+TORELLI_DIVERGENT = {"command": "torelli", "payload": {"tau1": [0, 0.001], "tau2": [0, 1]}}
+
+
 def test_domain_errors_exit_2():
     # T21 requires a non-torsion point
     resp, code = cli.run({"command": "graded",
@@ -154,6 +157,9 @@ def test_domain_errors_exit_2():
                                       "A": [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
                                       "B": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}})
     assert code == cli.EXIT_DOMAIN
+    # the Eisenstein series does not converge this close to the real axis
+    resp, code = cli.run(TORELLI_DIVERGENT)
+    assert code == cli.EXIT_DOMAIN and resp["result"]["error"] == "ArithmeticError"
 
 
 def test_output_is_canonical_json():
@@ -195,7 +201,9 @@ def test_batch_file_mode(tmp_path):
             {"command": "type-facts", "payload": {"label": "T99"}},
             {"command": "graded", "payload": {"tau": TAU, "class": {"label": "T21",
                                                                      "point": [1.5, 2, 0, 1]}}},
-            {"command": "type-facts", "payload": {"label": "T31"}}]
+            {"command": "type-facts", "payload": {"label": "T31"}},
+            TORELLI_DIVERGENT,
+            {"command": "type-facts", "payload": {"label": "T22"}}]
     f = tmp_path / "batch.json"
     f.write_text(json.dumps(reqs))
     proc = run_cli(["--file", str(f)], "")
@@ -203,6 +211,7 @@ def test_batch_file_mode(tmp_path):
     out = json.loads(proc.stdout)
     assert out[0]["ok"] and not out[1]["ok"]
     assert out[2]["result"]["error"] == "SchemaViolation" and out[3]["ok"]
+    assert out[4]["result"]["error"] == "ArithmeticError" and out[5]["ok"]
 
 
 def test_tol_env_var(monkeypatch):

@@ -98,6 +98,15 @@ def test_wp_parity_and_periodicity(pt):
     assert abs(p1 - p3) < 1e-9 * scale
 
 
+def test_wp_for_a_long_thin_lattice():
+    # Im tau = 100: |u| = |e^{2 pi i z}| reaches e^{314} on the centred parallelogram, and
+    # P tends to (2 pi i)^2 / 12 away from the real axis
+    curve = CurveSpec(100j)
+    for t in (0.2, 0.55, 0.9):
+        p, pp = we.wp(0.3 + t * curve.tau, curve)
+        assert abs(p + math.pi**2 / 3) < 1e-12 and abs(pp) < 1e-12
+
+
 def test_pole_proximity_raises():
     curve = CurveSpec(TAU)
     with pytest.raises(we.PoleProximityError):
@@ -166,3 +175,72 @@ def test_near_pole_chords_are_inverted_correctly():
     assert we.multiplicities(pts) == [1, 1, 1]
     for z in (z1, z2, z3):
         assert any(jl.equal(z, q, tol=1e-6) for q in pts)
+
+
+@pytest.mark.parametrize("tau", [TAU, 1j, 0.5 + 1j])
+def test_wp_near_the_lattice_matches_laurent_series(tau):
+    # P(h) = 1/h^2 + g2 h^2/20 + g3 h^4/28 + O(h^6) about the pole at 0
+    curve = CurveSpec(tau)
+    g2, g3, _ = we.curve_invariants(curve)
+    for k in range(13):
+        r = 10 ** (-6 + k / 4)
+        for a in range(8):
+            h = r * cmath.exp(2j * math.pi * (a + 0.3) / 8)
+            p, pp = we.wp(h, curve)
+            lp = 1 / h**2 + g2 * h**2 / 20 + g3 * h**4 / 28
+            lpp = -2 / h**3 + g2 * h / 10 + g3 * h**3 / 7
+            assert abs(p - lp) <= 1e-13 * abs(lp)
+            assert abs(pp - lpp) <= 1e-13 * abs(lpp)
+
+
+def test_carlson_rf_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.RandomState(11)
+    for i in range(300):
+        args = list((rng.randn(3) + 1j * rng.randn(3)) * 10 ** rng.uniform(-6, 6, 3))
+        if i % 3 == 0:
+            args[i % 9 // 3] = 0j
+        got = we._carlson_rf(*args)
+        want = complex(mpmath.elliprf(*(mpmath.mpc(a.real, a.imag) for a in args)))
+        assert abs(got - want) <= 4e-15 * abs(want), args
+
+
+def _assert_inverts(x, y, curve):
+    """Backward error of the elliptic logarithm: P at the recovered z is x, and P' has y's sign.
+
+    The bound allows 1e-13 of the curve's scale, plus the rounding of the
+    recovered z in its fundamental-parallelogram representative (which
+    dominates next to the pole, where |P'| ~ 2/|z|^3).
+    """
+    g2, g3, _ = we.curve_invariants(curve)
+    e = [complex(r) for r in np.roots([4, 0, -g2, -g3])]
+    z = we._invert_embedding(x, y, e, curve).value()
+    p, pp = we.wp(z, curve)
+    scale = max(1.0, abs(x), *map(abs, e))
+    assert abs(p - x) <= 1e-13 * scale + 1e-15 * (1 + abs(curve.tau)) * abs(pp), (x, y)
+    assert abs(pp - y) <= abs(pp + y) + 1e-12 * scale**1.5, (x, y)
+
+
+@pytest.mark.parametrize("tau", [TAU, 1j, 0.5 + 1j, 2j])
+def test_elliptic_log_near_lattice_and_at_two_torsion(tau):
+    curve = CurveSpec(tau)
+    for v in (0, 1, tau, 1 + tau):
+        for k in range(9):
+            for a in range(8):  # directions include the axes, where P is real or nearly so
+                z = v + 10 ** (-6 + k / 2) * cmath.exp(2j * math.pi * a / 8)
+                _assert_inverts(*we.wp(z, curve), curve)
+    for z in (0.5, tau / 2, (1 + tau) / 2):  # y ~ 0: either sign is the same point
+        _assert_inverts(*we.wp(z, curve), curve)
+
+
+@pytest.mark.parametrize("tau", [1j, 0.5 + 1j])
+def test_elliptic_log_on_real_loci(tau):
+    # where P is real, an argument of R_F can lie on its cut: try both signed zeros
+    curve = CurveSpec(tau)
+    for line in (lambda r: r, lambda r: r + tau / 2, lambda r: 1j * r * tau.imag):
+        for k in range(1, 200):
+            x, y = we.wp(line(k / 200), curve)
+            _assert_inverts(x, y, curve)
+            if abs(x.imag) <= 1e-12 * abs(x):
+                for xr in (complex(x.real, 0.0), complex(x.real, -0.0)):
+                    _assert_inverts(xr, y, curve)
