@@ -91,9 +91,10 @@ def act_plane(g: ModularAuto, curve: CurveSpec) -> np.ndarray:
     if s[-2] < 1e-8 * s[0]:
         raise ValueError("ill-conditioned correspondence system")
     M = vh.conj()[-1].reshape(3, 3)
-    # fix an overall scale deterministically
-    k = int(np.argmax(np.abs(M)))
-    return M / M.flat[k]
+    # fix the scale by the first entry, in row-major order, of at least half
+    # the largest modulus: entries of equal modulus cannot tie
+    big = np.abs(M).max()
+    return M / next(x for x in M.flat if abs(x) >= big / 2)
 
 
 def act_parabolic(g: ModularAuto, cls: BundleClass, coord: ProjScalar,

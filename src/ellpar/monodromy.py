@@ -1,21 +1,24 @@
 """Classification of flat rank-3 trivial-determinant bundles from monodromy.
 
 A flat bundle is given by the commuting pair (A, B) in SL(3, C) of monodromy
-matrices along the two lattice loops (1, tau).  The pair is reduced to one of
-three normal forms (simultaneously diagonal; a 1+2 block with a rank-1
-Jordan block; a full rank-3 Jordan block) and the bundle type is read off the
-parameters via the rank-1 Riemann-Hilbert map.
+matrices along the two lattice loops (1, tau).  The pair splits into joint
+generalised eigenspaces, found as the Frobenius covariants of A + kappa*B.
+On a block with eigenvalues (a, b), write A = a(I + n_A), B = b(I + n_B) and
+N = log(I + n) = n - n^2/2.  The block contributes L_z (x) F, where
+z = from_holonomy(a, b) and F has the Jordan type of N_B - tau N_A (Atiyah,
+Vector bundles over an elliptic curve, 1957); the six types follow from these
+summands with no eigenvectors and no conjugator.
 
-Commuting pairs in which A and B carry non-proportional rank-1 nilpotent
-parts (shared image but different kernels, or vice versa) fall outside the
-three normal forms; they are surfaced via ExoticPairError and classified
-directly as type T32 from their section count.
+normal_form builds, from the same blocks, a conjugator to one of three normal
+forms (simultaneously diagonal; a 1+2 block with a rank-1 Jordan block; a
+full rank-3 Jordan block).  Pairs whose rank-1 nilpotent parts are not
+proportional (one image and two kernels, or the transpose) fit none of them:
+normal_form raises ExoticPairError, while classify_bundle reads them as T32.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +27,6 @@ from .bundles import BundleClass, classify_triple, make_t21, make_t22, make_t3x
 from .jaclattice import CurveSpec, JacPoint
 
 DEFAULT_TOL = 1e-8
-EIG_SEP = 1e-7
 
 
 class NotCommutingError(ValueError):
@@ -41,22 +43,15 @@ class NotUnimodularError(ValueError):
 
 
 class EigenvalueSeparationError(ValueError):
-    """Eigenvalues too close to decide the Jordan structure reliably."""
+    """Eigenvalues of different joint blocks too close to separate."""
 
 
 class ExoticPairError(ValueError):
     """Commuting pair with non-aligned rank-1 nilpotent parts.
 
-    Such pairs are not covered by the three normal-form cases; the underlying
-    bundle has two independent holomorphic sections after twisting, i.e. it
-    is of type T32.
+    Such pairs are not covered by the three normal-form cases, so only
+    normal_form raises this; the bundle is of type T32.
     """
-
-    def __init__(self, a: complex, b: complex):
-        super().__init__("commuting pair outside the three normal forms "
-                         "(non-aligned rank-1 nilpotents); bundle type T32")
-        self.a = a
-        self.b = b
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,70 +97,70 @@ def validate(pair: CommutingPair, tol: float = DEFAULT_TOL) -> CommutingPair:
     return pair
 
 
-def _eig_clusters(M: np.ndarray, sep: float = EIG_SEP) -> list[tuple[complex, int]]:
-    vals = sorted(np.linalg.eigvals(M), key=lambda v: (round(v.real, 12), round(v.imag, 12)))
-    # roundoff splits a defective triple eigenvalue by ~eps^(1/3) ~ 1e-5, so the
-    # merge radius must sit well above that; inputs are assumed to have genuinely
-    # distinct eigenvalues separated by more than this.
-    thr = max(500 * sep, 1e-4) * max(1.0, max(abs(v) for v in vals))
-    clusters: list[list[complex]] = []
-    for v in vals:
-        for c in clusters:
-            if abs(v - sum(c) / len(c)) < thr:
-                c.append(v)
-                break
-        else:
-            clusters.append([v])
-    return [(sum(c) / len(c), len(c)) for c in clusters]
+# Two fixed generic weights for C = A + kappa*B; the second is used only when
+# the first makes eigenvalues of different joint blocks collide.
+_KAPPAS = (0.6180339887498949 + 0.3660254037844386j,
+           -0.4142135623730951 + 0.7320508075688772j)
+# relative backward error of eigvals: an m-fold eigenvalue splits by up to
+# (4 eps)^(1/m) times the size of the matrix
+_EIG_ETA = 4 * np.finfo(float).eps
 
 
-def _nullspace(M: np.ndarray, rtol: float = 1e-7) -> np.ndarray:
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
-    _, s, vh = np.linalg.svd(M)
-    n = M.shape[1]
-    scale = max(s[0], 1.0) if len(s) else 1.0
-    k = int(np.sum(s <= rtol * scale)) + (n - len(s))
-    return vh.conj().T[:, n - k:]
+def _clusters(c: np.ndarray, trace: complex, scale: float) -> list[tuple[complex, int]]:
+    """Group the three eigenvalues c of a 3x3 matrix into (mean, multiplicity).
+
+    An m-fold cluster is one whose members all lie within the splitting radius
+    of its mean; the triple is tested first.
+    """
+    mean = trace / 3
+    if max(abs(v - mean) for v in c) < _EIG_ETA ** (1 / 3) * scale:
+        return [(mean, 3)]
+    for k in range(3):
+        mean = (trace - c[k]) / 2
+        if max(abs(v - mean) for j, v in enumerate(c) if j != k) < _EIG_ETA ** (1 / 2) * scale:
+            return [(c[k], 1), (mean, 2)]
+    return [(v, 1) for v in c]
 
 
-def _is_diagonalizable(M: np.ndarray, sep: float = EIG_SEP) -> bool:
-    for lam, mult in _eig_clusters(M, sep):
-        geo = _nullspace(M - lam * np.eye(3)).shape[1]
-        if geo < mult:
-            return False
-    return True
+def _nilpotent(M: np.ndarray, lam: complex, P: np.ndarray) -> np.ndarray:
+    """(M/lam - I) P: the nilpotent part of M on the block P, relative to lam."""
+    return M @ P / lam - P
 
 
-def _joint_eigenlines(A: np.ndarray, B: np.ndarray) -> list[np.ndarray]:
-    """Unit vectors spanning the common eigenlines of the pair."""
-    lines = []
-    for lam, _ in _eig_clusters(A):
-        V = _nullspace(A - lam * np.eye(3))
-        if V.shape[1] == 0:
-            continue
-        # restrict B to the eigenspace and split further
-        BV = np.linalg.lstsq(V, B @ V, rcond=None)[0]
-        vals, vecs = np.linalg.eig(BV)
-        for k in range(V.shape[1]):
-            v = V @ vecs[:, k]
-            v = v / np.linalg.norm(v)
-            resB = np.linalg.norm(B @ v - (v.conj() @ B @ v) * v)
-            resA = np.linalg.norm(A @ v - (v.conj() @ A @ v) * v)
-            if resA < 1e-6 and resB < 1e-6:
-                if not any(abs(abs(v.conj() @ w)) > 1 - 1e-8 for w in lines):
-                    lines.append(v)
-    return lines
+def _is_nilpotent(n: np.ndarray, m: int, P: np.ndarray, tol: float) -> bool:
+    nm = np.abs(np.linalg.matrix_power(n, m)).max()
+    return nm <= tol * np.abs(n).max() ** (m - 1) * np.abs(P).max()
 
 
-def _block_data(M2: np.ndarray) -> tuple[complex, np.ndarray]:
-    """Split a 2x2 matrix known to be scalar + nilpotent into (scalar, nilpotent)."""
-    lam = np.trace(M2) / 2.0
-    return lam, M2 - lam * np.eye(2)
+def _joint_blocks(A: np.ndarray, B: np.ndarray,
+                  tol: float) -> list[tuple[int, np.ndarray, complex, complex]]:
+    """Joint generalised eigenspaces of a commuting pair as (m, P, a, b).
 
-
-def _restrict(M: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Matrix of M on the invariant subspace spanned by the columns of W."""
-    return np.linalg.lstsq(W, M @ W, rcond=None)[0]
+    P is the projector onto an m-dimensional block on which A and B have the
+    single eigenvalues a and b.  The projectors are Frobenius covariants of
+    C = A + kappa*B, which has one eigenvalue per block for generic kappa.
+    """
+    I = np.eye(3)
+    for kappa in _KAPPAS:
+        C = A + kappa * B
+        clusters = _clusters(np.linalg.eigvals(C), np.trace(C), np.abs(C).sum())
+        blocks = []
+        rest = I.astype(complex)
+        for k, (ck, mk) in enumerate(clusters):
+            if mk == 1:
+                P = I
+                for j, (cj, mj) in enumerate(clusters):
+                    if j != k:
+                        P = P @ np.linalg.matrix_power((C - cj * I) / (ck - cj), mj)
+                blocks.append((1, P))
+                rest = rest - P
+        blocks += [(mk, rest) for _, mk in clusters if mk > 1]
+        out = [(m, P, np.trace(A @ P) / m, np.trace(B @ P) / m) for m, P in blocks]
+        if all(m == 1 or (_is_nilpotent(_nilpotent(A, a, P), m, P, tol)
+                          and _is_nilpotent(_nilpotent(B, b, P), m, P, tol))
+               for m, P, a, b in out):
+            return out
+    raise EigenvalueSeparationError("eigenvalues of different joint blocks collide")
 
 
 def _unimodular(P: np.ndarray) -> np.ndarray:
@@ -173,183 +168,120 @@ def _unimodular(P: np.ndarray) -> np.ndarray:
     return P / d ** (1.0 / 3.0)
 
 
-def normal_form(pair: CommutingPair, tol: float = DEFAULT_TOL,
-                sep: float = EIG_SEP) -> tuple[NormalForm, np.ndarray, bool]:
+def _is_zero(n: np.ndarray, P: np.ndarray, tol: float) -> bool:
+    return np.abs(n).max() <= tol * np.abs(P).max()
+
+
+def _is_regular(n: np.ndarray, tol: float) -> bool:
+    """Whether the nilpotent n on a 3-dimensional block has rank 2.
+
+    n = c1 N + c2 N^2 gives n^2 = c1^2 N^2, so |n^2| / |n| is about
+    c1^2 / max(|c1|, |c2|), a distance from the rank-1 nilpotents that
+    roundoff moves only linearly.
+    """
+    return np.abs(n @ n).max() > tol * np.abs(n).max()
+
+
+def normal_form(pair: CommutingPair,
+                tol: float = DEFAULT_TOL) -> tuple[NormalForm, np.ndarray, bool]:
     """Reduce a valid commuting pair to its normal form.
 
     Returns (form, conjugator P, swapped) with
     inv(P) @ M1 @ P and inv(P) @ M2 @ P reproducing the normal-form matrices,
-    where (M1, M2) = (A, B), or (B, A) when swapped.
+    where (M1, M2) = (A, B), or (B, A) when swapped.  The bases come from the
+    joint-block projectors; ExoticPairError is raised for a single block whose
+    rank-1 nilpotent parts are not proportional.
     """
     validate(pair, tol=max(tol, 1e-7))
     A, B = pair.A, pair.B
+    blocks = [(m, P, a, b, _nilpotent(A, a, P), _nilpotent(B, b, P))
+              for m, P, a, b in _joint_blocks(A, B, tol)]
 
-    diagA = _is_diagonalizable(A, sep)
-    diagB = _is_diagonalizable(B, sep)
-
-    if diagA and diagB:
-        cols = []
-        for lam, _ in _eig_clusters(A, sep):
-            V = _nullspace(A - lam * np.eye(3))
-            BV = _restrict(B, V)
-            _, vecs = np.linalg.eig(BV)
-            for k in range(V.shape[1]):
-                v = V @ vecs[:, k]
-                cols.append(v / np.linalg.norm(v))
-        if len(cols) != 3:
-            raise EigenvalueSeparationError("could not separate joint eigenlines")
-        P = _unimodular(np.column_stack(cols))
+    if all(m == 1 or _is_zero(nA, P, tol) and _is_zero(nB, P, tol)
+           for m, P, _, _, nA, nB in blocks):
+        # case (i): any basis of each block diagonalises both matrices
+        P = _unimodular(np.column_stack([np.linalg.svd(P)[0][:, :m]
+                                         for m, P, *_ in blocks]))
         Pi = np.linalg.inv(P)
-        Ad = Pi @ A @ P
-        Bd = Pi @ B @ P
-        params = (*np.diag(Ad), *np.diag(Bd))
+        params = (*np.diag(Pi @ A @ P), *np.diag(Pi @ B @ P))
         return NormalForm("i", tuple(params)), P, False
 
-    def _full_jordan(M):
-        clusters = _eig_clusters(M, sep)
-        if len(clusters) != 1:
-            return None
-        lam = clusters[0][0]
-        N = M - lam * np.eye(3)
-        if np.abs(N @ N).max() > 1e-6:
-            return lam
-        return None
-
-    lamA = _full_jordan(A)
-    lamB = _full_jordan(B) if lamA is None else None
-    if lamA is not None or lamB is not None:
-        swapped = lamA is None
-        M1, M2 = (A, B) if not swapped else (B, A)
-        lam = lamA if lamA is not None else lamB
-        N = M1 - lam * np.eye(3)
-        N2 = N @ N
-        # cyclic vector maximizing |N^2 v|
-        idx = int(np.argmax(np.linalg.norm(N2, axis=0)))
-        v = np.eye(3)[:, idx]
-        P = _unimodular(np.column_stack([N2 @ v, N @ v, v]))
-        Pi = np.linalg.inv(P)
-        M1n = Pi @ M1 @ P
-        M2n = Pi @ M2 @ P
-        a = lam
-        b = np.trace(M2n) / 3.0
+    m, P, a, b, nA, nB = next(blk for blk in blocks if blk[0] > 1)
+    regular = [m == 3 and _is_regular(n, tol) for n in (nA, nB)]
+    # M1 carries the Jordan block, the regular one if there is one
+    swapped = not regular[0] and (regular[1] or _is_zero(nA, P, tol))
+    (a1, n1), (a2, n2) = ((b, nB), (a, nA)) if swapped else ((a, nA), (b, nB))
+    M1, M2 = (B, A) if swapped else (A, B)
+    if any(regular):
+        # case (iii): a cyclic vector of the regular nilpotent part of M1
+        N = a1 * n1
+        v = np.eye(3)[:, int(np.argmax(np.linalg.norm(N @ N, axis=0)))]
+        P = _unimodular(np.column_stack([N @ N @ v, N @ v, v]))
+        M2n = np.linalg.inv(P) @ M2 @ P
         b1 = (M2n[0, 1] + M2n[1, 2]) / 2.0
-        b2 = M2n[0, 2]
-        # rescale the basis so M1's superdiagonal is exactly 1
-        s = (M1n[0, 1] + M1n[1, 2]) / 2.0
-        D = np.diag([1.0, s, s**2]).astype(complex)
-        P = _unimodular(P @ D)
-        b1, b2 = b1 * s, b2 * s**2
-        return NormalForm("iii", (a, b, b1, b2)), P, swapped
+        return NormalForm("iii", (a1, a2, b1, M2n[0, 2])), P, swapped
 
-    # case (ii): a 1+2 joint splitting with an aligned rank-1 Jordan block
-    eigenlines = _joint_eigenlines(A, B)
-    planes = _joint_eigenlines(A.T, B.T)  # left eigenvectors = invariant planes
-    for u in eigenlines:
-        for ell in planes:
-            if abs(ell @ u) < 1e-6:
-                continue  # u lies in the plane
-            W = _nullspace(ell.reshape(1, 3))
-            if W.shape[1] != 2:
-                continue
-            AW = _restrict(A, W)
-            BW = _restrict(B, W)
-            lamA2, NA = _block_data(AW)
-            lamB2, NB = _block_data(BW)
-            nA, nB = np.abs(NA).max(), np.abs(NB).max()
-            if nA < 1e-9 and nB < 1e-9:
-                continue  # plane carries no Jordan block
-            swapped = nA < 1e-9  # normal form needs a genuine block in the A slot
-            Nlead = NB if swapped else NA
-            idx = int(np.argmax(np.linalg.norm(Nlead, axis=0)))
-            w2 = np.eye(2)[:, idx]
-            w1 = Nlead @ w2
-            P = _unimodular(np.column_stack([u, W @ w1, W @ w2]))
-            Pi = np.linalg.inv(P)
-            M1, M2 = (A, B) if not swapped else (B, A)
-            M1n = Pi @ M1 @ P
-            M2n = Pi @ M2 @ P
-            a = (M1n[1, 1] + M1n[2, 2]) / 2.0
-            b = (M2n[1, 1] + M2n[2, 2]) / 2.0
-            b1 = M2n[1, 2] / M1n[1, 2]
-            # rescale so M1's block superdiagonal is exactly 1
-            s = M1n[1, 2]
-            D = np.diag([1.0, s, 1.0]).astype(complex)
-            P = _unimodular(P @ D)
-            return NormalForm("ii", (a, b, b1)), P, swapped
-
-    # non-diagonalizable, no full Jordan block, no compatible 1+2 splitting
-    a = np.trace(A) / 3.0
-    b = np.trace(B) / 3.0
-    raise ExoticPairError(a, b)
-
-
-def _nilpotent_log_coeffs(m0: complex, m1: complex, m2: complex) -> tuple[complex, complex]:
-    """(N, N^2) coefficients of log((m0 I + m1 N + m2 N^2)/m0) for N^3 = 0."""
-    p = m1 / m0
-    q = m2 / m0
-    return p, q - p * p / 2.0
+    # case (ii): a rank-1 Jordan block, M1 w2 = a1 w2 + w1, with w2 the unit
+    # vector of the block that N1 moves most
+    W = np.linalg.svd(P)[0][:, :m]
+    w2 = W[:, int(np.argmax(np.linalg.norm(n1 @ W, axis=0)))]
+    w1 = a1 * n1 @ w2
+    beta = np.vdot(w1, n2 @ w2) / np.vdot(w1, n1 @ w2)
+    if not _is_zero(n2 - beta * n1, P, tol):
+        raise ExoticPairError("commuting pair outside the three normal forms "
+                              "(non-aligned rank-1 nilpotents); bundle type T32")
+    if m == 2:
+        u = np.linalg.svd(next(Q for k, Q, *_ in blocks if k == 1))[0][:, 0]
+    else:
+        # a kernel vector of N1 orthogonal to its image w1
+        u = np.linalg.svd(np.vstack([n1, w1.conj()]))[2][-1].conj()
+    P = _unimodular(np.column_stack([u, w1, w2]))
+    return NormalForm("ii", (a1, a2, a2 * beta / a1)), P, swapped
 
 
 def classify_bundle(pair: CommutingPair, curve: CurveSpec,
                     tol: float = 1e-6) -> BundleClass:
-    """Bundle type of the flat bundle with monodromy (A, B) along (1, tau)."""
+    """Bundle type of the flat bundle with monodromy (A, B) along (1, tau),
+    from the Atiyah summands L_z (x) F of its joint blocks."""
+    validate(pair, tol=1e-7)
     tau = curve.tau
-    try:
-        nf, _, swapped = normal_form(pair)
-    except ExoticPairError as exc:
-        z = jl.from_holonomy(exc.a, exc.b, curve)
-        return make_t3x("T32", z)
-
-    if nf.case == "i":
-        a1, a2, a3, b1, b2, b3 = nf.params
-        pts = [jl.from_holonomy(a, b, curve) for a, b in ((a1, b1), (a2, b2), (a3, b3))]
-        distinct: list[JacPoint] = []
-        for p in pts:
-            if not any(jl.equal(p, q, tol=tol) for q in distinct):
-                distinct.append(p)
-        if len(distinct) == 3:
-            return classify_triple(*pts, tol=tol)
-        if len(distinct) == 2:
-            # the repeated class is the L of L^{-2} + L + L
-            for p in distinct:
-                if sum(jl.equal(p, q, tol=tol) for q in pts) == 2:
-                    return make_t22(p)
-        return make_t3x("T33", distinct[0])
-
-    if nf.case == "ii":
-        a, b, b1 = nf.params
-        if not swapped:
-            aA, sA = a, 1.0 + 0j
-            aB, sB = b, b1
+    scale = tol * max(1.0, abs(tau))
+    summands: list[tuple[JacPoint, int]] = []
+    for m, P, a, b in _joint_blocks(pair.A, pair.B, tol):
+        z = jl.from_holonomy(a, b, curve)
+        nA, nB = _nilpotent(pair.A, a, P), _nilpotent(pair.B, b, P)
+        Nt = nB - nB @ nB / 2 - tau * (nA - nA @ nA / 2)
+        if m == 1 or _is_zero(Nt, P, scale):
+            summands += [(z, 1)] * m
+            continue
+        # Ñ is regular only if A or B is.  Then Ñ^2 = c1^2 N1^2 with
+        # N1 = M1 - lambda I for the regular M1, so |c1| is read in the Jordan
+        # basis of M1, as the normal form (iii) would give it
+        N1 = next((lam * n for lam, n in ((a, nA), (b, nB))
+                   if m == 3 and _is_regular(n, tol)), None)
+        if N1 is not None and np.abs(Nt @ Nt).max() > scale**2 * np.abs(N1 @ N1).max():
+            summands.append((z, 3))
         else:
-            aA, sA = b, b1
-            aB, sB = a, 1.0 + 0j
-        z = jl.from_holonomy(aA, aB, curve)
-        # the rank-2 part is the trivial bundle (twisted) iff the nilpotent
-        # log parts are proportional to (1, tau)
-        decomposable = abs(sB / aB - tau * sA / aA) < tol * max(1.0, abs(tau))
-        torsion3 = jl.mul(3, z).is_zero(tol=tol)
-        if decomposable:
-            return make_t3x("T33", z) if torsion3 else make_t22(z)
-        return make_t3x("T32", z) if torsion3 else make_t21(z)
+            summands += [(z, 2)] + [(z, 1)] * (m - 2)
 
-    # case iii
-    a, b, b1, b2 = nf.params
-    if not swapped:
-        cA = (a, 1.0 + 0j, 0j)
-        cB = (b, b1, b2)
-    else:
-        cA = (b, b1, b2)
-        cB = (a, 1.0 + 0j, 0j)
-    sig1, sig2 = _nilpotent_log_coeffs(*cA)
-    bet1, bet2 = _nilpotent_log_coeffs(*cB)
-    z = jl.from_holonomy(cA[0], cB[0], curve)
-    scale = max(1.0, abs(tau))
-    if abs(bet1 - tau * sig1) > tol * scale:
-        return make_t3x("T31", z)
-    if abs(bet2 - tau * sig2) > tol * scale:
-        return make_t3x("T32", z)
-    return make_t3x("T33", z)
+    by_size = {k: z for z, k in summands}
+    if 3 in by_size:
+        return make_t3x("T31", by_size[3])
+    if 2 in by_size:
+        z = by_size[2]
+        return make_t3x("T32", z) if jl.mul(3, z).is_zero(tol=tol) else make_t21(z)
+    pts = [z for z, _ in summands]
+    distinct: list[JacPoint] = []
+    for p in pts:
+        if not any(jl.equal(p, q, tol=tol) for q in distinct):
+            distinct.append(p)
+    if len(distinct) == 3:
+        return classify_triple(*pts, tol=tol)
+    if len(distinct) == 2:
+        # the repeated class is the L of L^{-2} + L + L
+        return make_t22(next(p for p in distinct
+                             if sum(jl.equal(p, q, tol=tol) for q in pts) == 2))
+    return make_t3x("T33", distinct[0])
 
 
 def universal_pair(b1: complex, b2: complex, kind: str = "generic") -> CommutingPair:

@@ -12,6 +12,7 @@ the maximum induced degree is negative.  Weight triples given exactly
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -210,11 +211,13 @@ class ProjScalar:
         n, d = complex(self.num), complex(self.den)
         if n == 0 and d == 0:
             raise ValueError("(0, 0) is not a projective scalar")
-        # canonical scale: den = 1 when finite, (1, 0) at infinity
-        if d == 0:
-            n, d = 1.0 + 0j, 0j
+        # canonical scale: den = 1 when finite, (1, 0) at infinity; a quotient
+        # that overflows (subnormal den) is infinity as well
+        q = n / d if d != 0 else math.inf
+        if cmath.isfinite(q):
+            n, d = q, 1.0 + 0j
         else:
-            n, d = n / d, 1.0 + 0j
+            n, d = 1.0 + 0j, 0j
         object.__setattr__(self, "num", n)
         object.__setattr__(self, "den", d)
 

@@ -115,6 +115,33 @@ def test_act_plane_identity_and_dual(curve):
     assert np.allclose(Md / Md[0, 0], np.diag([1, -1, 1]), atol=1e-7)
 
 
+@pytest.mark.parametrize("tau", [0.3 + 1.1j, 0.1 + 0.9j, 0.5 + 1j, 2j, -0.4 + 1.3j, 0.25 + 1.7j])
+def test_act_plane_scale_is_deterministic(tau):
+    # the dualisation's largest entries tie in modulus; the printed matrix
+    # must not take its sign from roundoff
+    curve = CurveSpec(tau)
+    assert np.allclose(ag.act_plane(ag.identity(curve), curve), np.eye(3), atol=1e-7)
+    Md = ag.act_plane(ag.ModularAuto(jl.zero(curve), True), curve)
+    assert np.allclose(Md, np.diag([1, -1, 1]), atol=1e-7)
+
+    def normalised(M):
+        big = np.abs(M).max()
+        return M / next(x for x in M.flat if abs(x) >= big / 2)
+
+    elems = ag.group_elements(curve)
+    mats = [ag.act_plane(g, curve) for g in elems]
+    for M in mats:
+        # no entry sits where roundoff could move it across the cut-off
+        assert np.abs(np.abs(M) / np.abs(M).max() - 0.5).min() > 1e-6
+    # a product of two lifts, normalised by the same rule, lands on the
+    # lift of the composition: the representative does not depend on how
+    # the projective matrix was computed
+    for g1, M1 in zip(elems, mats):
+        for g2, M2 in zip(elems, mats):
+            M12 = mats[next(k for k, g in enumerate(elems) if key(g) == key(ag.compose(g1, g2)))]
+            assert np.allclose(normalised(M1 @ M2), M12, atol=1e-7)
+
+
 def test_act_plane_preserves_cubic_and_flexes(curve):
     rng = np.random.RandomState(31)
     flexes = [we.embed(p, curve) for p in jl.torsion_points(3, curve)]

@@ -36,6 +36,46 @@ def jordan_pair(a, b, b1, b2):
     return mo.CommutingPair(a * np.eye(3) + N, b * np.eye(3) + b1 * N + b2 * (N @ N))
 
 
+def exotic_pair():
+    """Rank-1 nilpotent parts with one image and two kernels: Jordan type of
+    N_B - tau N_A is (2, 1), so T32, but no single normal form fits."""
+    E12 = np.zeros((3, 3), complex)
+    E12[0, 1] = 1
+    E13 = np.zeros((3, 3), complex)
+    E13[0, 2] = 1
+    return mo.CommutingPair(np.eye(3) + E12, np.eye(3) + E13)
+
+
+def representatives(curve):
+    """One commuting pair per bundle type (the criterion-7 representatives)."""
+    tau = curve.tau
+    z = exact(curve, Fraction(1, 5), Fraction(1, 7))
+    z3 = exact(curve, Fraction(1, 3), 0)
+    a, b = holonomy_scalars(z)
+    a3, b3 = holonomy_scalars(z3)
+    pts = [exact(curve, Fraction(1, 5), 0), exact(curve, 0, Fraction(1, 7))]
+    pts.append(jl.neg(jl.add(pts[0], pts[1])))
+    return {
+        "T1": diag_pair(curve, pts),
+        "T21": block_pair(a, b, 1.0, 0.37),
+        "T22": block_pair(a, b, 0.5, tau * 0.5 / a * b),
+        "T31": jordan_pair(a3, b3, 0.4, 0.1),
+        "T32": block_pair(a3, b3, 1.0, 0.37),
+        "T33": jordan_pair(a3, b3, tau * b3 / a3,
+                           b3 * ((tau * b3 / a3) ** 2 / (2 * b3**2) - tau / (2 * a3**2))),
+    }
+
+
+def conditioned_unimodular(rng, cond):
+    """U diag(1, s, cond) V with unitary U, V and 1 <= s <= cond, scaled to det 1."""
+    def unitary():
+        Q, R = np.linalg.qr(rng.randn(3, 3) + 1j * rng.randn(3, 3))
+        return Q * (np.diag(R) / abs(np.diag(R)))
+    s = np.exp(rng.uniform(0, np.log(cond)))
+    M = unitary() @ np.diag([1, s, cond]) @ unitary()
+    return M / np.linalg.det(M) ** (1.0 / 3.0)
+
+
 def test_validate_rejects_bad_pairs(curve):
     with pytest.raises(mo.NotUnimodularError):
         mo.validate(mo.CommutingPair(2 * np.eye(3), np.eye(3)))
@@ -44,6 +84,8 @@ def test_validate_rejects_bad_pairs(curve):
     B[0, 1] = 1.0
     with pytest.raises(mo.NotCommutingError):
         mo.validate(mo.CommutingPair(A, B))
+    with pytest.raises(mo.NotCommutingError):
+        mo.classify_bundle(mo.CommutingPair(A, B), curve)
 
 
 def test_case_i_classification(curve):
@@ -124,11 +166,7 @@ def test_case_iii_block_only_in_second_matrix(curve):
 
 
 def test_exotic_pair_raises_then_classifies_t32(curve):
-    E12 = np.zeros((3, 3), complex)
-    E12[0, 1] = 1
-    E13 = np.zeros((3, 3), complex)
-    E13[0, 2] = 1
-    pair = mo.CommutingPair(np.eye(3) + E12, np.eye(3) + E13)
+    pair = exotic_pair()
     with pytest.raises(mo.ExoticPairError):
         mo.normal_form(pair)
     cls = mo.classify_bundle(pair, curve)
@@ -138,32 +176,89 @@ def test_exotic_pair_raises_then_classifies_t32(curve):
 def test_normal_form_conjugator_reproduces_matrices(curve):
     z = exact(curve, Fraction(1, 5), Fraction(1, 7))
     a, b = holonomy_scalars(z)
-    pair = conj_pair(block_pair(a, b, 1.0, 0.37), random_unimodular(np.random.RandomState(7)))
-    nf, P, swapped = mo.normal_form(pair)
-    M1, M2 = (pair.A, pair.B) if not swapped else (pair.B, pair.A)
-    N1, N2 = nf.matrices()
-    Pi = np.linalg.inv(P)
-    assert np.abs(Pi @ M1 @ P - N1).max() < 1e-7
-    assert np.abs(Pi @ M2 @ P - N2).max() < 1e-7
+    a3, b3 = holonomy_scalars(exact(curve, Fraction(1, 3), 0))
+    rng = np.random.RandomState(7)
+    inputs = [("ii", False, block_pair(a, b, 1.0, 0.37))]
+    cases = {"T1": "i", "T21": "ii", "T22": "ii", "T31": "iii", "T32": "ii", "T33": "iii"}
+    inputs += [(cases[label], False, pair) for label, pair in representatives(curve).items()]
+    # the Jordan block only in B: the normal form swaps the slots
+    inputs.append(("ii", True, block_pair(a3, b3, 0.0, 0.5)))
+    inputs.append(("iii", True, mo.CommutingPair(np.eye(3), np.eye(3) + np.diag([1.0, 1.0], 1))))
+    # a Jordan pair whose N_B - tau N_A is nearly rank 1
+    inputs.append(("iii", False, jordan_pair(a3, b3, b3 * (curve.tau / a3 + 1e-4), 1.0)))
+    conjugators = [random_unimodular(rng) for _ in inputs]
+    # the representatives again, under conjugators of condition number 100 and 1000
+    for cond in (100.0, 1000.0):
+        for _ in range(20):
+            inputs += inputs[1:7]
+            conjugators += [conditioned_unimodular(rng, cond) for _ in range(6)]
+    for (case, swap, pair), Q in zip(inputs, conjugators):
+        pair = conj_pair(pair, Q)
+        nf, P, swapped = mo.normal_form(pair)
+        assert (nf.case, swapped) == (case, swap)
+        M1, M2 = (pair.A, pair.B) if not swapped else (pair.B, pair.A)
+        N1, N2 = nf.matrices()
+        Pi = np.linalg.inv(P)
+        assert abs(np.linalg.det(P) - 1) < 1e-9
+        assert np.abs(Pi @ M1 @ P - N1).max() < 1e-7
+        assert np.abs(Pi @ M2 @ P - N2).max() < 1e-7
+    with pytest.raises(mo.ExoticPairError):
+        mo.normal_form(conj_pair(exotic_pair(), random_unimodular(rng)))
+
+
+def test_classification_survives_ill_conditioned_conjugators(curve):
+    # roundoff splits a Jordan block's eigenvalues in proportion to the size
+    # of the conjugated matrices, so the merge radius must scale with them
+    reps = representatives(curve)
+    reps["exotic"] = exotic_pair()
+    rng = np.random.RandomState(13)
+    for label, pair in reps.items():
+        ref = mo.classify_bundle(pair, curve)
+        for _ in range(20):
+            got = mo.classify_bundle(conj_pair(pair, conditioned_unimodular(rng, 1000.0)), curve)
+            assert got.label == ref.label, f"{label} misclassified as {got.label}"
+            if got.label == "T1":
+                assert all(any(jl.equal(p, q, tol=1e-6) for q in ref.triple) for p in got.triple)
+            else:
+                assert jl.equal(got.point, ref.point, tol=1e-6)
+
+
+def test_small_first_jordan_coefficient_is_t31(curve):
+    # N_B - tau N_A = c1 N + c2 N^2 with c1 = 1e-4, c2 = O(1): T31, since
+    # c1 is far above tol in the Jordan basis of A; with c1 = 0 it is T32
+    tau = curve.tau
+    z3 = exact(curve, Fraction(1, 3), 0)
+    a3, b3 = holonomy_scalars(z3)
+    rng = np.random.RandomState(19)
+    for c1, label in ((1e-4, "T31"), (0.0, "T32")):
+        pair = jordan_pair(a3, b3, b3 * (tau / a3 + c1), 1.0)
+        conjugators = [np.eye(3)] + [random_unimodular(rng) for _ in range(10)]
+        if c1:
+            conjugators += [conditioned_unimodular(rng, 1000.0) for _ in range(20)]
+        for Q in conjugators:
+            cls = mo.classify_bundle(conj_pair(pair, Q), curve)
+            assert cls.label == label and jl.equal(cls.point, z3, tol=1e-6)
+
+
+def test_kappa_collision_is_split_by_a_second_weight(curve):
+    # diagonal A, B whose first two joint eigenvalues give A + kappa B a
+    # double eigenvalue for the first weight kappa: not one Jordan block
+    a1, a2, b1 = 1.1 + 0.2j, 0.8 + 0.3j, 0.9 - 0.1j
+    b2 = b1 + (a1 - a2) / mo._KAPPAS[0]
+    hA, hB = (a1, a2, 1 / (a1 * a2)), (b1, b2, 1 / (b1 * b2))
+    C = np.diag(hA) + mo._KAPPAS[0] * np.diag(hB)
+    assert abs(C[0, 0] - C[1, 1]) < 1e-15
+    pair = conj_pair(mo.CommutingPair(np.diag(hA), np.diag(hB)),
+                     random_unimodular(np.random.RandomState(17)))
+    cls = mo.classify_bundle(pair, curve)
+    assert cls.label == "T1"
+    for a, b in zip(hA, hB):
+        z = jl.from_holonomy(a, b, curve)
+        assert any(jl.equal(z, q, tol=1e-6) for q in cls.triple)
 
 
 def test_conjugation_invariance_all_types(curve):
-    tau = curve.tau
-    z = exact(curve, Fraction(1, 5), Fraction(1, 7))
-    z3 = exact(curve, Fraction(1, 3), 0)
-    a, b = holonomy_scalars(z)
-    a3, b3 = holonomy_scalars(z3)
-    pts = [exact(curve, Fraction(1, 5), 0), exact(curve, 0, Fraction(1, 7))]
-    pts.append(jl.neg(jl.add(pts[0], pts[1])))
-    reps = {
-        "T1": diag_pair(curve, pts),
-        "T21": block_pair(a, b, 1.0, 0.37),
-        "T22": block_pair(a, b, 0.5, tau * 0.5 / a * b),
-        "T31": jordan_pair(a3, b3, 0.4, 0.1),
-        "T32": block_pair(a3, b3, 1.0, 0.37),
-        "T33": jordan_pair(a3, b3, tau * b3 / a3,
-                           b3 * ((tau * b3 / a3) ** 2 / (2 * b3**2) - tau / (2 * a3**2))),
-    }
+    reps = representatives(curve)
     rng = np.random.RandomState(11)
     for label, pair in reps.items():
         for _ in range(10):
