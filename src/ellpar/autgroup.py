@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import jaclattice as jl
 from .bundles import BundleClass, classify_triple, graded
 from .jaclattice import CurveSpec, JacPoint
@@ -68,12 +66,14 @@ def act_class(g: ModularAuto, cls: BundleClass) -> BundleClass:
     return make_t3x(cls.label, z)
 
 
-def act_plane(g: ModularAuto, curve: CurveSpec) -> np.ndarray:
+def act_plane(g: ModularAuto, curve: CurveSpec) -> "np.ndarray":
     """Projective-linear lift of g to the embedded plane, solved by DLT.
 
     Built from 8 point correspondences embed(z) -> embed(g z) in general
     position, two linear rows each, nullspace by SVD.
     """
+    import numpy as np
+
     # generic sample points: irrational, away from torsion and the lattice
     base = [jl.canon(complex(0.2718 + 0.0531 * k + (0.3141 + 0.0377 * k * k) * curve.tau),
                      curve) for k in range(8)]

@@ -12,15 +12,12 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Optional
-
-import numpy as np
+from typing import Any, Optional, Sequence
 
 from . import autgroup as ag
 from . import bundles as bd
 from . import jaclattice as jl
 from . import modspace as ms
-from . import monodromy as mo
 from . import parabolic as pa
 from . import weierstrass as we
 from .jaclattice import CurveSpec, JacPoint
@@ -156,14 +153,14 @@ def parse_flag(payload: dict, key: str = "flag") -> pa.Flag:
     return pa.Flag(parse_plane_point(_need(v, "P")), parse_plane_line(_need(v, "L")))
 
 
-def parse_matrix(v) -> np.ndarray:
+def parse_matrix(v) -> list:
     if not (isinstance(v, list) and len(v) == 3 and all(isinstance(r, list) and len(r) == 3 for r in v)):
         raise SchemaError("matrix must be a 3x3 array")
-    return np.array([[parse_complex(c) for c in row] for row in v], dtype=complex)
+    return [[parse_complex(c) for c in row] for row in v]
 
 
-def ser_matrix(M: np.ndarray) -> list:
-    return [[ser_complex(c) for c in row] for row in np.asarray(M)]
+def ser_matrix(M: Sequence[Sequence[complex]]) -> list:
+    return [[ser_complex(c) for c in row] for row in M]
 
 
 def _parse_weight_entry(x):
@@ -254,6 +251,8 @@ def _cmd_type_facts(payload, tol):
 
 
 def _cmd_classify_monodromy(payload, tol):
+    from . import monodromy as mo
+
     curve = parse_curve(payload)
     pair = mo.CommutingPair(parse_matrix(_need(payload, "A")),
                             parse_matrix(_need(payload, "B")))
@@ -262,6 +261,8 @@ def _cmd_classify_monodromy(payload, tol):
 
 
 def _cmd_universal_family(payload, tol):
+    from . import monodromy as mo
+
     curve = parse_curve(payload)
     b1 = parse_complex(_need(payload, "b1"))
     b2 = parse_complex(_need(payload, "b2"))
@@ -446,7 +447,7 @@ def run(request: dict, tol: Optional[float] = None) -> tuple[dict, int]:
     except SchemaError as exc:
         return ({"ok": False, "result": {"error": "SchemaViolation", "message": str(exc)},
                  "diagnostics": diagnostics}, EXIT_SCHEMA)
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         return ({"ok": False, "result": {"error": type(exc).__name__, "message": str(exc)},
                  "diagnostics": diagnostics}, EXIT_DOMAIN)
 

@@ -10,13 +10,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-import numpy as np
-
 from . import jaclattice as jl
 from .bundles import BundleClass, classify_triple, graded, tu_line, type_facts
 from .jaclattice import CurveSpec, JacPoint
 from .parabolic import ProjScalar
-from .weierstrass import (PlaneLine, PlanePoint, curve_invariants, embed,
+from .weierstrass import (PlaneLine, PlanePoint, _cross, curve_invariants, embed,
                           intersect_curve, lines_meet, multiplicities)
 
 
@@ -72,11 +70,14 @@ def cross_ratio(z1: ProjScalar, z2: ProjScalar, z3: ProjScalar,
 def _affine_param(q: PlanePoint, p1: PlanePoint, p2: PlanePoint) -> ProjScalar:
     """Parameter of q on the line framed by p1 (param 0) and p2 (param inf).
 
-    q = alpha p1 + beta p2; the parameter is beta/alpha.
+    q = alpha p1 + beta p2 gives p1 x q = beta c and p2 x q = -alpha c with
+    c = p1 x p2, so beta and alpha are those products read along conj(c).
     """
-    A = np.column_stack([p1.vec(), p2.vec()])
-    coeff, *_ = np.linalg.lstsq(A, q.vec(), rcond=None)
-    return ProjScalar(coeff[1], coeff[0])
+    c = _cross(p1.vec(), p2.vec())
+    cc = [x.conjugate() for x in c]
+    beta = sum(x * y for x, y in zip(_cross(p1.vec(), q.vec()), cc))
+    alpha = -sum(x * y for x, y in zip(_cross(p2.vec(), q.vec()), cc))
+    return ProjScalar(beta, alpha)
 
 
 def psi_plus(ip: IncidencePoint, curve: CurveSpec) -> tuple[BundleClass, ProjScalar]:
@@ -85,15 +86,18 @@ def psi_plus(ip: IncidencePoint, curve: CurveSpec) -> tuple[BundleClass, ProjSca
     The line's three curve parameters (canonically ordered) give the S-class;
     lambda is the cross-ratio (p1, p2; p3, p4) of the intersection points and
     ip.x on the line, matching the normalized parabolic point [lambda:1-lambda:1]
-    on the standard line {Z1 + Z2 = Z3}.  Tangent lines (merged intersection
-    points) are handled by the same limiting formula; they form the extension
-    stratum and only boundary values {0, 1, inf} are exact there.
+    on the standard line {Z1 + Z2 = Z3}.  The line is framed by pts[0] and the
+    first later point distinct from it, so tangent lines (merged intersection
+    points), which form the extension stratum, get the boundary values
+    {0, 1, inf} exactly; a flex tangent has no frame.
     """
     zs = jl.canonical_sort(intersect_curve(ip.line, curve))
     cls = classify_triple(zs[0], zs[1], zs[2])
     pts = [embed(z, curve) for z in zs]
-    thetas = [_affine_param(q, pts[0], pts[1]) for q in pts] + \
-             [_affine_param(ip.x, pts[0], pts[1])]
+    other = next((p for p in pts[1:] if p != pts[0]), None)
+    if other is None:
+        raise ThreefoldCoincidenceError("three of the four points coincide")
+    thetas = [_affine_param(q, pts[0], other) for q in (*pts, ip.x)]
     lam = cross_ratio(*thetas)
     return cls, lam
 
@@ -166,12 +170,12 @@ def curves_isomorphic(tau1: complex, tau2: complex, rel_tol: float = 1e-6) -> bo
 
 
 def incidence_parametrization(u1: complex, u2: complex, t: complex,
-                              curve: CurveSpec) -> np.ndarray:
+                              curve: CurveSpec) -> tuple[complex, complex, complex]:
     """Moduli coordinates of the incidence point (x, l) in an affine chart.
 
     The line is l = {u1 Z1 + u2 Z2 + Z3 = 0} (a 2-parameter chart of the dual
     plane) and x = A + t B for the frame A = [1:0:-u1], B = [0:1:-u2] on l.
-    Returns the complex 3-vector (a, b, lambda): the affine dual coordinates
+    Returns the complex 3-tuple (a, b, lambda): the affine dual coordinates
     of the S-class line recovered through the moduli map, and the fiber
     cross-ratio.  Three honest continuous parameters; the Jacobian has rank 3
     at generic points.
@@ -184,20 +188,22 @@ def incidence_parametrization(u1: complex, u2: complex, t: complex,
         raise ValueError("recovered line leaves the affine chart")
     if lam.is_inf:
         raise ValueError("fiber coordinate at infinity; choose another t")
-    return np.array([lrec.u / lrec.w, lrec.v / lrec.w, lam.num], dtype=complex)
+    return (lrec.u / lrec.w, lrec.v / lrec.w, lam.num)
 
 
 def parametrization_rank(u1: complex, u2: complex, t: complex, curve: CurveSpec,
                          step: float = 1e-5, tol: float = 1e-6) -> int:
     """Numerical complex-Jacobian rank of incidence_parametrization at a point."""
-    f0 = incidence_parametrization(u1, u2, t, curve)
+    import numpy as np
+
+    incidence_parametrization(u1, u2, t, curve)  # raises if the point leaves the chart
     cols = []
     for k in range(3):
         d = [0, 0, 0]
         d[k] = step
         fp = incidence_parametrization(u1 + d[0], u2 + d[1], t + d[2], curve)
         fm = incidence_parametrization(u1 - d[0], u2 - d[1], t - d[2], curve)
-        cols.append((fp - fm) / (2 * step))
+        cols.append([(a - b) / (2 * step) for a, b in zip(fp, fm)])
     J = np.column_stack(cols)
     s = np.linalg.svd(J, compute_uv=False)
     # absolute threshold: the chart is scaled so generic derivatives are O(1),

@@ -16,15 +16,15 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational
-from typing import Optional, Union
-
-import numpy as np
+from typing import Optional, Sequence, Union
 
 from .bundles import BundleClass, LineLocus, PointLocus, subbundle_config
-from .weierstrass import PlaneLine, PlanePoint, line_through_points, lines_meet
+from .weierstrass import PlaneLine, PlanePoint, _cross, line_through_points, lines_meet
 
 Scalar = Union[Fraction, float]
+Matrix = tuple[tuple[complex, complex, complex], ...]
 
 
 class InadmissibleWeightsError(ValueError):
@@ -66,6 +66,11 @@ class Weights:
 
     def as_tuple(self) -> tuple[Scalar, Scalar, Scalar]:
         return (self.mu1, self.mu2, self.mu3)
+
+    @cached_property
+    def pair_sums(self) -> tuple[Scalar, Scalar, Scalar]:
+        """(mu1 + mu2, mu1 + mu3, mu2 + mu3): the degrees a fiber line can induce."""
+        return (self.mu1 + self.mu2, self.mu1 + self.mu3, self.mu2 + self.mu3)
 
 
 CHAMBER_MINUS = "Pminus"
@@ -130,10 +135,10 @@ def induced_pardeg(sub: Union[PlanePoint, PlaneLine], flag: Flag, w: Weights) ->
         return w.mu3
     if isinstance(sub, PlaneLine):
         if sub.close_to(flag.L):
-            return w.mu1 + w.mu2
+            return w.pair_sums[0]
         if sub.contains(flag.P):
-            return w.mu1 + w.mu3
-        return w.mu2 + w.mu3
+            return w.pair_sums[1]
+        return w.pair_sums[2]
     raise TypeError(f"sub must be a fiber point or line, got {type(sub)}")
 
 
@@ -253,61 +258,68 @@ def flip(t: ProjScalar) -> ProjScalar:
 # T1: diagonal; T21: upper-triangular 2-block + scalar; T31: unipotent Toeplitz.
 
 
-def _gauge_to_standard_point(cls: BundleClass, P: PlanePoint) -> np.ndarray:
+def _gauge_to_standard_point(cls: BundleClass, P: PlanePoint) -> Matrix:
     """Element of the class's gauge group sending P to [1:1:1]."""
     p1, p2, p3 = P.x, P.y, P.z
     lab = cls.label
     if lab == "T1":
         if abs(p1 * p2 * p3) < 1e-12:
             raise NotStableError("flag point on a coordinate line; no diagonal gauge")
-        return np.diag([1 / p1, 1 / p2, 1 / p3]).astype(complex)
+        return ((1 / p1, 0j, 0j), (0j, 1 / p2, 0j), (0j, 0j, 1 / p3))
     if lab == "T21":
         if abs(p2 * p3) < 1e-12:
             raise NotStableError("flag point on a preserved line; no gauge")
         a = 1 / p2
         c = 1 / p3
         b = (1 - a * p1) / p2
-        return np.array([[a, b, 0], [0, a, 0], [0, 0, c]], dtype=complex)
+        return ((a, b, 0j), (0j, a, 0j), (0j, 0j, c))
     if lab == "T31":
         if abs(p3) < 1e-12:
             raise NotStableError("flag point on the preserved line; no gauge")
         a = 1 / p3
         b = (1 - a * p2) / p3
         c = (1 - a * p1 - b * p2) / p3
-        return np.array([[a, b, c], [0, a, b], [0, 0, a]], dtype=complex)
+        return ((a, b, c), (0j, a, b), (0j, 0j, a))
     raise NotStableError(f"type {lab} admits no stable parabolic structure")
 
 
-def _gauge_to_standard_line(cls: BundleClass, L: PlaneLine) -> np.ndarray:
+def _gauge_to_standard_line(cls: BundleClass, L: PlaneLine) -> Matrix:
     """Element g of the gauge group with (1,1,-1) . g proportional to L."""
     u, v, w = L.u, L.v, L.w
     lab = cls.label
     if lab == "T1":
         if abs(u * v * w) < 1e-12:
             raise NotStableError("flag line through a fixed point; no diagonal gauge")
-        return np.diag([u, v, -w]).astype(complex)
+        return ((u, 0j, 0j), (0j, v, 0j), (0j, 0j, -w))
     if lab == "T21":
         if abs(u * w) < 1e-12:
             raise NotStableError("flag line through a fixed point; no gauge")
         a, b, c = u, v - u, -w
-        return np.array([[a, b, 0], [0, a, 0], [0, 0, c]], dtype=complex)
+        return ((a, b, 0j), (0j, a, 0j), (0j, 0j, c))
     if lab == "T31":
         if abs(u) < 1e-12:
             raise NotStableError("flag line through the fixed point; no gauge")
         a, b, c = u, v - u, w - v + 2 * u
-        return np.array([[a, b, c], [0, a, b], [0, 0, a]], dtype=complex)
+        return ((a, b, c), (0j, a, b), (0j, 0j, a))
     raise NotStableError(f"type {lab} admits no stable parabolic structure")
 
 
-def apply_gauge(g: np.ndarray, flag: Flag) -> Flag:
-    """Transform a flag by a fiber gauge: points by g, lines by g^{-1} on the right."""
-    gi = np.linalg.inv(g)
-    P = PlanePoint.of(*(g @ flag.P.vec()))
-    L = PlaneLine.of(*(flag.L.vec() @ gi))
+def apply_gauge(g: Sequence[Sequence[complex]], flag: Flag) -> Flag:
+    """Transform a flag by a fiber gauge (any 3x3 indexable): points by g,
+    lines by g^{-1} on the right.
+
+    The line is projective, so l.adj(g) serves for l.g^{-1}; the columns of
+    adj(g) are r1 x r2, r2 x r0 and r0 x r1 for the rows r0, r1, r2 of g.
+    """
+    r0, r1, r2 = g
+    p, l = flag.P.vec(), flag.L.vec()
+    P = PlanePoint.of(*(sum(x * y for x, y in zip(r, p)) for r in (r0, r1, r2)))
+    L = PlaneLine.of(*(sum(x * y for x, y in zip(l, col))
+                       for col in (_cross(r1, r2), _cross(r2, r0), _cross(r0, r1))))
     return Flag(P, L)
 
 
-def normalize_flag(cls: BundleClass, flag: Flag, chamber: str) -> tuple[ProjScalar, np.ndarray]:
+def normalize_flag(cls: BundleClass, flag: Flag, chamber: str) -> tuple[ProjScalar, Matrix]:
     """Fiber coordinate of a stable flag in the given chamber, plus the gauge used.
 
     Pminus: the gauge moves P to [1:1:1]; the coordinate is the slope t of the

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .jaclattice import CurveSpec, JacPoint, add, canon, equal, neg, zero
 
 DEFAULT_TOL = 1e-9
@@ -289,6 +287,51 @@ def _invert_embedding(x: complex, y: complex, e: Sequence[complex],
     return canon(z, curve)
 
 
+def _cubic_roots(a3: complex, a2: complex, a1: complex,
+                 a0: complex) -> tuple[complex, complex, complex]:
+    """The three roots of a3 x^3 + a2 x^2 + a1 x + a0 (a3 != 0), with multiplicity.
+
+    The largest-modulus root comes from Cardano's formula, taking the square
+    root's sign that avoids cancellation, and is polished by up to three Newton
+    steps, each kept only if it lowers the residual.  The other two solve the backward-deflated
+    quadratic x^2 + q1 x + q0 by the stable formula (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 1.8 and 5.4); they are not
+    polished one by one, which keeps an exact double root symmetric about its
+    centre.
+    """
+    b, c, d = a2 / a3, a1 / a3, a0 / a3
+
+    def f(x):
+        return ((x + b) * x + c) * x + d
+
+    # x = y - b/3 gives y^3 + p y + q; Cardano's y = u - p/(3u), u^3 = -q/2 -+ s
+    p = c - b * b / 3
+    q = (2 * b * b - 9 * c) * b / 27 + d
+    s = cmath.sqrt(q * q / 4 + p * p * p / 27)
+    big = -q / 2 - s if abs(-q / 2 - s) >= abs(-q / 2 + s) else -q / 2 + s
+    x1 = complex(-b / 3)
+    if big:
+        u = big ** (1 / 3)
+        w = complex(-0.5, math.sqrt(3) / 2)
+        x1 = max((u * w**k - p / (3 * u * w**k) - b / 3 for k in range(3)), key=abs)
+    if x1 == 0:
+        return (0j, 0j, 0j)
+    for _ in range(3):
+        dp = (3 * x1 + 2 * b) * x1 + c
+        if dp == 0:
+            break
+        x = x1 - f(x1) / dp
+        if abs(f(x)) >= abs(f(x1)):
+            break
+        x1 = x
+    # x^3 + b x^2 + c x + d = (x - x1)(x^2 + q1 x + q0), from the constant term up
+    q0 = -d / x1
+    q1 = (q0 - c) / x1
+    s = cmath.sqrt(q1 * q1 - 4 * q0)
+    t = -(q1 + s) / 2 if abs(q1 + s) >= abs(q1 - s) else -(q1 - s) / 2
+    return (x1, t, q0 / t if t else t)
+
+
 def intersect_curve(line: PlaneLine, curve: CurveSpec,
                     tol: float = MERGE_TOL) -> list[JacPoint]:
     """The three intersection parameters of a line with the cubic, with multiplicity.
@@ -304,7 +347,7 @@ def intersect_curve(line: PlaneLine, curve: CurveSpec,
         # the line at infinity meets the cubic only in the flex at the origin
         o = zero(curve)
         return [o, o, o]
-    e = [complex(r) for r in np.roots([4, 0, -g2, -g3])]
+    e = _cubic_roots(4, 0, -g2, -g3)
     if abs(v) <= 1e-12 * scale:
         # vertical line x = -w/u: points (x, +-y) plus the point at infinity
         x = -w / u
@@ -317,7 +360,7 @@ def intersect_curve(line: PlaneLine, curve: CurveSpec,
     a2 = -(u / v) ** 2
     a1 = -g2 - 2 * (u / v) * (w / v)
     a0 = -g3 - (w / v) ** 2
-    roots = np.roots([a3, a2, a1, a0])
+    roots = _cubic_roots(a3, a2, a1, a0)
     # cluster near-coincident roots and replace each cluster by its mean: the
     # mean cancels the leading O(eps^(1/m)) perturbation of an m-fold root
     rel = max(tol, 1e-4)

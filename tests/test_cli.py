@@ -226,3 +226,44 @@ def test_tol_env_var(monkeypatch):
     proc = subprocess.run([sys.executable, "-m", "ellpar.cli"], input=req,
                           capture_output=True, text=True)
     assert proc.returncode == 3
+
+
+IMPORT_GATE = """
+import io, json, sys
+import ellpar, ellpar.cli, ellpar.modspace, ellpar.parabolic, ellpar.autgroup
+from ellpar import cli
+sys.stdin = io.StringIO(json.dumps({"command": "stability", "payload": {
+    "tau": [0.3, 1.1],
+    "class": {"label": "T1", "triple": [[1, 5, 0, 1], [0, 1, 1, 7], [4, 5, 6, 7]]},
+    "flag": {"P": [1, 1, 0], "L": [1, -1, -1]}, "weights": ["1/5", "1/10", "-3/10"]}}))
+code = cli.main([])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+resp, code = cli.run({"command": "classify-monodromy", "payload": {
+    "tau": [0.3, 1.1], "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    "B": [[1, 1, 0], [0, 1, 1], [0, 0, 1]]}})
+print(json.dumps({"code": code, "label": resp["result"].get("label")}))
+"""
+
+
+def test_core_and_cli_import_without_numpy():
+    # numpy is loaded only by the monodromy commands, parametrization_rank and act_plane
+    env = {k: v for k, v in os.environ.items() if k != "TOL"}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GATE],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    answer, gate, monodromy = proc.stdout.splitlines()
+    assert json.loads(answer)["result"]["verdict"] == "Stable"
+    assert json.loads(gate) == {"code": 0, "numpy": False}
+    assert json.loads(monodromy) == {"code": 0, "label": "T31"}
+
+
+def test_matrices_in_and_out_of_the_cli():
+    payload = {"tau": TAU, "class": {"label": "T1",
+                                     "triple": [[1, 5, 0, 1], [0, 1, 1, 7], [4, 5, 6, 7]]},
+               "flag": {"P": [1, 1, 1], "L": [-2, 1, 1]}, "chamber": "Pminus"}
+    res = ok("normalize-flag", payload)
+    assert res["gauge"] == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    for A in ([[0, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 2, 3], [2, 4, 6], [0, 0, 1]]):
+        resp, code = cli.run({"command": "classify-monodromy",
+                              "payload": {"tau": TAU, "A": A, "B": A}})
+        assert code == cli.EXIT_DOMAIN and not resp["ok"]

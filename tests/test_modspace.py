@@ -171,3 +171,41 @@ def test_parametrization_rank_is_three(curve):
         except ValueError:
             continue
     assert ranks and all(r == 3 for r in ranks)
+
+
+def test_affine_param_matches_least_squares():
+    rng = np.random.RandomState(31)
+    for _ in range(500):
+        a, b, c, d = (rng.randn(3) + 1j * rng.randn(3) for _ in range(4))
+        p1, p2 = we.PlanePoint.of(*a), we.PlanePoint.of(*b)
+        alpha, beta = c[0], c[1]
+        q = we.PlanePoint.of(*(alpha * np.array(p1.vec()) + beta * np.array(p2.vec())))
+        coeff, *_ = np.linalg.lstsq(np.column_stack([p1.vec(), p2.vec()]), q.vec(), rcond=None)
+        want = ProjScalar(coeff[1], coeff[0])
+        assert ms._affine_param(q, p1, p2).close_to(want, tol=1e-12)
+
+
+@pytest.mark.parametrize("s,t,double_first", [(0.1, 0.2, True), (0.7, 0.2, False),
+                                              (0.15, 0.6, True), (0.8, 0.85, False)])
+def test_psi_plus_on_a_tangent_is_an_exact_boundary_value(curve, s, t, double_first):
+    # the double point sorts before or after the simple one; either way the
+    # frame is two distinct points and lambda is exactly 0, 1 or inf
+    d = jl.canon(complex(s + t * curve.tau), curve)
+    simple = jl.neg(jl.add(d, d))
+    line = we.tangent_line(d, curve)
+    zs = jl.canonical_sort(we.intersect_curve(line, curve))
+    assert we.multiplicities(zs) == ([2, 1] if double_first else [1, 2])
+    ed, es = we.embed(d, curve), we.embed(simple, curve)
+    for k in (0.37 - 0.2j, 2.5, -1.1j):
+        x = we.PlanePoint.of(*(p + k * q for p, q in zip(ed.vec(), es.vec())))
+        for point in (x, es):
+            _, lam = ms.psi_plus(ms.IncidencePoint(point, line), curve)
+            assert lam.is_inf or lam.num in (0, 1), lam
+
+
+def test_psi_plus_on_a_flex_tangent_raises(curve):
+    flex = exact(curve, Fraction(1, 3), Fraction(2, 3))
+    line = we.tangent_line(flex, curve)
+    x = we.lines_meet(line, we.PlaneLine.of(1, 2, 3))
+    with pytest.raises(ms.ThreefoldCoincidenceError):
+        ms.psi_plus(ms.IncidencePoint(x, line), curve)

@@ -51,6 +51,19 @@ def test_induced_pardeg_rules(curve):
     assert pa.induced_pardeg(PlaneLine.of(1, 0, 0), flag, w) == w.mu2 + w.mu3
 
 
+def test_line_degrees_are_pair_sums_of_float_weights():
+    # float weights sum to 0 only up to rounding, so a line's degree is the sum
+    # of its two weights, not minus the third; the sums are formed once
+    w, _ = pa.make_weights(0.1, 0.2, -0.3)
+    assert w.mu1 + w.mu3 != -w.mu2
+    flag = pa.Flag(PlanePoint.of(1, 1, 1), PlaneLine.of(1, -2, 1))
+    for line, want in ((PlaneLine.of(1, -2, 1), w.mu1 + w.mu2),
+                       (PlaneLine.of(1, 0, -1), w.mu1 + w.mu3),
+                       (PlaneLine.of(1, 0, 0), w.mu2 + w.mu3)):
+        assert pa.induced_pardeg(line, flag, w) == want
+    assert w.pair_sums is w.pair_sums
+
+
 def test_stability_known_examples(curve):
     t1 = t1_class(curve)
     generic = pa.Flag(PlanePoint.of(1, 1, 1), PlaneLine.of(1, -2, 1))

@@ -244,3 +244,60 @@ def test_elliptic_log_on_real_loci(tau):
             if abs(x.imag) <= 1e-12 * abs(x):
                 for xr in (complex(x.real, 0.0), complex(x.real, -0.0)):
                     _assert_inverts(xr, y, curve)
+
+
+def _root_errors(got, want):
+    """Relative error of each wanted root against the nearest root got."""
+    return [min(abs(g - w) for g in got) / abs(w) for w in want]
+
+
+def _oracle_roots(mpmath, coeffs):
+    return [complex(r) for r in mpmath.polyroots(
+        [mpmath.mpc(c.real, c.imag) for c in map(complex, coeffs)],
+        maxsteps=500, extraprec=300)]
+
+
+def test_cubic_roots_match_mpmath_on_random_cubics():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.RandomState(41)
+    for _ in range(500):
+        coeffs = rng.randn(4) + 1j * rng.randn(4)
+        errs = _root_errors(we._cubic_roots(*coeffs), _oracle_roots(mpmath, coeffs))
+        assert max(errs) <= 1e-14, coeffs
+
+
+@pytest.mark.parametrize("tau", [TAU, 0.5 + 1j, 2j])
+def test_cubic_roots_on_near_pole_chords_are_no_worse_than_np_roots(tau):
+    # the x-cubic of intersect_curve for a chord through a point within r of
+    # the lattice: two of its roots are close, and one is ~1/r^2
+    mpmath = pytest.importorskip("mpmath")
+    curve = CurveSpec(tau)
+    g2, g3, _ = we.curve_invariants(curve)
+    rng = np.random.RandomState(43)
+    for _ in range(40):
+        r = 10 ** rng.uniform(-6, -2)
+        z1 = jl.canon(r * cmath.exp(2j * math.pi * rng.rand()), curve)
+        z2 = jl.canon(complex(rng.uniform(0.1, 0.9) + rng.uniform(0.1, 0.9) * tau), curve)
+        u, v, w = we.line_through(z1, z2, jl.neg(jl.add(z1, z2)), curve).vec()
+        coeffs = (4.0, -(u / v) ** 2, -g2 - 2 * (u / v) * (w / v), -g3 - (w / v) ** 2)
+        want = _oracle_roots(mpmath, coeffs)
+        ours = _root_errors(we._cubic_roots(*coeffs), want)
+        theirs = _root_errors(np.roots(coeffs), want)
+        for a, b in zip(ours, theirs):
+            assert a <= b + 4 * np.finfo(float).eps, (r, ours, theirs)
+
+
+def test_cubic_roots_of_double_and_triple_roots_average_to_the_root():
+    # intersect_curve replaces a cluster by its mean, which cancels the
+    # O(eps^(1/m)) split of an m-fold root
+    rng = np.random.RandomState(47)
+    for _ in range(200):
+        r, s = rng.randn(2) + 1j * rng.randn(2)
+        if abs(r - s) < 0.5 * max(abs(r), abs(s)):
+            continue
+        roots = we._cubic_roots(1, -(2 * r + s), r * r + 2 * r * s, -r * r * s)
+        pair = sorted(roots, key=lambda x: abs(x - s))[1:]
+        assert abs(sum(pair) / 2 - r) <= 1e-12 * abs(r), (r, s, roots)
+        for a3 in (1, 4):
+            roots = we._cubic_roots(a3, -3 * a3 * r, 3 * a3 * r * r, -a3 * r ** 3)
+            assert abs(sum(roots) / 3 - r) <= 1e-9 * abs(r), (r, roots)
