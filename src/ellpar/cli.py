@@ -75,7 +75,8 @@ def ser_complex(z: complex) -> Any:
 def ser_point(p: JacPoint) -> list:
     if p.is_exact:
         return [p.s.numerator, p.s.denominator, p.t.numerator, p.t.denominator]
-    return [p.z.real, p.z.imag]
+    z = p.value()
+    return [z.real, z.imag]
 
 
 def parse_plane_point(v) -> we.PlanePoint:

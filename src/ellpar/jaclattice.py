@@ -1,8 +1,9 @@
 """Arithmetic on the Jacobian of an elliptic curve in the analytic model C/(Z + tau*Z).
 
-Points live either as exact rational pairs (s, t) meaning s + t*tau, or as
-approximate complex numbers reduced to the fundamental parallelogram.  All
-values are immutable; every operation is pure.
+A point s + t*tau is stored as its lattice coordinates (s, t) in [0, 1)^2:
+Fractions when exact (torsion points, shifts), floats when approximate (line
+intersections, holonomy logarithms).  All values are immutable; every
+operation is pure.
 """
 
 from __future__ import annotations
@@ -40,53 +41,38 @@ class CurveSpec:
         return abs(self.tau - other.tau) <= tol * max(1.0, abs(self.tau))
 
 
-def _frac_mod1(x: Fraction) -> Fraction:
-    return x - Fraction(math.floor(x))
-
-
 @dataclass(frozen=True)
 class JacPoint:
-    """A point of Jac(X) = C/(Z + tau*Z).
+    """A point s + t*tau of Jac(X) = C/(Z + tau*Z), stored as its lattice
+    coordinates (s, t) with 0 <= s, t < 1.
 
-    Exactly one representation is carried: exact rational coordinates
-    ``(s, t)`` with 0 <= s, t < 1 meaning s + t*tau, or an approximate complex
-    number already reduced to the fundamental parallelogram.
+    The point is exact when neither coordinate is a float (Fractions or ints,
+    e.g. torsion points) and approximate when they are floats.  The library
+    builds points reduced; the constructor itself neither reduces nor converts.
     """
 
     curve: CurveSpec
-    s: Optional[Fraction] = None
-    t: Optional[Fraction] = None
-    z: Optional[complex] = None
+    s: Optional[Union[Fraction, float]] = None
+    t: Optional[Union[Fraction, float]] = None
 
     def __post_init__(self):
-        if (self.s is None) != (self.t is None):
-            raise ValueError("exact coordinates require both s and t")
-        if (self.s is None) == (self.z is None):
-            raise ValueError("exactly one of (s, t) or z must be given")
+        if self.s is None or self.t is None:
+            raise ValueError("a point requires both coordinates s and t")
 
     @property
     def is_exact(self) -> bool:
-        return self.s is not None
+        return not (isinstance(self.s, float) or isinstance(self.t, float))
 
     def coords(self) -> tuple[float, float]:
         """Real lattice coordinates (s, t) in [0, 1) x [0, 1)."""
-        if self.is_exact:
-            return (float(self.s), float(self.t))
-        tau = self.curve.tau
-        t = self.z.imag / tau.imag
-        s = self.z.real - t * tau.real
-        return (s % 1.0, t % 1.0)
+        return (float(self.s), float(self.t))
 
     def value(self) -> complex:
         """The complex representative s + t*tau."""
-        if self.is_exact:
-            return float(self.s) + float(self.t) * self.curve.tau
-        return self.z
+        return float(self.s) + float(self.t) * self.curve.tau
 
     def approx(self) -> "JacPoint":
-        if self.is_exact:
-            return JacPoint(self.curve, z=self.value())
-        return self
+        return JacPoint(self.curve, *self.coords())
 
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
         return equal(self, zero(self.curve), tol=tol)
@@ -94,7 +80,17 @@ class JacPoint:
     def __repr__(self):
         if self.is_exact:
             return f"JacPoint({self.s}, {self.t})"
-        return f"JacPoint(z={self.z:.6g})"
+        return f"JacPoint(z={self.value():.6g})"
+
+
+def _reduced(curve: CurveSpec, s, t) -> JacPoint:
+    """The point s + t*tau with both coordinates reduced into [0, 1).
+
+    ``% 1`` keeps Fractions exact.  For a tiny negative float it rounds up to
+    1.0, which is the seam 0; canonical_sort relies on getting 0 there.
+    """
+    s, t = s % 1, t % 1
+    return JacPoint(curve, s if s < 1 else 0.0, t if t < 1 else 0.0)
 
 
 def zero(curve: CurveSpec) -> JacPoint:
@@ -104,20 +100,15 @@ def zero(curve: CurveSpec) -> JacPoint:
 def canon(raw: Union[tuple, complex, float, int], curve: CurveSpec) -> JacPoint:
     """Canonical fundamental-domain representative; exact inputs stay exact."""
     if isinstance(raw, JacPoint):
-        if raw.is_exact:
-            return JacPoint(curve, s=_frac_mod1(raw.s), t=_frac_mod1(raw.t))
-        raw = raw.z
+        return _reduced(curve, raw.s, raw.t)
     if isinstance(raw, tuple):
-        s, t = Fraction(raw[0]), Fraction(raw[1])
-        return JacPoint(curve, s=_frac_mod1(s), t=_frac_mod1(t))
+        return _reduced(curve, Fraction(raw[0]), Fraction(raw[1]))
     z = complex(raw)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError("non-finite input")
     tau = curve.tau
     t = z.imag / tau.imag
-    s = z.real - t * tau.real
-    s, t = s % 1.0, t % 1.0
-    return JacPoint(curve, z=complex(s + t * tau))
+    return _reduced(curve, z.real - t * tau.real, t)
 
 
 def _check_curves(p: JacPoint, q: JacPoint):
@@ -128,15 +119,11 @@ def _check_curves(p: JacPoint, q: JacPoint):
 def add(p: JacPoint, q: JacPoint) -> JacPoint:
     """Group law of (C/Lambda, +).  Exact in, exact out; mixing yields approx."""
     _check_curves(p, q)
-    if p.is_exact and q.is_exact:
-        return JacPoint(p.curve, s=_frac_mod1(p.s + q.s), t=_frac_mod1(p.t + q.t))
-    return canon(p.value() + q.value(), p.curve)
+    return _reduced(p.curve, p.s + q.s, p.t + q.t)
 
 
 def neg(p: JacPoint) -> JacPoint:
-    if p.is_exact:
-        return JacPoint(p.curve, s=_frac_mod1(-p.s), t=_frac_mod1(-p.t))
-    return canon(-p.z, p.curve)
+    return _reduced(p.curve, -p.s, -p.t)
 
 
 def sub(p: JacPoint, q: JacPoint) -> JacPoint:
@@ -144,9 +131,7 @@ def sub(p: JacPoint, q: JacPoint) -> JacPoint:
 
 
 def mul(k: int, p: JacPoint) -> JacPoint:
-    if p.is_exact:
-        return JacPoint(p.curve, s=_frac_mod1(k * p.s), t=_frac_mod1(k * p.t))
-    return canon(k * p.z, p.curve)
+    return _reduced(p.curve, k * p.s, k * p.t)
 
 
 def equal(p: JacPoint, q: JacPoint, tol: float = DEFAULT_TOL) -> bool:

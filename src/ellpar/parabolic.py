@@ -259,23 +259,21 @@ def flip(t: ProjScalar) -> ProjScalar:
 
 
 def _gauge_to_standard_point(cls: BundleClass, P: PlanePoint) -> Matrix:
-    """Element of the class's gauge group sending P to [1:1:1]."""
+    """Element of the class's gauge group sending P to [1:1:1].
+
+    normalize_flag calls this only on flags that stability calls Stable, so P
+    lies on no line the gauge group preserves; that incidence is not decided
+    again here."""
     p1, p2, p3 = P.x, P.y, P.z
     lab = cls.label
     if lab == "T1":
-        if abs(p1 * p2 * p3) < 1e-12:
-            raise NotStableError("flag point on a coordinate line; no diagonal gauge")
         return ((1 / p1, 0j, 0j), (0j, 1 / p2, 0j), (0j, 0j, 1 / p3))
     if lab == "T21":
-        if abs(p2 * p3) < 1e-12:
-            raise NotStableError("flag point on a preserved line; no gauge")
         a = 1 / p2
         c = 1 / p3
         b = (1 - a * p1) / p2
         return ((a, b, 0j), (0j, a, 0j), (0j, 0j, c))
     if lab == "T31":
-        if abs(p3) < 1e-12:
-            raise NotStableError("flag point on the preserved line; no gauge")
         a = 1 / p3
         b = (1 - a * p2) / p3
         c = (1 - a * p1 - b * p2) / p3
@@ -284,21 +282,18 @@ def _gauge_to_standard_point(cls: BundleClass, P: PlanePoint) -> Matrix:
 
 
 def _gauge_to_standard_line(cls: BundleClass, L: PlaneLine) -> Matrix:
-    """Element g of the gauge group with (1,1,-1) . g proportional to L."""
+    """Element g of the gauge group with (1,1,-1) . g proportional to L.
+
+    As for _gauge_to_standard_point, stability has already decided that L
+    passes through no point the gauge group fixes."""
     u, v, w = L.u, L.v, L.w
     lab = cls.label
     if lab == "T1":
-        if abs(u * v * w) < 1e-12:
-            raise NotStableError("flag line through a fixed point; no diagonal gauge")
         return ((u, 0j, 0j), (0j, v, 0j), (0j, 0j, -w))
     if lab == "T21":
-        if abs(u * w) < 1e-12:
-            raise NotStableError("flag line through a fixed point; no gauge")
         a, b, c = u, v - u, -w
         return ((a, b, 0j), (0j, a, 0j), (0j, 0j, c))
     if lab == "T31":
-        if abs(u) < 1e-12:
-            raise NotStableError("flag line through the fixed point; no gauge")
         a, b, c = u, v - u, w - v + 2 * u
         return ((a, b, c), (0j, a, b), (0j, 0j, a))
     raise NotStableError(f"type {lab} admits no stable parabolic structure")

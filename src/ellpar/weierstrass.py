@@ -18,7 +18,6 @@ from typing import Sequence
 
 from .jaclattice import CurveSpec, JacPoint, add, canon, equal, neg, zero
 
-DEFAULT_TOL = 1e-9
 MERGE_TOL = 1e-6
 POLE_TOL = 1e-7
 INCIDENCE_TOL = 1e-9
@@ -141,17 +140,6 @@ def curve_invariants(curve: CurveSpec) -> tuple[complex, complex, complex]:
     return g2, g3, j
 
 
-def _dist_to_lattice(z: complex, curve: CurveSpec) -> float:
-    tau = curve.tau
-    t = z.imag / tau.imag
-    s = z.real - t * tau.real
-    best = math.inf
-    for ds in (math.floor(s), math.ceil(s)):
-        for dt in (math.floor(t), math.ceil(t)):
-            best = min(best, abs(z - (ds + dt * tau)))
-    return best
-
-
 def wp(z: complex, curve: CurveSpec) -> tuple[complex, complex]:
     """Weierstrass P and P' at z.
 
@@ -167,7 +155,7 @@ def wp(z: complex, curve: CurveSpec) -> tuple[complex, complex]:
     t = z.imag / tau.imag
     s = z.real - t * tau.real
     z = (s - round(s)) + (t - round(t)) * tau
-    if _dist_to_lattice(z, curve) < POLE_TOL:
+    if abs(z) < POLE_TOL:
         raise PoleProximityError(f"z = {z} within {POLE_TOL} of the lattice")
 
     q = _nome(curve)
@@ -200,10 +188,10 @@ INFINITY_POINT = PlanePoint(0j, 1 + 0j, 0j)
 
 def embed(p: JacPoint, curve: CurveSpec) -> PlanePoint:
     """The cubic embedding z -> [P(z) : P'(z) : 1], with the lattice to [0:1:0]."""
-    z = p.value()
-    if _dist_to_lattice(z, curve) < POLE_TOL:
+    try:
+        pval, ppval = wp(p.value(), curve)
+    except PoleProximityError:
         return INFINITY_POINT
-    pval, ppval = wp(z, curve)
     return PlanePoint.of(pval, ppval, 1.0)
 
 

@@ -29,9 +29,19 @@ def test_point_representation_is_exclusive(curve):
     with pytest.raises(ValueError):
         JacPoint(curve, s=Fraction(1, 2))
     with pytest.raises(ValueError):
-        JacPoint(curve, s=Fraction(1, 2), t=Fraction(0), z=0.1 + 0.1j)
-    with pytest.raises(ValueError):
         JacPoint(curve)
+
+
+def test_int_coordinates_are_exact(curve):
+    p = JacPoint(curve, s=0, t=0)
+    assert p.is_exact and p.is_zero()
+    assert jl.equal(p, jl.zero(curve))
+
+
+def test_float_seam_reduces_to_zero(curve):
+    # -1e-17 % 1.0 rounds to 1.0; the stored coordinate must be 0.0
+    assert jl.canon(-1e-17 + 0j, curve).coords() == (0.0, 0.0)
+    assert jl.neg(jl.canon(1e-17 + 0j, curve)).coords() == (0.0, 0.0)
 
 
 def test_canon_reduces_to_fundamental_domain(curve):
@@ -125,3 +135,31 @@ def test_canonical_sort_is_deterministic(curve):
     assert jl.canonical_sort(list(reversed(pts))) == jl.canonical_sort(pts)
     coords = [p.coords() for p in jl.canonical_sort(pts)]
     assert coords == sorted(coords)
+
+
+points = st.one_of(st.tuples(fractions, fractions), small_complex)
+
+
+def _lattice_distance(d: complex, tau: complex) -> float:
+    t = d.imag / tau.imag
+    s = d.real - t * tau.real
+    return abs(d - (round(s) + round(t) * tau))
+
+
+@given(a=points, b=points, k=st.integers(-5, 5))
+def test_group_law_on_mixed_representations(a, b, k):
+    curve = CurveSpec(TAU)
+    p, q = jl.canon(a, curve), jl.canon(b, curve)
+    results = [
+        (jl.add(p, q), p.value() + q.value(), p.is_exact and q.is_exact),
+        (jl.sub(p, q), p.value() - q.value(), p.is_exact and q.is_exact),
+        (jl.neg(p), -p.value(), p.is_exact),
+        (jl.mul(k, p), k * p.value(), p.is_exact),
+    ]
+    for r, z, exact_in in results:
+        s, t = r.coords()
+        assert 0 <= s < 1 and 0 <= t < 1
+        assert r.is_exact == exact_in
+        if exact_in:
+            assert isinstance(r.s, Fraction) and isinstance(r.t, Fraction)
+        assert _lattice_distance(r.value() - z, curve.tau) <= 1e-12

@@ -9,7 +9,7 @@ from ellpar import bundles as bd
 from ellpar import jaclattice as jl
 from ellpar import parabolic as pa
 from ellpar.jaclattice import CurveSpec
-from ellpar.weierstrass import PlaneLine, PlanePoint, line_through_points
+from ellpar.weierstrass import PlaneLine, PlanePoint, line_through_points, lines_meet
 
 from conftest import TAU, exact
 
@@ -207,3 +207,26 @@ def test_normalize_flag_roundtrip_under_gauge(curve, label):
         t2, _ = pa.normalize_flag(cls, scrambled, pa.CHAMBER_MINUS)
         assert t2.close_to(pa.ProjScalar(tt, 1), tol=1e-7)
         done += 1
+
+
+def test_normalize_flag_trusts_stability_near_coordinate_lines(curve):
+    # flags near, not on, the lines the gauge groups preserve: stability calls
+    # them Stable by the scale-relative incidence test, and normalize_flag must
+    # then return the gauge-invariant coordinate
+    t1 = t1_class(curve)
+    t21 = bd.make_t21(exact(curve, Fraction(1, 5), 0))
+    P = PlanePoint.of(1, 1e-5, 1e-8)
+    L = line_through_points(P, PlanePoint.of(0.3, -0.7, 1.1))
+    Lp = PlaneLine.of(1, 1e-5, 1e-8)
+    Pp = lines_meet(Lp, PlaneLine.of(0.3, -0.7, 1.1))
+    (p1, p2, _), (u, v, _) = P.vec(), L.vec()
+    cases = [
+        (t1, pa.Flag(P, L), pa.CHAMBER_MINUS, pa.ProjScalar(-u * p1, v * p2)),
+        (t21, pa.Flag(P, L), pa.CHAMBER_MINUS, pa.ProjScalar(-u * p2, u * p1 + (v - u) * p2)),
+        (t1, pa.Flag(Pp, Lp), pa.CHAMBER_PLUS, pa.ProjScalar(-Lp.u * Pp.x, Lp.w * Pp.z)),
+    ]
+    for cls, flag, chamber, expected in cases:
+        probe = pa.PROBE_MINUS if chamber == pa.CHAMBER_MINUS else pa.PROBE_PLUS
+        assert pa.stability(cls, flag, probe).status == "Stable"
+        got, _ = pa.normalize_flag(cls, flag, chamber)
+        assert got.close_to(expected, tol=1e-9)

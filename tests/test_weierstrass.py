@@ -113,6 +113,28 @@ def test_pole_proximity_raises():
         we.wp(1e-9 + 0j, curve)
 
 
+@pytest.mark.parametrize("tau", [TAU, 2.4 + 0.3j])
+def test_embed_sends_exactly_the_pole_band_to_infinity(tau):
+    # points 0.5 and 2 POLE_TOL from each vertex of the [0, 1)^2 cell, in eight
+    # directions, so both inside the cell and across its seams
+    curve = CurveSpec(tau)
+    for vertex in (0, 1, tau, 1 + tau):
+        for k in range(8):
+            for r in (0.5, 2.0):
+                z = vertex + r * we.POLE_TOL * cmath.exp(1j * math.pi * k / 4)
+                p = jl.canon(z, curve)
+                dist = min(abs(p.value() - (m + n * tau))
+                           for m in range(-3, 5) for n in range(-2, 3))
+                assert (dist < we.POLE_TOL) == (r < 1)
+                try:
+                    we.wp(p.value(), curve)
+                    raised = False
+                except we.PoleProximityError:
+                    raised = True
+                assert raised == (r < 1)
+                assert (we.embed(p, curve) == we.INFINITY_POINT) == raised
+
+
 def test_embed_lands_on_cubic(curve):
     for st_pair in [(0.2, 0.3), (0.7, 0.1), (0.45, 0.81)]:
         p = jl.canon(z_from(curve, st_pair), curve)
