@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import jaclattice as jl
-from .bundles import BundleClass, classify_triple, graded
-from .jaclattice import CurveSpec, JacPoint
+from .bundles import BundleClass, classify_triple, graded, make_t21, make_t22, make_t3x
+from .jaclattice import EQ_TOL, CurveSpec, JacPoint
 from .parabolic import ProjScalar, flip
-from .weierstrass import PlanePoint, embed
+from .weierstrass import embed
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class ModularAuto:
     dual: bool
 
     def __post_init__(self):
-        if not jl.mul(3, self.shift).is_zero(tol=1e-9):
+        if not jl.mul(3, self.shift).is_zero(tol=EQ_TOL):
             raise ValueError("shift must be a 3-torsion point")
 
 
@@ -61,8 +61,7 @@ def act_class(g: ModularAuto, cls: BundleClass) -> BundleClass:
         return classify_triple(*(act_point(g, z) for z in graded(cls)))
     z = act_point(g, cls.point)
     if cls.label in ("T21", "T22"):
-        return BundleClass(cls.label, point=jl.canon(z, z.curve))
-    from .bundles import make_t3x
+        return (make_t21 if cls.label == "T21" else make_t22)(z)
     return make_t3x(cls.label, z)
 
 

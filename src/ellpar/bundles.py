@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import jaclattice as jl
-from .jaclattice import CurveSpec, JacPoint
+from .jaclattice import EQ_TOL, CurveSpec, JacPoint
 from .weierstrass import PlaneLine, PlanePoint, line_through
 
 LABELS = ("T1", "T21", "T22", "T31", "T32", "T33")
@@ -89,7 +89,7 @@ class SubbundleConfig:
 
 
 def classify_triple(z1: JacPoint, z2: JacPoint, z3: JacPoint,
-                    tol: float = 1e-6) -> BundleClass:
+                    tol: float = EQ_TOL) -> BundleClass:
     """Classify a zero-sum triple of Jacobian points into T1 / T21 / T31.
 
     The representative convention picks the class admitting stable parabolic
@@ -128,19 +128,19 @@ def _snap_to_torsion(p: JacPoint, n: int) -> JacPoint:
 
 
 def make_t21(z: JacPoint) -> BundleClass:
-    if jl.mul(3, z).is_zero():
+    if jl.mul(3, z).is_zero(tol=EQ_TOL):
         raise ValueError("T21 requires 3z != 0")
     return BundleClass("T21", point=jl.canon(z, z.curve))
 
 
 def make_t22(z: JacPoint) -> BundleClass:
-    if jl.mul(3, z).is_zero():
+    if jl.mul(3, z).is_zero(tol=EQ_TOL):
         raise ValueError("T22 requires 3z != 0")
     return BundleClass("T22", point=jl.canon(z, z.curve))
 
 
 def make_t3x(label: str, z: JacPoint) -> BundleClass:
-    if not jl.mul(3, z).is_zero(tol=1e-6):
+    if not jl.mul(3, z).is_zero(tol=EQ_TOL):
         raise ValueError(f"{label} requires a 3-torsion point")
     return BundleClass(label, point=_snap_to_torsion(z, 3))
 

@@ -114,7 +114,7 @@ def parse_class(payload: dict, curve: CurveSpec, key: str = "class") -> bd.Bundl
         raise SchemaError(f"{label} class needs a 'point'")
     z = parse_point(v["point"], curve)
     if label in ("T21", "T22"):
-        return bd.BundleClass(label, point=jl.canon(z, curve))
+        return (bd.make_t21 if label == "T21" else bd.make_t22)(z)
     if label in ("T31", "T32", "T33"):
         return bd.make_t3x(label, z)
     raise SchemaError(f"unknown class label {label!r}")
@@ -132,12 +132,7 @@ def parse_proj(v) -> ProjScalar:
     if isinstance(v, (int, float)):
         return ProjScalar(complex(v), 1)
     if isinstance(v, list) and len(v) == 2:
-        try:
-            return ProjScalar(parse_complex(v[0]), parse_complex(v[1]))
-        except SchemaError:
-            pass
-        # a bare [re, im] pair is also accepted as a finite complex value
-        return ProjScalar(parse_complex(v), 1)
+        return ProjScalar(parse_complex(v[0]), parse_complex(v[1]))
     raise SchemaError(f"projective scalar must be 'inf', a number, or [num, den]; got {v!r}")
 
 
@@ -213,7 +208,7 @@ def _cmd_classify_bundle(payload, tol):
     if not (isinstance(triple, list) and len(triple) == 3):
         raise SchemaError("'triple' must be a 3-list of points")
     pts = [parse_point(p, curve) for p in triple]
-    cls = bd.classify_triple(*pts, tol=tol or 1e-6)
+    cls = bd.classify_triple(*pts, tol=tol or jl.EQ_TOL)
     return ser_class(cls)
 
 
@@ -232,9 +227,9 @@ def _cmd_tu_line(payload, tol):
 def _cmd_intersect_line(payload, tol):
     curve = parse_curve(payload)
     line = parse_plane_line(_need(payload, "line"))
-    pts = we.intersect_curve(line, curve, tol=tol or we.MERGE_TOL)
+    pts = we.intersect_curve(line, curve)
     return {"points": [ser_point(p) for p in pts],
-            "multiplicities": we.multiplicities(pts)}
+            "multiplicities": we.multiplicities(pts, tol=tol or jl.EQ_TOL)}
 
 
 def _cmd_subbundles(payload, tol):
@@ -257,7 +252,7 @@ def _cmd_classify_monodromy(payload, tol):
     curve = parse_curve(payload)
     pair = mo.CommutingPair(parse_matrix(_need(payload, "A")),
                             parse_matrix(_need(payload, "B")))
-    cls = mo.classify_bundle(pair, curve, tol=tol or 1e-6)
+    cls = mo.classify_bundle(pair, curve, tol=tol or jl.EQ_TOL)
     return ser_class(cls)
 
 
@@ -269,7 +264,7 @@ def _cmd_universal_family(payload, tol):
     b2 = parse_complex(_need(payload, "b2"))
     kind = payload.get("kind", "generic")
     pair = mo.universal_pair(b1, b2, kind)
-    cls = mo.classify_bundle(pair, curve, tol=tol or 1e-6)
+    cls = mo.classify_bundle(pair, curve, tol=tol or jl.EQ_TOL)
     out = {"A": ser_matrix(pair.A), "B": ser_matrix(pair.B), "class": ser_class(cls)}
     if kind == "generic":
         try:

@@ -16,6 +16,10 @@ from typing import Iterable, Optional, Union
 
 DEFAULT_TOL = 1e-9
 
+# the coincidence rule of every library decision on approximate points: p, q
+# are one point when equal(p, q, EQ_TOL), and z is 3-torsion when 3z is 0 so
+EQ_TOL = 1e-6
+
 TWO_PI_I = 2j * math.pi
 
 
@@ -112,7 +116,7 @@ def canon(raw: Union[tuple, complex, float, int], curve: CurveSpec) -> JacPoint:
 
 
 def _check_curves(p: JacPoint, q: JacPoint):
-    if not p.curve.same(q.curve):
+    if p.curve is not q.curve and not p.curve.same(q.curve):
         raise CurveMismatchError(f"points over different curves: {p.curve.tau} vs {q.curve.tau}")
 
 

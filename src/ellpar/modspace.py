@@ -11,11 +11,11 @@ from fractions import Fraction
 from numbers import Rational
 
 from . import jaclattice as jl
-from .bundles import BundleClass, classify_triple, graded, tu_line, type_facts
+from .bundles import BundleClass, classify_triple, tu_line, type_facts
 from .jaclattice import CurveSpec, JacPoint
 from .parabolic import ProjScalar
 from .weierstrass import (PlaneLine, PlanePoint, _cross, curve_invariants, embed,
-                          intersect_curve, lines_meet, multiplicities)
+                          intersect_curve)
 
 
 class ThreefoldCoincidenceError(ValueError):
@@ -192,11 +192,12 @@ def incidence_parametrization(u1: complex, u2: complex, t: complex,
 
 
 def parametrization_rank(u1: complex, u2: complex, t: complex, curve: CurveSpec,
-                         step: float = 1e-5, tol: float = 1e-6) -> int:
+                         tol: float = 1e-6) -> int:
     """Numerical complex-Jacobian rank of incidence_parametrization at a point."""
     import numpy as np
 
     incidence_parametrization(u1, u2, t, curve)  # raises if the point leaves the chart
+    step = 1e-5
     cols = []
     for k in range(3):
         d = [0, 0, 0]

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import jaclattice as jl
 from .bundles import BundleClass, classify_triple, make_t21, make_t22, make_t3x
-from .jaclattice import CurveSpec, JacPoint
+from .jaclattice import EQ_TOL, CurveSpec, JacPoint
 
 DEFAULT_TOL = 1e-8
 
@@ -240,7 +240,7 @@ def normal_form(pair: CommutingPair,
 
 
 def classify_bundle(pair: CommutingPair, curve: CurveSpec,
-                    tol: float = 1e-6) -> BundleClass:
+                    tol: float = EQ_TOL) -> BundleClass:
     """Bundle type of the flat bundle with monodromy (A, B) along (1, tau),
     from the Atiyah summands L_z (x) F of its joint blocks."""
     validate(pair, tol=1e-7)
@@ -270,18 +270,13 @@ def classify_bundle(pair: CommutingPair, curve: CurveSpec,
     if 2 in by_size:
         z = by_size[2]
         return make_t3x("T32", z) if jl.mul(3, z).is_zero(tol=tol) else make_t21(z)
-    pts = [z for z, _ in summands]
-    distinct: list[JacPoint] = []
-    for p in pts:
-        if not any(jl.equal(p, q, tol=tol) for q in distinct):
-            distinct.append(p)
-    if len(distinct) == 3:
-        return classify_triple(*pts, tol=tol)
-    if len(distinct) == 2:
-        # the repeated class is the L of L^{-2} + L + L
-        return make_t22(next(p for p in distinct
-                             if sum(jl.equal(p, q, tol=tol) for q in pts) == 2))
-    return make_t3x("T33", distinct[0])
+    # semisimple: classify_triple's T21/T31 (at the repeated point) read T22/T33
+    cls = classify_triple(*(z for z, _ in summands), tol=tol)
+    if cls.label == "T21":
+        return make_t22(cls.point)
+    if cls.label == "T31":
+        return make_t3x("T33", cls.point)
+    return cls
 
 
 def universal_pair(b1: complex, b2: complex, kind: str = "generic") -> CommutingPair:

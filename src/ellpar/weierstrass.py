@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .jaclattice import CurveSpec, JacPoint, add, canon, equal, neg, zero
+from .jaclattice import EQ_TOL, CurveSpec, JacPoint, add, canon, equal, neg, zero
 
 MERGE_TOL = 1e-6
 POLE_TOL = 1e-7
@@ -213,22 +213,21 @@ def tangent_line(p: JacPoint, curve: CurveSpec) -> PlaneLine:
     return PlaneLine.of(fx, fy, fw)
 
 
-def line_through(p1: JacPoint, p2: JacPoint, p3: JacPoint, curve: CurveSpec,
-                 tol: float = MERGE_TOL) -> PlaneLine:
+def line_through(p1: JacPoint, p2: JacPoint, p3: JacPoint, curve: CurveSpec) -> PlaneLine:
     """The line cutting the cubic exactly in the triple (p1, p2, p3).
 
     Requires p1 + p2 + p3 = 0 in the Jacobian.  Repetitions give tangent
     lines; a triple repetition gives an inflection tangent.
     """
     total = add(add(p1, p2), p3)
-    if not total.is_zero(tol=tol):
+    if not total.is_zero(tol=EQ_TOL):
         raise ValueError("triple does not sum to zero in the Jacobian")
     pts = [p1, p2, p3]
     # any two points distinct in the Jacobian give the chord; collinearity
     # of the third is automatic from the zero-sum condition
     for i in range(3):
         for k in range(i + 1, 3):
-            if not equal(pts[i], pts[k], tol=tol):
+            if not equal(pts[i], pts[k], tol=EQ_TOL):
                 return line_through_points(embed(pts[i], curve), embed(pts[k], curve))
     return tangent_line(p1, curve)
 
@@ -320,11 +319,24 @@ def _cubic_roots(a3: complex, a2: complex, a1: complex,
     return (x1, t, q0 / t if t else t)
 
 
-def intersect_curve(line: PlaneLine, curve: CurveSpec,
-                    tol: float = MERGE_TOL) -> list[JacPoint]:
+def _shared(zs: list[JacPoint]) -> list[JacPoint]:
+    """zs with each point replaced by the first earlier one equal to it at EQ_TOL."""
+    out: list[JacPoint] = []
+    for z in zs:
+        for p in out:
+            if equal(p, z, tol=EQ_TOL):
+                z = p
+                break
+        out.append(z)
+    return out
+
+
+def intersect_curve(line: PlaneLine, curve: CurveSpec) -> list[JacPoint]:
     """The three intersection parameters of a line with the cubic, with multiplicity.
 
     Inverse of line_through on its image; the result sums to 0 mod Lambda.
+    Parameters that coincide at jaclattice.EQ_TOL come back as one shared
+    JacPoint, so every caller reads the same multiplicities.
     """
     g2, g3, _ = curve_invariants(curve)
     u, v, w = line.u, line.v, line.w
@@ -342,7 +354,7 @@ def intersect_curve(line: PlaneLine, curve: CurveSpec,
         ysq = 4 * x**3 - g2 * x - g3
         y = cmath.sqrt(ysq)
         z1 = _invert_embedding(x, y, e, curve)
-        return [z1, neg(z1), zero(curve)]
+        return _shared([z1, neg(z1), zero(curve)])
     # y = -(u x + w)/v substituted into y^2 = 4x^3 - g2 x - g3
     a3 = 4.0
     a2 = -(u / v) ** 2
@@ -351,26 +363,21 @@ def intersect_curve(line: PlaneLine, curve: CurveSpec,
     roots = _cubic_roots(a3, a2, a1, a0)
     # cluster near-coincident roots and replace each cluster by its mean: the
     # mean cancels the leading O(eps^(1/m)) perturbation of an m-fold root
-    rel = max(tol, 1e-4)
     clusters: list[list[complex]] = []
     for x in sorted(roots, key=lambda r: (r.real, r.imag)):
         for c in clusters:
             m = sum(c) / len(c)
-            if abs(x - m) < rel * max(1.0, abs(x), abs(m)):
+            if abs(x - m) < 1e-4 * max(1.0, abs(x), abs(m)):
                 c.append(x)
                 break
         else:
             clusters.append([x])
-    out: list[JacPoint] = []
-    for c in clusters:
-        x = complex(sum(c) / len(c))
-        y = -(u * x + w) / v
-        zp = _invert_embedding(x, y, e, curve)
-        out.extend([zp] * len(c))
-    return out
+    means = [complex(sum(c) / len(c)) for c in clusters]
+    zs = _shared([_invert_embedding(x, -(u * x + w) / v, e, curve) for x in means])
+    return [z for z, c in zip(zs, clusters) for _ in c]
 
 
-def multiplicities(points: Sequence[JacPoint], tol: float = 1e-5) -> list[int]:
+def multiplicities(points: Sequence[JacPoint], tol: float = EQ_TOL) -> list[int]:
     """Multiplicity of each distinct class in a short list of Jacobian points."""
     reps: list[JacPoint] = []
     counts: list[int] = []
@@ -385,11 +392,9 @@ def multiplicities(points: Sequence[JacPoint], tol: float = 1e-5) -> list[int]:
     return counts
 
 
-def dual_sextic_contains(line: PlaneLine, curve: CurveSpec,
-                         tol: float = 1e-5) -> tuple[bool, bool]:
+def dual_sextic_contains(line: PlaneLine, curve: CurveSpec) -> tuple[bool, bool]:
     """(member, cusp): tangency to the cubic, and flex tangency."""
-    pts = intersect_curve(line, curve)
-    counts = multiplicities(pts, tol=tol)
+    counts = multiplicities(intersect_curve(line, curve))
     member = any(c >= 2 for c in counts)
     cusp = any(c == 3 for c in counts)
     return member, cusp

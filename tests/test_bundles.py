@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellpar import autgroup as ag
 from ellpar import bundles as bd
 from ellpar import jaclattice as jl
 from ellpar import weierstrass as we
-from ellpar.jaclattice import CurveSpec
+from ellpar.jaclattice import CurveSpec, JacPoint
 
 from conftest import TAU, exact
 
@@ -120,3 +121,22 @@ def test_type_facts_table():
     assert bd.type_facts("T33") == (9, False, None)
     with pytest.raises(ValueError):
         bd.type_facts("T99")
+
+
+def _accepts(make, z) -> bool:
+    try:
+        make(z)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("delta", [1e-8, 1e-7, 1e-5])
+def test_near_torsion_point_is_torsion_or_not_for_every_constructor(curve, delta):
+    # z = 1/3 + delta: exactly one of the T21/T22 and T3x readings holds
+    z = JacPoint(curve, s=1 / 3 + delta, t=0.0)
+    off = [_accepts(make, z) for make in (bd.make_t21, bd.make_t22)]
+    on = [_accepts(make, z) for make in (lambda p: bd.make_t3x("T31", p),
+                                         lambda p: ag.ModularAuto(p, False))]
+    assert off == [not on[0]] * 2
+    assert on == [on[0]] * 2

@@ -162,6 +162,21 @@ def test_domain_errors_exit_2():
     assert code == cli.EXIT_DOMAIN and resp["result"]["error"] == "ArithmeticError"
 
 
+def test_t21_and_t22_classes_need_a_point_off_the_3_torsion():
+    for command, label, point in (("graded", "T21", [1, 3, 0, 1]),
+                                  ("tu-line", "T22", [0, 1, 0, 1])):
+        resp, code = cli.run({"command": command,
+                              "payload": {"tau": TAU, "class": {"label": label, "point": point}}})
+        assert code == cli.EXIT_DOMAIN and resp["result"]["error"] == "ValueError", resp
+    for label in ("T21", "T22"):
+        cls = {"label": label, "point": [1, 5, 0, 1]}
+        g = ok("graded", {"tau": TAU, "class": cls})
+        assert g["triple"] == [[1, 5, 0, 1], [1, 5, 0, 1], [3, 5, 0, 1]]
+    t21, t22 = (ok("tu-line", {"tau": TAU, "class": {"label": label, "point": [1, 5, 0, 1]}})
+                for label in ("T21", "T22"))
+    assert t21 == t22
+
+
 def test_output_is_canonical_json():
     resp, _ = cli.run({"command": "type-facts", "payload": {"label": "T1"}})
     text = cli._dump(resp)

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellpar import bundles as bd
+from ellpar import cli
 from ellpar import jaclattice as jl
 from ellpar import modspace as ms
 from ellpar import parabolic as pa
@@ -209,3 +212,51 @@ def test_psi_plus_on_a_flex_tangent_raises(curve):
     x = we.lines_meet(line, we.PlaneLine.of(1, 2, 3))
     with pytest.raises(ms.ThreefoldCoincidenceError):
         ms.psi_plus(ms.IncidencePoint(x, line), curve)
+
+
+@pytest.mark.parametrize("d", [5e-7, 1e-6, 2e-6, 4e-6, 8e-6])
+def test_vertical_near_chord_gets_one_answer_everywhere(curve, d):
+    # the vertical line through 0.5 +- d and the origin: with 2d near the
+    # coincidence threshold, every entry point must read the same triple
+    x = we.wp(0.5 + d, curve)[0]
+    line = we.PlaneLine.of(1, 0, -x)
+    count = ms.sigma_cover_count(line, curve)
+    member, cusp = we.dual_sextic_contains(line, curve)
+    mult = sorted(we.multiplicities(we.intersect_curve(line, curve)))
+    resp, code = cli.run({"command": "intersect-line",
+                          "payload": {"tau": [TAU.real, TAU.imag],
+                                      "line": [1, 0, [-x.real, -x.imag]]}})
+    assert code == cli.EXIT_OK
+    cls, lam = ms.psi_plus(ms.IncidencePoint(we.PlanePoint.of(x, 0.7 + 0.2j, 1), line), curve)
+    assert not cusp
+    assert member == (count == 2)
+    assert mult == {3: [1, 1, 1], 2: [1, 2]}[count]
+    assert sorted(resp["result"]["multiplicities"]) == mult
+    assert cls.label == {3: "T1", 2: "T21"}[count]
+    if count == 2:
+        assert lam.is_inf or lam.num in (0, 1), lam
+
+
+def test_near_tangent_chords_are_chords_or_tangents_alike():
+    # chords through z +- h with h log-uniform across the coincidence
+    # threshold: sigma_cover_count and dual_sextic_contains must agree
+    rng = random.Random(5)
+    taus = (1j, 0.5 + 1j, 0.3 + 1.1j, 0.1 + 0.9j, -0.2 + 1.4j)
+    disagree = []
+    for i in range(2000):
+        curve = CurveSpec(taus[i % len(taus)])
+        while True:
+            z = jl.canon(complex(rng.random() + rng.random() * curve.tau), curve)
+            # away from the 2- and 3-torsion, where chords degenerate
+            if all(math.hypot(*(min(c, 1 - c) for c in jl.mul(k, z).coords())) > 0.05
+                   for k in (2, 3)):
+                break
+        h, theta = 10 ** rng.uniform(-9, -4), rng.uniform(0, 2 * math.pi)
+        dz = h * math.cos(theta) + h * math.sin(theta) * curve.tau
+        z1, z2 = jl.canon(z.value() + dz, curve), jl.canon(z.value() - dz, curve)
+        line = we.line_through(z1, z2, jl.neg(jl.add(z1, z2)), curve)
+        count = ms.sigma_cover_count(line, curve)
+        member, _ = we.dual_sextic_contains(line, curve)
+        if member != (count != 3):
+            disagree.append((curve.tau, h))
+    assert disagree == []
