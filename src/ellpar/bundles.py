@@ -107,18 +107,10 @@ def classify_triple(z1: JacPoint, z2: JacPoint, z3: JacPoint,
         return BundleClass("T1", triple=tuple(jl.canonical_sort(pts)))
     if neq >= 2:
         # numerically, all three coincide; snap to the nearest 3-torsion class
-        z = pts[0]
-        if not jl.mul(3, z).is_zero(tol=1e-4):
+        if not jl.mul(3, pts[0]).is_zero(tol=1e-4):
             raise ValueError("coincident triple is not 3-torsion")
-        z = _snap_to_torsion(z, 3)
-        return BundleClass("T31", point=z)
-    if e12:
-        z = pts[0]
-    elif e13:
-        z = pts[0]
-    else:
-        z = pts[1]
-    return BundleClass("T21", point=z)
+        return BundleClass("T31", point=_snap_to_torsion(pts[0], 3))
+    return BundleClass("T21", point=pts[0] if e12 or e13 else pts[1])
 
 
 def _snap_to_torsion(p: JacPoint, n: int) -> JacPoint:

@@ -229,7 +229,7 @@ def _cmd_intersect_line(payload, tol):
     line = parse_plane_line(_need(payload, "line"))
     pts = we.intersect_curve(line, curve)
     return {"points": [ser_point(p) for p in pts],
-            "multiplicities": we.multiplicities(pts, tol=tol or jl.EQ_TOL)}
+            "multiplicities": we.multiplicities(pts)}
 
 
 def _cmd_subbundles(payload, tol):

@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 DEFAULT_TOL = 1e-9
-
 # the coincidence rule of every library decision on approximate points: p, q
 # are one point when equal(p, q, EQ_TOL), and z is 3-torsion when 3z is 0 so
 EQ_TOL = 1e-6

@@ -242,7 +242,8 @@ def normal_form(pair: CommutingPair,
 def classify_bundle(pair: CommutingPair, curve: CurveSpec,
                     tol: float = EQ_TOL) -> BundleClass:
     """Bundle type of the flat bundle with monodromy (A, B) along (1, tau),
-    from the Atiyah summands L_z (x) F of its joint blocks."""
+    from the Atiyah summands L_z (x) F of its joint blocks.  tol sets only the
+    nilpotency tests; coincidence and 3-torsion are decided at EQ_TOL."""
     validate(pair, tol=1e-7)
     tau = curve.tau
     scale = tol * max(1.0, abs(tau))
@@ -269,14 +270,12 @@ def classify_bundle(pair: CommutingPair, curve: CurveSpec,
         return make_t3x("T31", by_size[3])
     if 2 in by_size:
         z = by_size[2]
-        return make_t3x("T32", z) if jl.mul(3, z).is_zero(tol=tol) else make_t21(z)
+        return make_t3x("T32", z) if jl.mul(3, z).is_zero(tol=EQ_TOL) else make_t21(z)
     # semisimple: classify_triple's T21/T31 (at the repeated point) read T22/T33
-    cls = classify_triple(*(z for z, _ in summands), tol=tol)
-    if cls.label == "T21":
-        return make_t22(cls.point)
-    if cls.label == "T31":
-        return make_t3x("T33", cls.point)
-    return cls
+    cls = classify_triple(*(z for z, _ in summands))
+    if cls.label == "T1":
+        return cls
+    return make_t22(cls.point) if cls.label == "T21" else make_t3x("T33", cls.point)
 
 
 def universal_pair(b1: complex, b2: complex, kind: str = "generic") -> CommutingPair:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .jaclattice import EQ_TOL, CurveSpec, JacPoint, add, canon, equal, neg, zero
+from .jaclattice import EQ_TOL, CurveSpec, JacPoint, add, canon, equal, mul, neg, sub, zero
 
 MERGE_TOL = 1e-6
 POLE_TOL = 1e-7
@@ -222,14 +222,12 @@ def line_through(p1: JacPoint, p2: JacPoint, p3: JacPoint, curve: CurveSpec) -> 
     total = add(add(p1, p2), p3)
     if not total.is_zero(tol=EQ_TOL):
         raise ValueError("triple does not sum to zero in the Jacobian")
-    pts = [p1, p2, p3]
-    # any two points distinct in the Jacobian give the chord; collinearity
-    # of the third is automatic from the zero-sum condition
-    for i in range(3):
-        for k in range(i + 1, 3):
-            if not equal(pts[i], pts[k], tol=EQ_TOL):
-                return line_through_points(embed(pts[i], curve), embed(pts[k], curve))
-    return tangent_line(p1, curve)
+    # a point distinct from p1 gives the chord; collinearity of the third is
+    # automatic from the zero-sum condition
+    q = next((q for q in (p2, p3) if not equal(p1, q, tol=EQ_TOL)), None)
+    if q is None:
+        return tangent_line(p1, curve)
+    return line_through_points(embed(p1, curve), embed(q, curve))
 
 
 def _carlson_rf(x: complex, y: complex, z: complex) -> complex:
@@ -319,16 +317,40 @@ def _cubic_roots(a3: complex, a2: complex, a1: complex,
     return (x1, t, q0 / t if t else t)
 
 
-def _shared(zs: list[JacPoint]) -> list[JacPoint]:
-    """zs with each point replaced by the first earlier one equal to it at EQ_TOL."""
-    out: list[JacPoint] = []
-    for z in zs:
-        for p in out:
+def _root_near(d: JacPoint, m: int, rest: JacPoint) -> JacPoint:
+    """The solution x of m*x + rest = 0 mod Lambda nearest d."""
+    s, t = add(mul(m, d), rest).coords()
+    return sub(d, JacPoint(d.curve, s=(s - round(s)) / m, t=(t - round(t)) / m))
+
+
+def _group(zs: Sequence[JacPoint], sizes: Sequence[int]) -> tuple[list[JacPoint], list[int]]:
+    """Distinct points of zs at EQ_TOL, with multiplicities (zs[i] counts sizes[i] times)."""
+    pts: list[JacPoint] = []
+    mult: list[int] = []
+    for z, m in zip(zs, sizes):
+        for i, p in enumerate(pts):
             if equal(p, z, tol=EQ_TOL):
-                z = p
+                mult[i] += m
                 break
-        out.append(z)
-    return out
+        else:
+            pts.append(z)
+            mult.append(m)
+    return pts, mult
+
+
+def _shared(zs: list[JacPoint], sizes: list[int]) -> list[JacPoint]:
+    """The triple with the distinct parameters zs, grouped at EQ_TOL into shared
+    JacPoints.  A merge moves the sum by up to EQ_TOL; the merged point takes
+    that up, so a double point d becomes the root of 2d + r = 0 nearest d (a
+    vertical tangent touches at a 2-torsion point), a triple point the nearest flex."""
+    pts, mult = _group(zs, sizes)
+    if len(pts) == 2 and len(zs) == 3:
+        k = mult.index(2)
+        pts[k] = _root_near(pts[k], 2, pts[1 - k])
+        pts, mult = _group(pts, mult)
+    if len(pts) == 1 and len(zs) > 1:
+        pts = [_root_near(pts[0], 3, zero(pts[0].curve))]
+    return [p for p, m in zip(pts, mult) for _ in range(m)]
 
 
 def intersect_curve(line: PlaneLine, curve: CurveSpec) -> list[JacPoint]:
@@ -336,7 +358,7 @@ def intersect_curve(line: PlaneLine, curve: CurveSpec) -> list[JacPoint]:
 
     Inverse of line_through on its image; the result sums to 0 mod Lambda.
     Parameters that coincide at jaclattice.EQ_TOL come back as one shared
-    JacPoint, so every caller reads the same multiplicities.
+    JacPoint (see _shared), so every caller reads the same multiplicities.
     """
     g2, g3, _ = curve_invariants(curve)
     u, v, w = line.u, line.v, line.w
@@ -351,10 +373,8 @@ def intersect_curve(line: PlaneLine, curve: CurveSpec) -> list[JacPoint]:
     if abs(v) <= 1e-12 * scale:
         # vertical line x = -w/u: points (x, +-y) plus the point at infinity
         x = -w / u
-        ysq = 4 * x**3 - g2 * x - g3
-        y = cmath.sqrt(ysq)
-        z1 = _invert_embedding(x, y, e, curve)
-        return _shared([z1, neg(z1), zero(curve)])
+        z1 = _invert_embedding(x, cmath.sqrt(4 * x**3 - g2 * x - g3), e, curve)
+        return _shared([z1, neg(z1), zero(curve)], [1, 1, 1])
     # y = -(u x + w)/v substituted into y^2 = 4x^3 - g2 x - g3
     a3 = 4.0
     a2 = -(u / v) ** 2
@@ -373,23 +393,13 @@ def intersect_curve(line: PlaneLine, curve: CurveSpec) -> list[JacPoint]:
         else:
             clusters.append([x])
     means = [complex(sum(c) / len(c)) for c in clusters]
-    zs = _shared([_invert_embedding(x, -(u * x + w) / v, e, curve) for x in means])
-    return [z for z, c in zip(zs, clusters) for _ in c]
+    zs = [_invert_embedding(x, -(u * x + w) / v, e, curve) for x in means]
+    return _shared(zs, [len(c) for c in clusters])
 
 
-def multiplicities(points: Sequence[JacPoint], tol: float = EQ_TOL) -> list[int]:
-    """Multiplicity of each distinct class in a short list of Jacobian points."""
-    reps: list[JacPoint] = []
-    counts: list[int] = []
-    for p in points:
-        for i, r in enumerate(reps):
-            if equal(p, r, tol=tol):
-                counts[i] += 1
-                break
-        else:
-            reps.append(p)
-            counts.append(1)
-    return counts
+def multiplicities(points: Sequence[JacPoint]) -> list[int]:
+    """Multiplicity of each distinct class, at EQ_TOL, in a short list of Jacobian points."""
+    return _group(points, [1] * len(points))[1]
 
 
 def dual_sextic_contains(line: PlaneLine, curve: CurveSpec) -> tuple[bool, bool]:

@@ -177,6 +177,20 @@ def test_t21_and_t22_classes_need_a_point_off_the_3_torsion():
     assert t21 == t22
 
 
+def test_intersect_line_multiplicities_ignore_tol():
+    # the chord through 0.5 +- 2e-6 is a chord under the one coincidence
+    # rule, whatever --tol says, as sigma-count reads it
+    from ellpar import weierstrass as we
+    from ellpar.jaclattice import CurveSpec
+
+    x = we.wp(0.5 + 2e-6, CurveSpec(complex(*TAU)))[0]
+    req = {"command": "intersect-line",
+           "payload": {"tau": TAU, "line": [1, 0, [-x.real, -x.imag]]}}
+    wide, code = cli.run(req, tol=1e-4)
+    assert code == cli.EXIT_OK and wide["result"]["multiplicities"] == [1, 1, 1]
+    assert wide["result"] == cli.run(req)[0]["result"]
+
+
 def test_output_is_canonical_json():
     resp, _ = cli.run({"command": "type-facts", "payload": {"label": "T1"}})
     text = cli._dump(resp)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -323,3 +324,34 @@ def test_cubic_roots_of_double_and_triple_roots_average_to_the_root():
         for a3 in (1, 4):
             roots = we._cubic_roots(a3, -3 * a3 * r, 3 * a3 * r * r, -a3 * r ** 3)
             assert abs(sum(roots) / 3 - r) <= 1e-9 * abs(r), (r, roots)
+
+
+def test_shared_points_keep_the_triple_summing_to_zero():
+    # parameters merged at EQ_TOL are up to EQ_TOL apart; the shared point
+    # must absorb that, or the triple's sum sits at the threshold that
+    # classify_triple checks it against
+    curve = CurveSpec(0.3 + 1.1j)
+    rng = random.Random(3)
+    shared = 0
+    for _ in range(500):
+        # chords through z +- h near the pole, where x-roots stay apart
+        z = 10 ** rng.uniform(-3, -1.5) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        h, phi = 10 ** rng.uniform(-6.5, -5.5), rng.uniform(0, 2 * math.pi)
+        dz = h * math.cos(phi) + h * math.sin(phi) * curve.tau
+        z1, z2 = jl.canon(z + dz, curve), jl.canon(z - dz, curve)
+        pts = we.intersect_curve(we.line_through(z1, z2, jl.neg(jl.add(z1, z2)), curve), curve)
+        shared += pts[0] is pts[1] or pts[1] is pts[2] or pts[0] is pts[2]
+        assert jl.add(jl.add(pts[0], pts[1]), pts[2]).is_zero(tol=1e-8)
+    assert shared >= 50
+    # a vertical tangent touches at a 2-torsion point, and the origin stays exact
+    x = we.wp(0.5 + 5e-7, curve)[0]
+    h, h2, o = we.intersect_curve(we.PlaneLine.of(1, 0, -x), curve)
+    assert h is h2 and o.is_exact and o.is_zero()
+    assert jl.mul(2, h).is_zero(tol=1e-15)
+    # vertical lines far out meet the cubic in three points near the flex at
+    # the origin: on tau = 2i the moved double point meets the third, on
+    # tau = 3i all three group at once; either way they are one point
+    for tau, x in ((2j, -6.9e11), (3j, -5e11)):
+        flat = CurveSpec(tau)
+        p, q, r = we.intersect_curve(we.PlaneLine.of(1, 0, -x), flat)
+        assert p is q is r and p.is_zero(tol=1e-15)
