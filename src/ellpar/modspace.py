@@ -13,8 +13,8 @@ from numbers import Rational
 from . import jaclattice as jl
 from .bundles import BundleClass, classify_triple, tu_line, type_facts
 from .jaclattice import CurveSpec, JacPoint
-from .parabolic import ProjScalar
-from .weierstrass import (PlaneLine, PlanePoint, _cross, curve_invariants, embed,
+from .parabolic import PROJ_INF, ProjScalar
+from .weierstrass import (PlaneLine, PlanePoint, _cross, _intersect, curve_invariants,
                           intersect_curve)
 
 
@@ -86,20 +86,26 @@ def psi_plus(ip: IncidencePoint, curve: CurveSpec) -> tuple[BundleClass, ProjSca
     The line's three curve parameters (canonically ordered) give the S-class;
     lambda is the cross-ratio (p1, p2; p3, p4) of the intersection points and
     ip.x on the line, matching the normalized parabolic point [lambda:1-lambda:1]
-    on the standard line {Z1 + Z2 = Z3}.  The line is framed by pts[0] and the
-    first later point distinct from it, so tangent lines (merged intersection
-    points), which form the extension stratum, get the boundary values
-    {0, 1, inf} exactly; a flex tangent has no frame.
+    on the standard line {Z1 + Z2 = Z3}.  The intersection points are the plane
+    points the intersection solved for, not re-embedded.  On a tangent line
+    (a shared parameter: the extension stratum) lambda is the cross-ratio's
+    value there, whatever ip.x is: exactly 1 when the double point sorts
+    first and inf when it sorts last.  A flex tangent has no frame.
     """
-    zs = jl.canonical_sort(intersect_curve(ip.line, curve))
+    # the order of jl.canonical_sort, keeping each parameter's plane point
+    hits = sorted(_intersect(ip.line, curve), key=lambda h: h[0].coords())
+    zs = [z for z, _ in hits]
     cls = classify_triple(zs[0], zs[1], zs[2])
-    pts = [embed(z, curve) for z in zs]
-    other = next((p for p in pts[1:] if p != pts[0]), None)
-    if other is None:
+    if zs[0] == zs[2]:
         raise ThreefoldCoincidenceError("three of the four points coincide")
-    thetas = [_affine_param(q, pts[0], other) for q in (*pts, ip.x)]
-    lam = cross_ratio(*thetas)
-    return cls, lam
+    if zs[0] == zs[1]:
+        return cls, ProjScalar(1, 1)
+    if zs[1] == zs[2]:
+        return cls, PROJ_INF
+    # left unnormalized: the affine parameters are projective in each point
+    pts = [PlanePoint(*p) for _, p in hits]
+    thetas = [_affine_param(q, pts[0], pts[1]) for q in (*pts, ip.x)]
+    return cls, cross_ratio(*thetas)
 
 
 def parabolic_point(lam: ProjScalar) -> PlanePoint:

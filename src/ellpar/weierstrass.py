@@ -12,6 +12,7 @@ residual targets.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,6 +22,8 @@ from .jaclattice import EQ_TOL, CurveSpec, JacPoint, add, canon, equal, mul, neg
 MERGE_TOL = 1e-6
 POLE_TOL = 1e-7
 INCIDENCE_TOL = 1e-9
+
+Vec = tuple[complex, complex, complex]
 
 
 class PoleProximityError(ValueError):
@@ -254,7 +257,7 @@ def _carlson_rf(x: complex, y: complex, z: complex) -> complex:
 
 
 def _invert_embedding(x: complex, y: complex, e: Sequence[complex],
-                      curve: CurveSpec) -> JacPoint:
+                      curve: CurveSpec) -> tuple[JacPoint, complex]:
     """The elliptic logarithm: z with P(z) = x, P'(z) = y; e are the roots of 4t^3 - g2 t - g3.
 
     z = R_F(a1, a2, a3)/u with a_i = (x - e_i)/u^2, u^2 = x/|x|, integrates
@@ -262,14 +265,15 @@ def _invert_embedding(x: complex, y: complex, e: Sequence[complex],
     and P'(z) = -2 u^3 sqrt(a1) sqrt(a2) sqrt(a3) with the same principal roots
     (and signed zeros on R_F's cut).  Along the horizontal ray (u = 1) the
     duplication cancels ~|x| against itself near the pole and can flip z.
+    Returns z with the curve's ordinate P'(z), whose sign y picks.
     """
     u = cmath.sqrt(x / abs(x)) if x else 1.0
     a = [(x - ei) / u**2 for ei in e]
     z = _carlson_rf(*a) / u
     pp = -2 * u**3 * cmath.sqrt(a[0]) * cmath.sqrt(a[1]) * cmath.sqrt(a[2])
     if abs(pp - y) > abs(pp + y):
-        z = -z
-    return canon(z, curve)
+        z, pp = -z, -pp
+    return canon(z, curve), pp
 
 
 def _cubic_roots(a3: complex, a2: complex, a1: complex,
@@ -323,58 +327,72 @@ def _root_near(d: JacPoint, m: int, rest: JacPoint) -> JacPoint:
     return sub(d, JacPoint(d.curve, s=(s - round(s)) / m, t=(t - round(t)) / m))
 
 
-def _group(zs: Sequence[JacPoint], sizes: Sequence[int]) -> tuple[list[JacPoint], list[int]]:
-    """Distinct points of zs at EQ_TOL, with multiplicities (zs[i] counts sizes[i] times)."""
-    pts: list[JacPoint] = []
+def _group(zs: Sequence[JacPoint], sizes: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The classes of zs at EQ_TOL: the index in zs of each class's first member,
+    and the class's multiplicity (zs[i] counts sizes[i] times)."""
+    firsts: list[int] = []
     mult: list[int] = []
-    for z, m in zip(zs, sizes):
-        for i, p in enumerate(pts):
-            if equal(p, z, tol=EQ_TOL):
-                mult[i] += m
+    for i, (z, m) in enumerate(zip(zs, sizes)):
+        for k, j in enumerate(firsts):
+            if equal(zs[j], z, tol=EQ_TOL):
+                mult[k] += m
                 break
         else:
-            pts.append(z)
+            firsts.append(i)
             mult.append(m)
-    return pts, mult
+    return firsts, mult
 
 
-def _shared(zs: list[JacPoint], sizes: list[int]) -> list[JacPoint]:
-    """The triple with the distinct parameters zs, grouped at EQ_TOL into shared
-    JacPoints.  A merge moves the sum by up to EQ_TOL; the merged point takes
-    that up, so a double point d becomes the root of 2d + r = 0 nearest d (a
-    vertical tangent touches at a 2-torsion point), a triple point the nearest flex."""
-    pts, mult = _group(zs, sizes)
-    if len(pts) == 2 and len(zs) == 3:
+def _shared(hits: list[tuple[JacPoint, Vec]], sizes: list[int]) -> list[tuple[JacPoint, Vec]]:
+    """The triple of the distinct intersections hits = [(parameter, plane point)],
+    grouped at EQ_TOL into shared JacPoints, each keeping the plane point of
+    its class's first member.  A merge moves the sum by up to EQ_TOL; the
+    merged point takes that up, so a double point d becomes the root of
+    2d + r = 0 nearest d (a vertical tangent touches at a 2-torsion point), a
+    triple point the nearest flex."""
+    n = len(hits)
+    firsts, mult = _group([z for z, _ in hits], sizes)
+    hits = [hits[i] for i in firsts]
+    if len(hits) == 2 and n == 3:
         k = mult.index(2)
-        pts[k] = _root_near(pts[k], 2, pts[1 - k])
-        pts, mult = _group(pts, mult)
-    if len(pts) == 1 and len(zs) > 1:
-        pts = [_root_near(pts[0], 3, zero(pts[0].curve))]
-    return [p for p, m in zip(pts, mult) for _ in range(m)]
+        (d, p), (r, _) = hits[k], hits[1 - k]
+        hits[k] = (_root_near(d, 2, r), p)
+        firsts, mult = _group([z for z, _ in hits], mult)
+        hits = [hits[i] for i in firsts]
+    if len(hits) == 1 and n > 1:
+        d, p = hits[0]
+        hits = [(_root_near(d, 3, zero(d.curve)), p)]
+    return [h for h, m in zip(hits, mult) for _ in range(m)]
 
 
-def intersect_curve(line: PlaneLine, curve: CurveSpec) -> list[JacPoint]:
-    """The three intersection parameters of a line with the cubic, with multiplicity.
-
-    Inverse of line_through on its image; the result sums to 0 mod Lambda.
-    Parameters that coincide at jaclattice.EQ_TOL come back as one shared
-    JacPoint (see _shared), so every caller reads the same multiplicities.
-    """
+@functools.lru_cache(maxsize=8)
+def _curve_constants(curve: CurveSpec) -> tuple[complex, complex, tuple[complex, ...]]:
+    """(g2, g3, e) of the last few curves, e the roots of 4t^3 - g2 t - g3."""
     g2, g3, _ = curve_invariants(curve)
+    return g2, g3, _cubic_roots(4, 0, -g2, -g3)
+
+
+def _intersect(line: PlaneLine, curve: CurveSpec) -> list[tuple[JacPoint, Vec]]:
+    """intersect_curve's triple, each parameter with its plane point (x, y, 1) or [0:1:0].
+
+    x is the root-cluster mean and y the curve's ordinate at x, with the sign
+    the line picks: y read off the line, -(ux + w)/v, would carry x's
+    roundoff times |u/v| on steep lines.
+    """
     u, v, w = line.u, line.v, line.w
     scale = max(abs(u), abs(v), abs(w))
     if scale == 0:
         raise DegenerateGeometryError("zero line")
     if abs(u) <= 1e-12 * scale and abs(v) <= 1e-12 * scale:
         # the line at infinity meets the cubic only in the flex at the origin
-        o = zero(curve)
-        return [o, o, o]
-    e = _cubic_roots(4, 0, -g2, -g3)
+        return [(zero(curve), INFINITY_POINT.vec())] * 3
+    g2, g3, e = _curve_constants(curve)
     if abs(v) <= 1e-12 * scale:
         # vertical line x = -w/u: points (x, +-y) plus the point at infinity
         x = -w / u
-        z1 = _invert_embedding(x, cmath.sqrt(4 * x**3 - g2 * x - g3), e, curve)
-        return _shared([z1, neg(z1), zero(curve)], [1, 1, 1])
+        z1, y = _invert_embedding(x, cmath.sqrt(4 * x**3 - g2 * x - g3), e, curve)
+        return _shared([(z1, (x, y, 1)), (neg(z1), (x, -y, 1)),
+                        (zero(curve), INFINITY_POINT.vec())], [1, 1, 1])
     # y = -(u x + w)/v substituted into y^2 = 4x^3 - g2 x - g3
     a3 = 4.0
     a2 = -(u / v) ** 2
@@ -392,9 +410,22 @@ def intersect_curve(line: PlaneLine, curve: CurveSpec) -> list[JacPoint]:
                 break
         else:
             clusters.append([x])
-    means = [complex(sum(c) / len(c)) for c in clusters]
-    zs = [_invert_embedding(x, -(u * x + w) / v, e, curve) for x in means]
-    return _shared(zs, [len(c) for c in clusters])
+    hits = []
+    for c in clusters:
+        x = complex(sum(c) / len(c))
+        z, y = _invert_embedding(x, -(u * x + w) / v, e, curve)
+        hits.append((z, (x, y, 1)))
+    return _shared(hits, [len(c) for c in clusters])
+
+
+def intersect_curve(line: PlaneLine, curve: CurveSpec) -> list[JacPoint]:
+    """The three intersection parameters of a line with the cubic, with multiplicity.
+
+    Inverse of line_through on its image; the result sums to 0 mod Lambda.
+    Parameters that coincide at jaclattice.EQ_TOL come back as one shared
+    JacPoint (see _shared), so every caller reads the same multiplicities.
+    """
+    return [z for z, _ in _intersect(line, curve)]
 
 
 def multiplicities(points: Sequence[JacPoint]) -> list[int]:

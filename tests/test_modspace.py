@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -260,3 +261,104 @@ def test_near_tangent_chords_are_chords_or_tangents_alike():
         if member != (count != 3):
             disagree.append((curve.tau, h))
     assert disagree == []
+
+
+def _chord(curve, z1, z2):
+    """The chord through z1, z2 and its incidence point on the line [1 : 2 : 3]."""
+    line = we.line_through(z1, z2, jl.neg(jl.add(z1, z2)), curve)
+    return ms.IncidencePoint(we.lines_meet(line, we.PlaneLine.of(1, 2, 3)), line)
+
+
+def _random_point(rng, curve):
+    return jl.canon(complex(rng.random() + rng.random() * curve.tau), curve)
+
+
+def test_psi_plus_on_near_tangent_chords_is_exactly_one_or_infinity():
+    # a tangent answer frames lambda by where the double point sorts: first
+    # gives 1, last gives inf, exactly, however near the chord came to a tangent
+    rng = random.Random(43)
+    inexact, tangents = [], 0
+    for i in range(1500):
+        curve = CurveSpec((1j, 0.5 + 1j, 0.3 + 1.1j)[i % 3])
+        z = _random_point(rng, curve)
+        h, theta = 10 ** rng.uniform(-9, -4), rng.uniform(0, 2 * math.pi)
+        dz = h * math.cos(theta) + h * math.sin(theta) * curve.tau
+        z1, z2 = jl.canon(z.value() + dz, curve), jl.canon(z.value() - dz, curve)
+        cls, lam = ms.psi_plus(_chord(curve, z1, z2), curve)
+        if cls.label == "T21":
+            tangents += 1
+            if not (lam.is_inf or lam.num == 1):
+                inexact.append((curve.tau, h, lam))
+    assert tangents > 500
+    assert inexact == []
+
+
+def test_psi_plus_frames_lambda_like_embedding_the_parameters():
+    # the plane points the intersection solved for frame the line as the
+    # embeddings of the parameters it returns do, near the pole too; the
+    # near-pole chords whose triple the library refuses (a known defect of
+    # the root clustering) have no lambda to compare
+    rng = random.Random(47)
+    chords = 0
+    for i in range(1200):
+        curve = CurveSpec((1j, 0.5 + 1j, 0.3 + 1.1j)[i % 3])
+        if i % 3 == 0:
+            z1 = jl.canon(10 ** rng.uniform(-6, -2) * cmath.exp(2j * math.pi * rng.random()), curve)
+        else:
+            z1 = _random_point(rng, curve)
+        ip = _chord(curve, z1, _random_point(rng, curve))
+        try:
+            cls, lam = ms.psi_plus(ip, curve)
+        except ValueError:
+            assert i % 3 == 0
+            continue
+        if cls.label != "T1":
+            continue
+        chords += 1
+        pts = [we.embed(z, curve) for z in cls.triple]
+        want = ms.cross_ratio(*(ms._affine_param(q, pts[0], pts[1]) for q in (*pts, ip.x)))
+        assert lam.close_to(want, tol=1e-13), (curve.tau, z1, lam, want)
+    assert chords >= 1000
+
+
+def test_psi_plus_on_a_steep_near_pole_chord_matches_mpmath():
+    # near the pole the chord is nearly vertical (|v/u| ~ r/2): y read off the
+    # line would carry x's roundoff times |u/v| into the two finite points
+    mpmath = pytest.importorskip("mpmath")
+    curve = CurveSpec(TAU)
+    z1 = jl.canon(1e-4 * cmath.exp(0.3j), curve)
+    z2 = jl.canon(0.37 + 0.21 * curve.tau, curve)
+    z3 = jl.neg(jl.add(z1, z2))
+    line = we.line_through(z1, z2, z3, curve)
+    u, v, w = line.vec()
+    assert 1e-5 < abs(v / u) < 1e-4
+    # the oracle: the line's x-cubic solved in 50 digits, with y on the line
+    with mpmath.workdps(50):
+        g2, g3, _ = (mpmath.mpc(c) for c in we.curve_invariants(curve))
+        mu, mv, mw = (mpmath.mpc(c) for c in (u, v, w))
+        xs = mpmath.polyroots([4, -(mu / mv) ** 2, -g2 - 2 * (mu / mv) * (mw / mv),
+                               -g3 - (mw / mv) ** 2], maxsteps=200, extraprec=200)
+        for near in (z2, z3):
+            # the incidence point 1e-5 along the line from a finite intersection point
+            px, py = we.wp(near.value(), curve)
+            x = we.PlanePoint.of(px - 1e-5 * v, py + 1e-5 * u, 1)
+            cls, lam = ms.psi_plus(ms.IncidencePoint(x, line), curve)
+            assert cls.label == "T1"
+            ys = []
+            for z in cls.triple:  # psi_plus' frame order
+                root = min(xs, key=lambda r: abs(complex(r) - we.wp(z.value(), curve)[0]))
+                ys.append(-(mu * root + mw) / mv)
+            ys.append(mpmath.mpc(x.y) / mpmath.mpc(x.z))
+            want = (ys[0] - ys[2]) * (ys[1] - ys[3]) / ((ys[0] - ys[3]) * (ys[1] - ys[2]))
+            assert lam.close_to(ProjScalar(complex(want), 1), tol=1e-10), (lam, want)
+
+
+def test_psi_plus_on_a_chord_makes_no_wp_calls(curve, monkeypatch):
+    rng = random.Random(53)
+    ips = [_chord(curve, _random_point(rng, curve), _random_point(rng, curve)) for _ in range(5)]
+    calls = []
+    wp = we.wp
+    monkeypatch.setattr(we, "wp", lambda z, c: calls.append(z) or wp(z, c))
+    for ip in ips:
+        assert ms.psi_plus(ip, curve)[0].label == "T1"
+    assert calls == []

@@ -237,7 +237,7 @@ def _assert_inverts(x, y, curve):
     """
     g2, g3, _ = we.curve_invariants(curve)
     e = [complex(r) for r in np.roots([4, 0, -g2, -g3])]
-    z = we._invert_embedding(x, y, e, curve).value()
+    z = we._invert_embedding(x, y, e, curve)[0].value()
     p, pp = we.wp(z, curve)
     scale = max(1.0, abs(x), *map(abs, e))
     assert abs(p - x) <= 1e-13 * scale + 1e-15 * (1 + abs(curve.tau)) * abs(pp), (x, y)
@@ -355,3 +355,52 @@ def test_shared_points_keep_the_triple_summing_to_zero():
         flat = CurveSpec(tau)
         p, q, r = we.intersect_curve(we.PlaneLine.of(1, 0, -x), flat)
         assert p is q is r and p.is_zero(tol=1e-15)
+
+
+def _chord_lines(curve, n, seed):
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(n):
+        z1, z2 = (jl.canon(complex(rng.random() + rng.random() * curve.tau), curve)
+                  for _ in range(2))
+        lines.append(we.line_through(z1, z2, jl.neg(jl.add(z1, z2)), curve))
+    return lines
+
+
+def test_intersections_on_one_curve_compute_its_constants_once(monkeypatch):
+    # g2, g3 and the branch points e are memoised per curve value, so fresh
+    # CurveSpecs of one tau share them
+    lines = _chord_lines(CurveSpec(TAU), 50, seed=41)
+    calls = {"invariants": 0, "e_cubic": 0}
+    invariants, cubic_roots = we.curve_invariants, we._cubic_roots
+
+    def counted_invariants(curve):
+        calls["invariants"] += 1
+        return invariants(curve)
+
+    def counted_cubic_roots(*coeffs):
+        calls["e_cubic"] += coeffs[:2] == (4, 0)
+        return cubic_roots(*coeffs)
+
+    monkeypatch.setattr(we, "curve_invariants", counted_invariants)
+    monkeypatch.setattr(we, "_cubic_roots", counted_cubic_roots)
+    we._curve_constants.cache_clear()
+    for line in lines:
+        assert len(we.intersect_curve(line, CurveSpec(TAU))) == 3
+    assert calls == {"invariants": 1, "e_cubic": 1}
+
+
+def test_the_curve_memo_stays_at_its_bound():
+    line = we.PlaneLine.of(1, 2, 3)
+    for k in range(200):
+        we.intersect_curve(line, CurveSpec(complex(0.001 * k, 1.1)))
+    info = we._curve_constants.cache_info()
+    assert info.currsize == info.maxsize == 8
+
+
+@pytest.mark.parametrize("tau", [TAU, 1j, 0.5 + 1j, 2j])
+def test_memoised_curve_constants_equal_a_fresh_computation(tau):
+    curve = CurveSpec(tau)
+    we._curve_constants(curve)
+    g2, g3, _ = we.curve_invariants(curve)
+    assert we._curve_constants(CurveSpec(tau)) == (g2, g3, we._cubic_roots(4, 0, -g2, -g3))
