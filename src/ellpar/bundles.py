@@ -13,7 +13,8 @@ are constructible explicitly for never-stable testing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from fractions import Fraction
+from typing import Optional, Sequence
 
 from . import jaclattice as jl
 from .jaclattice import EQ_TOL, CurveSpec, JacPoint
@@ -113,8 +114,22 @@ def classify_triple(z1: JacPoint, z2: JacPoint, z3: JacPoint,
     return BundleClass("T21", point=pts[0] if e12 or e13 else pts[1])
 
 
+def _shared_class(zs: Sequence[JacPoint]) -> BundleClass:
+    """classify_triple of intersect_curve's triple, which returns coincident
+    parameters as one shared JacPoint: the class follows from identity (one
+    point thrice is T31 at the snapped flex, twice T21 there, three points T1),
+    and only the zero-sum check is made again."""
+    z1, z2, z3 = zs
+    if not jl.add(jl.add(z1, z2), z3).is_zero(tol=EQ_TOL):
+        raise ValueError("triple does not sum to zero in the Jacobian")
+    if z1 is z2 is z3:
+        return BundleClass("T31", point=_snap_to_torsion(z1, 3))
+    if z1 is z2 or z1 is z3 or z2 is z3:
+        return BundleClass("T21", point=z3 if z2 is z3 else z1)
+    return BundleClass("T1", triple=tuple(jl.canonical_sort(zs)))
+
+
 def _snap_to_torsion(p: JacPoint, n: int) -> JacPoint:
-    from fractions import Fraction
     s, t = p.coords()
     return JacPoint(p.curve, s=Fraction(round(s * n) % n, n), t=Fraction(round(t * n) % n, n))
 
@@ -153,41 +168,29 @@ def tu_line(cls: BundleClass, curve: CurveSpec) -> PlaneLine:
     return line_through(g[0], g[1], g[2], curve)
 
 
+_CONFIGS = {
+    "T1": SubbundleConfig(
+        rank1=(PointLocus(0, point=E1), PointLocus(0, point=E2), PointLocus(0, point=E3)),
+        rank2=(LineLocus(0, line=LINE_Z1), LineLocus(0, line=LINE_Z2), LineLocus(0, line=LINE_Z3))),
+    # L^{-2} at [0:0:1], L at [1:0:0]; E2 x L is {Z3=0}, L^{-2}+L is {Z2=0}
+    "T21": SubbundleConfig(
+        rank1=(PointLocus(0, point=E3), PointLocus(0, point=E1)),
+        rank2=(LineLocus(0, line=LINE_Z3), LineLocus(0, line=LINE_Z2))),
+    # the two equal factors sweep the line {Z3=0}; L^{-2} sits at [0:0:1]
+    "T22": SubbundleConfig(
+        rank1=(PointLocus(0, point=E3), PointLocus(1, sweep=LINE_Z3)),
+        rank2=(LineLocus(0, line=LINE_Z3), LineLocus(1, pencil=E3))),
+    "T31": SubbundleConfig(rank1=(PointLocus(0, point=E1),), rank2=(LineLocus(0, line=LINE_Z3),)),
+    "T32": SubbundleConfig(
+        rank1=(PointLocus(1, sweep=LINE_Z3),),
+        rank2=(LineLocus(0, line=LINE_Z3), LineLocus(1, pencil=E1))),
+    "T33": SubbundleConfig(rank1=(PointLocus(2),), rank2=(LineLocus(2),)),
+}
+
+
 def subbundle_config(cls: BundleClass) -> SubbundleConfig:
     """Degree-0 subbundle loci in the normalized fiber plane, per type."""
-    lab = cls.label
-    if lab == "T1":
-        return SubbundleConfig(
-            rank1=(PointLocus(0, point=E1), PointLocus(0, point=E2), PointLocus(0, point=E3)),
-            rank2=(LineLocus(0, line=LINE_Z1), LineLocus(0, line=LINE_Z2), LineLocus(0, line=LINE_Z3)),
-        )
-    if lab == "T21":
-        # L^{-2} at [0:0:1], L at [1:0:0]; E2 x L is {Z3=0}, L^{-2}+L is {Z2=0}
-        return SubbundleConfig(
-            rank1=(PointLocus(0, point=E3), PointLocus(0, point=E1)),
-            rank2=(LineLocus(0, line=LINE_Z3), LineLocus(0, line=LINE_Z2)),
-        )
-    if lab == "T22":
-        # the two equal factors sweep the line {Z3=0}; L^{-2} sits at [0:0:1]
-        return SubbundleConfig(
-            rank1=(PointLocus(0, point=E3), PointLocus(1, sweep=LINE_Z3)),
-            rank2=(LineLocus(0, line=LINE_Z3), LineLocus(1, pencil=E3)),
-        )
-    if lab == "T31":
-        return SubbundleConfig(
-            rank1=(PointLocus(0, point=E1),),
-            rank2=(LineLocus(0, line=LINE_Z3),),
-        )
-    if lab == "T32":
-        return SubbundleConfig(
-            rank1=(PointLocus(1, sweep=LINE_Z3),),
-            rank2=(LineLocus(0, line=LINE_Z3), LineLocus(1, pencil=E1)),
-        )
-    # T33
-    return SubbundleConfig(
-        rank1=(PointLocus(2),),
-        rank2=(LineLocus(2),),
-    )
+    return _CONFIGS[cls.label]
 
 
 _ENDO_DIM = {"T1": 3, "T21": 3, "T22": 5, "T31": 3, "T32": 4, "T33": 9}

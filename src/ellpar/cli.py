@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -452,26 +453,31 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def _refuse(message: str) -> int:
+    """Answer input refused before any request runs: SchemaViolation, exit 3."""
+    print(_dump({"ok": False, "result": {"error": "SchemaViolation", "message": message},
+                 "diagnostics": []}))
+    return EXIT_SCHEMA
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="ellpar",
         description="JSON oracle interface to the parabolic-moduli library")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="override the default tolerance (also via TOL env var)")
+    parser.add_argument("--tol", default=None,
+                        help="override the default tolerance, a finite number > 0 "
+                             "(also via TOL env var)")
     parser.add_argument("--file", type=str, default=None,
                         help="read a JSON array of requests from a file instead of stdin")
     args = parser.parse_args(argv)
 
-    tol = args.tol
-    if tol is None and os.environ.get("TOL"):
-        try:
-            tol = float(os.environ["TOL"])
-        except ValueError:
-            print(_dump({"ok": False,
-                         "result": {"error": "SchemaViolation",
-                                    "message": "TOL must be a float"},
-                         "diagnostics": []}))
-            return EXIT_SCHEMA
+    raw = args.tol if args.tol is not None else os.environ.get("TOL") or None
+    try:
+        tol = None if raw is None else float(raw)
+    except ValueError:
+        tol = math.nan  # refused below with the other non-finite values
+    if tol is not None and not 0 < tol < math.inf:
+        return _refuse(f"tol must be a finite number > 0, got {raw!r}")
 
     try:
         if args.file:
@@ -480,18 +486,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             data = json.load(sys.stdin)
     except (OSError, json.JSONDecodeError) as exc:
-        print(_dump({"ok": False,
-                     "result": {"error": "SchemaViolation", "message": str(exc)},
-                     "diagnostics": []}))
-        return EXIT_SCHEMA
+        return _refuse(str(exc))
 
     if args.file:
         if not isinstance(data, list):
-            print(_dump({"ok": False,
-                         "result": {"error": "SchemaViolation",
-                                    "message": "--file expects a JSON array of requests"},
-                         "diagnostics": []}))
-            return EXIT_SCHEMA
+            return _refuse("--file expects a JSON array of requests")
         responses = []
         worst = EXIT_OK
         for req in data:

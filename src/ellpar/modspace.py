@@ -11,7 +11,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from . import jaclattice as jl
-from .bundles import BundleClass, classify_triple, tu_line, type_facts
+from .bundles import BundleClass, _shared_class, tu_line, type_facts
 from .jaclattice import CurveSpec, JacPoint
 from .parabolic import PROJ_INF, ProjScalar
 from .weierstrass import (PlaneLine, PlanePoint, _cross, _intersect, curve_invariants,
@@ -95,12 +95,12 @@ def psi_plus(ip: IncidencePoint, curve: CurveSpec) -> tuple[BundleClass, ProjSca
     # the order of jl.canonical_sort, keeping each parameter's plane point
     hits = sorted(_intersect(ip.line, curve), key=lambda h: h[0].coords())
     zs = [z for z, _ in hits]
-    cls = classify_triple(zs[0], zs[1], zs[2])
-    if zs[0] == zs[2]:
+    cls = _shared_class(zs)
+    if zs[0] is zs[2]:
         raise ThreefoldCoincidenceError("three of the four points coincide")
-    if zs[0] == zs[1]:
+    if zs[0] is zs[1]:
         return cls, ProjScalar(1, 1)
-    if zs[1] == zs[2]:
+    if zs[1] is zs[2]:
         return cls, PROJ_INF
     # left unnormalized: the affine parameters are projective in each point
     pts = [PlanePoint(*p) for _, p in hits]
@@ -163,9 +163,7 @@ def section_meet(p1: JacPoint, p2: JacPoint) -> SymPair:
 
 def sigma_cover_count(line: PlaneLine, curve: CurveSpec) -> int:
     """Number of Sigma-points over the S-class of a dual-plane line: 3, 2 or 1."""
-    pts = intersect_curve(line, curve)
-    cls = classify_triple(pts[0], pts[1], pts[2])
-    return type_facts(cls.label)[2]
+    return type_facts(_shared_class(intersect_curve(line, curve)).label)[2]
 
 
 def curves_isomorphic(tau1: complex, tau2: complex, rel_tol: float = 1e-6) -> bool:

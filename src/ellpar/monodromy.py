@@ -23,8 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jaclattice as jl
-from .bundles import BundleClass, classify_triple, make_t21, make_t22, make_t3x
+from .bundles import (BundleClass, LineLocus, PointLocus, SubbundleConfig, classify_triple,
+                      make_t21, make_t22, make_t3x)
 from .jaclattice import EQ_TOL, CurveSpec, JacPoint
+from .weierstrass import PlaneLine, PlanePoint
 
 DEFAULT_TOL = 1e-8
 
@@ -296,9 +298,6 @@ def universal_pair(b1: complex, b2: complex, kind: str = "generic") -> Commuting
 
 def universal_config(b1: complex, b2: complex):
     """Fiber-plane loci of the degree-0 subbundles of the generic universal family."""
-    from .bundles import LineLocus, PointLocus, SubbundleConfig
-    from .weierstrass import PlaneLine, PlanePoint
-
     b1, b2 = complex(b1), complex(b2)
     b3 = 1.0 / (b1 * b2)
     if min(abs(b1 - b2), abs(b1 - b3), abs(b2 - b3)) < 1e-9:

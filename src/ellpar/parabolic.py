@@ -6,7 +6,9 @@ in the normalized fiber plane plus a descending weight triple summing to 0.
 Stability is decided by brute force over the class's degree-0 subbundle
 configuration: each subbundle induces a parabolic degree determined purely by
 the incidence of its fiber locus with the flag, and the bundle is stable iff
-the maximum induced degree is negative.  Weight triples given exactly
+the maximum induced degree is negative.  The incidences depend on the class
+and flag only, so they are decided once, as one memoised signature that every
+stability probe, locus and normalize_flag reads.  Weight triples given exactly
 (int / Fraction / decimal string) are processed in exact rational arithmetic.
 """
 
@@ -16,7 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from numbers import Rational
 from typing import Optional, Sequence, Union
 
@@ -125,65 +127,60 @@ class Verdict:
     witness: Optional[Witness] = None
 
 
-def induced_pardeg(sub: Union[PlanePoint, PlaneLine], flag: Flag, w: Weights) -> Scalar:
-    """Parabolic degree induced on a degree-0 subbundle by flag incidence."""
+def _incidence(sub: Union[PlanePoint, PlaneLine], flag: Flag) -> int:
+    """0: sub is P (is L); 1: sub lies on L (passes through P); 2: neither."""
     if isinstance(sub, PlanePoint):
-        if sub.close_to(flag.P):
-            return w.mu1
-        if flag.L.contains(sub):
-            return w.mu2
-        return w.mu3
+        return 0 if sub.close_to(flag.P) else 1 if flag.L.contains(sub) else 2
     if isinstance(sub, PlaneLine):
-        if sub.close_to(flag.L):
-            return w.pair_sums[0]
-        if sub.contains(flag.P):
-            return w.pair_sums[1]
-        return w.pair_sums[2]
+        return 0 if sub.close_to(flag.L) else 1 if sub.contains(flag.P) else 2
     raise TypeError(f"sub must be a fiber point or line, got {type(sub)}")
 
 
+def induced_pardeg(sub: Union[PlanePoint, PlaneLine], flag: Flag, w: Weights) -> Scalar:
+    """Parabolic degree induced on a degree-0 subbundle by flag incidence:
+    a point induces mu1, mu2, mu3 and a line mu1+mu2, mu1+mu3, mu2+mu3 by
+    its incidence index."""
+    k = _incidence(sub, flag)
+    return (w.as_tuple() if isinstance(sub, PlanePoint) else w.pair_sums)[k]
+
+
 def _worst_point_member(loc: PointLocus, flag: Flag) -> PlanePoint:
-    if loc.dim == 0:
-        return loc.point
-    if loc.dim == 1:
-        # members sweep loc.sweep; the worst one is P itself if available,
-        # otherwise the member sitting on the flag line
-        if loc.sweep.contains(flag.P):
-            return flag.P
+    # a pencil of points sweeping loc.sweep offers P itself if it lies there,
+    # otherwise the member on the flag line; dim 2 offers every point, P too
+    if loc.dim == 1 and not loc.sweep.contains(flag.P):
         return lines_meet(loc.sweep, flag.L)
-    return flag.P  # dim 2: every fiber point occurs
+    return loc.point if loc.dim == 0 else flag.P
 
 
 def _worst_line_member(loc: LineLocus, flag: Flag) -> PlaneLine:
-    if loc.dim == 0:
-        return loc.line
-    if loc.dim == 1:
-        # members form the pencil through loc.pencil
-        if flag.L.contains(loc.pencil):
-            return flag.L
+    # the pencil of lines through loc.pencil offers L itself if L passes
+    # there, otherwise the member through P; dim 2 offers every line, L too
+    if loc.dim == 1 and not flag.L.contains(loc.pencil):
         return line_through_points(loc.pencil, flag.P)
-    return flag.L  # dim 2: every line occurs
+    return loc.line if loc.dim == 0 else flag.L
+
+
+@lru_cache(maxsize=8)
+def _signature(cls: BundleClass,
+               flag: Flag) -> tuple[tuple[int, Union[PlanePoint, PlaneLine], int], ...]:
+    """(rank, worst member, incidence index) of each degree-0 subbundle locus of
+    the class, rank 1 loci first: all that stability reads of (cls, flag),
+    decided once for the last few pairs."""
+    cfg = subbundle_config(cls)
+    members = [(1, _worst_point_member(loc, flag)) for loc in cfg.rank1]
+    members += [(2, _worst_line_member(loc, flag)) for loc in cfg.rank2]
+    return tuple((rank, m, _incidence(m, flag)) for rank, m in members)
 
 
 def stability(cls: BundleClass, flag: Flag, w: Weights) -> Verdict:
-    """Brute-force maximum of induced parabolic degree over all degree-0 subbundles."""
-    cfg = subbundle_config(cls)
-    best: Optional[Witness] = None
-    for loc in cfg.rank1:
-        member = _worst_point_member(loc, flag)
-        d = induced_pardeg(member, flag, w)
-        if best is None or d > best.pardeg:
-            best = Witness(1, member, d)
-    for loc in cfg.rank2:
-        member = _worst_line_member(loc, flag)
-        d = induced_pardeg(member, flag, w)
-        if d > best.pardeg:
-            best = Witness(2, member, d)
-    if best.pardeg < 0:
+    """Maximum induced parabolic degree over all degree-0 subbundles; the
+    witness is the first subbundle attaining it."""
+    degrees = (w.as_tuple(), w.pair_sums)
+    rank, member, k = max(_signature(cls, flag), key=lambda s: degrees[s[0] - 1][s[2]])
+    d = degrees[rank - 1][k]
+    if d < 0:
         return Verdict("Stable")
-    if best.pardeg == 0:
-        return Verdict("StrictlySemistable", best)
-    return Verdict("Unstable", best)
+    return Verdict("StrictlySemistable" if d == 0 else "Unstable", Witness(rank, member, d))
 
 
 LOCUS_UGEN = "Ugen"

@@ -429,8 +429,10 @@ def intersect_curve(line: PlaneLine, curve: CurveSpec) -> list[JacPoint]:
 
 
 def multiplicities(points: Sequence[JacPoint]) -> list[int]:
-    """Multiplicity of each distinct class, at EQ_TOL, in a short list of Jacobian points."""
-    return _group(points, [1] * len(points))[1]
+    """Multiplicity of each distinct point of intersect_curve's triple, in order of
+    first appearance.  The points must come from intersect_curve, which returns
+    coincident parameters as one shared JacPoint: identical objects are counted."""
+    return [sum(z is d for z in points) for d in {id(z): z for z in points}.values()]
 
 
 def dual_sextic_contains(line: PlaneLine, curve: CurveSpec) -> tuple[bool, bool]:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -255,6 +256,36 @@ def test_tol_env_var(monkeypatch):
     proc = subprocess.run([sys.executable, "-m", "ellpar.cli"], input=req,
                           capture_output=True, text=True)
     assert proc.returncode == 3
+
+
+TORELLI_SELF = {"command": "torelli", "payload": {"tau1": [0, 1], "tau2": [0, 1]}}
+
+
+@pytest.mark.parametrize("source", ["--tol", "TOL"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])
+def test_tolerance_must_be_finite_and_positive(value, source, monkeypatch, capsys):
+    # refused by one check before any request runs, from either source: nan
+    # would make a curve non-isomorphic to itself, inf make any two isomorphic
+    # and 0 fall back to the default while echoed in diagnostics
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(TORELLI_SELF)))
+    if source == "TOL":
+        monkeypatch.setenv("TOL", value)
+        code = cli.main([])
+    else:
+        monkeypatch.delenv("TOL", raising=False)
+        code = cli.main([f"--tol={value}"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_SCHEMA
+    assert not out["ok"] and out["result"]["error"] == "SchemaViolation"
+    assert value in out["result"]["message"]
+
+
+def test_a_valid_tolerance_flag_wins_over_the_environment(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(TORELLI_SELF)))
+    monkeypatch.setenv("TOL", "abc")
+    assert cli.main(["--tol", "1e-6"]) == cli.EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["result"] == {"isomorphic": True} and out["diagnostics"] == ["tol=1e-06"]
 
 
 IMPORT_GATE = """

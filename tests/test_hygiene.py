@@ -1,6 +1,7 @@
-"""Import hygiene of the library modules: every name a module imports at
-module level is used in it.  No linter is part of the toolchain, so this
-test is the check."""
+"""Hygiene of the library modules: every name a module imports at module
+level is used in it, and every module-level private name is referenced
+somewhere in the package.  No linter is part of the toolchain, so this test
+is the check."""
 
 import ast
 from pathlib import Path
@@ -27,3 +28,35 @@ def test_no_unused_module_level_imports():
     assert modules
     unused = [u for p in modules for u in _unused_imports(p)]
     assert unused == []
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _references(tree: ast.Module) -> set[str]:
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(a.name for a in node.names)
+    return refs
+
+
+def test_no_module_level_private_name_without_a_reference():
+    # a private helper no code in the package calls is dead code
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    refs = set().union(*(_references(t) for t in trees.values()))
+    orphans = [f"{name}:{d}" for name, t in trees.items()
+               for d in sorted(_private_definitions(t)) if d not in refs]
+    assert orphans == []

@@ -240,10 +240,11 @@ def test_vertical_near_chord_gets_one_answer_everywhere(curve, d):
 
 def test_near_tangent_chords_are_chords_or_tangents_alike():
     # chords through z +- h with h log-uniform across the coincidence
-    # threshold: sigma_cover_count and dual_sextic_contains must agree
+    # threshold: sigma_cover_count and dual_sextic_contains must agree, and
+    # the class read off the shared points must be classify_triple's
     rng = random.Random(5)
     taus = (1j, 0.5 + 1j, 0.3 + 1.1j, 0.1 + 0.9j, -0.2 + 1.4j)
-    disagree = []
+    disagree, misclassified = [], []
     for i in range(2000):
         curve = CurveSpec(taus[i % len(taus)])
         while True:
@@ -260,7 +261,11 @@ def test_near_tangent_chords_are_chords_or_tangents_alike():
         member, _ = we.dual_sextic_contains(line, curve)
         if member != (count != 3):
             disagree.append((curve.tau, h))
+        pts = we.intersect_curve(line, curve)
+        if bd._shared_class(pts) != bd.classify_triple(*pts):
+            misclassified.append((curve.tau, h))
     assert disagree == []
+    assert misclassified == []
 
 
 def _chord(curve, z1, z2):
@@ -362,3 +367,28 @@ def test_psi_plus_on_a_chord_makes_no_wp_calls(curve, monkeypatch):
     for ip in ips:
         assert ms.psi_plus(ip, curve)[0].label == "T1"
     assert calls == []
+
+
+def test_line_class_is_read_off_the_shared_points(curve, monkeypatch):
+    # intersect_curve groups the triple once; sigma_cover_count and psi_plus
+    # read the class off its shared points and do not group it again
+    rng = random.Random(59)
+    ip = _chord(curve, _random_point(rng, curve), _random_point(rng, curve))
+    calls = {"classify_triple": 0, "equal": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bd, "classify_triple", counted("classify_triple", bd.classify_triple))
+    monkeypatch.setattr(ms, "classify_triple", bd.classify_triple, raising=False)
+    equal = counted("equal", jl.equal)
+    monkeypatch.setattr(jl, "equal", equal)
+    monkeypatch.setattr(we, "equal", equal)
+    for run in (lambda: ms.sigma_cover_count(ip.line, curve), lambda: ms.psi_plus(ip, curve)):
+        calls.update(classify_triple=0, equal=0)
+        run()
+        # one grouping pass over three points (3 equal calls) and the zero-sum test (1)
+        assert calls["classify_triple"] == 0 and calls["equal"] <= 4, calls

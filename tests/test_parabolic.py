@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ellpar import bundles as bd
@@ -230,3 +230,149 @@ def test_normalize_flag_trusts_stability_near_coordinate_lines(curve):
         assert pa.stability(cls, flag, probe).status == "Stable"
         got, _ = pa.normalize_flag(cls, flag, chamber)
         assert got.close_to(expected, tol=1e-9)
+
+
+# ---------- stability against an exact brute force ----------
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _xprod(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _parallel(a, b):
+    return _xprod(a, b) == (0, 0, 0)
+
+
+def _exact_vec(v):
+    return tuple(Fraction(c.real) for c in v.vec())
+
+
+GENERIC_LINES = ((1, 2, 3), (2, -1, 5))
+
+
+def _brute_force(cls, P, L, w):
+    """(rank, member, degree) of the first subbundle of maximal degree, over
+    members enumerated exactly in the standard frame: for a positive-dimensional
+    locus the members meeting the flag specially, then generic ones."""
+    mu1, mu2, mu3 = w.as_tuple()
+
+    def point_degree(X):
+        return mu1 if _parallel(X, P) else mu2 if _dot(L, X) == 0 else mu3
+
+    def line_degree(M):
+        return mu1 + mu2 if _parallel(M, L) else mu1 + mu3 if _dot(M, P) == 0 else mu2 + mu3
+
+    candidates = []
+    for loc in bd.subbundle_config(cls).rank1:
+        if loc.dim == 0:
+            members = [_exact_vec(loc.point)]
+        elif loc.dim == 1:
+            S = _exact_vec(loc.sweep)
+            members = [P] if _dot(S, P) == 0 else []
+            members += [_xprod(S, L)] + [_xprod(S, R) for R in GENERIC_LINES]
+        else:
+            members = [P, _xprod(L, GENERIC_LINES[0]), _xprod(*GENERIC_LINES)]
+        candidates += [(1, X, point_degree(X)) for X in members if any(X)]
+    for loc in bd.subbundle_config(cls).rank2:
+        if loc.dim == 0:
+            members = [_exact_vec(loc.line)]
+        elif loc.dim == 1:
+            c = _exact_vec(loc.pencil)
+            members = [L] if _dot(L, c) == 0 else []
+            members += [_xprod(c, P)] + [_xprod(c, R) for R in GENERIC_LINES]
+        else:
+            members = [L, _xprod(P, GENERIC_LINES[0]), _xprod(*GENERIC_LINES)]
+        candidates += [(2, M, line_degree(M)) for M in members if any(M)]
+    best = candidates[0]
+    for c in candidates[1:]:
+        if c[2] > best[2]:
+            best = c
+    return best
+
+
+def _class_of(label, curve):
+    if label == "T1":
+        return t1_class(curve)
+    if label in ("T21", "T22"):
+        return (bd.make_t21 if label == "T21" else bd.make_t22)(exact(curve, Fraction(1, 5), 0))
+    return bd.make_t3x(label, exact(curve, Fraction(1, 3), Fraction(2, 3)))
+
+
+small = st.integers(-3, 3)
+
+
+@st.composite
+def exact_flags(draw):
+    """A flag of small integer vectors: P generic, on a coordinate line or at
+    a vertex; L generic through P or, when P allows it, a coordinate line."""
+    kind = draw(st.sampled_from(["generic", "coordinate line", "vertex"]))
+    if kind == "vertex":
+        P = [0, 0, 0]
+        P[draw(st.integers(0, 2))] = 1
+    else:
+        P = [draw(small) for _ in range(3)]
+        if kind == "coordinate line":
+            P[draw(st.integers(0, 2))] = 0
+    P = tuple(Fraction(x) for x in P)
+    assume(any(P))
+    zeros = [i for i in range(3) if P[i] == 0]
+    if zeros and draw(st.booleans()):
+        L = [0, 0, 0]
+        L[draw(st.sampled_from(zeros))] = 1
+        L = tuple(Fraction(x) for x in L)
+    else:
+        L = _xprod(P, tuple(Fraction(draw(small)) for _ in range(3)))
+        assume(any(L))
+    return P, L
+
+
+@st.composite
+def chamber_weights(draw):
+    """Exact weights with mu1 - mu2 = a, mu2 - mu3 = b: Pminus for a > b,
+    Pplus for a < b, the wall for a = b."""
+    frac = st.fractions(min_value=0, max_value=Fraction(12, 25), max_denominator=25)
+    a = draw(frac)
+    b = draw(st.one_of(st.just(a), frac))
+    mu2 = (b - a) / 3
+    return pa.Weights(mu2 + a, mu2, mu2 - b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(label=st.sampled_from(bd.LABELS), flag=exact_flags(), w=chamber_weights())
+@example(label="T1", flag=((Fraction(1), Fraction(0), Fraction(0)),
+                           (Fraction(0), Fraction(1), Fraction(-1))), w=pa.PROBE_MINUS)
+@example(label="T32", flag=((Fraction(1), Fraction(1), Fraction(0)),
+                            (Fraction(0), Fraction(0), Fraction(1))), w=pa.PROBE_WALL)
+def test_stability_matches_an_exact_brute_force(label, flag, w):
+    P, L = flag
+    cls = _class_of(label, CurveSpec(TAU))
+    v = pa.stability(cls, pa.Flag(PlanePoint.of(*P), PlaneLine.of(*L)), w)
+    rank, member, degree = _brute_force(cls, P, L, w)
+    want = "Stable" if degree < 0 else "StrictlySemistable" if degree == 0 else "Unstable"
+    assert v.status == want
+    if want == "Stable":
+        assert v.witness is None
+        return
+    assert (v.witness.rank, v.witness.pardeg) == (rank, degree)
+    locus = (PlanePoint.of if rank == 1 else PlaneLine.of)(*member)
+    assert v.witness.locus.close_to(locus, tol=1e-12), (v.witness, member)
+
+
+def test_one_signature_serves_stability_locus_and_normalize_flag(curve, monkeypatch):
+    # the probes, locus and normalize_flag on one (class, flag) read one
+    # incidence signature, so the configuration is looked up once
+    calls = []
+    config = bd.subbundle_config
+    monkeypatch.setattr(pa, "subbundle_config", lambda cls: calls.append(cls) or config(cls))
+    pa._signature.cache_clear()
+    t1 = t1_class(curve)
+    flag = pa.Flag(PlanePoint.of(1, 2, 3), PlaneLine.of(1, 1, -1))
+    for w in (pa.PROBE_MINUS, pa.PROBE_PLUS, pa.PROBE_WALL):
+        pa.stability(t1, flag, w)
+    assert pa.locus(t1, flag) == pa.LOCUS_UGEN
+    for chamber in (pa.CHAMBER_MINUS, pa.CHAMBER_PLUS):
+        pa.normalize_flag(t1, flag, chamber)
+    assert calls == [t1]
