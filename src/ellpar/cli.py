@@ -42,10 +42,15 @@ def _need(payload: dict, key: str):
     return payload[key]
 
 
+def _is_number(x) -> bool:
+    # JSON true/false arrive as bool, a subclass of int, but are not numbers
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def parse_complex(v) -> complex:
-    if isinstance(v, (int, float)):
+    if _is_number(v):
         return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
+    if isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)):
         return complex(v[0], v[1])
     raise SchemaError(f"expected a number or [re, im] pair, got {v!r}")
 
@@ -58,7 +63,7 @@ def parse_point(v, curve: CurveSpec) -> JacPoint:
     if not isinstance(v, list):
         raise SchemaError(f"expected a point as a 2- or 4-list, got {v!r}")
     if len(v) == 4:
-        if not all(isinstance(c, int) for c in v) or v[1] == 0 or v[3] == 0:
+        if not all(type(c) is int for c in v) or v[1] == 0 or v[3] == 0:  # no bool
             raise SchemaError(f"exact point needs integers with nonzero denominators, got {v!r}")
         return JacPoint(curve, s=Fraction(v[0], v[1]) % 1, t=Fraction(v[2], v[3]) % 1)
     if len(v) == 2:
@@ -130,7 +135,7 @@ def ser_class(cls: bd.BundleClass) -> dict:
 def parse_proj(v) -> ProjScalar:
     if v == "inf":
         return pa.PROJ_INF
-    if isinstance(v, (int, float)):
+    if _is_number(v):
         return ProjScalar(complex(v), 1)
     if isinstance(v, list) and len(v) == 2:
         return ProjScalar(parse_complex(v[0]), parse_complex(v[1]))
@@ -163,7 +168,7 @@ def ser_matrix(M: Sequence[Sequence[complex]]) -> list:
 def _parse_weight_entry(x):
     if isinstance(x, str):
         return Fraction(x)
-    if isinstance(x, (int, float)):
+    if _is_number(x):
         return x
     raise SchemaError(f"weight must be a number or fraction string, got {x!r}")
 

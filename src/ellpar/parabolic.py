@@ -7,9 +7,10 @@ Stability is decided by brute force over the class's degree-0 subbundle
 configuration: each subbundle induces a parabolic degree determined purely by
 the incidence of its fiber locus with the flag, and the bundle is stable iff
 the maximum induced degree is negative.  The incidences depend on the class
-and flag only, so they are decided once, as one memoised signature that every
-stability probe, locus and normalize_flag reads.  Weight triples given exactly
-(int / Fraction / decimal string) are processed in exact rational arithmetic.
+only through its type label: one memoised signature per (label, flag) serves
+every stability probe, locus and normalize_flag, and each Weights ranks its six
+possible degrees once, so a verdict compares integers.  Weight triples given
+exactly (int / Fraction / decimal string) are processed in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cached_property, lru_cache
 from numbers import Rational
 from typing import Optional, Sequence, Union
 
-from .bundles import BundleClass, LineLocus, PointLocus, subbundle_config
+from .bundles import _CONFIGS, BundleClass, LineLocus, PointLocus
 from .weierstrass import PlaneLine, PlanePoint, _cross, line_through_points, lines_meet
 
 Scalar = Union[Fraction, float]
@@ -73,6 +74,15 @@ class Weights:
     def pair_sums(self) -> tuple[Scalar, Scalar, Scalar]:
         """(mu1 + mu2, mu1 + mu3, mu2 + mu3): the degrees a fiber line can induce."""
         return (self.mu1 + self.mu2, self.mu1 + self.mu3, self.mu2 + self.mu3)
+
+    @cached_property
+    def grades(self) -> tuple[tuple[int, str, Scalar], ...]:
+        """(rank among the six, verdict, degree) of each degree a subbundle can
+        induce, mu1, mu2, mu3 and then pair_sums: equal degrees share a rank."""
+        degrees = self.as_tuple() + self.pair_sums
+        order = sorted(set(degrees))
+        return tuple((order.index(d), "Stable" if d < 0 else
+                      "StrictlySemistable" if d == 0 else "Unstable", d) for d in degrees)
 
 
 CHAMBER_MINUS = "Pminus"
@@ -161,26 +171,26 @@ def _worst_line_member(loc: LineLocus, flag: Flag) -> PlaneLine:
 
 
 @lru_cache(maxsize=8)
-def _signature(cls: BundleClass,
+def _signature(label: str,
                flag: Flag) -> tuple[tuple[int, Union[PlanePoint, PlaneLine], int], ...]:
-    """(rank, worst member, incidence index) of each degree-0 subbundle locus of
-    the class, rank 1 loci first: all that stability reads of (cls, flag),
-    decided once for the last few pairs."""
-    cfg = subbundle_config(cls)
+    """(rank, worst member, 3 * (rank - 1) + incidence index) of each degree-0
+    subbundle locus of the type, rank 1 loci first: all that stability reads
+    of (class, flag), decided once for the last few pairs."""
+    cfg = _CONFIGS[label]
     members = [(1, _worst_point_member(loc, flag)) for loc in cfg.rank1]
     members += [(2, _worst_line_member(loc, flag)) for loc in cfg.rank2]
-    return tuple((rank, m, _incidence(m, flag)) for rank, m in members)
+    return tuple((rank, m, 3 * rank - 3 + _incidence(m, flag)) for rank, m in members)
 
 
 def stability(cls: BundleClass, flag: Flag, w: Weights) -> Verdict:
     """Maximum induced parabolic degree over all degree-0 subbundles; the
     witness is the first subbundle attaining it."""
-    degrees = (w.as_tuple(), w.pair_sums)
-    rank, member, k = max(_signature(cls, flag), key=lambda s: degrees[s[0] - 1][s[2]])
-    d = degrees[rank - 1][k]
-    if d < 0:
-        return Verdict("Stable")
-    return Verdict("StrictlySemistable" if d == 0 else "Unstable", Witness(rank, member, d))
+    grades = w.grades
+    rank, member, j = max(_signature(cls.label, flag), key=lambda s: grades[s[2]][0])
+    _, status, d = grades[j]
+    if status == "Stable":
+        return Verdict(status)
+    return Verdict(status, Witness(rank, member, d))
 
 
 LOCUS_UGEN = "Ugen"
@@ -296,19 +306,23 @@ def _gauge_to_standard_line(cls: BundleClass, L: PlaneLine) -> Matrix:
     raise NotStableError(f"type {lab} admits no stable parabolic structure")
 
 
+def _image_point(g: Sequence[Sequence[complex]], p: Sequence[complex]) -> tuple:
+    return tuple(r[0] * p[0] + r[1] * p[1] + r[2] * p[2] for r in g)
+
+
+def _image_line(g: Sequence[Sequence[complex]], l: Sequence[complex]) -> tuple:
+    """l . adj(g): a fiber line's image l . g^{-1} up to scale.  The columns
+    of adj(g) are r1 x r2, r2 x r0 and r0 x r1 for the rows r0, r1, r2 of g."""
+    r0, r1, r2 = g
+    return tuple(l[0] * c[0] + l[1] * c[1] + l[2] * c[2]
+                 for c in (_cross(r1, r2), _cross(r2, r0), _cross(r0, r1)))
+
+
 def apply_gauge(g: Sequence[Sequence[complex]], flag: Flag) -> Flag:
     """Transform a flag by a fiber gauge (any 3x3 indexable): points by g,
-    lines by g^{-1} on the right.
-
-    The line is projective, so l.adj(g) serves for l.g^{-1}; the columns of
-    adj(g) are r1 x r2, r2 x r0 and r0 x r1 for the rows r0, r1, r2 of g.
-    """
-    r0, r1, r2 = g
-    p, l = flag.P.vec(), flag.L.vec()
-    P = PlanePoint.of(*(sum(x * y for x, y in zip(r, p)) for r in (r0, r1, r2)))
-    L = PlaneLine.of(*(sum(x * y for x, y in zip(l, col))
-                       for col in (_cross(r1, r2), _cross(r2, r0), _cross(r0, r1))))
-    return Flag(P, L)
+    lines by g^{-1} on the right."""
+    return Flag(PlanePoint.of(*_image_point(g, flag.P.vec())),
+                PlaneLine.of(*_image_line(g, flag.L.vec())))
 
 
 def normalize_flag(cls: BundleClass, flag: Flag, chamber: str) -> tuple[ProjScalar, Matrix]:
@@ -325,12 +339,10 @@ def normalize_flag(cls: BundleClass, flag: Flag, chamber: str) -> tuple[ProjScal
         raise NotStableError(f"flag is not stable in chamber {chamber}")
     if chamber == CHAMBER_MINUS:
         g = _gauge_to_standard_point(cls, flag.P)
-        img = apply_gauge(g, flag)
         # image line has coefficient sum 0 (it passes through [1:1:1]);
         # {Z2 - t Z1 = (1-t) Z3} has coefficients (-t, 1, t-1)
-        t = ProjScalar(-img.L.u, img.L.v)
-        return t, g
+        u, v, _ = _image_line(g, flag.L.vec())
+        return ProjScalar(-u, v), g
     g = _gauge_to_standard_line(cls, flag.L)
-    img = apply_gauge(g, flag)
-    lam = ProjScalar(img.P.x, img.P.z)
-    return lam, g
+    x, _, z = _image_point(g, flag.P.vec())
+    return ProjScalar(x, z), g

@@ -144,6 +144,29 @@ def test_schema_errors_exit_3():
         assert not resp["ok"]
 
 
+STABILITY_JSON = ('{"command": "stability", "payload": {"tau": %s, "class": {"label": "T1", '
+                  '"triple": [[1, 5, 0, 1], [0, 1, 1, 7], [4, 5, 6, 7]]}, "flag": '
+                  '{"P": [1, 2, 3], "L": [1, 1, -1]}, "weights": ["1/5", "-1/10", "-1/10"]}}')
+
+
+@pytest.mark.parametrize("request_json, numeric", [
+    (STABILITY_JSON % "[false, true]", STABILITY_JSON % "[0, 1]"),
+    ('{"command": "weights", "payload": {"raw": [true, 0.5, 0.25]}}',
+     '{"command": "weights", "payload": {"raw": [1, 0.5, 0.25]}}'),
+    ('{"command": "graded", "payload": {"tau": [0.3, 1.1], '
+     '"class": {"label": "T21", "point": [true, 5, 0, 1]}}}',
+     '{"command": "graded", "payload": {"tau": [0.3, 1.1], '
+     '"class": {"label": "T21", "point": [1, 5, 0, 1]}}}'),
+    ('{"command": "flip", "payload": {"t": true}}', '{"command": "flip", "payload": {"t": 1}}'),
+], ids=["parse_complex", "_parse_weight_entry", "parse_point", "parse_proj"])
+def test_json_booleans_are_not_numbers(request_json, numeric):
+    # bool is a subclass of int, so each parser must refuse true/false itself
+    assert cli.run(json.loads(numeric))[1] == cli.EXIT_OK
+    resp, code = cli.run(json.loads(request_json))
+    assert code == cli.EXIT_SCHEMA, resp
+    assert resp["result"]["error"] == "SchemaViolation"
+
+
 TORELLI_DIVERGENT = {"command": "torelli", "payload": {"tau1": [0, 0.001], "tau2": [0, 1]}}
 
 

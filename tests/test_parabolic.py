@@ -361,12 +361,45 @@ def test_stability_matches_an_exact_brute_force(label, flag, w):
     assert v.witness.locus.close_to(locus, tol=1e-12), (v.witness, member)
 
 
-def test_one_signature_serves_stability_locus_and_normalize_flag(curve, monkeypatch):
+# decimal weights whose pair sums are inexact in binary, on both sides of
+# the wall and on it: float degrees that should tie collide or just miss
+FLOAT_TRIPLES = [(0.1, 0.2, -0.3), (0.3, 0.0, -0.3), (0.2, -0.1, -0.1), (0.1, 0.1, -0.2),
+                 (0.1, 0.2, 0.3), (0.7, 0.4, 0.1), (0.35, 0.0, -0.35), (0.0, 0.0, 0.0)]
+decimal = st.sampled_from([k / 20 for k in range(-9, 10)] + [k / 30 for k in range(-13, 14)])
+
+
+@st.composite
+def float_weights(draw):
+    raw = draw(st.one_of(st.sampled_from(FLOAT_TRIPLES),
+                         st.tuples(decimal, decimal, decimal),
+                         st.tuples(*[st.floats(-0.45, 0.45)] * 3)))
+    w, _ = pa.make_weights(*(float(x) for x in raw))
+    return w
+
+
+@settings(max_examples=400, deadline=None)
+@given(label=st.sampled_from(bd.LABELS), flag=exact_flags(), w=float_weights())
+@example(label="T1", flag=((Fraction(1), Fraction(1), Fraction(0)),
+                           (Fraction(1), Fraction(-1), Fraction(-1))),
+         w=pa.make_weights(0.1, 0.2, 0.3)[0])
+def test_stability_with_float_weights_matches_the_brute_force(label, flag, w):
+    # the grade table ranks the float degrees themselves, so ties and near
+    # ties resolve to the same first maximum as comparing the degrees
+    P, L = flag
+    cls = _class_of(label, CurveSpec(TAU))
+    v = pa.stability(cls, pa.Flag(PlanePoint.of(*P), PlaneLine.of(*L)), w)
+    rank, member, degree = _brute_force(cls, P, L, w)
+    want = "Stable" if degree < 0 else "StrictlySemistable" if degree == 0 else "Unstable"
+    assert v.status == want
+    if want != "Stable":
+        assert (v.witness.rank, v.witness.pardeg) == (rank, degree)
+        locus = (PlanePoint.of if rank == 1 else PlaneLine.of)(*member)
+        assert v.witness.locus.close_to(locus, tol=1e-12), (v.witness, member)
+
+
+def test_one_signature_serves_stability_locus_and_normalize_flag(curve):
     # the probes, locus and normalize_flag on one (class, flag) read one
-    # incidence signature, so the configuration is looked up once
-    calls = []
-    config = bd.subbundle_config
-    monkeypatch.setattr(pa, "subbundle_config", lambda cls: calls.append(cls) or config(cls))
+    # incidence signature, so the incidences are decided once
     pa._signature.cache_clear()
     t1 = t1_class(curve)
     flag = pa.Flag(PlanePoint.of(1, 2, 3), PlaneLine.of(1, 1, -1))
@@ -375,4 +408,65 @@ def test_one_signature_serves_stability_locus_and_normalize_flag(curve, monkeypa
     assert pa.locus(t1, flag) == pa.LOCUS_UGEN
     for chamber in (pa.CHAMBER_MINUS, pa.CHAMBER_PLUS):
         pa.normalize_flag(t1, flag, chamber)
-    assert calls == [t1]
+    assert pa._signature.cache_info()[:2] == (6, 1)  # (hits, misses)
+
+
+def test_classes_of_one_type_share_the_signature(curve):
+    # the incidences depend on the class only through its label
+    pa._signature.cache_clear()
+    flag = pa.Flag(PlanePoint.of(1, 1, 0), PlaneLine.of(1, -1, -1))
+    t1 = t1_class(curve)
+    other = bd.classify_triple(exact(curve, Fraction(1, 4), 0), exact(curve, 0, Fraction(1, 3)),
+                               exact(curve, Fraction(3, 4), Fraction(2, 3)))
+    assert other.label == "T1" and other != t1
+    verdicts = {pa.stability(cls, flag, pa.PROBE_MINUS) for cls in (t1, other)}
+    assert len(verdicts) == 1 and pa._signature.cache_info().misses == 1
+
+
+def _count_calls(monkeypatch, calls, cls, names):
+    """Wrap the named methods of cls so that each call appends its name to calls."""
+    for name in names:
+        original = cls.__dict__[name]
+        if isinstance(original, staticmethod):
+            f = original.__func__
+            wrapper = staticmethod(lambda *a, _n=name, _f=f: calls.append(_n) or _f(*a))
+        else:
+            wrapper = lambda *a, _n=name, _f=original: calls.append(_n) or _f(*a)
+        monkeypatch.setattr(cls, name, wrapper)
+
+
+def test_a_memo_hit_does_no_fraction_work(curve, monkeypatch):
+    # the class's exact points are never hashed or compared, and the verdict
+    # compares ranks from the grade table, never the Fraction degrees
+    t1 = t1_class(curve)
+    assert all(isinstance(c, Fraction) for z in t1.triple for c in (z.s, z.t))
+    generic = pa.Flag(PlanePoint.of(1, 2, 3), PlaneLine.of(1, 1, -1))
+    special = pa.Flag(PlanePoint.of(1, 1, 0), PlaneLine.of(1, -1, -1))
+    probes = [(flag, w) for flag in (generic, special)
+              for w in (pa.PROBE_MINUS, pa.PROBE_PLUS, pa.PROBE_WALL)]
+    before = [pa.stability(t1, flag, w) for flag, w in probes]
+    calls = []
+    _count_calls(monkeypatch, calls, Fraction,
+                 ("__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__"))
+    after = [pa.stability(t1, flag, w) for flag, w in probes]
+    assert calls == []
+    assert after == before
+    # a witness, and so its Fraction pardeg, is read on the memo hits too
+    assert [v.status for v in before[3:]] == ["Unstable", "Stable", "StrictlySemistable"]
+    assert before[3].witness.pardeg == pa.PROBE_MINUS.mu1 + pa.PROBE_MINUS.mu2
+
+
+@pytest.mark.parametrize("chamber", [pa.CHAMBER_MINUS, pa.CHAMBER_PLUS])
+def test_normalize_flag_builds_no_image_flag(curve, monkeypatch, chamber):
+    t1 = t1_class(curve)
+    P, L = PlanePoint.of(1, 2, 3), PlaneLine.of(1, 1, -1)
+    flag = pa.Flag(P, L)
+    assert pa.locus(t1, flag) == pa.LOCUS_UGEN
+    built = []
+    for cls, name in ((pa.Flag, "__post_init__"), (PlanePoint, "of"), (PlaneLine, "of")):
+        _count_calls(monkeypatch, built, cls, (name,))
+    coord, _ = pa.normalize_flag(t1, flag, chamber)
+    assert built == []
+    # the gauge invariants of a T1 flag: -u p1 / (v p2) and -u p1 / (w p3)
+    den = L.v * P.y if chamber == pa.CHAMBER_MINUS else L.w * P.z
+    assert coord.close_to(pa.ProjScalar(-L.u * P.x, den), tol=1e-12)
