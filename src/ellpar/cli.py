@@ -65,7 +65,7 @@ def parse_point(v, curve: CurveSpec) -> JacPoint:
     if len(v) == 4:
         if not all(type(c) is int for c in v) or v[1] == 0 or v[3] == 0:  # no bool
             raise SchemaError(f"exact point needs integers with nonzero denominators, got {v!r}")
-        return JacPoint(curve, s=Fraction(v[0], v[1]) % 1, t=Fraction(v[2], v[3]) % 1)
+        return jl.canon((Fraction(v[0], v[1]), Fraction(v[2], v[3])), curve)
     if len(v) == 2:
         return jl.canon(parse_complex(v), curve)
     raise SchemaError(f"point must be [s_num, s_den, t_num, t_den] or [re, im], got {v!r}")

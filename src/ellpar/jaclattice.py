@@ -3,7 +3,10 @@
 A point s + t*tau is stored as its lattice coordinates (s, t) in [0, 1)^2:
 Fractions when exact (torsion points, shifts), floats when approximate (line
 intersections, holonomy logarithms).  All values are immutable; every
-operation is pure.
+operation is pure.  Exact operations compute on the coordinates' integer
+numerators and denominators and build each result coordinate once as a
+reduced Fraction, passing a coordinate that is already reduced through as it
+is.
 """
 
 from __future__ import annotations
@@ -68,22 +71,59 @@ class JacPoint:
 
     def coords(self) -> tuple[float, float]:
         """Real lattice coordinates (s, t) in [0, 1) x [0, 1)."""
-        return (float(self.s), float(self.t))
+        s, t = self.s, self.t
+        if self.is_exact:
+            # the true division float(Fraction) makes, without its call
+            return (s.numerator / s.denominator, t.numerator / t.denominator)
+        return (float(s), float(t))
 
     def value(self) -> complex:
         """The complex representative s + t*tau."""
-        return float(self.s) + float(self.t) * self.curve.tau
+        s, t = self.coords()
+        return s + t * self.curve.tau
 
     def approx(self) -> "JacPoint":
         return JacPoint(self.curve, *self.coords())
 
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
-        return equal(self, zero(self.curve), tol=tol)
+        """equal(self, zero(curve), tol), without building the zero point."""
+        if self.is_exact:
+            return not self.s and not self.t
+        s, t = self.coords()
+        return math.hypot(min(s % 1.0, -s % 1.0), min(t % 1.0, -t % 1.0)) <= tol
 
     def __repr__(self):
         if self.is_exact:
             return f"JacPoint({self.s}, {self.t})"
         return f"JacPoint(z={self.value():.6g})"
+
+
+_ZERO = Fraction(0)
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """n/d reduced into [0, 1), for d > 0."""
+    n %= d
+    return Fraction(n, d) if n else _ZERO
+
+
+def _coord(x) -> Fraction:
+    """An exact coordinate (a Fraction, an int, or what Fraction() reads)
+    reduced into [0, 1); a reduced Fraction as it is."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    n, d = x.numerator, x.denominator
+    if 0 <= n < d and type(x) is Fraction:
+        return x
+    return _fraction(n, d)
+
+
+def _sum(x: Union[Fraction, int], y: Union[Fraction, int]) -> Fraction:
+    """x + y reduced into [0, 1), for exact coordinates."""
+    n1, d1, n2, d2 = x.numerator, x.denominator, y.numerator, y.denominator
+    if not n2:
+        return _coord(x)
+    return _fraction(n1 * d2 + n2 * d1, d1 * d2)
 
 
 def _reduced(curve: CurveSpec, s, t) -> JacPoint:
@@ -97,15 +137,17 @@ def _reduced(curve: CurveSpec, s, t) -> JacPoint:
 
 
 def zero(curve: CurveSpec) -> JacPoint:
-    return JacPoint(curve, s=Fraction(0), t=Fraction(0))
+    return JacPoint(curve, s=_ZERO, t=_ZERO)
 
 
 def canon(raw: Union[tuple, complex, float, int], curve: CurveSpec) -> JacPoint:
     """Canonical fundamental-domain representative; exact inputs stay exact."""
     if isinstance(raw, JacPoint):
+        if raw.is_exact:
+            return JacPoint(curve, _coord(raw.s), _coord(raw.t))
         return _reduced(curve, raw.s, raw.t)
     if isinstance(raw, tuple):
-        return _reduced(curve, Fraction(raw[0]), Fraction(raw[1]))
+        return JacPoint(curve, _coord(raw[0]), _coord(raw[1]))
     z = complex(raw)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError("non-finite input")
@@ -122,10 +164,16 @@ def _check_curves(p: JacPoint, q: JacPoint):
 def add(p: JacPoint, q: JacPoint) -> JacPoint:
     """Group law of (C/Lambda, +).  Exact in, exact out; mixing yields approx."""
     _check_curves(p, q)
+    if p.is_exact and q.is_exact:
+        return JacPoint(p.curve, _sum(p.s, q.s), _sum(p.t, q.t))
     return _reduced(p.curve, p.s + q.s, p.t + q.t)
 
 
 def neg(p: JacPoint) -> JacPoint:
+    if p.is_exact:
+        s, t = p.s, p.t
+        return JacPoint(p.curve, _fraction(-s.numerator, s.denominator),
+                        _fraction(-t.numerator, t.denominator))
     return _reduced(p.curve, -p.s, -p.t)
 
 
@@ -134,6 +182,10 @@ def sub(p: JacPoint, q: JacPoint) -> JacPoint:
 
 
 def mul(k: int, p: JacPoint) -> JacPoint:
+    if p.is_exact:
+        s, t = p.s, p.t
+        return JacPoint(p.curve, _fraction(k * s.numerator, s.denominator),
+                        _fraction(k * t.numerator, t.denominator))
     return _reduced(p.curve, k * p.s, k * p.t)
 
 

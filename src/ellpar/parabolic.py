@@ -7,10 +7,12 @@ Stability is decided by brute force over the class's degree-0 subbundle
 configuration: each subbundle induces a parabolic degree determined purely by
 the incidence of its fiber locus with the flag, and the bundle is stable iff
 the maximum induced degree is negative.  The incidences depend on the class
-only through its type label: one memoised signature per (label, flag) serves
-every stability probe, locus and normalize_flag, and each Weights ranks its six
-possible degrees once, so a verdict compares integers.  Weight triples given
-exactly (int / Fraction / decimal string) are processed in exact arithmetic.
+only through its type label: each Flag keeps one incidence signature per
+label, decided on first use, which serves every stability probe, locus and
+normalize_flag on it.  Each Weights ranks its six possible degrees once and
+remembers which subbundle wins for each tuple of incidences it has seen, so
+a verdict compares no degrees.  Weight triples given exactly (int / Fraction
+/ decimal string) are processed in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from numbers import Rational
 from typing import Optional, Sequence, Union
 
@@ -84,6 +86,20 @@ class Weights:
         return tuple((order.index(d), "Stable" if d < 0 else
                       "StrictlySemistable" if d == 0 else "Unstable", d) for d in degrees)
 
+    @cached_property
+    def _winners(self) -> dict[tuple[int, ...], int]:
+        return {}
+
+    def winner(self, degrees: tuple[int, ...]) -> int:
+        """Position of the first maximum among the degrees with these indices
+        into grades, decided once per index tuple (a few hundred at most:
+        three incidences for each of at most six loci)."""
+        k = self._winners.get(degrees)
+        if k is None:
+            ranks = [self.grades[j][0] for j in degrees]
+            k = self._winners[degrees] = ranks.index(max(ranks))
+        return k
+
 
 CHAMBER_MINUS = "Pminus"
 CHAMBER_PLUS = "Pplus"
@@ -120,6 +136,11 @@ class Flag:
     def __post_init__(self):
         if not self.L.contains(self.P):
             raise FlagIncidenceError(f"flag point {self.P} not on flag line {self.L}")
+
+    @cached_property
+    def _signatures(self) -> dict[str, tuple]:
+        # _signature of each type label looked up on this flag
+        return {}
 
 
 @dataclass(frozen=True)
@@ -170,27 +191,28 @@ def _worst_line_member(loc: LineLocus, flag: Flag) -> PlaneLine:
     return loc.line if loc.dim == 0 else flag.L
 
 
-@lru_cache(maxsize=8)
-def _signature(label: str,
-               flag: Flag) -> tuple[tuple[int, Union[PlanePoint, PlaneLine], int], ...]:
-    """(rank, worst member, 3 * (rank - 1) + incidence index) of each degree-0
-    subbundle locus of the type, rank 1 loci first: all that stability reads
-    of (class, flag), decided once for the last few pairs."""
+def _signature(label: str, flag: Flag) -> tuple[tuple[int, ...], tuple]:
+    """All that stability reads of (class, flag): for each degree-0 subbundle
+    locus of the type, rank 1 loci first, the index 3 * (rank - 1) +
+    incidence of its degree into Weights.grades, and (rank, worst member)."""
     cfg = _CONFIGS[label]
-    members = [(1, _worst_point_member(loc, flag)) for loc in cfg.rank1]
-    members += [(2, _worst_line_member(loc, flag)) for loc in cfg.rank2]
-    return tuple((rank, m, 3 * rank - 3 + _incidence(m, flag)) for rank, m in members)
+    members = tuple([(1, _worst_point_member(loc, flag)) for loc in cfg.rank1]
+                    + [(2, _worst_line_member(loc, flag)) for loc in cfg.rank2])
+    return tuple(3 * rank - 3 + _incidence(m, flag) for rank, m in members), members
 
 
 def stability(cls: BundleClass, flag: Flag, w: Weights) -> Verdict:
     """Maximum induced parabolic degree over all degree-0 subbundles; the
     witness is the first subbundle attaining it."""
-    grades = w.grades
-    rank, member, j = max(_signature(cls.label, flag), key=lambda s: grades[s[2]][0])
-    _, status, d = grades[j]
+    sig = flag._signatures.get(cls.label)
+    if sig is None:
+        sig = flag._signatures[cls.label] = _signature(cls.label, flag)
+    degrees, members = sig
+    k = w.winner(degrees)
+    _, status, d = w.grades[degrees[k]]
     if status == "Stable":
         return Verdict(status)
-    return Verdict(status, Witness(rank, member, d))
+    return Verdict(status, Witness(*members[k], d))
 
 
 LOCUS_UGEN = "Ugen"

@@ -34,3 +34,15 @@ def holonomy_scalars(p: JacPoint) -> tuple[complex, complex]:
 def random_unimodular(rng: np.random.RandomState) -> np.ndarray:
     M = rng.randn(3, 3) + 1j * rng.randn(3, 3)
     return M / np.linalg.det(M) ** (1.0 / 3.0)
+
+
+def count_calls(monkeypatch, calls, cls, names):
+    """Wrap the named methods of cls so that each call appends its name to calls."""
+    for name in names:
+        original = cls.__dict__[name]
+        if isinstance(original, staticmethod):
+            f = original.__func__
+            wrapper = staticmethod(lambda *a, _n=name, _f=f: calls.append(_n) or _f(*a))
+        else:
+            wrapper = lambda *a, _n=name, _f=original: calls.append(_n) or _f(*a)
+        monkeypatch.setattr(cls, name, wrapper)

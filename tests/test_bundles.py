@@ -10,7 +10,7 @@ from ellpar import jaclattice as jl
 from ellpar import weierstrass as we
 from ellpar.jaclattice import CurveSpec, JacPoint
 
-from conftest import TAU, exact
+from conftest import TAU, count_calls, exact
 
 fractions = st.fractions(min_value=0, max_value=1, max_denominator=30)
 
@@ -140,3 +140,26 @@ def test_near_torsion_point_is_torsion_or_not_for_every_constructor(curve, delta
                                          lambda p: ag.ModularAuto(p, False))]
     assert off == [not on[0]] * 2
     assert on == [on[0]] * 2
+
+
+def test_exact_class_construction_does_no_fraction_arithmetic(curve, monkeypatch):
+    # exact points are added, negated, multiplied and reduced on their
+    # integer numerators and denominators
+    a, b = exact(curve, Fraction(1, 5), Fraction(2, 7)), exact(curve, Fraction(1, 4), Fraction(3, 7))
+    c = jl.neg(jl.add(a, b))
+    z = exact(curve, Fraction(5, 8), Fraction(1, 6))
+    flex = exact(curve, Fraction(1, 3), Fraction(2, 3))
+    builds = [lambda: bd.classify_triple(a, b, c),
+              lambda: bd.classify_triple(z, z, jl.neg(jl.mul(2, z))),
+              lambda: bd.classify_triple(flex, flex, flex),
+              lambda: bd.make_t21(z),
+              lambda: bd.make_t3x("T31", flex),
+              lambda: ag.group_elements(curve)]
+    before = [f() for f in builds]
+    calls = []
+    count_calls(monkeypatch, calls, Fraction,
+                ("__mod__", "__add__", "__radd__", "__mul__", "__rmul__", "__neg__"))
+    after = [f() for f in builds]
+    assert calls == []
+    assert after == before
+    assert [cls.label for cls in before[:5]] == ["T1", "T21", "T31", "T21", "T31"]

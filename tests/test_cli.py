@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from ellpar import cli
+from ellpar.jaclattice import CurveSpec
 
 TAU = [0.3, 1.1]
 
@@ -107,6 +109,29 @@ def test_covering_abel_torelli():
     assert res["point"] == [0, 1, 0, 1]
     assert ok("torelli", {"tau1": TAU, "tau2": [1.3, 1.1]})["isomorphic"]
     assert not ok("torelli", {"tau1": [0, 1], "tau2": [0, 2]})["isomorphic"]
+
+
+AUT_ELEMENTS_STDOUT = (
+    '{"diagnostics":[],"ok":true,"result":{"elements":['
+    + ",".join('{"dual":%s,"shift":%s}' % (dual, shift)
+               for dual in ("false", "true")
+               for shift in ("[0,1,0,1]", "[0,1,1,3]", "[0,1,2,3]", "[1,3,0,1]", "[1,3,1,3]",
+                             "[1,3,2,3]", "[2,3,0,1]", "[2,3,1,3]", "[2,3,2,3]"))
+    + "]}}\n")
+
+
+def test_aut_elements_prints_the_eighteen_shifts(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(
+        {"command": "aut-elements", "payload": {"tau": TAU}})))
+    assert cli.main([]) == cli.EXIT_OK
+    assert capsys.readouterr().out == AUT_ELEMENTS_STDOUT
+
+
+def test_exact_point_reduces_into_the_fundamental_domain():
+    p = cli.parse_point([-1, 3, 4, 3], CurveSpec(complex(*TAU)))
+    assert (p.s, p.t) == (Fraction(2, 3), Fraction(1, 3))
+    assert type(p.s) is Fraction and type(p.t) is Fraction
+    assert cli.parse_point([3, -4, 0, 5], CurveSpec(complex(*TAU))).s == Fraction(1, 4)
 
 
 def test_aut_commands():

@@ -1,7 +1,7 @@
 """Hygiene of the library modules: every name a module imports at module
-level is used in it, and every module-level private name is referenced
-somewhere in the package.  No linter is part of the toolchain, so this test
-is the check."""
+level is used in it, every module-level private name is referenced
+somewhere in the package, and no memo is unbounded.  No linter is part of
+the toolchain, so this test is the check."""
 
 import ast
 from pathlib import Path
@@ -60,3 +60,30 @@ def test_no_module_level_private_name_without_a_reference():
     orphans = [f"{name}:{d}" for name, t in trees.items()
                for d in sorted(_private_definitions(t)) if d not in refs]
     assert orphans == []
+
+
+def _unbounded_memos(path: Path) -> list[str]:
+    """functools.cache, and lru_cache(maxsize=None) or lru_cache(None),
+    however imported."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "cache"
+                and getattr(node.value, "id", None) == "functools"
+                or isinstance(node, ast.ImportFrom) and node.module == "functools"
+                and any(a.name == "cache" for a in node.names)):
+            found.append(f"{path.name}:{node.lineno} functools.cache")
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) != "lru_cache":
+                continue
+            size = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if any(isinstance(v, ast.Constant) and v.value is None for v in size):
+                found.append(f"{path.name}:{node.lineno} lru_cache(maxsize=None)")
+    return found
+
+
+def test_no_unbounded_memo():
+    # a memo that grows with the operations run grows the process with them
+    unbounded = [u for p in sorted(SRC.glob("*.py")) for u in _unbounded_memos(p)]
+    assert unbounded == []

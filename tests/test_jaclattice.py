@@ -163,3 +163,61 @@ def test_group_law_on_mixed_representations(a, b, k):
         if exact_in:
             assert isinstance(r.s, Fraction) and isinstance(r.t, Fraction)
         assert _lattice_distance(r.value() - z, curve.tau) <= 1e-12
+
+
+# exact coordinates: ints, reduced Fractions and
+# Fractions of any sign, with denominators up to 10^6
+exact_coords = st.one_of(
+    st.integers(-10**7, 10**7),
+    st.builds(lambda n, d: Fraction(n % d, d), st.integers(0, 10**7), st.integers(1, 10**6)),
+    st.builds(Fraction, st.integers(-10**7, 10**7), st.integers(1, 10**6)))
+
+
+def _ref(x) -> Fraction:
+    return Fraction(x) % 1
+
+
+def _check_reduced(p: JacPoint, s, t):
+    for c, want in ((p.s, s), (p.t, t)):
+        assert type(c) is Fraction and 0 <= c < 1 and c == want
+
+
+@given(s1=exact_coords, t1=exact_coords, s2=exact_coords, t2=exact_coords,
+       k=st.integers(-10**3, 10**3))
+def test_exact_arithmetic_matches_fraction_reference(s1, t1, s2, t2, k):
+    curve = CurveSpec(TAU)
+    p, q = JacPoint(curve, s1, t1), JacPoint(curve, s2, t2)
+    _check_reduced(jl.add(p, q), _ref(s1 + s2), _ref(t1 + t2))
+    _check_reduced(jl.sub(p, q), _ref(s1 - s2), _ref(t1 - t2))
+    _check_reduced(jl.neg(p), _ref(-s1), _ref(-t1))
+    _check_reduced(jl.mul(k, p), _ref(k * s1), _ref(k * t1))
+    _check_reduced(jl.canon(p, curve), _ref(s1), _ref(t1))
+    _check_reduced(jl.canon((s1, t1), curve), _ref(s1), _ref(t1))
+    a, b = jl.canon(p, curve), jl.canon(q, curve)
+    assert jl.equal(a, b) == (_ref(s1) == _ref(s2) and _ref(t1) == _ref(t2))
+    assert jl.equal(a, jl.canon((s1 + 3, t1 - 2), curve))
+    assert a.is_zero() == (_ref(s1) == 0 and _ref(t1) == 0) == jl.equal(a, jl.zero(curve))
+    assert jl.sub(p, p).is_zero()
+    assert a.coords() == (float(_ref(s1)), float(_ref(t1)))
+
+
+def test_a_reduced_coordinate_passes_through(curve):
+    s, t = Fraction(2, 7), Fraction(0)
+    p = jl.canon((s, t), curve)
+    assert p.s is s and p.t is t
+    q = jl.add(p, jl.zero(curve))
+    assert q.s is s and q.t is t
+
+
+near_seam = st.one_of(st.just(0.0), st.floats(0, 1e-5), st.floats(0, 1e-5).map(lambda d: (1 - d) % 1.0))
+
+
+@given(s=near_seam, t=near_seam, tol=st.sampled_from([0.0, 1e-12, 1e-9, jl.EQ_TOL, 1e-5]))
+def test_approximate_is_zero_is_equal_to_zero(s, t, tol):
+    curve = CurveSpec(TAU)
+    p = JacPoint(curve, s, t)
+    assert p.is_zero(tol) == jl.equal(p, jl.zero(curve), tol)
+    # at distance exactly tol, where the verdict turns on the last bit
+    d = math.hypot(min(s, 1 - s), min(t, 1 - t))
+    assert p.is_zero(d) == jl.equal(p, jl.zero(curve), d)
+    assert p.is_zero(math.nextafter(d, 0)) == jl.equal(p, jl.zero(curve), math.nextafter(d, 0))

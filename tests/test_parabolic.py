@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +13,7 @@ from ellpar import parabolic as pa
 from ellpar.jaclattice import CurveSpec
 from ellpar.weierstrass import PlaneLine, PlanePoint, line_through_points, lines_meet
 
-from conftest import TAU, exact
+from conftest import TAU, count_calls, exact
 
 
 def t1_class(curve):
@@ -397,10 +399,18 @@ def test_stability_with_float_weights_matches_the_brute_force(label, flag, w):
         assert v.witness.locus.close_to(locus, tol=1e-12), (v.witness, member)
 
 
-def test_one_signature_serves_stability_locus_and_normalize_flag(curve):
+def _record(monkeypatch, name) -> list:
+    """Record the arguments of each call of pa's function name from now on."""
+    calls = []
+    f = getattr(pa, name)
+    monkeypatch.setattr(pa, name, lambda *a: calls.append(a) or f(*a))
+    return calls
+
+
+def test_one_signature_serves_stability_locus_and_normalize_flag(curve, monkeypatch):
     # the probes, locus and normalize_flag on one (class, flag) read one
     # incidence signature, so the incidences are decided once
-    pa._signature.cache_clear()
+    lookups, computed = _record(monkeypatch, "stability"), _record(monkeypatch, "_signature")
     t1 = t1_class(curve)
     flag = pa.Flag(PlanePoint.of(1, 2, 3), PlaneLine.of(1, 1, -1))
     for w in (pa.PROBE_MINUS, pa.PROBE_PLUS, pa.PROBE_WALL):
@@ -408,31 +418,26 @@ def test_one_signature_serves_stability_locus_and_normalize_flag(curve):
     assert pa.locus(t1, flag) == pa.LOCUS_UGEN
     for chamber in (pa.CHAMBER_MINUS, pa.CHAMBER_PLUS):
         pa.normalize_flag(t1, flag, chamber)
-    assert pa._signature.cache_info()[:2] == (6, 1)  # (hits, misses)
+    assert len(lookups) == 7 and computed == [("T1", flag)]
+    # the memo is the flag's: nothing else keeps the flag alive
+    ref = weakref.ref(flag)
+    del flag
+    lookups.clear()
+    computed.clear()
+    gc.collect()
+    assert ref() is None
 
 
-def test_classes_of_one_type_share_the_signature(curve):
+def test_classes_of_one_type_share_the_signature(curve, monkeypatch):
     # the incidences depend on the class only through its label
-    pa._signature.cache_clear()
+    computed = _record(monkeypatch, "_signature")
     flag = pa.Flag(PlanePoint.of(1, 1, 0), PlaneLine.of(1, -1, -1))
     t1 = t1_class(curve)
     other = bd.classify_triple(exact(curve, Fraction(1, 4), 0), exact(curve, 0, Fraction(1, 3)),
                                exact(curve, Fraction(3, 4), Fraction(2, 3)))
     assert other.label == "T1" and other != t1
     verdicts = {pa.stability(cls, flag, pa.PROBE_MINUS) for cls in (t1, other)}
-    assert len(verdicts) == 1 and pa._signature.cache_info().misses == 1
-
-
-def _count_calls(monkeypatch, calls, cls, names):
-    """Wrap the named methods of cls so that each call appends its name to calls."""
-    for name in names:
-        original = cls.__dict__[name]
-        if isinstance(original, staticmethod):
-            f = original.__func__
-            wrapper = staticmethod(lambda *a, _n=name, _f=f: calls.append(_n) or _f(*a))
-        else:
-            wrapper = lambda *a, _n=name, _f=original: calls.append(_n) or _f(*a)
-        monkeypatch.setattr(cls, name, wrapper)
+    assert len(verdicts) == 1 and len(computed) == 1
 
 
 def test_a_memo_hit_does_no_fraction_work(curve, monkeypatch):
@@ -446,8 +451,8 @@ def test_a_memo_hit_does_no_fraction_work(curve, monkeypatch):
               for w in (pa.PROBE_MINUS, pa.PROBE_PLUS, pa.PROBE_WALL)]
     before = [pa.stability(t1, flag, w) for flag, w in probes]
     calls = []
-    _count_calls(monkeypatch, calls, Fraction,
-                 ("__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__"))
+    count_calls(monkeypatch, calls, Fraction,
+                ("__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__"))
     after = [pa.stability(t1, flag, w) for flag, w in probes]
     assert calls == []
     assert after == before
@@ -464,7 +469,7 @@ def test_normalize_flag_builds_no_image_flag(curve, monkeypatch, chamber):
     assert pa.locus(t1, flag) == pa.LOCUS_UGEN
     built = []
     for cls, name in ((pa.Flag, "__post_init__"), (PlanePoint, "of"), (PlaneLine, "of")):
-        _count_calls(monkeypatch, built, cls, (name,))
+        count_calls(monkeypatch, built, cls, (name,))
     coord, _ = pa.normalize_flag(t1, flag, chamber)
     assert built == []
     # the gauge invariants of a T1 flag: -u p1 / (v p2) and -u p1 / (w p3)
