@@ -45,9 +45,8 @@ def inverse(g: ModularAuto) -> ModularAuto:
 
 
 def group_elements(curve: CurveSpec) -> list[ModularAuto]:
-    return [ModularAuto(t, d)
-            for d in (False, True)
-            for t in jl.torsion_points(3, curve)]
+    shifts = jl.torsion_points(3, curve)
+    return [ModularAuto(t, d) for d in (False, True) for t in shifts]
 
 
 def act_point(g: ModularAuto, z: JacPoint) -> JacPoint:

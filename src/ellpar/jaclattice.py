@@ -53,8 +53,10 @@ class JacPoint:
     coordinates (s, t) with 0 <= s, t < 1.
 
     The point is exact when neither coordinate is a float (Fractions or ints,
-    e.g. torsion points) and approximate when they are floats.  The library
-    builds points reduced; the constructor itself neither reduces nor converts.
+    e.g. torsion points) and approximate when they are floats.  The
+    constructor itself neither reduces nor converts, and exact points are
+    compared by their stored coordinates (see equal), so an exact point must
+    be built reduced, as canon and every library constructor build it.
     """
 
     curve: CurveSpec
@@ -190,9 +192,12 @@ def mul(k: int, p: JacPoint) -> JacPoint:
 
 
 def equal(p: JacPoint, q: JacPoint, tol: float = DEFAULT_TOL) -> bool:
-    """Equality mod Lambda, decided at tolerance after canonical reduction.
+    """Equality mod Lambda.
 
-    Exact/exact comparison is exact."""
+    Exact/exact comparison is exact: it compares the stored coordinates, so
+    it is equality mod Lambda only on reduced points (canon reduces).  Any
+    other pair is compared at tolerance by its lattice distance, which
+    reduces the difference mod Lambda itself."""
     _check_curves(p, q)
     if p.is_exact and q.is_exact:
         return p.s == q.s and p.t == q.t
@@ -207,11 +212,8 @@ def torsion_points(n: int, curve: CurveSpec) -> list[JacPoint]:
     """The n^2 exact n-torsion points {(a/n, b/n)}."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return [
-        JacPoint(curve, s=Fraction(a, n), t=Fraction(b, n))
-        for a in range(n)
-        for b in range(n)
-    ]
+    coords = [Fraction(a, n) for a in range(n)]
+    return [JacPoint(curve, s=s, t=t) for s in coords for t in coords]
 
 
 def from_holonomy(a: complex, b: complex, curve: CurveSpec) -> JacPoint:

@@ -87,7 +87,9 @@ def psi_plus(ip: IncidencePoint, curve: CurveSpec) -> tuple[BundleClass, ProjSca
     lambda is the cross-ratio (p1, p2; p3, p4) of the intersection points and
     ip.x on the line, matching the normalized parabolic point [lambda:1-lambda:1]
     on the standard line {Z1 + Z2 = Z3}.  The intersection points are the plane
-    points the intersection solved for, not re-embedded.  On a tangent line
+    points the intersection solved for, not re-embedded, and the line object
+    keeps that intersection: sigma_cover_count on it and psi_plus at every
+    point of its fiber share one solve.  On a tangent line
     (a shared parameter: the extension stratum) lambda is the cross-ratio's
     value there, whatever ip.x is: exactly 1 when the double point sorts
     first and inf when it sorts last.  A flex tangent has no frame.
@@ -184,7 +186,12 @@ def incidence_parametrization(u1: complex, u2: complex, t: complex,
     cross-ratio.  Three honest continuous parameters; the Jacobian has rank 3
     at generic points.
     """
-    line = PlaneLine.of(u1, u2, 1)
+    return _chart(PlaneLine.of(u1, u2, 1), u1, u2, t, curve)
+
+
+def _chart(line: PlaneLine, u1: complex, u2: complex, t: complex,
+           curve: CurveSpec) -> tuple[complex, complex, complex]:
+    """incidence_parametrization on the line l = PlaneLine.of(u1, u2, 1)."""
     x = PlanePoint.of(1, complex(t), -u1 - complex(t) * u2)
     cls, lam = psi_plus(IncidencePoint(x, line), curve)
     lrec = tu_line(cls, curve)
@@ -200,14 +207,18 @@ def parametrization_rank(u1: complex, u2: complex, t: complex, curve: CurveSpec,
     """Numerical complex-Jacobian rank of incidence_parametrization at a point."""
     import numpy as np
 
-    incidence_parametrization(u1, u2, t, curve)  # raises if the point leaves the chart
+    # the base point and t +- step lie on one line, which is intersected once
+    line = PlaneLine.of(u1, u2, 1)
+    _chart(line, u1, u2, t, curve)  # raises if the point leaves the chart
     step = 1e-5
     cols = []
     for k in range(3):
         d = [0, 0, 0]
         d[k] = step
-        fp = incidence_parametrization(u1 + d[0], u2 + d[1], t + d[2], curve)
-        fm = incidence_parametrization(u1 - d[0], u2 - d[1], t - d[2], curve)
+        lp, lm = (line, line) if k == 2 else (PlaneLine.of(u1 + d[0], u2 + d[1], 1),
+                                             PlaneLine.of(u1 - d[0], u2 - d[1], 1))
+        fp = _chart(lp, u1 + d[0], u2 + d[1], t + d[2], curve)
+        fm = _chart(lm, u1 - d[0], u2 - d[1], t - d[2], curve)
         cols.append([(a - b) / (2 * step) for a, b in zip(fp, fm)])
     J = np.column_stack(cols)
     s = np.linalg.svd(J, compute_uv=False)

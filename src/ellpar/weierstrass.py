@@ -97,6 +97,11 @@ class PlaneLine:
     def close_to(self, other: "PlaneLine", tol: float = MERGE_TOL) -> bool:
         return math.hypot(*map(abs, _cross(self.vec(), other.vec()))) <= tol
 
+    @functools.cached_property
+    def _intersections(self) -> dict[CurveSpec, tuple[tuple[JacPoint, Vec], ...]]:
+        # _intersect of this line on each curve it has been intersected with
+        return {}
+
 
 def line_through_points(p: PlanePoint, q: PlanePoint) -> PlaneLine:
     return PlaneLine.of(*_cross(p.vec(), q.vec()))
@@ -343,7 +348,8 @@ def _group(zs: Sequence[JacPoint], sizes: Sequence[int]) -> tuple[list[int], lis
     return firsts, mult
 
 
-def _shared(hits: list[tuple[JacPoint, Vec]], sizes: list[int]) -> list[tuple[JacPoint, Vec]]:
+def _shared(hits: list[tuple[JacPoint, Vec]],
+            sizes: list[int]) -> tuple[tuple[JacPoint, Vec], ...]:
     """The triple of the distinct intersections hits = [(parameter, plane point)],
     grouped at EQ_TOL into shared JacPoints, each keeping the plane point of
     its class's first member.  A merge moves the sum by up to EQ_TOL; the
@@ -362,7 +368,7 @@ def _shared(hits: list[tuple[JacPoint, Vec]], sizes: list[int]) -> list[tuple[Ja
     if len(hits) == 1 and n > 1:
         d, p = hits[0]
         hits = [(_root_near(d, 3, zero(d.curve)), p)]
-    return [h for h, m in zip(hits, mult) for _ in range(m)]
+    return tuple(h for h, m in zip(hits, mult) for _ in range(m))
 
 
 @functools.lru_cache(maxsize=8)
@@ -372,8 +378,23 @@ def _curve_constants(curve: CurveSpec) -> tuple[complex, complex, tuple[complex,
     return g2, g3, _cubic_roots(4, 0, -g2, -g3)
 
 
-def _intersect(line: PlaneLine, curve: CurveSpec) -> list[tuple[JacPoint, Vec]]:
+def _intersect(line: PlaneLine, curve: CurveSpec) -> tuple[tuple[JacPoint, Vec], ...]:
     """intersect_curve's triple, each parameter with its plane point (x, y, 1) or [0:1:0].
+
+    Solved at most once per line object and curve: the line keeps the
+    immutable result (PlaneLine._intersections), so every question asked of
+    one line (its count, its class, the fiber coordinate of each point on it)
+    reads the same shared JacPoints, and the memo is freed with the line.  An
+    equal but distinct line object solves again.
+    """
+    hits = line._intersections.get(curve)
+    if hits is None:
+        hits = line._intersections[curve] = _solve(line, curve)
+    return hits
+
+
+def _solve(line: PlaneLine, curve: CurveSpec) -> tuple[tuple[JacPoint, Vec], ...]:
+    """_intersect's triple, solved.
 
     x is the root-cluster mean and y the curve's ordinate at x, with the sign
     the line picks: y read off the line, -(ux + w)/v, would carry x's
@@ -385,7 +406,7 @@ def _intersect(line: PlaneLine, curve: CurveSpec) -> list[tuple[JacPoint, Vec]]:
         raise DegenerateGeometryError("zero line")
     if abs(u) <= 1e-12 * scale and abs(v) <= 1e-12 * scale:
         # the line at infinity meets the cubic only in the flex at the origin
-        return [(zero(curve), INFINITY_POINT.vec())] * 3
+        return ((zero(curve), INFINITY_POINT.vec()),) * 3
     g2, g3, e = _curve_constants(curve)
     if abs(v) <= 1e-12 * scale:
         # vertical line x = -w/u: points (x, +-y) plus the point at infinity
@@ -424,6 +445,7 @@ def intersect_curve(line: PlaneLine, curve: CurveSpec) -> list[JacPoint]:
     Inverse of line_through on its image; the result sums to 0 mod Lambda.
     Parameters that coincide at jaclattice.EQ_TOL come back as one shared
     JacPoint (see _shared), so every caller reads the same multiplicities.
+    Each call returns a new list; the line keeps the points (see _intersect).
     """
     return [z for z, _ in _intersect(line, curve)]
 

@@ -11,7 +11,7 @@ from ellpar import weierstrass as we
 from ellpar.jaclattice import CurveSpec
 from ellpar.parabolic import ProjScalar
 
-from conftest import TAU, exact
+from conftest import TAU, count_calls, exact
 
 
 def key(g):
@@ -179,3 +179,14 @@ def test_act_parabolic_involution_and_locus(curve):
     sh = ag.ModularAuto(exact(curve, Fraction(1, 3), 0), False)
     _, s3, _ = ag.act_parabolic(sh, cls, coord, pa.CHAMBER_MINUS)
     assert s3.close_to(coord)
+
+
+def test_group_elements_build_three_coordinates(curve, monkeypatch):
+    # the nine shifts are the 3-torsion points, whose coordinates take three
+    # values; the dual half of the group reuses the same shifts
+    calls = []
+    count_calls(monkeypatch, calls, Fraction, ("__new__",))
+    els = ag.group_elements(curve)
+    assert len(calls) == 3
+    assert [g.shift for g in els[:9]] == [g.shift for g in els[9:]]
+    assert [g.dual for g in els] == [False] * 9 + [True] * 9

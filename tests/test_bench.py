@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from ellpar import modspace as ms
+from ellpar import weierstrass as we
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 OPS = 300
 
@@ -24,3 +27,36 @@ def test_workload_fails_only_in_known_defect_classes(workload, monkeypatch):
     failed = {kind: dict(t.reasons) for kind, t in stats.classes.items()
               if t.failed and kind not in module.KNOWN_DEFECTS}
     assert failed == {}
+
+
+def _outcome(op):
+    """An operation's answer, every stored value by repr, or the error it raised."""
+    try:
+        out = op.call()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    if not isinstance(out, tuple):
+        return repr(out)
+    n, cls, lam = out
+    if hasattr(cls, "label"):
+        cls = (cls.label, [(p.s, p.t) for p in cls.triple or (cls.point,)])
+    return repr((n, cls, lam and (lam.num, lam.den)))
+
+
+def test_dual_plane_answers_alike_from_a_memoised_and_a_fresh_line(monkeypatch):
+    # each operation asks sigma_cover_count and then psi_plus about one line
+    # object, so psi_plus reads the intersection its line keeps; given an
+    # equal fresh line instead, it solves again and must answer the same
+    monkeypatch.syspath_prepend(str(BENCH))
+    batch = list(islice(importlib.import_module("dual_plane").ops(1), OPS))
+    solves = []
+    cubic_roots = we._cubic_roots
+    monkeypatch.setattr(we, "_cubic_roots", lambda *a: solves.append(a) or cubic_roots(*a))
+    memoised = [_outcome(op) for op in batch]
+    memoised_solves = len(solves)
+    psi_plus = ms.psi_plus
+    monkeypatch.setattr(ms, "psi_plus", lambda ip, curve: psi_plus(
+        ms.IncidencePoint(ip.x, we.PlaneLine(*ip.line.vec())), curve))
+    fresh = [_outcome(op) for op in batch]
+    assert memoised_solves < len(solves) - memoised_solves
+    assert fresh == memoised

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ellpar import jaclattice as jl
 from ellpar.jaclattice import CurveSpec, JacPoint
 
-from conftest import TAU, exact
+from conftest import TAU, count_calls, exact
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=24)
 small_complex = st.builds(complex,
@@ -99,6 +99,29 @@ def test_torsion_points_count_and_exactness(curve):
     for i, p in enumerate(pts):
         for q in pts[i + 1:]:
             assert not jl.equal(p, q)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_torsion_points_build_each_coordinate_once(n, curve, monkeypatch):
+    want = [(Fraction(a, n), Fraction(b, n)) for a in range(n) for b in range(n)]
+    calls = []
+    count_calls(monkeypatch, calls, Fraction, ("__new__",))
+    pts = jl.torsion_points(n, curve)
+    assert len(calls) == n
+    assert [(p.s, p.t) for p in pts] == want
+    assert all(type(p.s) is Fraction and type(p.t) is Fraction for p in pts)
+
+
+def test_canon_reduces_exact_coordinates_so_equal_compares_them(curve):
+    # equal compares exact points by their stored coordinates; canon stores
+    # them reduced, whatever representative it is given
+    reduced = JacPoint(curve, Fraction(0), Fraction(1, 3))
+    for raw in ((1, Fraction(-2, 3)), JacPoint(curve, 1, Fraction(-2, 3)),
+                (Fraction(-5, 1), Fraction(7, 3))):
+        p = jl.canon(raw, curve)
+        assert (p.s, p.t) == (0, Fraction(1, 3))
+        assert jl.equal(p, reduced) and jl.equal(reduced, p)
+    assert jl.canon(JacPoint(curve, 1, 0), curve).is_zero()
 
 
 def test_curve_mismatch_raises(curve):

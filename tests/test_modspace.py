@@ -392,3 +392,48 @@ def test_line_class_is_read_off_the_shared_points(curve, monkeypatch):
         run()
         # one grouping pass over three points (3 equal calls) and the zero-sum test (1)
         assert calls["classify_triple"] == 0 and calls["equal"] <= 4, calls
+
+
+def _count_cubic_solves(monkeypatch, curve):
+    # the curve's constants are computed first, so that every counted call
+    # solves a line's x-cubic
+    we._curve_constants(curve)
+    calls = []
+    cubic_roots = we._cubic_roots
+    monkeypatch.setattr(we, "_cubic_roots", lambda *a: calls.append(a) or cubic_roots(*a))
+    return calls
+
+
+def test_count_and_fiber_coordinate_of_one_line_share_one_solve(curve, monkeypatch):
+    rng = random.Random(73)
+    ip = _chord(curve, _random_point(rng, curve), _random_point(rng, curve))
+    calls = _count_cubic_solves(monkeypatch, curve)
+    assert ms.sigma_cover_count(ip.line, curve) == 3
+    cls, _ = ms.psi_plus(ip, curve)
+    # a second point of the same fiber reads the same solve
+    other = ms.IncidencePoint(we.lines_meet(ip.line, we.PlaneLine.of(3, -1, 2)), ip.line)
+    assert ms.psi_plus(other, curve)[0] == cls
+    assert len(calls) == 1
+
+
+def test_a_refused_near_pole_chord_is_refused_alike_by_count_and_chart(curve, monkeypatch):
+    # the root clustering loses the root near the lattice, and the triple no
+    # longer sums to 0: both entry points refuse the one memoised solve
+    ip = _chord(curve, jl.canon(1e-6, curve), jl.canon(0.37 + 0.21 * curve.tau, curve))
+    calls = _count_cubic_solves(monkeypatch, curve)
+    messages = []
+    for run in (lambda: ms.sigma_cover_count(ip.line, curve), lambda: ms.psi_plus(ip, curve)):
+        with pytest.raises(ValueError) as err:
+            run()
+        messages.append((type(err.value), str(err.value)))
+    assert messages == [(ValueError, "triple does not sum to zero in the Jacobian")] * 2
+    assert len(calls) == 1
+
+
+def test_parametrization_rank_solves_each_distinct_line_once(curve, monkeypatch):
+    # 7 evaluations of incidence_parametrization on 5 lines: the base point and
+    # t +- step lie on the line (u1, u2)
+    u1, u2, t = 0.4 - 0.3j, -0.2 + 0.5j, 0.3 + 0.1j
+    calls = _count_cubic_solves(monkeypatch, curve)
+    assert ms.parametrization_rank(u1, u2, t, curve) == 3
+    assert len(calls) == 5

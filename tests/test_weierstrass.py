@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -404,3 +405,57 @@ def test_memoised_curve_constants_equal_a_fresh_computation(tau):
     we._curve_constants(curve)
     g2, g3, _ = we.curve_invariants(curve)
     assert we._curve_constants(CurveSpec(tau)) == (g2, g3, we._cubic_roots(4, 0, -g2, -g3))
+
+
+def _bits(hits):
+    """Every stored value of an intersection, by repr: equal iff bit-identical."""
+    return repr([(z.s, z.t, p) for z, p in hits])
+
+
+def _lines_of_every_kind(curve):
+    rng = random.Random(61)
+    chords = _chord_lines(curve, 3, seed=67)
+    tangents = [we.tangent_line(jl.canon(complex(rng.random() + rng.random() * curve.tau), curve),
+                                curve) for _ in range(3)]
+    flexes = [we.tangent_line(p, curve) for p in jl.torsion_points(3, curve)[1:4]]
+    vertical = we.PlaneLine.of(1, 0, -(0.7 + 0.2j))
+    return chords + tangents + flexes + [vertical, we.PlaneLine.of(0, 0, 1)]
+
+
+@pytest.mark.parametrize("tau", [TAU, 1j])
+def test_a_memo_hit_is_the_solved_tuple_and_equals_a_cold_solve(tau):
+    curve = CurveSpec(tau)
+    for line in _lines_of_every_kind(curve):
+        hits = we._intersect(line, curve)
+        assert isinstance(hits, tuple) and len(hits) == 3
+        again = we._intersect(line, curve)
+        assert again is hits
+        assert all(a is b for pair in zip(hits, again) for a, b in zip(*pair))
+        # intersect_curve hands out a new list of the same shared points
+        pts = we.intersect_curve(line, curve)
+        assert pts is not we.intersect_curve(line, curve)
+        assert all(z is h[0] for z, h in zip(pts, hits))
+        # an equal but distinct line solves again, to the same bits
+        fresh = we.PlaneLine(*line.vec())
+        cold = we._intersect(fresh, curve)
+        assert cold is not hits and _bits(cold) == _bits(hits)
+        assert we.multiplicities([z for z, _ in cold]) == we.multiplicities(pts)
+
+
+def test_one_line_keeps_one_intersection_per_curve():
+    line = we.PlaneLine.of(1, 2, 3)
+    curves = [CurveSpec(TAU), CurveSpec(1j), CurveSpec(0.5 + 1j)]
+    solved = [we._intersect(line, c) for c in curves]
+    for curve, hits in zip(curves, solved):
+        assert all(z.curve == curve for z, _ in hits)
+        assert we._intersect(line, curve) is hits
+        assert _bits(we._intersect(we.PlaneLine.of(1, 2, 3), curve)) == _bits(hits)
+    assert _bits(solved[0]) != _bits(solved[1])
+
+
+def test_the_line_memo_is_freed_with_its_line(curve):
+    line = _chord_lines(curve, 1, seed=71)[0]
+    point = weakref.ref(we._intersect(line, curve)[0][0])
+    ref = weakref.ref(line)
+    del line
+    assert ref() is None and point() is None
