@@ -14,8 +14,8 @@ from . import jaclattice as jl
 from .bundles import BundleClass, _shared_class, tu_line, type_facts
 from .jaclattice import CurveSpec, JacPoint
 from .parabolic import PROJ_INF, ProjScalar
-from .weierstrass import (PlaneLine, PlanePoint, _cross, _intersect, curve_invariants,
-                          intersect_curve)
+from .weierstrass import (PlaneLine, PlanePoint, _cross, _cubic_roots, _solved, _Solved,
+                          curve_invariants, intersect_curve)
 
 
 class ThreefoldCoincidenceError(ValueError):
@@ -67,17 +67,25 @@ def cross_ratio(z1: ProjScalar, z2: ProjScalar, z3: ProjScalar,
     return ProjScalar(num, den)
 
 
-def _affine_param(q: PlanePoint, p1: PlanePoint, p2: PlanePoint) -> ProjScalar:
-    """Parameter of q on the line framed by p1 (param 0) and p2 (param inf).
+def _line_class(solved: _Solved) -> BundleClass:
+    """The S-class of a line's intersection, built once and kept with it.  A
+    triple that does not sum to zero is not kept: each call raises alike."""
+    cls = solved.cls
+    if cls is None:
+        cls = solved.cls = _shared_class([z for z, _ in solved.hits])
+    return cls
 
-    q = alpha p1 + beta p2 gives p1 x q = beta c and p2 x q = -alpha c with
-    c = p1 x p2, so beta and alpha are those products read along conj(c).
-    """
-    c = _cross(p1.vec(), p2.vec())
-    cc = [x.conjugate() for x in c]
-    beta = sum(x * y for x, y in zip(_cross(p1.vec(), q.vec()), cc))
-    alpha = -sum(x * y for x, y in zip(_cross(p2.vec(), q.vec()), cc))
-    return ProjScalar(beta, alpha)
+
+def _line_chart(line: PlaneLine) -> tuple[int, int]:
+    """The two homogeneous coordinates kept when the line is projected to P^1
+    from the coordinate vertex e_k farthest from it: k is where |u|, |v| or
+    |w| is largest, so e_k is off the line, and the projection is a
+    projective isomorphism of the line onto P^1, which keeps cross-ratios
+    (Hartley and Zisserman, Multiple View Geometry, 2nd ed., section 2)."""
+    u, v, w = abs(line.u), abs(line.v), abs(line.w)
+    if u >= v and u >= w:
+        return 1, 2
+    return (0, 2) if v >= w else (0, 1)
 
 
 def psi_plus(ip: IncidencePoint, curve: CurveSpec) -> tuple[BundleClass, ProjScalar]:
@@ -88,26 +96,33 @@ def psi_plus(ip: IncidencePoint, curve: CurveSpec) -> tuple[BundleClass, ProjSca
     ip.x on the line, matching the normalized parabolic point [lambda:1-lambda:1]
     on the standard line {Z1 + Z2 = Z3}.  The intersection points are the plane
     points the intersection solved for, not re-embedded, and the line object
-    keeps that intersection: sigma_cover_count on it and psi_plus at every
-    point of its fiber share one solve.  On a tangent line
-    (a shared parameter: the extension stratum) lambda is the cross-ratio's
-    value there, whatever ip.x is: exactly 1 when the double point sorts
-    first and inf when it sorts last.  A flex tangent has no frame.
+    keeps that intersection and its class: sigma_cover_count on it and
+    psi_plus at every point of its fiber share one solve and one class.
+    lambda is read in one chart of the line (see _line_chart), as
+    (d13 d24) / (d14 d23) from the 2x2 determinants d_ij of the points'
+    kept coordinates.  A point ip.x off the line (IncidencePoint allows a
+    residual of 1e-7) is thereby projected onto it centrally from e_k.  On a
+    tangent line (a shared parameter: the extension stratum) lambda is the
+    cross-ratio's value there, whatever ip.x is: exactly 1 when the double
+    point sorts first and inf when it sorts last.  A flex tangent has no frame.
     """
+    solved = _solved(ip.line, curve)
+    cls = _line_class(solved)
     # the order of jl.canonical_sort, keeping each parameter's plane point
-    hits = sorted(_intersect(ip.line, curve), key=lambda h: h[0].coords())
-    zs = [z for z, _ in hits]
-    cls = _shared_class(zs)
-    if zs[0] is zs[2]:
+    (z1, p1), (z2, p2), (z3, p3) = sorted(solved.hits, key=lambda h: h[0].coords())
+    if z1 is z3:
         raise ThreefoldCoincidenceError("three of the four points coincide")
-    if zs[0] is zs[1]:
+    if z1 is z2:
         return cls, ProjScalar(1, 1)
-    if zs[1] is zs[2]:
+    if z2 is z3:
         return cls, PROJ_INF
-    # left unnormalized: the affine parameters are projective in each point
-    pts = [PlanePoint(*p) for _, p in hits]
-    thetas = [_affine_param(q, pts[0], pts[1]) for q in (*pts, ip.x)]
-    return cls, cross_ratio(*thetas)
+    i, j = _line_chart(ip.line)
+    p4 = ip.x.vec()
+    num = (p1[i] * p3[j] - p1[j] * p3[i]) * (p2[i] * p4[j] - p2[j] * p4[i])
+    den = (p1[i] * p4[j] - p1[j] * p4[i]) * (p2[i] * p3[j] - p2[j] * p3[i])
+    if num == 0 and den == 0:
+        raise ThreefoldCoincidenceError("three of the four points coincide")
+    return cls, ProjScalar(num, den)
 
 
 def parabolic_point(lam: ProjScalar) -> PlanePoint:
@@ -165,7 +180,10 @@ def section_meet(p1: JacPoint, p2: JacPoint) -> SymPair:
 
 def sigma_cover_count(line: PlaneLine, curve: CurveSpec) -> int:
     """Number of Sigma-points over the S-class of a dual-plane line: 3, 2 or 1."""
-    return type_facts(_shared_class(intersect_curve(line, curve)).label)[2]
+    # the line is solved in the intersection layer's public entry point, so
+    # that the solve is timed there; the line keeps it, with its class
+    intersect_curve(line, curve)
+    return type_facts(_line_class(_solved(line, curve)).label)[2]
 
 
 def curves_isomorphic(tau1: complex, tau2: complex, rel_tol: float = 1e-6) -> bool:
@@ -204,9 +222,11 @@ def _chart(line: PlaneLine, u1: complex, u2: complex, t: complex,
 
 def parametrization_rank(u1: complex, u2: complex, t: complex, curve: CurveSpec,
                          tol: float = 1e-6) -> int:
-    """Numerical complex-Jacobian rank of incidence_parametrization at a point."""
-    import numpy as np
-
+    """Numerical complex-Jacobian rank of incidence_parametrization at a point:
+    the number of singular values sigma of the central-difference Jacobian J
+    above tol.  The sigma^2 are the eigenvalues of the Hermitian J^H J, the
+    roots of its characteristic polynomial, so the cut is made on sigma^2 at
+    tol^2."""
     # the base point and t +- step lie on one line, which is intersected once
     line = PlaneLine.of(u1, u2, 1)
     _chart(line, u1, u2, t, curve)  # raises if the point leaves the chart
@@ -220,8 +240,12 @@ def parametrization_rank(u1: complex, u2: complex, t: complex, curve: CurveSpec,
         fp = _chart(lp, u1 + d[0], u2 + d[1], t + d[2], curve)
         fm = _chart(lm, u1 - d[0], u2 - d[1], t - d[2], curve)
         cols.append([(a - b) / (2 * step) for a, b in zip(fp, fm)])
-    J = np.column_stack(cols)
-    s = np.linalg.svd(J, compute_uv=False)
+    # G = J^H J: lambda^3 - tr(G) lambda^2 + c2 lambda - |det J|^2, c2 the sum
+    # of G's principal 2x2 minors
+    g = [[sum(a.conjugate() * b for a, b in zip(ck, cl)) for cl in cols] for ck in cols]
+    c2 = sum((g[k][k] * g[m][m] - abs(g[k][m]) ** 2).real for k, m in ((0, 1), (0, 2), (1, 2)))
+    det = sum(a * b for a, b in zip(cols[0], _cross(cols[1], cols[2])))
+    sigma2 = _cubic_roots(1, -sum(g[k][k].real for k in range(3)), c2, -abs(det) ** 2)
     # absolute threshold: the chart is scaled so generic derivatives are O(1),
     # and a relative cutoff would misread rank at ill-conditioned points
-    return int(np.sum(s > tol))
+    return sum(s.real > tol * tol for s in sigma2)

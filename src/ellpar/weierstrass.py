@@ -98,8 +98,8 @@ class PlaneLine:
         return math.hypot(*map(abs, _cross(self.vec(), other.vec()))) <= tol
 
     @functools.cached_property
-    def _intersections(self) -> dict[CurveSpec, tuple[tuple[JacPoint, Vec], ...]]:
-        # _intersect of this line on each curve it has been intersected with
+    def _intersections(self) -> dict[CurveSpec, "_Solved"]:
+        # this line's intersection with each curve it has been intersected with
         return {}
 
 
@@ -242,18 +242,26 @@ def _carlson_rf(x: complex, y: complex, z: complex) -> complex:
     """Carlson's R_F(x, y, z) = 1/2 int_0^inf dt / sqrt((t+x)(t+y)(t+z)), by duplication.
 
     Principal square roots; valid off the cut (-inf, 0] with at most one zero
-    argument (Carlson, Numer. Algorithms 10, 1995).
+    argument (Carlson, Numer. Algorithms 10, 1995).  Each duplication step
+    divides every difference a - x_i by exactly 4, so the spread is measured
+    once, as q = 1e3 max|a - x_i|, and q is divided by 4 per step: the loop
+    stops when q < |a|, in exact arithmetic the test max|a - x_i| < 1e-3 |a|
+    of the current arguments.
     """
+    a = (x + y + z) / 3
+    # the series below is exact to ~1e-16 once the arguments agree to 1e-3
+    q = 1e3 * max(abs(a - x), abs(a - y), abs(a - z))
     for _ in range(100):
-        a = (x + y + z) / 3
-        # the series below is exact to ~1e-16 once the arguments agree to 1e-3
-        if max(abs(a - x), abs(a - y), abs(a - z)) < 1e-3 * abs(a):
+        if q < abs(a):
             break
         sx, sy, sz = cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z)
         lam = sx * (sy + sz) + sy * sz
-        x, y, z = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4
+        x, y, z, a = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4, (a + lam) / 4
+        q /= 4
     else:
         raise DegenerateGeometryError("Carlson duplication did not converge")
+    # the mean of the final arguments, so that the three differences sum to 0
+    a = (x + y + z) / 3
     dx, dy = 1 - x / a, 1 - y / a
     dz = -dx - dy
     e2 = dx * dy - dz * dz
@@ -378,19 +386,38 @@ def _curve_constants(curve: CurveSpec) -> tuple[complex, complex, tuple[complex,
     return g2, g3, _cubic_roots(4, 0, -g2, -g3)
 
 
+class _Solved:
+    """One line's intersection with one curve, kept on the line: the triple of
+    (parameter, plane point) pairs, and the S-class of the triple once
+    modspace has read it (None before, and for a triple that does not sum to
+    zero, which has no class)."""
+
+    __slots__ = ("hits", "cls")
+
+    def __init__(self, hits: tuple[tuple[JacPoint, Vec], ...]):
+        self.hits = hits
+        self.cls = None
+
+
+def _solved(line: PlaneLine, curve: CurveSpec) -> _Solved:
+    """The line's intersection with the curve, solved at most once per line
+    object and curve (PlaneLine._intersections) and freed with the line."""
+    entry = line._intersections.get(curve)
+    if entry is None:
+        entry = line._intersections[curve] = _Solved(_solve(line, curve))
+    return entry
+
+
 def _intersect(line: PlaneLine, curve: CurveSpec) -> tuple[tuple[JacPoint, Vec], ...]:
     """intersect_curve's triple, each parameter with its plane point (x, y, 1) or [0:1:0].
 
     Solved at most once per line object and curve: the line keeps the
-    immutable result (PlaneLine._intersections), so every question asked of
-    one line (its count, its class, the fiber coordinate of each point on it)
-    reads the same shared JacPoints, and the memo is freed with the line.  An
-    equal but distinct line object solves again.
+    immutable result (see _solved), so every question asked of one line (its
+    count, its class, the fiber coordinate of each point on it) reads the
+    same shared JacPoints, and the memo is freed with the line.  An equal but
+    distinct line object solves again.
     """
-    hits = line._intersections.get(curve)
-    if hits is None:
-        hits = line._intersections[curve] = _solve(line, curve)
-    return hits
+    return _solved(line, curve).hits
 
 
 def _solve(line: PlaneLine, curve: CurveSpec) -> tuple[tuple[JacPoint, Vec], ...]:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from ellpar import jaclattice as jl
+from ellpar import modspace as ms
 from ellpar.jaclattice import CurveSpec, JacPoint
+from ellpar.parabolic import ProjScalar
 
 TAU = 0.3 + 1.1j
 
@@ -46,3 +48,24 @@ def count_calls(monkeypatch, calls, cls, names):
         else:
             wrapper = lambda *a, _n=name, _f=original: calls.append(_n) or _f(*a)
         monkeypatch.setattr(cls, name, wrapper)
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def frame_param(q, p1, p2) -> ProjScalar:
+    """The parameter of q on the line framed by p1 (0) and p2 (inf), all
+    homogeneous 3-vectors: q = alpha p1 + beta p2 gives p1 x q = beta c and
+    p2 x q = -alpha c with c = p1 x p2, read along conj(c).  A reference for
+    the fiber coordinate independent of psi_plus' chart of the line."""
+    c = [x.conjugate() for x in _cross(p1, p2)]
+    beta = sum(x * y for x, y in zip(_cross(p1, q), c))
+    alpha = -sum(x * y for x, y in zip(_cross(p2, q), c))
+    return ProjScalar(beta, alpha)
+
+
+def frame_lambda(frame, x) -> ProjScalar:
+    """The cross-ratio (p1, p2; p3, x) of three points and x on one line, by
+    their parameters in the frame p1, p2 (see frame_param)."""
+    return ms.cross_ratio(*(frame_param(q, frame[0], frame[1]) for q in (*frame, x)))

@@ -23,7 +23,7 @@ from ellpar import weierstrass as we
 from ellpar.jaclattice import CurveSpec
 from ellpar.parabolic import ProjScalar
 
-from conftest import TAU, exact, holonomy_scalars, random_unimodular
+from conftest import TAU, exact, frame_lambda, holonomy_scalars, random_unimodular
 
 P = we.PlanePoint.of
 L = we.PlaneLine.of
@@ -319,10 +319,7 @@ def test_criterion_09_psi_plus_equivariance():
             # every frame ordering gives a coordinate in the same orbit,
             # i.e. the same parabolic class under the S3 identification
             for perm in itertools.permutations(range(3)):
-                frame = [pts[i] for i in perm]
-                thetas = [ms._affine_param(q, frame[0], frame[1]) for q in frame]
-                thetas.append(ms._affine_param(x, frame[0], frame[1]))
-                lam = ms.cross_ratio(*thetas)
+                lam = frame_lambda([pts[i].vec() for i in perm], x.vec())
                 assert any(lam.close_to(ProjScalar(f(lam0.value()), 1), tol=1e-6)
                            for f in anharmonic)
             # degenerating the fourth point onto a frame point hits the

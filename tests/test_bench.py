@@ -11,6 +11,8 @@ import pytest
 from ellpar import modspace as ms
 from ellpar import weierstrass as we
 
+from conftest import frame_lambda
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 OPS = 300
 
@@ -29,8 +31,9 @@ def test_workload_fails_only_in_known_defect_classes(workload, monkeypatch):
     assert failed == {}
 
 
-def _outcome(op):
-    """An operation's answer, every stored value by repr, or the error it raised."""
+def _outcome(op, with_lambda=True):
+    """An operation's answer, every stored value by repr, or the error it raised;
+    with_lambda=False leaves out the fiber coordinate."""
     try:
         out = op.call()
     except Exception as exc:
@@ -40,7 +43,7 @@ def _outcome(op):
     n, cls, lam = out
     if hasattr(cls, "label"):
         cls = (cls.label, [(p.s, p.t) for p in cls.triple or (cls.point,)])
-    return repr((n, cls, lam and (lam.num, lam.den)))
+    return repr((n, cls, lam and with_lambda and (lam.num, lam.den)))
 
 
 def test_dual_plane_answers_alike_from_a_memoised_and_a_fresh_line(monkeypatch):
@@ -60,3 +63,36 @@ def test_dual_plane_answers_alike_from_a_memoised_and_a_fresh_line(monkeypatch):
     fresh = [_outcome(op) for op in batch]
     assert memoised_solves < len(solves) - memoised_solves
     assert fresh == memoised
+
+
+def test_dual_plane_lambda_on_the_benchmark_inputs_matches_the_frame_reference(monkeypatch):
+    # psi_plus reads lambda in one chart of the line; on the benchmark's own
+    # inputs it agrees with lambda from the parameters of the same solved
+    # points in the frame p1, p2, and every other part of an answer (count,
+    # class, coordinates, error type) equals a cold solve of a fresh line
+    monkeypatch.syspath_prepend(str(BENCH))
+    batch = list(islice(importlib.import_module("dual_plane").ops(1), 500))
+    psi_plus = ms.psi_plus
+    far = []
+    checked_chords = 0
+
+    def checked(ip, curve):
+        nonlocal checked_chords
+        cls, lam = psi_plus(ip, curve)
+        if cls.label == "T1":
+            checked_chords += 1
+            pts = [p for _, p in sorted(we._intersect(ip.line, curve),
+                                        key=lambda h: h[0].coords())]
+            want = frame_lambda(pts, ip.x.vec())
+            if not lam.close_to(want, tol=1e-9):
+                far.append((ip, lam, want))
+        return cls, lam
+
+    monkeypatch.setattr(ms, "psi_plus", checked)
+    memoised = [_outcome(op, with_lambda=False) for op in batch]
+    monkeypatch.setattr(ms, "psi_plus", lambda ip, curve: psi_plus(
+        ms.IncidencePoint(ip.x, we.PlaneLine(*ip.line.vec())), curve))
+    cold = [_outcome(op, with_lambda=False) for op in batch]
+    assert far == []
+    assert cold == memoised
+    assert checked_chords > 300

@@ -354,7 +354,7 @@ print(json.dumps({"code": code, "label": resp["result"].get("label")}))
 
 
 def test_core_and_cli_import_without_numpy():
-    # numpy is loaded only by the monodromy commands, parametrization_rank and act_plane
+    # numpy is loaded only by the monodromy commands and act_plane
     env = {k: v for k, v in os.environ.items() if k != "TOL"}
     proc = subprocess.run([sys.executable, "-c", IMPORT_GATE],
                           capture_output=True, text=True, env=env)

@@ -1,7 +1,13 @@
 import cmath
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +23,7 @@ from ellpar import weierstrass as we
 from ellpar.jaclattice import CurveSpec
 from ellpar.parabolic import ProjScalar
 
-from conftest import TAU, exact
+from conftest import TAU, exact, frame_lambda
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
@@ -156,10 +162,7 @@ def test_psi_plus_reordering_acts_anharmonically(curve):
     _, lam0 = ms.psi_plus(ms.IncidencePoint(x, line), curve)
     import itertools
     for perm in itertools.permutations(range(3)):
-        frame = [pts[i] for i in perm]
-        thetas = [ms._affine_param(q, frame[0], frame[1]) for q in frame]
-        thetas.append(ms._affine_param(x, frame[0], frame[1]))
-        lam = ms.cross_ratio(*thetas)
+        lam = frame_lambda([pts[i].vec() for i in perm], x.vec())
         assert any(lam.close_to(PS(f(lam0.value())), tol=1e-6) for f in ANHARMONIC)
 
 
@@ -177,16 +180,30 @@ def test_parametrization_rank_is_three(curve):
     assert ranks and all(r == 3 for r in ranks)
 
 
-def test_affine_param_matches_least_squares():
+def _det(p, q, i, j):
+    return p[i] * q[j] - p[j] * q[i]
+
+
+def test_line_chart_coordinates_match_least_squares():
+    # q = alpha p1 + beta p2 on the line through p1 and p2: in the line's
+    # chart the 2x2 determinants give beta and alpha up to one common factor
     rng = np.random.RandomState(31)
     for _ in range(500):
-        a, b, c, d = (rng.randn(3) + 1j * rng.randn(3) for _ in range(4))
+        a, b, c = (rng.randn(3) + 1j * rng.randn(3) for _ in range(3))
         p1, p2 = we.PlanePoint.of(*a), we.PlanePoint.of(*b)
         alpha, beta = c[0], c[1]
         q = we.PlanePoint.of(*(alpha * np.array(p1.vec()) + beta * np.array(p2.vec())))
         coeff, *_ = np.linalg.lstsq(np.column_stack([p1.vec(), p2.vec()]), q.vec(), rcond=None)
         want = ProjScalar(coeff[1], coeff[0])
-        assert ms._affine_param(q, p1, p2).close_to(want, tol=1e-12)
+        i, j = ms._line_chart(we.line_through_points(p1, p2))
+        got = ProjScalar(_det(p1.vec(), q.vec(), i, j), _det(q.vec(), p2.vec(), i, j))
+        assert got.close_to(want, tol=1e-12)
+
+
+def test_line_chart_drops_the_largest_coefficient():
+    for vec, kept in [((3, 1, 2), (1, 2)), ((1, -3j, 2), (0, 2)), ((1, 2, 3), (0, 1)),
+                      ((1, 1, 1), (1, 2)), ((0, 1, 1), (0, 2))]:
+        assert ms._line_chart(we.PlaneLine(*vec)) == kept
 
 
 @pytest.mark.parametrize("s,t,double_first", [(0.1, 0.2, True), (0.7, 0.2, False),
@@ -320,8 +337,12 @@ def test_psi_plus_frames_lambda_like_embedding_the_parameters():
         if cls.label != "T1":
             continue
         chords += 1
-        pts = [we.embed(z, curve) for z in cls.triple]
-        want = ms.cross_ratio(*(ms._affine_param(q, pts[0], pts[1]) for q in (*pts, ip.x)))
+        # the library's chart lambda, on the embedded points
+        i, j = ms._line_chart(ip.line)
+        p1, p2, p3 = (we.embed(z, curve).vec() for z in cls.triple)
+        x = ip.x.vec()
+        want = ProjScalar(_det(p1, p3, i, j) * _det(p2, x, i, j),
+                          _det(p1, x, i, j) * _det(p2, p3, i, j))
         assert lam.close_to(want, tol=1e-13), (curve.tau, z1, lam, want)
     assert chords >= 1000
 
@@ -428,6 +449,108 @@ def test_a_refused_near_pole_chord_is_refused_alike_by_count_and_chart(curve, mo
         messages.append((type(err.value), str(err.value)))
     assert messages == [(ValueError, "triple does not sum to zero in the Jacobian")] * 2
     assert len(calls) == 1
+
+
+def _count_class_builds(monkeypatch):
+    calls = []
+    shared_class = bd._shared_class
+    monkeypatch.setattr(ms, "_shared_class", lambda zs: calls.append(zs) or shared_class(zs))
+    return calls
+
+
+def test_count_and_fiber_coordinate_of_one_line_build_its_class_once(curve, monkeypatch):
+    # the line keeps its class with its intersection: the count, the chart and
+    # a second point of the fiber read one class object, on a chord, a tangent
+    # and a flex tangent (whose chart refuses after reading the class)
+    rng = random.Random(79)
+    d = _random_point(rng, curve)
+    chord = _chord(curve, _random_point(rng, curve), _random_point(rng, curve)).line
+    tangent = we.tangent_line(d, curve)
+    flex = we.tangent_line(jl.torsion_points(3, curve)[4], curve)
+    builds = _count_class_builds(monkeypatch)
+    for line, count in ((chord, 3), (tangent, 2), (flex, 1)):
+        builds.clear()
+        assert ms.sigma_cover_count(line, curve) == count
+        classes = []
+        for other in (we.PlaneLine.of(1, 2, 3), we.PlaneLine.of(3, -1, 2)):
+            ip = ms.IncidencePoint(we.lines_meet(line, other), line)
+            try:
+                classes.append(ms.psi_plus(ip, curve)[0])
+            except ms.ThreefoldCoincidenceError:
+                assert count == 1
+        assert len(builds) == 1
+        assert all(c is classes[0] for c in classes)
+
+
+def test_a_fresh_equal_line_builds_its_class_again(curve, monkeypatch):
+    rng = random.Random(83)
+    ip = _chord(curve, _random_point(rng, curve), _random_point(rng, curve))
+    builds = _count_class_builds(monkeypatch)
+    cls = ms.psi_plus(ip, curve)[0]
+    again = ms.psi_plus(ms.IncidencePoint(ip.x, we.PlaneLine(*ip.line.vec())), curve)[0]
+    assert again is not cls and again == cls
+    assert len(builds) == 2
+
+
+def test_the_class_memo_is_freed_with_its_line(curve):
+    rng = random.Random(89)
+    ip = _chord(curve, _random_point(rng, curve), _random_point(rng, curve))
+    assert ms.sigma_cover_count(ip.line, curve) == 3
+    cls = weakref.ref(ms.psi_plus(ip, curve)[0])
+    line = weakref.ref(ip.line)
+    assert cls() is not None
+    del ip
+    assert line() is None and cls() is None
+
+
+def test_a_refused_near_pole_triple_keeps_no_class(curve, monkeypatch):
+    # a triple that does not sum to zero has no class to keep: both entry
+    # points build it from the one memoised solve and refuse it alike
+    ip = _chord(curve, jl.canon(1e-6, curve), jl.canon(0.37 + 0.21 * curve.tau, curve))
+    solves = _count_cubic_solves(monkeypatch, curve)
+    builds = _count_class_builds(monkeypatch)
+    messages = []
+    for run in (lambda: ms.sigma_cover_count(ip.line, curve), lambda: ms.psi_plus(ip, curve),
+                lambda: ms.sigma_cover_count(ip.line, curve)):
+        with pytest.raises(ValueError) as err:
+            run()
+        messages.append((type(err.value), str(err.value)))
+    assert messages == [(ValueError, "triple does not sum to zero in the Jacobian")] * 3
+    assert len(solves) == 1 and len(builds) == 3
+
+
+def _unitary(rng):
+    q, _ = np.linalg.qr(rng.randn(3, 3) + 1j * rng.randn(3, 3))
+    return q
+
+
+@pytest.mark.parametrize("sigma,rank", [((1.0, 0.7, 0.4), 3), ((1.3, 1e-5, 1e-5), 3),
+                                        ((2.0, 0.5, 1e-7), 2), ((1.0, 1e-7, 0.0), 1),
+                                        ((0.8, 0.0, 0.0), 1)])
+def test_parametrization_rank_of_a_stubbed_linear_chart(monkeypatch, sigma, rank):
+    # a linear chart F = M (u1, u2, t) has the Jacobian M, whose singular
+    # values are sigma: the rank counts those above tol = 1e-6
+    rng = np.random.RandomState(97)
+    for _ in range(20):
+        M = _unitary(rng) @ np.diag(sigma) @ _unitary(rng)
+        monkeypatch.setattr(ms, "_chart", lambda line, u1, u2, t, curve: tuple(
+            complex(f) for f in M @ np.array([u1, u2, t])))
+        assert ms.parametrization_rank(0.3, -0.2j, 0.5 + 0.1j, CurveSpec(TAU)) == rank
+        assert np.linalg.matrix_rank(M, tol=1e-6) == rank
+
+
+def test_parametrization_rank_leaves_numpy_unloaded():
+    code = ("import json, sys\n"
+            "from ellpar import modspace as ms\n"
+            "from ellpar.jaclattice import CurveSpec\n"
+            "rank = ms.parametrization_rank(0.4 - 0.3j, -0.2 + 0.5j, 0.3 + 0.1j, CurveSpec(0.3 + 1.1j))\n"
+            "print(json.dumps({'rank': rank, 'numpy': 'numpy' in sys.modules}))\n")
+    src = str(Path(ms.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"rank": 3, "numpy": False}
 
 
 def test_parametrization_rank_solves_each_distinct_line_once(curve, monkeypatch):

@@ -229,6 +229,54 @@ def test_carlson_rf_matches_mpmath():
         assert abs(got - want) <= 4e-15 * abs(want), args
 
 
+def _carlson_cases():
+    """Arguments of R_F off the cut, by family: relative spreads 1e-8..1, the
+    magnitudes of the three spread over up to 1e8, one argument at or near 0,
+    and the a_i of inversions within 1e-6.5..1e-1 of the pole."""
+    rng = random.Random(101)
+
+    def unit():
+        return cmath.exp(1j * rng.uniform(-3.1, 3.1))
+
+    cases = {"spread": [], "near_zero": [], "near_pole": []}
+    for _ in range(300):
+        c = 10 ** rng.uniform(-4, 4) * unit()
+        k = rng.uniform(-8, 8)
+        if k < 0:
+            args = [c * (1 + 10 ** k * rng.random() * unit()) for _ in range(3)]
+        else:
+            args = [c * 10 ** (k * rng.random()) * unit() for _ in range(3)]
+        cases["spread"].append(args)
+    for i in range(300):
+        args = [10 ** rng.uniform(-6, 6) * unit() for _ in range(3)]
+        args[i % 3] = 10 ** rng.uniform(-300, -10) * unit() if i % 2 else 0j
+        cases["near_zero"].append(args)
+    for tau in (1j, 0.5 + 1j, TAU):
+        curve = CurveSpec(tau)
+        g2, g3, e = we._curve_constants(curve)
+        for _ in range(100):
+            x, _ = we.wp(10 ** rng.uniform(-6.5, -1) * unit(), curve)
+            u = cmath.sqrt(x / abs(x))
+            cases["near_pole"].append([(x - ei) / u**2 for ei in e])
+    return cases
+
+
+# the worst relative error, rounded up, of the duplication that measured the
+# spread at every step, on these same arguments
+CARLSON_WORST = {"spread": 5.3e-16, "near_zero": 5.2e-16, "near_pole": 4.4e-16}
+
+
+def test_carlson_rf_matches_mpmath_across_spreads_and_near_pole_inversions():
+    mpmath = pytest.importorskip("mpmath")
+    for family, cases in _carlson_cases().items():
+        worst = 0.0
+        for args in cases:
+            with mpmath.workdps(40):
+                want = complex(mpmath.elliprf(*(mpmath.mpc(a.real, a.imag) for a in args)))
+            worst = max(worst, abs(we._carlson_rf(*args) - want) / abs(want))
+        assert worst <= CARLSON_WORST[family], (family, worst)
+
+
 def _assert_inverts(x, y, curve):
     """Backward error of the elliptic logarithm: P at the recovered z is x, and P' has y's sign.
 
