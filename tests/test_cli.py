@@ -349,12 +349,16 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
 resp, code = cli.run({"command": "classify-monodromy", "payload": {
     "tau": [0.3, 1.1], "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
     "B": [[1, 1, 0], [0, 1, 1], [0, 0, 1]]}})
-print(json.dumps({"code": code, "label": resp["result"].get("label")}))
+family, family_code = cli.run({"command": "universal-family", "payload": {
+    "tau": [0.3, 1.1], "b1": [0.7, 0.2], "b2": [1.3, -0.1]}})
+print(json.dumps({"code": code, "label": resp["result"].get("label"),
+                  "family": [family_code, family["result"]["class"]["label"]],
+                  "numpy": "numpy" in sys.modules}))
 """
 
 
 def test_core_and_cli_import_without_numpy():
-    # numpy is loaded only by the monodromy commands and act_plane
+    # numpy is loaded only by act_plane and normal_form
     env = {k: v for k, v in os.environ.items() if k != "TOL"}
     proc = subprocess.run([sys.executable, "-c", IMPORT_GATE],
                           capture_output=True, text=True, env=env)
@@ -362,7 +366,8 @@ def test_core_and_cli_import_without_numpy():
     answer, gate, monodromy = proc.stdout.splitlines()
     assert json.loads(answer)["result"]["verdict"] == "Stable"
     assert json.loads(gate) == {"code": 0, "numpy": False}
-    assert json.loads(monodromy) == {"code": 0, "label": "T31"}
+    assert json.loads(monodromy) == {"code": 0, "label": "T31", "family": [0, "T1"],
+                                     "numpy": False}
 
 
 def test_matrices_in_and_out_of_the_cli():

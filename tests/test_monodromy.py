@@ -223,6 +223,28 @@ def test_classification_survives_ill_conditioned_conjugators(curve):
                 assert jl.equal(got.point, ref.point, tol=1e-6)
 
 
+def test_classification_survives_conjugators_up_to_condition_1e4(curve):
+    # the eigenvalues come from the characteristic polynomial, clustered
+    # within its pseudozero radius, and each simple one is read through its
+    # null vectors, so conditioning moves no label or point up to 1e4
+    reps = representatives(curve)
+    reps["exotic"] = exotic_pair()
+    refs = {label: mo.classify_bundle(pair, curve) for label, pair in reps.items()}
+    rng = np.random.RandomState(29)
+    wrong = []
+    for cond in (100.0, 300.0, 1000.0, 3000.0, 1e4):
+        for label, pair in reps.items():
+            ref = refs[label]
+            for _ in range(60):
+                got = mo.classify_bundle(conj_pair(pair, conditioned_unimodular(rng, cond)), curve)
+                same = got.label == ref.label and (
+                    all(any(jl.equal(p, q, tol=1e-6) for q in ref.triple) for p in got.triple)
+                    if got.label == "T1" else jl.equal(got.point, ref.point, tol=1e-6))
+                if not same:
+                    wrong.append((cond, label, got.label))
+    assert wrong == []
+
+
 def test_small_first_jordan_coefficient_is_t31(curve):
     # N_B - tau N_A = c1 N + c2 N^2 with c1 = 1e-4, c2 = O(1): T31, since
     # c1 is far above tol in the Jordan basis of A; with c1 = 0 it is T32
@@ -257,6 +279,40 @@ def test_kappa_collision_is_split_by_a_second_weight(curve):
         assert any(jl.equal(z, q, tol=1e-6) for q in cls.triple)
 
 
+@pytest.mark.parametrize("tol", [jl.EQ_TOL, 1e-8])
+def test_near_torsion_repeated_point_retries_finer_splits(curve, tol):
+    # z, z, -2z with |3z| = delta: the three eigenvalues share one cluster,
+    # which is not scalar plus nilpotent at tol, so the finer splits 1+2 and
+    # 1+1+1 are tried before EigenvalueSeparationError
+    def pair(delta):
+        z = jl.JacPoint(curve, s=1 / 3 + delta / 3, t=0.0)
+        return diag_pair(curve, [z, z, jl.neg(jl.mul(2, z))])
+
+    for delta in (1e-7, 3e-7):
+        cls = mo.classify_bundle(pair(delta), curve, tol=tol)
+        assert cls.label == "T33" and cls.point == exact(curve, Fraction(1, 3), 0)
+    cls = mo.classify_bundle(pair(3e-6), curve, tol=tol)
+    assert cls.label == "T22" and jl.equal(cls.point, jl.JacPoint(curve, s=1 / 3 + 1e-6, t=0.0))
+    # |3z| = EQ_TOL lies in the ambiguous band: any label, but an answer
+    assert mo.classify_bundle(pair(1e-6), curve, tol=tol).label in ("T22", "T33")
+
+
+def test_no_split_of_a_jordan_block_is_read_as_simple_eigenvalues(curve):
+    # at a tolerance below roundoff the Jordan block of T31 fails its
+    # nilpotency test under every kappa, so the finer splits are tried; their
+    # simple roots have nearly orthogonal null vectors and are not read
+    z3 = exact(curve, Fraction(1, 3), 0)
+    pair = representatives(curve)["T31"]
+    rng = np.random.RandomState(31)
+    for _ in range(5):
+        conj = conj_pair(pair, random_unimodular(rng))
+        try:
+            cls = mo.classify_bundle(conj, curve, tol=1e-16)
+        except mo.EigenvalueSeparationError:
+            continue
+        assert cls.label == "T31" and jl.equal(cls.point, z3, tol=1e-6)
+
+
 def test_conjugation_invariance_all_types(curve):
     reps = representatives(curve)
     rng = np.random.RandomState(11)
@@ -264,6 +320,29 @@ def test_conjugation_invariance_all_types(curve):
         for _ in range(10):
             got = mo.classify_bundle(conj_pair(pair, random_unimodular(rng)), curve)
             assert got.label == label, f"{label} misclassified as {got.label}"
+
+
+def test_generic_universal_pair_forms_no_matrix_product(curve, monkeypatch):
+    # three simple eigenvalues are read through their null vectors: the only
+    # 3x3 products are the two of validate's commutator
+    calls = []
+    mul = mo._mul
+    monkeypatch.setattr(mo, "_mul", lambda X, Y: calls.append(1) or mul(X, Y))
+    pair = mo.universal_pair(0.94, 1.08, "generic")
+    assert isinstance(pair.A, tuple) and isinstance(pair.B[2], tuple)
+    assert mo.classify_bundle(pair, curve).label == "T1"
+    assert len(calls) == 2
+
+
+def test_one_plus_two_pair_builds_each_nilpotent_part_once(curve, monkeypatch):
+    calls = []
+    nilpotent = mo._nilpotent
+    monkeypatch.setattr(mo, "_nilpotent", lambda *a: calls.append(1) or nilpotent(*a))
+    z = exact(curve, Fraction(1, 5), Fraction(1, 7))
+    a, b = holonomy_scalars(z)
+    pair = conj_pair(block_pair(a, b, 1.0, 0.37), random_unimodular(np.random.RandomState(23)))
+    assert mo.classify_bundle(pair, curve).label == "T21"
+    assert len(calls) == 2
 
 
 def test_universal_pair_validates_and_classifies(curve):
@@ -303,11 +382,15 @@ def test_block_tolerance_does_not_decide_torsion(curve, monkeypatch):
 
     z = jl.JacPoint(curve, s=1 / 3 + 1e-7 / 3, t=0.0)
     a, b = holonomy_scalars(z)
-    E = [np.diag(np.eye(3)[k]).astype(complex) for k in range(3)]
-    cases = ((block_pair(a, b, 1.0, 0.37),
-              [(1, E[0], a**-2, b**-2), (2, E[1] + E[2], a, b)], "T32"),
+    e = [tuple(float(i == k) for i in range(3)) for k in range(3)]
+    P = ((0.0, 0.0, 0.0), e[1], e[2])
+    block = block_pair(a, b, 1.0, 0.37)
+    cases = ((block, [(1, a**-2, b**-2, e[0], None, None),
+                      (2, a, b, P, mo._nilpotent(block.A, a, P), mo._nilpotent(block.B, b, P))],
+              "T32"),
              (diag_pair(curve, [z, z, jl.neg(jl.mul(2, z))]),
-              [(1, E[0], a, b), (1, E[1], a, b), (1, E[2], a**-2, b**-2)], "T33"))
+              [(1, a, b, e[0], None, None), (1, a, b, e[1], None, None),
+               (1, a**-2, b**-2, e[2], None, None)], "T33"))
     for pair, blocks, label in cases:
         monkeypatch.setattr(mo, "_joint_blocks", lambda A, B, tol: blocks)
         cls = mo.classify_bundle(pair, curve, tol=1e-8)
