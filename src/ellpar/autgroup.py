@@ -64,35 +64,36 @@ def act_class(g: ModularAuto, cls: BundleClass) -> BundleClass:
     return make_t3x(cls.label, z)
 
 
-def act_plane(g: ModularAuto, curve: CurveSpec) -> "np.ndarray":
-    """Projective-linear lift of g to the embedded plane, solved by DLT.
+# generic sample points, as lattice coordinates (s, t): irrational, away
+# from torsion and the lattice
+_BASE = [(0.2718 + 0.0531 * k, (0.3141 + 0.0377 * k * k) % 1) for k in range(8)]
 
-    Built from 8 point correspondences embed(z) -> embed(g z) in general
-    position, two linear rows each, nullspace by SVD.
+
+def act_plane(g: ModularAuto, curve: CurveSpec) -> tuple[tuple[complex, ...], ...]:
+    """Projective-linear lift of g to the embedded plane, as a 3x3 tuple of rows.
+
+    Solved by DLT from 8 point correspondences embed(z) -> embed(g z) in
+    general position, two linear rows each, nullspace by SVD (numpy's only call).
     """
     import numpy as np
 
-    # generic sample points: irrational, away from torsion and the lattice
-    base = [jl.canon(complex(0.2718 + 0.0531 * k + (0.3141 + 0.0377 * k * k) * curve.tau),
-                     curve) for k in range(8)]
     rows = []
-    for z in base:
-        p = embed(z, curve)
-        q = embed(act_point(g, z), curve)
-        x = np.array(p.vec())
-        xp = np.array(q.vec())
-        zero3 = np.zeros(3, dtype=complex)
-        rows.append(np.concatenate([zero3, -xp[2] * x, xp[1] * x]))
-        rows.append(np.concatenate([xp[2] * x, zero3, -xp[0] * x]))
-    A = np.array(rows)
-    _, s, vh = np.linalg.svd(A)
-    if s[-2] < 1e-8 * s[0]:
+    for s, t in _BASE:
+        z = JacPoint(curve, s, t)
+        x = embed(z, curve).vec()
+        a, b, c = embed(act_point(g, z), curve).vec()
+        rows.append([0j, 0j, 0j, *[-c * e for e in x], *[b * e for e in x]])
+        rows.append([*[c * e for e in x], 0j, 0j, 0j, *[-a * e for e in x]])
+    _, sv, vh = np.linalg.svd(np.array(rows), full_matrices=False)
+    sv = sv.tolist()
+    if sv[-2] < 1e-8 * sv[0]:
         raise ValueError("ill-conditioned correspondence system")
-    M = vh.conj()[-1].reshape(3, 3)
+    m = [x.conjugate() for x in vh[-1].tolist()]
     # fix the scale by the first entry, in row-major order, of at least half
     # the largest modulus: entries of equal modulus cannot tie
-    big = np.abs(M).max()
-    return M / next(x for x in M.flat if abs(x) >= big / 2)
+    big = max(map(abs, m))
+    pivot = next(x for x in m if abs(x) >= big / 2)
+    return tuple(tuple(x / pivot for x in m[i:i + 3]) for i in (0, 3, 6))
 
 
 def act_parabolic(g: ModularAuto, cls: BundleClass, coord: ProjScalar,

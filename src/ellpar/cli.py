@@ -43,8 +43,11 @@ def _need(payload: dict, key: str):
 
 
 def _is_number(x) -> bool:
-    # JSON true/false arrive as bool, a subclass of int, but are not numbers
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    # JSON true/false arrive as bool, a subclass of int, but are not numbers;
+    # json reads NaN, Infinity and -Infinity as floats, which are not either
+    if isinstance(x, float):
+        return math.isfinite(x)
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def parse_complex(v) -> complex:
@@ -458,6 +461,17 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def _answer(resp: dict, code: int) -> tuple[str, int]:
+    """The canonical text of one response; a result that JSON cannot hold
+    (a non-finite number, as from an overflow) is answered as a domain error."""
+    try:
+        return _dump(resp), code
+    except ValueError:
+        return _dump({"ok": False, "result": {"error": "ValueError",
+                                              "message": "result is not finite"},
+                      "diagnostics": resp["diagnostics"]}), EXIT_DOMAIN
+
+
 def _refuse(message: str) -> int:
     """Answer input refused before any request runs: SchemaViolation, exit 3."""
     print(_dump({"ok": False, "result": {"error": "SchemaViolation", "message": message},
@@ -496,17 +510,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.file:
         if not isinstance(data, list):
             return _refuse("--file expects a JSON array of requests")
-        responses = []
+        texts = []
         worst = EXIT_OK
         for req in data:
-            resp, code = run(req, tol)
-            responses.append(resp)
+            text, code = _answer(*run(req, tol))
+            texts.append(text)
             worst = max(worst, code)
-        print(_dump(responses))
+        print("[" + ",".join(texts) + "]")
         return worst
 
-    resp, code = run(data, tol)
-    print(_dump(resp))
+    text, code = _answer(*run(data, tol))
+    print(text)
     return code
 
 

@@ -166,9 +166,14 @@ def _check_curves(p: JacPoint, q: JacPoint):
 def add(p: JacPoint, q: JacPoint) -> JacPoint:
     """Group law of (C/Lambda, +).  Exact in, exact out; mixing yields approx."""
     _check_curves(p, q)
-    if p.is_exact and q.is_exact:
-        return JacPoint(p.curve, _sum(p.s, q.s), _sum(p.t, q.t))
-    return _reduced(p.curve, p.s + q.s, p.t + q.t)
+    if p.is_exact:
+        if q.is_exact:
+            return JacPoint(p.curve, _sum(p.s, q.s), _sum(p.t, q.t))
+        p, q = q, p  # float addition commutes
+    # float + Fraction adds float(Fraction): the same sums, without
+    # Fraction's operator fallbacks
+    qs, qt = (q.s, q.t) if type(q.s) is float else q.coords()
+    return _reduced(p.curve, p.s + qs, p.t + qt)
 
 
 def neg(p: JacPoint) -> JacPoint:

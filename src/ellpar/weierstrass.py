@@ -35,14 +35,18 @@ class DegenerateGeometryError(ValueError):
 
 
 def _normalize(v: Sequence[complex]) -> tuple[complex, complex, complex]:
-    v = [complex(x) for x in v]
-    scale = max(abs(x) for x in v)
+    """v divided by its first coordinate of modulus above 1e-14 of the largest."""
+    a, b, c = map(complex, v)
+    ma, mb, mc = abs(a), abs(b), abs(c)
+    # NaN compares false, so this refuses it in any position
+    if not (ma < math.inf and mb < math.inf and mc < math.inf):
+        raise DegenerateGeometryError("non-finite homogeneous coordinate")
+    scale = max(ma, mb, mc)
     if scale == 0:
         raise DegenerateGeometryError("all homogeneous coordinates vanish")
-    for x in v:
-        if abs(x) > 1e-14 * scale:
-            return tuple(y / x for y in v)
-    raise DegenerateGeometryError("cannot normalize homogeneous vector")
+    tiny = 1e-14 * scale
+    x = a if ma > tiny else b if mb > tiny else c
+    return (a / x, b / x, c / x)
 
 
 def _cross(a: Sequence[complex], b: Sequence[complex]) -> tuple[complex, complex, complex]:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -109,9 +110,9 @@ def test_dual_negates_triples_and_shift_translates(curve):
 
 def test_act_plane_identity_and_dual(curve):
     e = ag.identity(curve)
-    M = ag.act_plane(e, curve)
+    M = np.array(ag.act_plane(e, curve))
     assert np.allclose(M / M[0, 0], np.eye(3), atol=1e-7)
-    Md = ag.act_plane(ag.ModularAuto(jl.zero(curve), True), curve)
+    Md = np.array(ag.act_plane(ag.ModularAuto(jl.zero(curve), True), curve))
     assert np.allclose(Md / Md[0, 0], np.diag([1, -1, 1]), atol=1e-7)
 
 
@@ -129,7 +130,7 @@ def test_act_plane_scale_is_deterministic(tau):
         return M / next(x for x in M.flat if abs(x) >= big / 2)
 
     elems = ag.group_elements(curve)
-    mats = [ag.act_plane(g, curve) for g in elems]
+    mats = [np.array(ag.act_plane(g, curve)) for g in elems]
     for M in mats:
         # no entry sits where roundoff could move it across the cut-off
         assert np.abs(np.abs(M) / np.abs(M).max() - 0.5).min() > 1e-6
@@ -190,3 +191,53 @@ def test_group_elements_build_three_coordinates(curve, monkeypatch):
     assert len(calls) == 3
     assert [g.shift for g in els[:9]] == [g.shift for g in els[9:]]
     assert [g.dual for g in els] == [False] * 9 + [True] * 9
+
+
+def _act_plane_reference(g, curve):
+    """act_plane as a numpy DLT, ndarray throughout: the reference for the
+    lift's plain-Python rows."""
+    base = [jl.canon(complex(0.2718 + 0.0531 * k + (0.3141 + 0.0377 * k * k) * curve.tau),
+                     curve) for k in range(8)]
+    rows = []
+    for z in base:
+        x = np.array(we.embed(z, curve).vec())
+        xp = np.array(we.embed(ag.act_point(g, z), curve).vec())
+        zero3 = np.zeros(3, dtype=complex)
+        rows.append(np.concatenate([zero3, -xp[2] * x, xp[1] * x]))
+        rows.append(np.concatenate([xp[2] * x, zero3, -xp[0] * x]))
+    _, s, vh = np.linalg.svd(np.array(rows))
+    if s[-2] < 1e-8 * s[0]:
+        raise ValueError("ill-conditioned correspondence system")
+    M = vh.conj()[-1].reshape(3, 3)
+    big = np.abs(M).max()
+    return M / next(x for x in M.flat if abs(x) >= big / 2)
+
+
+def _proj_dist(a, b):
+    """Chordal distance between two points of the projective plane."""
+    na = math.sqrt(sum(abs(x) ** 2 for x in a))
+    nb = math.sqrt(sum(abs(x) ** 2 for x in b))
+    return math.sqrt(sum(abs(c) ** 2 for c in we._cross(a, b))) / (na * nb)
+
+
+@pytest.mark.parametrize("tau", [1j, 0.5 + 1j, 0.3 + 1.1j, 2j, 0.25 + 1.7j, -0.4 + 1.3j])
+def test_act_plane_matches_the_numpy_dlt(tau):
+    curve = CurveSpec(tau)
+    rng = np.random.RandomState(43)
+    zs = [jl.JacPoint(curve, rng.rand(), rng.rand()) for _ in range(10)]
+    for g in ag.group_elements(curve):
+        M = ag.act_plane(g, curve)
+        assert all(type(x) is complex for row in M for x in row)
+        assert np.abs(np.array(M) - _act_plane_reference(g, curve)).max() <= 1e-12
+        for z in zs:
+            p = we.embed(z, curve).vec()
+            image = [sum(m * x for m, x in zip(row, p)) for row in M]
+            assert _proj_dist(image, we.embed(ag.act_point(g, z), curve).vec()) <= 1e-12
+
+
+def test_act_plane_refuses_a_degenerate_correspondence(curve, monkeypatch):
+    # one image point for every z: the 16 rows have rank 2
+    point = we.embed(jl.JacPoint(curve, 0.3, 0.4), curve)
+    monkeypatch.setattr(ag, "embed", lambda z, c: point)
+    with pytest.raises(ValueError, match="^ill-conditioned correspondence system$"):
+        ag.act_plane(ag.identity(curve), curve)

@@ -380,3 +380,33 @@ def test_matrices_in_and_out_of_the_cli():
         resp, code = cli.run({"command": "classify-monodromy",
                               "payload": {"tau": TAU, "A": A, "B": A}})
         assert code == cli.EXIT_DOMAIN and not resp["ok"]
+
+
+COVERING_JSON = '{"command": "covering", "payload": {"z1": %s, "z2": 0.5}}'
+
+
+@pytest.mark.parametrize("request_json, code, error", [
+    ('{"command": "flip", "payload": {"t": [NaN, 1]}}', cli.EXIT_SCHEMA, "SchemaViolation"),
+    (COVERING_JSON % "NaN", cli.EXIT_SCHEMA, "SchemaViolation"),
+    (COVERING_JSON % "-Infinity", cli.EXIT_SCHEMA, "SchemaViolation"),
+    # finite input whose F2 and F3 overflow to inf
+    (COVERING_JSON % "1e200", cli.EXIT_DOMAIN, "ValueError"),
+], ids=["nan-input", "nan-covering", "inf-covering", "overflowing-result"])
+def test_non_finite_numbers_are_refused(request_json, code, error, monkeypatch, capsys):
+    # json reads NaN and Infinity as floats, and a JSON answer cannot hold one
+    monkeypatch.delenv("TOL", raising=False)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(request_json))
+    assert cli.main([]) == code
+    out = json.loads(capsys.readouterr().out)
+    assert not out["ok"] and out["result"]["error"] == error
+
+
+def test_a_non_finite_result_fails_only_its_own_batch_request(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("TOL", raising=False)
+    f = tmp_path / "batch.json"
+    f.write_text("[%s, %s, %s]" % (json.dumps(TORELLI_SELF), COVERING_JSON % "1e200",
+                                   json.dumps({"command": "flip", "payload": {"t": 1}})))
+    assert cli.main(["--file", str(f)]) == cli.EXIT_DOMAIN
+    first, middle, last = json.loads(capsys.readouterr().out)
+    assert first["result"] == {"isomorphic": True} and last["result"] == {"lambda": "inf"}
+    assert not middle["ok"] and middle["result"]["error"] == "ValueError"

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -244,3 +245,30 @@ def test_approximate_is_zero_is_equal_to_zero(s, t, tol):
     d = math.hypot(min(s, 1 - s), min(t, 1 - t))
     assert p.is_zero(d) == jl.equal(p, jl.zero(curve), d)
     assert p.is_zero(math.nextafter(d, 0)) == jl.equal(p, jl.zero(curve), math.nextafter(d, 0))
+
+
+def _bits(p: JacPoint):
+    return tuple((type(c), c.hex() if isinstance(c, float) else c) for c in (p.s, p.t))
+
+
+def test_mixed_add_is_the_float_fraction_sum_bit_for_bit(curve):
+    rng = random.Random(5)
+
+    def fraction():
+        d = rng.randint(1, 12)
+        return Fraction(rng.randrange(d), d)  # reduced, zero included
+
+    # floats at and near the seam: within 1e-17 of 0, the largest float
+    # below 1, and floats that bring a Fraction within 1e-17 of 1
+    seam = [0.0, 5e-324, 1e-18, 9.9e-18, 1 - 2 ** -53]
+    cases = []
+    for _ in range(2000):
+        p = JacPoint(curve, fraction(), fraction())
+        near_one = [x for c in (p.s, p.t) for d in (0, 1)
+                    if (x := math.nextafter(1 - c.numerator / c.denominator, d)) < 1]
+        floats = [rng.random(), rng.random(), rng.choice(seam), rng.choice(seam + near_one)]
+        cases.append((p, JacPoint(curve, *rng.sample(floats, 2))))
+    for p, q in cases:
+        for a, b in ((p, q), (q, p)):
+            want = jl._reduced(curve, a.s + b.s, a.t + b.t)
+            assert _bits(jl.add(a, b)) == _bits(want)

@@ -507,3 +507,50 @@ def test_the_line_memo_is_freed_with_its_line(curve):
     ref = weakref.ref(line)
     del line
     assert ref() is None and point() is None
+
+
+def _normalize_reference(v):
+    """_normalize as first written: the pivot found by a scan for the first
+    modulus above 1e-14 of the largest."""
+    v = [complex(x) for x in v]
+    scale = max(abs(x) for x in v)
+    if scale == 0:
+        raise we.DegenerateGeometryError("all homogeneous coordinates vanish")
+    for x in v:
+        if abs(x) > 1e-14 * scale:
+            return tuple(y / x for y in v)
+    raise we.DegenerateGeometryError("cannot normalize homogeneous vector")
+
+
+def test_normalize_equals_its_reference_bit_for_bit():
+    rng = random.Random(23)
+
+    def entry():
+        kind = rng.randrange(5)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rng.randint(-9, 9)
+        size = 10 ** rng.uniform(-20, 20)
+        return complex(rng.gauss(0, size), rng.gauss(0, size) * (kind != 2))
+
+    cases = [(1e-14, 1, 0), (1.0000001e-14, 1, 0), (0, 1e-300, 1e-310), (0, 0, 5e-324),
+             (3, 4j, 5), (2, 4, 6)]
+    cases += [tuple(entry() for _ in range(3)) for _ in range(3000)]
+    for v in cases:
+        if not any(v):
+            continue
+        got, want = we._normalize(v), _normalize_reference(v)
+        assert [(type(x), x.real.hex(), x.imag.hex()) for x in got] == \
+            [(type(x), x.real.hex(), x.imag.hex()) for x in want]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1, math.nan),
+                                 complex(math.inf, 0)])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_normalize_refuses_a_non_finite_coordinate_anywhere(bad, position):
+    v = [1, 1, 1]
+    v[position] = bad
+    for of in (we.PlanePoint.of, we.PlaneLine.of):
+        with pytest.raises(we.DegenerateGeometryError):
+            of(*v)
