@@ -74,17 +74,20 @@ def act_plane(g: ModularAuto, curve: CurveSpec) -> tuple[tuple[complex, ...], ..
 
     Solved by DLT from 8 point correspondences embed(z) -> embed(g z) in
     general position, two linear rows each, nullspace by SVD (numpy's only call).
+    The pivot of the scale rule below is exactly 1.
     """
     import numpy as np
 
-    rows = []
+    rows: list[complex] = []  # the 16 rows of 9 entries, flat
     for s, t in _BASE:
         z = JacPoint(curve, s, t)
-        x = embed(z, curve).vec()
-        a, b, c = embed(act_point(g, z), curve).vec()
-        rows.append([0j, 0j, 0j, *[-c * e for e in x], *[b * e for e in x]])
-        rows.append([*[c * e for e in x], 0j, 0j, 0j, *[-a * e for e in x]])
-    _, sv, vh = np.linalg.svd(np.array(rows), full_matrices=False)
+        p = embed(z, curve)
+        x, y, w = p.x, p.y, p.z
+        img = embed(act_point(g, z), curve)
+        a, b, c = img.x, img.y, img.z
+        rows += (0j, 0j, 0j, -c * x, -c * y, -c * w, b * x, b * y, b * w,
+                 c * x, c * y, c * w, 0j, 0j, 0j, -a * x, -a * y, -a * w)
+    _, sv, vh = np.linalg.svd(np.array(rows).reshape(16, 9), full_matrices=False)
     sv = sv.tolist()
     if sv[-2] < 1e-8 * sv[0]:
         raise ValueError("ill-conditioned correspondence system")
@@ -92,8 +95,11 @@ def act_plane(g: ModularAuto, curve: CurveSpec) -> tuple[tuple[complex, ...], ..
     # fix the scale by the first entry, in row-major order, of at least half
     # the largest modulus: entries of equal modulus cannot tie
     big = max(map(abs, m))
-    pivot = next(x for x in m if abs(x) >= big / 2)
-    return tuple(tuple(x / pivot for x in m[i:i + 3]) for i in (0, 3, 6))
+    k = next(i for i, x in enumerate(m) if abs(x) >= big / 2)
+    pivot = m[k]
+    m = [x / pivot for x in m]
+    m[k] = 1 + 0j  # x / x is not always exactly 1 in complex arithmetic
+    return tuple(m[0:3]), tuple(m[3:6]), tuple(m[6:9])
 
 
 def act_parabolic(g: ModularAuto, cls: BundleClass, coord: ProjScalar,

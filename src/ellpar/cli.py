@@ -8,6 +8,7 @@ Exit codes: 0 ok, 2 domain error (valid request, library rejected the data),
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -75,7 +76,14 @@ def parse_point(v, curve: CurveSpec) -> JacPoint:
 
 
 def ser_complex(z: complex) -> Any:
+    """z as JSON: a number when real, else [re, im].  Every computed value of
+    a result passes here (lattice coordinates, weights and parabolic degrees
+    are finite by construction), and JSON cannot hold a non-finite one, as
+    from an overflow: that is a ValueError, which run answers as a domain
+    error."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError("result is not finite")
     if z.imag == 0:
         return z.real
     return [z.real, z.imag]
@@ -461,17 +469,6 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _answer(resp: dict, code: int) -> tuple[str, int]:
-    """The canonical text of one response; a result that JSON cannot hold
-    (a non-finite number, as from an overflow) is answered as a domain error."""
-    try:
-        return _dump(resp), code
-    except ValueError:
-        return _dump({"ok": False, "result": {"error": "ValueError",
-                                              "message": "result is not finite"},
-                      "diagnostics": resp["diagnostics"]}), EXIT_DOMAIN
-
-
 def _refuse(message: str) -> int:
     """Answer input refused before any request runs: SchemaViolation, exit 3."""
     print(_dump({"ok": False, "result": {"error": "SchemaViolation", "message": message},
@@ -513,14 +510,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         texts = []
         worst = EXIT_OK
         for req in data:
-            text, code = _answer(*run(req, tol))
-            texts.append(text)
+            resp, code = run(req, tol)
+            texts.append(_dump(resp))
             worst = max(worst, code)
         print("[" + ",".join(texts) + "]")
         return worst
 
-    text, code = _answer(*run(data, tol))
-    print(text)
+    resp, code = run(data, tol)
+    print(_dump(resp))
     return code
 
 

@@ -122,13 +122,13 @@ def lines_meet(l1: PlaneLine, l2: PlaneLine) -> PlanePoint:
 _MAX_TERMS = 4000
 
 
-def _nome(curve: CurveSpec) -> complex:
-    return cmath.exp(2j * math.pi * curve.tau)
+def _nome(tau: complex) -> complex:
+    return cmath.exp(2j * math.pi * tau)
 
 
 def curve_invariants(curve: CurveSpec) -> tuple[complex, complex, complex]:
     """(g2, g3, j) of the lattice Z + tau*Z."""
-    q = _nome(curve)
+    q = _nome(curve.tau)
     e4 = 1.0 + 0j
     e6 = 1.0 + 0j
     qn = q
@@ -152,6 +152,33 @@ def curve_invariants(curve: CurveSpec) -> tuple[complex, complex, complex]:
     return g2, g3, j
 
 
+# (2*pi*i)^2 and (2*pi*i)^3, the factors of wp's two series
+_C2 = (2j * math.pi) ** 2
+_C3 = (2j * math.pi) ** 3
+
+
+@functools.lru_cache(maxsize=8)
+def _wp_series(tau: complex) -> tuple[tuple[complex, complex], ...]:
+    """The z-free part of wp's series at the last few tau: (q^n, 2 q^n/(1-q^n)^2)
+    for n = 1 .. N.
+
+    For z in the centred parallelogram |u|, |1/u| <= e^{pi Im tau}, so the n-th
+    terms are at most ~4 e^{-pi Im tau (2n-1)} < 4e-19, far below wp's 1e-17
+    break test, from n >= 1/2 + ln(1e19)/(2 pi Im tau) on: N is that bound
+    (counted in log space, as e^{pi Im tau} overflows from Im tau ~ 226), capped
+    at _MAX_TERMS - 1 terms.  Keyed by tau's value: taus that compare equal
+    give the same nome bit for bit.
+    """
+    n_max = min(_MAX_TERMS - 1, 1.5 + math.log(1e19) / (2 * math.pi * tau.imag))
+    q = _nome(tau)
+    table = []
+    qn = q
+    for _ in range(int(n_max)):
+        table.append((qn, 2 * qn / (1 - qn) ** 2))
+        qn *= q
+    return tuple(table)
+
+
 def wp(z: complex, curve: CurveSpec) -> tuple[complex, complex]:
     """Weierstrass P and P' at z.
 
@@ -161,7 +188,8 @@ def wp(z: complex, curve: CurveSpec) -> tuple[complex, complex]:
       P' / (2*pi*i)^3 = sum_{n in Z} q^n u (1 + q^n u) / (1 - q^n u)^3
     z is first reduced to the parallelogram centred at 0, and 1 - u is formed
     as -expm1(2*pi*i*z), so the pole term keeps its relative accuracy near the
-    lattice.
+    lattice.  The z-free factors come from the curve's table (_wp_series); a
+    square a*a and a cube a*(a*a) are the products that a**2 and a**3 compute.
     """
     tau = curve.tau
     t = z.imag / tau.imag
@@ -170,29 +198,27 @@ def wp(z: complex, curve: CurveSpec) -> tuple[complex, complex]:
     if abs(z) < POLE_TOL:
         raise PoleProximityError(f"z = {z} within {POLE_TOL} of the lattice")
 
-    q = _nome(curve)
     w = 2j * math.pi * z
     u = cmath.exp(w)
     om = complex(2 * math.sin(w.imag / 2) ** 2 - math.expm1(w.real) * math.cos(w.imag),
                  -math.exp(w.real) * math.sin(w.imag))  # 1 - u
     p = 1.0 / 12.0 + u / om / om  # ratios, not powers: |u| reaches e^(pi Im tau)
     pp = u / om * (1 + u) / om / om
-    qn = q
-    for n in range(1, _MAX_TERMS):
+    for qn, dn in _wp_series(tau):
         qu = qn * u
         qiu = qn / u
-        tp = qu / (1 - qu) ** 2 + qiu / (1 - qiu) ** 2 - 2 * qn / (1 - qn) ** 2
-        tpp = qu * (1 + qu) / (1 - qu) ** 3 - qiu * (1 + qiu) / (1 - qiu) ** 3
+        a = 1 - qu
+        b = 1 - qiu
+        tp = qu / (a * a) + qiu / (b * b) - dn
+        tpp = qu * (1 + qu) / (a * (a * a)) - qiu * (1 + qiu) / (b * (b * b))
         p = p + tp
         pp = pp + tpp
         if abs(tp) < 1e-17 and abs(tpp) < 1e-17:
             break
-        qn *= q
     else:
         raise ArithmeticError("P series did not converge")
-    c = 2j * math.pi
     # the n<=-1 half of the P' sum equals -(n>=1 half with u -> 1/u), folded in above
-    return c**2 * p, c**3 * pp
+    return _C2 * p, _C3 * pp
 
 
 INFINITY_POINT = PlanePoint(0j, 1 + 0j, 0j)

@@ -1,4 +1,5 @@
 import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from ellpar import jaclattice as jl
 from ellpar import modspace as ms
+from ellpar import weierstrass as we
 from ellpar.jaclattice import CurveSpec, JacPoint
 from ellpar.parabolic import ProjScalar
 
@@ -69,3 +71,38 @@ def frame_lambda(frame, x) -> ProjScalar:
     """The cross-ratio (p1, p2; p3, x) of three points and x on one line, by
     their parameters in the frame p1, p2 (see frame_param)."""
     return ms.cross_ratio(*(frame_param(q, frame[0], frame[1]) for q in (*frame, x)))
+
+
+def wp_reference(z: complex, curve: CurveSpec) -> tuple[complex, complex]:
+    """weierstrass.wp as it was before its per-curve series table: the nome's
+    powers and the z-free terms formed at every call, powers by **, and the
+    factors (2 pi i)^2, (2 pi i)^3 at the end.  The reference for wp's bits."""
+    tau = curve.tau
+    t = z.imag / tau.imag
+    s = z.real - t * tau.real
+    z = (s - round(s)) + (t - round(t)) * tau
+    if abs(z) < we.POLE_TOL:
+        raise we.PoleProximityError(f"z = {z} within {we.POLE_TOL} of the lattice")
+
+    q = cmath.exp(2j * math.pi * tau)
+    w = 2j * math.pi * z
+    u = cmath.exp(w)
+    om = complex(2 * math.sin(w.imag / 2) ** 2 - math.expm1(w.real) * math.cos(w.imag),
+                 -math.exp(w.real) * math.sin(w.imag))  # 1 - u
+    p = 1.0 / 12.0 + u / om / om
+    pp = u / om * (1 + u) / om / om
+    qn = q
+    for n in range(1, we._MAX_TERMS):
+        qu = qn * u
+        qiu = qn / u
+        tp = qu / (1 - qu) ** 2 + qiu / (1 - qiu) ** 2 - 2 * qn / (1 - qn) ** 2
+        tpp = qu * (1 + qu) / (1 - qu) ** 3 - qiu * (1 + qiu) / (1 - qiu) ** 3
+        p = p + tp
+        pp = pp + tpp
+        if abs(tp) < 1e-17 and abs(tpp) < 1e-17:
+            break
+        qn *= q
+    else:
+        raise ArithmeticError("P series did not converge")
+    c = 2j * math.pi
+    return c**2 * p, c**3 * pp

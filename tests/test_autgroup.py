@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from ellpar import autgroup as ag
 from ellpar import bundles as bd
+from ellpar import cli
 from ellpar import jaclattice as jl
 from ellpar import parabolic as pa
 from ellpar import weierstrass as we
@@ -241,3 +243,33 @@ def test_act_plane_refuses_a_degenerate_correspondence(curve, monkeypatch):
     monkeypatch.setattr(ag, "embed", lambda z, c: point)
     with pytest.raises(ValueError, match="^ill-conditioned correspondence system$"):
         ag.act_plane(ag.identity(curve), curve)
+
+
+def test_act_plane_embeds_16_points_over_one_series_table(curve, monkeypatch):
+    # bench/selftest.py pins 16 embed calls per lift; each evaluates the public
+    # wp, and the 16 evaluations share one series table of the curve
+    embeds, wps = [], []
+    embed, wp = ag.embed, we.wp
+    monkeypatch.setattr(ag, "embed", lambda z, c: embeds.append(z) or embed(z, c))
+    monkeypatch.setattr(we, "wp", lambda z, c: wps.append(z) or wp(z, c))
+    we._wp_series.cache_clear()
+    ag.act_plane(ag.group_elements(curve)[4], curve)
+    info = we._wp_series.cache_info()
+    assert len(embeds) == len(wps) == 16
+    assert (info.misses, info.hits) == (1, 15)
+
+
+def test_act_plane_pivot_is_exactly_one():
+    # the scale rule divides by the pivot, and x / x need not be exactly 1 in
+    # complex arithmetic; the pivot is set to 1, which the CLI prints as 1.0
+    rng = random.Random(89)
+    for k in range(150):
+        curve = CurveSpec(complex(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 3)))
+        for g in ag.group_elements(curve)[k % 2::2]:
+            M = ag.act_plane(g, curve)
+            flat = [x for row in M for x in row]
+            big = max(map(abs, flat))
+            pivot = next(i for i, x in enumerate(flat) if abs(x) >= big / 2)
+            assert flat[pivot] == 1
+            printed = [c for row in cli.ser_matrix(M) for c in row][pivot]
+            assert type(printed) is float and printed == 1.0

@@ -11,7 +11,7 @@ import pytest
 from ellpar import modspace as ms
 from ellpar import weierstrass as we
 
-from conftest import frame_lambda
+from conftest import frame_lambda, wp_reference
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 OPS = 300
@@ -96,3 +96,18 @@ def test_dual_plane_lambda_on_the_benchmark_inputs_matches_the_frame_reference(m
     assert far == []
     assert cold == memoised
     assert checked_chords > 300
+
+
+def test_cli_batch_answers_alike_with_the_reference_wp(monkeypatch):
+    # wp's per-curve series table changes no bit of any response: the first
+    # cli-batch requests dump to the same text with the reference wp
+    monkeypatch.syspath_prepend(str(BENCH))
+    batch = list(islice(importlib.import_module("cli_batch").ops(1), OPS))
+    calls = []
+    wp = we.wp
+    monkeypatch.setattr(we, "wp", lambda z, c: calls.append(z) or wp(z, c))
+    fast = [op.call() for op in batch]
+    fast_calls = len(calls)
+    monkeypatch.setattr(we, "wp", lambda z, c: calls.append(z) or wp_reference(z, c))
+    assert [op.call() for op in batch] == fast
+    assert fast_calls == len(calls) - fast_calls > 50

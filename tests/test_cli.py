@@ -410,3 +410,33 @@ def test_a_non_finite_result_fails_only_its_own_batch_request(tmp_path, monkeypa
     first, middle, last = json.loads(capsys.readouterr().out)
     assert first["result"] == {"isomorphic": True} and last["result"] == {"lambda": "inf"}
     assert not middle["ok"] and middle["result"]["error"] == "ValueError"
+
+
+def test_aut_act_prints_the_plane_pivot_as_one(monkeypatch, capsys):
+    # this lift's pivot came out of x / x as 1 - 5.3e-17i and printed as a pair
+    request = {"command": "aut-act", "payload": {
+        "tau": TAU, "g": {"shift": [0, 1, 2, 3], "dual": False}, "target": "plane"}}
+    matrix = ok("aut-act", request["payload"])["matrix"]
+    assert matrix[1][2] == 1.0 and type(matrix[1][2]) is float
+    monkeypatch.delenv("TOL", raising=False)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(request)))
+    assert cli.main([]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["result"]["matrix"] == matrix
+
+
+NOT_FINITE = {"ok": False, "result": {"error": "ValueError", "message": "result is not finite"},
+              "diagnostics": []}
+
+
+def test_run_refuses_a_non_finite_result(tmp_path, monkeypatch, capsys):
+    # in process, as bench/cli_batch.py calls it, the response is a domain
+    # error that dumps to JSON, and main --file prints that response
+    request = json.loads(COVERING_JSON % "1e200")
+    resp, code = cli.run(request)
+    assert (resp, code) == (NOT_FINITE, cli.EXIT_DOMAIN)
+    assert json.loads(cli._dump(resp)) == resp
+    monkeypatch.delenv("TOL", raising=False)
+    f = tmp_path / "batch.json"
+    f.write_text(json.dumps([request]))
+    assert cli.main(["--file", str(f)]) == cli.EXIT_DOMAIN
+    assert json.loads(capsys.readouterr().out) == [NOT_FINITE]

@@ -13,7 +13,7 @@ from ellpar import jaclattice as jl
 from ellpar import weierstrass as we
 from ellpar.jaclattice import CurveSpec
 
-from conftest import TAU, exact
+from conftest import TAU, exact, wp_reference
 
 interior = st.tuples(st.floats(0.08, 0.92), st.floats(0.08, 0.92))
 
@@ -107,6 +107,63 @@ def test_wp_for_a_long_thin_lattice():
     for t in (0.2, 0.55, 0.9):
         p, pp = we.wp(0.3 + t * curve.tau, curve)
         assert abs(p + math.pi**2 / 3) < 1e-12 and abs(pp) < 1e-12
+
+
+def _wp_bits(f, z, curve):
+    """f(z, curve) by the hex of every part, or the error it raised: equal iff
+    bit-identical, signed zeros included."""
+    try:
+        return [(x.real.hex(), x.imag.hex()) for x in f(z, curve)]
+    except (ArithmeticError, ValueError) as exc:  # PoleProximityError is a ValueError
+        return type(exc).__name__, str(exc)
+
+
+def test_wp_equals_its_reference_bit_for_bit():
+    # the per-curve series table and the products a*a, a*(a*a) leave every
+    # bit of P and P' as the reference computes it
+    rng = random.Random(83)
+    zero_parts = 0
+    for k in range(400):
+        height = math.exp(rng.uniform(math.log(0.2), math.log(20)))
+        re = rng.uniform(-0.5, 0.5) if k % 4 else rng.choice([0.0, -0.0, 0.5, -0.5])
+        curve = CurveSpec(complex(re, height))
+        tau = curve.tau
+        # points across the cell (and outside it), on the axes and half-periods,
+        # and within 1e-6 of the four vertices of the cell (within POLE_TOL both refuse)
+        zs = [rng.uniform(-1, 2) + rng.uniform(-1, 2) * tau for _ in range(4)]
+        zs += [rng.uniform(-1, 1), rng.uniform(-1, 1) * tau, 0.5, 0.5 * tau, 0.5 + 0.5 * tau]
+        zs += [m + n * tau + cmath.rect(rng.uniform(0, 1e-6), rng.uniform(-math.pi, math.pi))
+               for m, n in ((0, 0), (1, 0), (0, 1), (1, 1))]
+        for z in zs:
+            got = _wp_bits(we.wp, z, curve)
+            assert got == _wp_bits(wp_reference, z, curve), (tau, z)
+            zero_parts += isinstance(got, list) and any(0.0 in map(float.fromhex, x) for x in got)
+    assert zero_parts > 100  # the signed zeros of real values are compared too
+
+
+@pytest.mark.parametrize("height", [100, 230, 400])
+def test_wp_on_the_real_axis_of_a_very_thin_lattice_equals_its_reference(height):
+    # e^(pi Im tau) overflows from Im tau ~ 226, so the table's length is
+    # counted in log space
+    curve = CurveSpec(complex(0, height))
+    p, pp = we.wp(0.3, curve)
+    assert cmath.isfinite(p) and cmath.isfinite(pp)
+    assert _wp_bits(we.wp, 0.3, curve) == _wp_bits(wp_reference, 0.3, curve)
+
+
+def test_wp_refuses_a_series_that_does_not_converge():
+    # at Im tau = 0.001 the series needs more terms than the table may hold
+    curve = CurveSpec(0.001j)
+    with pytest.raises(ArithmeticError, match="^P series did not converge$"):
+        we.wp(0.3 + 0.2 * curve.tau, curve)
+    assert len(we._wp_series(curve.tau)) == we._MAX_TERMS - 1
+
+
+def test_the_series_memo_stays_at_its_bound():
+    for k in range(200):
+        we.wp(0.3 + 0.4j, CurveSpec(complex(0.001 * k, 1.1)))
+    info = we._wp_series.cache_info()
+    assert info.currsize == info.maxsize == 8
 
 
 def test_pole_proximity_raises():
