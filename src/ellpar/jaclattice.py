@@ -63,9 +63,11 @@ class JacPoint:
     s: Optional[Union[Fraction, float]] = None
     t: Optional[Union[Fraction, float]] = None
 
-    def __post_init__(self):
-        if self.s is None or self.t is None:
+    def __init__(self, curve, s=None, t=None):
+        if s is None or t is None:
             raise ValueError("a point requires both coordinates s and t")
+        d = self.__dict__
+        d["curve"], d["s"], d["t"] = curve, s, t
 
     @property
     def is_exact(self) -> bool:
@@ -150,7 +152,11 @@ def canon(raw: Union[tuple, complex, float, int], curve: CurveSpec) -> JacPoint:
         return _reduced(curve, raw.s, raw.t)
     if isinstance(raw, tuple):
         return JacPoint(curve, _coord(raw[0]), _coord(raw[1]))
-    z = complex(raw)
+    return _from_complex(complex(raw), curve)
+
+
+def _from_complex(z: complex, curve: CurveSpec) -> JacPoint:
+    """canon of a complex z."""
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError("non-finite input")
     tau = curve.tau
@@ -204,10 +210,14 @@ def equal(p: JacPoint, q: JacPoint, tol: float = DEFAULT_TOL) -> bool:
     other pair is compared at tolerance by its lattice distance, which
     reduces the difference mod Lambda itself."""
     _check_curves(p, q)
-    if p.is_exact and q.is_exact:
-        return p.s == q.s and p.t == q.t
-    ps, pt = p.coords()
-    qs, qt = q.coords()
+    ps, pt, qs, qt = p.s, p.t, q.s, q.t
+    if not (isinstance(ps, float) or isinstance(pt, float)
+            or isinstance(qs, float) or isinstance(qt, float)):
+        return ps == qs and pt == qt  # both exact, as is_exact decides
+    if not type(ps) is type(pt) is type(qs) is type(qt) is float:
+        # four plain floats are their own coords(); read any other pair so
+        ps, pt = p.coords()
+        qs, qt = q.coords()
     ds = min((ps - qs) % 1.0, (qs - ps) % 1.0)
     dt = min((pt - qt) % 1.0, (qt - pt) % 1.0)
     return math.hypot(ds, dt) <= tol

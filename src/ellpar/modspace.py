@@ -227,9 +227,8 @@ def parametrization_rank(u1: complex, u2: complex, t: complex, curve: CurveSpec,
     above tol.  The sigma^2 are the eigenvalues of the Hermitian J^H J, the
     roots of its characteristic polynomial, so the cut is made on sigma^2 at
     tol^2."""
-    # the base point and t +- step lie on one line, which is intersected once
+    # t +- step lie on the base point's line, which is intersected once
     line = PlaneLine.of(u1, u2, 1)
-    _chart(line, u1, u2, t, curve)  # raises if the point leaves the chart
     step = 1e-5
     cols = []
     for k in range(3):

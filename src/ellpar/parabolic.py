@@ -136,11 +136,8 @@ class Flag:
     def __post_init__(self):
         if not self.L.contains(self.P):
             raise FlagIncidenceError(f"flag point {self.P} not on flag line {self.L}")
-
-    @cached_property
-    def _signatures(self) -> dict[str, tuple]:
-        # _signature of each type label looked up on this flag
-        return {}
+        # _signature of each type label looked up on this flag; not a field
+        self.__dict__["_signatures"] = {}
 
 
 @dataclass(frozen=True)
@@ -151,11 +148,19 @@ class Witness:
     locus: Union[PlanePoint, PlaneLine]
     pardeg: Scalar
 
+    def __init__(self, rank, locus, pardeg):
+        d = self.__dict__
+        d["rank"], d["locus"], d["pardeg"] = rank, locus, pardeg
+
 
 @dataclass(frozen=True)
 class Verdict:
     status: str  # Stable | StrictlySemistable | Unstable
     witness: Optional[Witness] = None
+
+    def __init__(self, status, witness=None):
+        d = self.__dict__
+        d["status"], d["witness"] = status, witness
 
 
 def _incidence(sub: Union[PlanePoint, PlaneLine], flag: Flag) -> int:
@@ -241,8 +246,8 @@ class ProjScalar:
     num: complex
     den: complex
 
-    def __post_init__(self):
-        n, d = complex(self.num), complex(self.den)
+    def __init__(self, num, den):
+        n, d = complex(num), complex(den)
         if n == 0 and d == 0:
             raise ValueError("(0, 0) is not a projective scalar")
         # canonical scale: den = 1 when finite, (1, 0) at infinity; a quotient
@@ -252,8 +257,7 @@ class ProjScalar:
             n, d = q, 1.0 + 0j
         else:
             n, d = 1.0 + 0j, 0j
-        object.__setattr__(self, "num", n)
-        object.__setattr__(self, "den", d)
+        self.__dict__.update(num=n, den=d)
 
     @property
     def is_inf(self) -> bool:

@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .jaclattice import EQ_TOL, CurveSpec, JacPoint, add, canon, equal, mul, neg, sub, zero
+from .jaclattice import (EQ_TOL, CurveSpec, JacPoint, _from_complex, add, equal, mul, neg, sub,
+                         zero)
 
 MERGE_TOL = 1e-6
 POLE_TOL = 1e-7
@@ -64,6 +65,10 @@ class PlanePoint:
     y: complex
     z: complex
 
+    def __init__(self, x, y, z):
+        d = self.__dict__
+        d["x"], d["y"], d["z"] = x, y, z
+
     @staticmethod
     def of(x, y, z) -> "PlanePoint":
         return PlanePoint(*_normalize((x, y, z)))
@@ -72,7 +77,9 @@ class PlanePoint:
         return (self.x, self.y, self.z)
 
     def close_to(self, other: "PlanePoint", tol: float = MERGE_TOL) -> bool:
-        return math.hypot(*map(abs, _cross(self.vec(), other.vec()))) <= tol
+        """|self x other| <= tol: _cross's products, written out."""
+        x, y, z, ox, oy, oz = self.x, self.y, self.z, other.x, other.y, other.z
+        return math.hypot(abs(y * oz - z * oy), abs(z * ox - x * oz), abs(x * oy - y * ox)) <= tol
 
 
 @dataclass(frozen=True)
@@ -82,6 +89,13 @@ class PlaneLine:
     u: complex
     v: complex
     w: complex
+
+    def __init__(self, u, v, w):
+        d = self.__dict__
+        d["u"], d["v"], d["w"] = u, v, w
+        # this line's intersection with each curve it has been intersected
+        # with; not a field, so outside eq, hash and repr
+        d["_intersections"] = {}
 
     @staticmethod
     def of(u, v, w) -> "PlaneLine":
@@ -95,16 +109,14 @@ class PlaneLine:
 
     def contains(self, p: PlanePoint, tol: float = INCIDENCE_TOL) -> bool:
         """Incidence p in L relative to the coordinates: |l.p| <= tol max|p_i| max|l_i|."""
-        scale = max(map(abs, p.vec())) * max(map(abs, self.vec()))
-        return abs(self.eval(p)) <= tol * max(scale, 1e-30)
+        x, y, z, u, v, w = p.x, p.y, p.z, self.u, self.v, self.w
+        scale = max(abs(x), abs(y), abs(z)) * max(abs(u), abs(v), abs(w))
+        return abs(u * x + v * y + w * z) <= tol * max(scale, 1e-30)
 
     def close_to(self, other: "PlaneLine", tol: float = MERGE_TOL) -> bool:
-        return math.hypot(*map(abs, _cross(self.vec(), other.vec()))) <= tol
-
-    @functools.cached_property
-    def _intersections(self) -> dict[CurveSpec, "_Solved"]:
-        # this line's intersection with each curve it has been intersected with
-        return {}
+        """|self x other| <= tol: _cross's products, written out."""
+        u, v, w, ou, ov, ow = self.u, self.v, self.w, other.u, other.v, other.w
+        return math.hypot(abs(v * ow - w * ov), abs(w * ou - u * ow), abs(u * ov - v * ou)) <= tol
 
 
 def line_through_points(p: PlanePoint, q: PlanePoint) -> PlaneLine:
@@ -268,7 +280,8 @@ def line_through(p1: JacPoint, p2: JacPoint, p3: JacPoint, curve: CurveSpec) -> 
     return line_through_points(embed(p1, curve), embed(q, curve))
 
 
-def _carlson_rf(x: complex, y: complex, z: complex) -> complex:
+def _carlson_rf(x: complex, y: complex, z: complex,
+                roots: Sequence[complex] = ()) -> complex:
     """Carlson's R_F(x, y, z) = 1/2 int_0^inf dt / sqrt((t+x)(t+y)(t+z)), by duplication.
 
     Principal square roots; valid off the cut (-inf, 0] with at most one zero
@@ -276,7 +289,8 @@ def _carlson_rf(x: complex, y: complex, z: complex) -> complex:
     divides every difference a - x_i by exactly 4, so the spread is measured
     once, as q = 1e3 max|a - x_i|, and q is divided by 4 per step: the loop
     stops when q < |a|, in exact arithmetic the test max|a - x_i| < 1e-3 |a|
-    of the current arguments.
+    of the current arguments.  roots, if given, are cmath.sqrt of x, y, z,
+    which the first step takes instead of computing them again.
     """
     a = (x + y + z) / 3
     # the series below is exact to ~1e-16 once the arguments agree to 1e-3
@@ -284,7 +298,8 @@ def _carlson_rf(x: complex, y: complex, z: complex) -> complex:
     for _ in range(100):
         if q < abs(a):
             break
-        sx, sy, sz = cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z)
+        sx, sy, sz = roots or (cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z))
+        roots = ()
         lam = sx * (sy + sz) + sy * sz
         x, y, z, a = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4, (a + lam) / 4
         q /= 4
@@ -306,17 +321,18 @@ def _invert_embedding(x: complex, y: complex, e: Sequence[complex],
     z = R_F(a1, a2, a3)/u with a_i = (x - e_i)/u^2, u^2 = x/|x|, integrates
     dt / sqrt(4t^3 - g2 t - g3) along the ray from x away from 0, so P(z) = x
     and P'(z) = -2 u^3 sqrt(a1) sqrt(a2) sqrt(a3) with the same principal roots
-    (and signed zeros on R_F's cut).  Along the horizontal ray (u = 1) the
+    (and signed zeros on R_F's cut), taken once for both.  Along the horizontal ray (u = 1) the
     duplication cancels ~|x| against itself near the pole and can flip z.
     Returns z with the curve's ordinate P'(z), whose sign y picks.
     """
     u = cmath.sqrt(x / abs(x)) if x else 1.0
     a = [(x - ei) / u**2 for ei in e]
-    z = _carlson_rf(*a) / u
-    pp = -2 * u**3 * cmath.sqrt(a[0]) * cmath.sqrt(a[1]) * cmath.sqrt(a[2])
+    r = [cmath.sqrt(ai) for ai in a]
+    z = _carlson_rf(*a, r) / u
+    pp = -2 * u**3 * r[0] * r[1] * r[2]
     if abs(pp - y) > abs(pp + y):
         z, pp = -z, -pp
-    return canon(z, curve), pp
+    return _from_complex(z, curve), pp
 
 
 def _cubic_roots(a3: complex, a2: complex, a1: complex,

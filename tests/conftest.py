@@ -106,3 +106,42 @@ def wp_reference(z: complex, curve: CurveSpec) -> tuple[complex, complex]:
         raise ArithmeticError("P series did not converge")
     c = 2j * math.pi
     return c**2 * p, c**3 * pp
+
+
+# The value layer as it was before its primitives read attributes directly:
+# the references for the bits of contains, both close_to, equal and
+# _invert_embedding (see test_weierstrass, test_jaclattice and test_bench).
+
+def contains_reference(line: we.PlaneLine, p: we.PlanePoint, tol: float = we.INCIDENCE_TOL) -> bool:
+    """PlaneLine.contains through vec(), map and max."""
+    scale = max(map(abs, p.vec())) * max(map(abs, line.vec()))
+    return abs(line.eval(p)) <= tol * max(scale, 1e-30)
+
+
+def close_to_reference(a, b, tol: float = we.MERGE_TOL) -> bool:
+    """PlanePoint.close_to and PlaneLine.close_to through vec() and _cross."""
+    return math.hypot(*map(abs, we._cross(a.vec(), b.vec()))) <= tol
+
+
+def equal_reference(p: JacPoint, q: JacPoint, tol: float = jl.DEFAULT_TOL) -> bool:
+    """jaclattice.equal through is_exact and coords()."""
+    jl._check_curves(p, q)
+    if p.is_exact and q.is_exact:
+        return p.s == q.s and p.t == q.t
+    ps, pt = p.coords()
+    qs, qt = q.coords()
+    ds = min((ps - qs) % 1.0, (qs - ps) % 1.0)
+    dt = min((pt - qt) % 1.0, (qt - pt) % 1.0)
+    return math.hypot(ds, dt) <= tol
+
+
+def invert_embedding_reference(x, y, e, curve: CurveSpec):
+    """weierstrass._invert_embedding with R_F taking its own first square
+    roots, the roots of P' taken again, and the parameter reduced by canon."""
+    u = cmath.sqrt(x / abs(x)) if x else 1.0
+    a = [(x - ei) / u**2 for ei in e]
+    z = we._carlson_rf(*a) / u
+    pp = -2 * u**3 * cmath.sqrt(a[0]) * cmath.sqrt(a[1]) * cmath.sqrt(a[2])
+    if abs(pp - y) > abs(pp + y):
+        z, pp = -z, -pp
+    return jl.canon(z, curve), pp

@@ -2,16 +2,23 @@
 workload, run in process and scored by the workload's own reference check,
 fail only in the input classes the workload lists as known defects."""
 
+import dataclasses
 import importlib
+from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
 import pytest
 
+from ellpar import jaclattice as jl
 from ellpar import modspace as ms
+from ellpar import parabolic as pa
 from ellpar import weierstrass as we
+from ellpar.bundles import classify_triple
+from ellpar.jaclattice import CurveSpec, JacPoint
 
-from conftest import frame_lambda, wp_reference
+from conftest import (close_to_reference, contains_reference, equal_reference, frame_lambda,
+                      invert_embedding_reference, wp_reference)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 OPS = 300
@@ -111,3 +118,83 @@ def test_cli_batch_answers_alike_with_the_reference_wp(monkeypatch):
     monkeypatch.setattr(we, "wp", lambda z, c: calls.append(z) or wp_reference(z, c))
     assert [op.call() for op in batch] == fast
     assert fast_calls == len(calls) - fast_calls > 50
+
+
+def _stored(x):
+    """Every value x stores, recursively, by repr: equal iff bit-identical."""
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return [_stored(getattr(x, f.name)) for f in dataclasses.fields(x)]
+    if isinstance(x, (tuple, list)):
+        return [_stored(v) for v in x]
+    if isinstance(x, dict):
+        return [(k, _stored(v)) for k, v in x.items()]
+    return repr(x)
+
+
+def _stored_outcome(op):
+    try:
+        return _stored(op.call())
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _counted(f, calls):
+    def counted(*args, **kwargs):
+        calls.append(f.__name__)
+        return f(*args, **kwargs)
+    return counted
+
+
+@pytest.mark.parametrize("workload", ["stability_scan", "dual_plane"])
+def test_workload_answers_alike_with_the_reference_primitives(workload, monkeypatch):
+    # plane incidence on attributes, the float path of equal and the shared
+    # square roots of the elliptic log change no bit of any answer
+    monkeypatch.syspath_prepend(str(BENCH))
+    batch = list(islice(importlib.import_module(workload).ops(1), OPS))
+    fast = [_stored_outcome(op) for op in batch]
+    calls = []
+    monkeypatch.setattr(we.PlaneLine, "contains", _counted(contains_reference, calls))
+    monkeypatch.setattr(we.PlanePoint, "close_to", _counted(close_to_reference, calls))
+    monkeypatch.setattr(we.PlaneLine, "close_to", _counted(close_to_reference, calls))
+    monkeypatch.setattr(we, "_invert_embedding", _counted(invert_embedding_reference, calls))
+    for module in (jl, we):  # the definition and weierstrass' binding of it
+        monkeypatch.setattr(module, "equal", _counted(equal_reference, calls))
+    assert [_stored_outcome(op) for op in batch] == fast
+    used = {"stability_scan": {"close_to_reference", "contains_reference", "equal_reference"},
+            "dual_plane": {"contains_reference", "equal_reference", "invert_embedding_reference"}}
+    assert set(calls) == used[workload]
+
+
+def test_the_tracer_wraps_every_traced_primitive(monkeypatch):
+    # the tier-1 copy of bench/selftest.py's coverage check: no binding in
+    # ellpar bypasses a wrapper, a stability call is counted in its own span
+    # and in the plane primitives it calls, and disable restores the library
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer_module = importlib.import_module("tracer")
+    curve = CurveSpec(0.3 + 1.1j)
+    zs = [JacPoint(curve, Fraction(1, 5), Fraction(0)), JacPoint(curve, Fraction(0), Fraction(1, 7))]
+    cls = classify_triple(*zs, jl.neg(jl.add(*zs)))
+    flag = pa.Flag(we.PlanePoint.of(1, 2, 3), we.PlaneLine.of(1, 1, -1))
+    contains = we.PlaneLine.contains
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    tracer.enable()
+    try:
+        assert tracer.unwrapped_references() == []
+        with monkeypatch.context() as m:  # an alias of a method is found too
+            m.setattr(we, "planted_alias", contains, raising=False)
+            assert tracer.unwrapped_references() == [
+                "ellpar.weierstrass.planted_alias -> weierstrass.plane.contains"]
+        verdict = pa.stability(cls, flag, pa.PROBE_MINUS)
+        spans = {name: span.calls for name, span in tracer.spans.items() if span.calls}
+    finally:
+        tracer.disable()
+    assert verdict.status == "Stable"
+    assert spans["parabolic.stability"] == 1 and spans["weierstrass.plane.contains"] >= 1
+    for mod, path in tracer_module.TRACED.values():
+        owner = importlib.import_module(f"ellpar.{mod}")
+        *classes, attr = path.split(".")
+        for name in classes:
+            owner = getattr(owner, name)
+        raw = vars(owner)[attr]
+        assert not hasattr(getattr(raw, "__func__", raw), "__wrapped__"), path

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from ellpar import jaclattice as jl
 from ellpar.jaclattice import CurveSpec, JacPoint
 
-from conftest import TAU, count_calls, exact
+from conftest import TAU, count_calls, equal_reference, exact
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=24)
 small_complex = st.builds(complex,
@@ -272,3 +273,51 @@ def test_mixed_add_is_the_float_fraction_sum_bit_for_bit(curve):
         for a, b in ((p, q), (q, p)):
             want = jl._reduced(curve, a.s + b.s, a.t + b.t)
             assert _bits(jl.add(a, b)) == _bits(want)
+
+
+def _decision(f, p, q, tol):
+    try:
+        return f(p, q, tol)
+    except jl.CurveMismatchError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_equal_equals_its_reference_bit_for_bit(curve):
+    # equal reads the four coordinates once and takes four plain floats as
+    # their own coords(): every pair is decided as before, exact/exact,
+    # exact/float, float/float and a float subclass, at the seam, on NaN and
+    # infinities, and at distances exactly at tol
+    rng = random.Random(7)
+    seam = [0.0, -0.0, 5e-324, 1e-17, 1 - 1e-17, math.nextafter(1, 0), 0.5, math.nan, math.inf]
+    exacts = [Fraction(0), Fraction(1, 3), Fraction(1) - Fraction(1, 10 ** 17), 0, 1]
+
+    def coordinate(kind):
+        if kind == "exact":
+            return rng.choice(exacts + [Fraction(rng.randrange(12), 12)])
+        x = rng.choice(seam) if rng.random() < 0.3 else rng.random()
+        return np.float64(x) if kind == "subclass" else x
+
+    other = CurveSpec(TAU + 1e-3)
+    cases = []
+    for _ in range(3000):
+        kinds = [rng.choice(["exact", "float", "float", "subclass"]) for _ in range(2)]
+        p = JacPoint(curve, coordinate(kinds[0]), coordinate(kinds[0]))
+        q = JacPoint(curve if rng.random() < 0.98 else other, coordinate(kinds[1]),
+                     coordinate(kinds[1]))
+        if rng.random() < 0.2:  # one float coordinate beside an exact one
+            q = rng.choice([JacPoint(curve, q.s, rng.choice(exacts)),
+                            JacPoint(curve, rng.choice(exacts), q.t)])
+        if rng.random() < 0.3:  # a near point
+            q = JacPoint(q.curve, (float(p.s) + rng.gauss(0, 1e-6)) % 1.0, float(p.t))
+        cases.append((p, q))
+    decided = set()
+    for p, q in cases:
+        ps, pt = p.coords()
+        qs, qt = q.coords()
+        d = math.hypot(min((ps - qs) % 1.0, (qs - ps) % 1.0), min((pt - qt) % 1.0, (qt - pt) % 1.0))
+        for tol in [jl.DEFAULT_TOL, jl.EQ_TOL, math.nextafter(d, 0), d, math.nextafter(d, 1)]:
+            for a, b in ((p, q), (q, p)):
+                got = _decision(jl.equal, a, b, tol)
+                assert got == _decision(equal_reference, a, b, tol), (a.s, a.t, b.s, b.t, tol)
+                decided.add(got if isinstance(got, bool) else got[0])
+    assert decided == {True, False, "CurveMismatchError"}

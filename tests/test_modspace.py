@@ -554,9 +554,29 @@ def test_parametrization_rank_leaves_numpy_unloaded():
 
 
 def test_parametrization_rank_solves_each_distinct_line_once(curve, monkeypatch):
-    # 7 evaluations of incidence_parametrization on 5 lines: the base point and
-    # t +- step lie on the line (u1, u2)
+    # 6 evaluations of incidence_parametrization on 5 lines: t +- step lie
+    # on the base point's line (u1, u2)
     u1, u2, t = 0.4 - 0.3j, -0.2 + 0.5j, 0.3 + 0.1j
     calls = _count_cubic_solves(monkeypatch, curve)
     assert ms.parametrization_rank(u1, u2, t, curve) == 3
     assert len(calls) == 5
+
+
+@pytest.mark.parametrize("s,t,error,message", [
+    # a tangent line whose double point sorts last: lambda is inf on all of it
+    (Fraction(2, 5), Fraction(3, 10), ValueError, "fiber coordinate at infinity; choose another t"),
+    # a flex tangent: the three points coincide
+    (Fraction(1, 3), Fraction(1, 3), ms.ThreefoldCoincidenceError,
+     "three of the four points coincide")])
+def test_parametrization_rank_at_the_chart_edge_raises_from_the_base_line(curve, monkeypatch,
+                                                                          s, t, error, message):
+    # the base point is not evaluated on its own: the base line's error is
+    # raised by its evaluation at t + step, after the four neighbouring lines
+    line = we.tangent_line(exact(curve, s, t), curve)
+    u1, u2 = line.u / line.w, line.v / line.w
+    charts = []
+    chart = ms._chart
+    monkeypatch.setattr(ms, "_chart", lambda *a: charts.append(a[1:4]) or chart(*a))
+    with pytest.raises(error, match=f"^{message}$"):
+        ms.parametrization_rank(u1, u2, 0.3 + 0.1j, curve)
+    assert len(charts) == 5 and charts[-1] == (u1, u2, 0.3 + 0.1j + 1e-5)

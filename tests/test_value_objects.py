@@ -1,0 +1,112 @@
+"""The contract of the frozen value classes, whose constructors write the
+instance dict: immutable, compared and hashed by their fields only, built
+positionally or by keyword, weakly referenceable, and refusing what they
+refused before."""
+
+import dataclasses
+import weakref
+from fractions import Fraction
+
+import pytest
+
+from ellpar import parabolic as pa
+from ellpar import weierstrass as we
+from ellpar.bundles import BundleClass
+from ellpar.jaclattice import CurveSpec, JacPoint
+
+from conftest import TAU
+
+CURVE = CurveSpec(TAU)
+
+# each class with the keyword arguments of one instance, and one field changed
+VALUES = [
+    (JacPoint, {"curve": CURVE, "s": Fraction(1, 3), "t": 0.25}, {"t": 0.5}),
+    (we.PlanePoint, {"x": 1 + 0j, "y": 2j, "z": -0.5 + 0j}, {"z": -0.0j}),
+    (we.PlaneLine, {"u": 1 + 0j, "v": -1 + 0j, "w": 0.5j}, {"u": 0j}),
+    (pa.ProjScalar, {"num": 2 + 1j, "den": 1 + 0j}, {"den": 0j}),
+    (pa.Witness, {"rank": 2, "locus": we.PlaneLine(1 + 0j, 0j, 0j), "pardeg": Fraction(1, 10)},
+     {"pardeg": 0.1}),
+    (pa.Verdict, {"status": "Unstable",
+                  "witness": pa.Witness(1, we.PlanePoint(1 + 0j, 0j, 0j), Fraction(1, 5))},
+     {"witness": None}),
+]
+IDS = [cls.__name__ for cls, _, _ in VALUES]
+
+
+@pytest.mark.parametrize("cls,kwargs,changed", VALUES, ids=IDS)
+def test_value_objects_are_frozen(cls, kwargs, changed):
+    v = cls(**kwargs)
+    for name in kwargs:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, name, kwargs[name])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(v, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.extra = 1
+
+
+@pytest.mark.parametrize("cls,kwargs,changed", VALUES, ids=IDS)
+def test_value_objects_are_built_by_position_or_keyword_and_compared_by_fields(cls, kwargs,
+                                                                               changed):
+    by_keyword, by_position = cls(**kwargs), cls(*kwargs.values())
+    assert by_keyword is not by_position
+    assert by_keyword == by_position and hash(by_keyword) == hash(by_position)
+    assert [f.name for f in dataclasses.fields(cls)] == list(kwargs)
+    assert [getattr(by_keyword, name) for name in kwargs] == list(kwargs.values())
+    assert dataclasses.replace(by_keyword) == by_keyword
+    assert cls(**{**kwargs, **changed}) != by_keyword
+    assert weakref.ref(by_keyword)() is by_keyword
+
+
+def test_generated_reprs_show_the_fields_only():
+    line = we.PlaneLine(1, 2, 3)
+    line._intersections[CURVE] = None
+    assert repr(line) == "PlaneLine(u=1, v=2, w=3)"
+    assert repr(we.PlanePoint(1, 2, 3)) == "PlanePoint(x=1, y=2, z=3)"
+    assert repr(pa.Verdict("Stable")) == "Verdict(status='Stable', witness=None)"
+    assert repr(pa.Witness(1, 2, 3)) == "Witness(rank=1, locus=2, pardeg=3)"
+    # the hand-written reprs stay
+    assert repr(JacPoint(CURVE, Fraction(1, 2), Fraction(0))) == "JacPoint(1/2, 0)"
+    assert repr(pa.ProjScalar(1, 0)) == "ProjScalar(inf)"
+
+
+def test_a_line_with_a_filled_memo_equals_a_fresh_line_and_hashes_alike():
+    line = we.PlaneLine.of(1, 2, 3)
+    we.intersect_curve(line, CURVE)
+    fresh = we.PlaneLine.of(1, 2, 3)
+    assert line._intersections and not fresh._intersections
+    assert line == fresh and hash(line) == hash(fresh)
+    assert len({line, fresh}) == 1
+    assert dataclasses.astuple(line) == dataclasses.astuple(fresh) == line.vec()
+    # each line object keeps its own memo
+    assert we.PlaneLine.of(1, 2, 3)._intersections is not fresh._intersections
+
+
+def test_a_flag_with_a_filled_memo_equals_a_fresh_flag():
+    P, L = we.PlanePoint.of(1, 2, 3), we.PlaneLine.of(1, 1, -1)
+    flag = pa.Flag(P, L)
+    pa.stability(BundleClass("T33", point=JacPoint(CURVE, Fraction(0), Fraction(0))), flag,
+                 pa.PROBE_MINUS)
+    fresh = pa.Flag(P, L)
+    assert flag._signatures and not fresh._signatures
+    assert flag == fresh and hash(flag) == hash(fresh)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"s": 0.5}, {"t": 0.5}, {"s": None, "t": Fraction(1, 2)}])
+def test_a_point_without_both_coordinates_is_refused(kwargs):
+    with pytest.raises(ValueError, match="^a point requires both coordinates s and t$"):
+        JacPoint(CURVE, **kwargs)
+
+
+@pytest.mark.parametrize("num,den", [(0, 0), (0j, -0.0), (complex(-0.0, 0.0), 0j)])
+def test_the_zero_projective_scalar_is_refused(num, den):
+    with pytest.raises(ValueError, match=r"^\(0, 0\) is not a projective scalar$"):
+        pa.ProjScalar(num, den)
+
+
+def test_projective_scalars_keep_their_canonical_scale():
+    assert pa.ProjScalar(4, 2) == pa.ProjScalar(2 + 0j, 1 + 0j)
+    assert (pa.ProjScalar(4, 2).num, pa.ProjScalar(4, 2).den) == (2 + 0j, 1 + 0j)
+    inf = pa.ProjScalar(1e300, 1e-300)
+    assert inf.is_inf and (inf.num, inf.den) == (1 + 0j, 0j)
+    assert type(pa.ProjScalar(1, 3).num) is complex

@@ -13,7 +13,8 @@ from ellpar import jaclattice as jl
 from ellpar import weierstrass as we
 from ellpar.jaclattice import CurveSpec
 
-from conftest import TAU, exact, wp_reference
+from conftest import (TAU, close_to_reference, contains_reference, exact,
+                      invert_embedding_reference, wp_reference)
 
 interior = st.tuples(st.floats(0.08, 0.92), st.floats(0.08, 0.92))
 
@@ -611,3 +612,104 @@ def test_normalize_refuses_a_non_finite_coordinate_anywhere(bad, position):
     for of in (we.PlanePoint.of, we.PlaneLine.of):
         with pytest.raises(we.DegenerateGeometryError):
             of(*v)
+
+
+def _plane_vectors(rng):
+    """Homogeneous 3-vectors of every kind: normalized and raw, across 40
+    orders of magnitude, with ints, exact and signed zeros, NaN and infinities."""
+    special = [0, 0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 1, -1, 1e-300, 5e-324,
+               math.nan, math.inf, -math.inf, complex(math.nan, 0), complex(0, math.inf)]
+
+    def entry():
+        if rng.random() < 0.2:
+            return rng.choice(special)
+        size = 10 ** rng.uniform(-20, 20)
+        return complex(rng.gauss(0, size), rng.gauss(0, size) * (rng.random() < 0.8))
+
+    vs = [tuple(entry() for _ in range(3)) for _ in range(1500)]
+    return vs + [tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3))
+                 for _ in range(500)]
+
+
+def _around(x):
+    """x and its two neighbouring floats, for a bound met exactly at x."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+def test_plane_incidence_equals_its_reference_bit_for_bit():
+    # contains and both close_to read the attributes and write the products
+    # out; each decides as the reference does, also where the distance is
+    # exactly at tol and on NaN, infinite and signed-zero coordinates
+    rng = random.Random(89)
+    vs = _plane_vectors(rng)
+    decided = set()
+    for k in range(4000):
+        a, b = rng.choice(vs), rng.choice(vs)
+        if k % 4 == 0:  # a point on the line, up to roundoff
+            b = we._cross(a, rng.choice(vs))
+        P, L = we.PlanePoint(*a), we.PlaneLine(*b)
+        scale = max(map(abs, a)) * max(map(abs, b))
+        for tol in [we.INCIDENCE_TOL, 1e-7] + (_around(abs(L.eval(P)) / scale) if scale else []):
+            got = L.contains(P, tol)
+            assert got == contains_reference(L, P, tol), (a, b, tol)
+            decided.add(got)
+        for cls in (we.PlanePoint, we.PlaneLine):
+            p, q = cls(*a), cls(*b)
+            dist = math.hypot(*map(abs, we._cross(a, b)))
+            for tol in [we.MERGE_TOL] + _around(dist):
+                got = p.close_to(q, tol)
+                assert got == close_to_reference(p, q, tol), (cls, a, b, tol)
+                decided.add(got)
+    assert decided == {True, False}
+
+
+def _invert_bits(f, x, y, e, curve):
+    """f's parameter and ordinate by the hex of every part, or the error it raised."""
+    try:
+        z, pp = f(x, y, e, curve)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return [type(v).__name__ + v.hex() for v in (z.s, z.t)] + [pp.real.hex(), pp.imag.hex()]
+
+
+@pytest.mark.parametrize("tau", [TAU, 1j, 0.5 + 1j, 2j, 0.1 + 0.4j])
+def test_elliptic_log_equals_its_reference_bit_for_bit(tau):
+    # the square roots of the a_i are taken once, for R_F's first step and
+    # for P', and the parameter is reduced without canon's dispatch: no bit
+    # moves, near the pole, on the real loci (signed zeros), at the branch
+    # points and on a seam
+    curve = CurveSpec(tau)
+    _, _, e = we._curve_constants(curve)
+    rng = random.Random(97)
+    xys = [we.wp(rng.random() + rng.random() * tau, curve) for _ in range(200)]
+    xys += [we.wp(10 ** rng.uniform(-6.5, -1) * cmath.exp(1j * rng.uniform(-3.1, 3.1)), curve)
+            for _ in range(100)]
+    for r in (lambda k: k / 50, lambda k: k / 50 + tau / 2, lambda k: 1j * k / 50 * tau.imag):
+        for k in range(1, 50):
+            x, y = we.wp(r(k), curve)
+            xys += [(complex(x.real, sign), y) for sign in (0.0, -0.0)] + [(x, -y)]
+    xys += [(ei, 0j) for ei in e] + [(ei, complex(-0.0, -0.0)) for ei in e] + [(0j, 1), (0, -1)]
+    xys += [(x, complex(math.nan, 0)) for x, _ in xys[:5]] + [(complex(math.inf, 0), 1)]
+    for x, y in xys:
+        assert _invert_bits(we._invert_embedding, x, y, e, curve) == \
+            _invert_bits(invert_embedding_reference, x, y, e, curve), (x, y)
+
+
+def test_carlson_rf_with_shared_roots_equals_the_plain_call_bit_for_bit():
+    # R_F's first step takes the square roots it is given; with a spread
+    # already below 1e-3 no step is taken and the roots go unused
+    rng = random.Random(103)
+    cases = [args for family in _carlson_cases().values() for args in family]
+    settled = []
+    for _ in range(200):
+        c = 10 ** rng.uniform(-4, 4) * cmath.exp(1j * rng.uniform(-3.1, 3.1))
+        settled.append([c * (1 + 10 ** rng.uniform(-12, -3.5) * cmath.exp(1j * rng.uniform(-3.1, 3.1)))
+                        for _ in range(3)])
+    zero_steps = 0
+    for args in cases + settled:
+        a = sum(args) / 3
+        zero_steps += 1e3 * max(abs(a - x) for x in args) < abs(a)
+        roots = [cmath.sqrt(x) for x in args]
+        got, want = we._carlson_rf(*args, roots), we._carlson_rf(*args)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), args
+    assert zero_steps >= 200
