@@ -38,12 +38,6 @@ def compose(g1: ModularAuto, g2: ModularAuto) -> ModularAuto:
     return ModularAuto(jl.add(g1.shift, s2), g1.dual != g2.dual)
 
 
-def inverse(g: ModularAuto) -> ModularAuto:
-    if g.dual:
-        return g  # order-2 elements: dual compositions are involutions
-    return ModularAuto(jl.neg(g.shift), False)
-
-
 def group_elements(curve: CurveSpec) -> list[ModularAuto]:
     shifts = jl.torsion_points(3, curve)
     return [ModularAuto(t, d) for d in (False, True) for t in shifts]

@@ -173,11 +173,6 @@ def abel(sp: SymPair) -> JacPoint:
     return jl.add(sp.p1, sp.p2)
 
 
-def section_meet(p1: JacPoint, p2: JacPoint) -> SymPair:
-    """The intersection of the sections s_{p1}, s_{p2} of Sym^2 X -> X."""
-    return SymPair(p1, p2)
-
-
 def sigma_cover_count(line: PlaneLine, curve: CurveSpec) -> int:
     """Number of Sigma-points over the S-class of a dual-plane line: 3, 2 or 1."""
     # the line is solved in the intersection layer's public entry point, so

@@ -172,14 +172,6 @@ def _incidence(sub: Union[PlanePoint, PlaneLine], flag: Flag) -> int:
     raise TypeError(f"sub must be a fiber point or line, got {type(sub)}")
 
 
-def induced_pardeg(sub: Union[PlanePoint, PlaneLine], flag: Flag, w: Weights) -> Scalar:
-    """Parabolic degree induced on a degree-0 subbundle by flag incidence:
-    a point induces mu1, mu2, mu3 and a line mu1+mu2, mu1+mu3, mu2+mu3 by
-    its incidence index."""
-    k = _incidence(sub, flag)
-    return (w.as_tuple() if isinstance(sub, PlanePoint) else w.pair_sums)[k]
-
-
 def _worst_point_member(loc: PointLocus, flag: Flag) -> PlanePoint:
     # a pencil of points sweeping loc.sweep offers P itself if it lies there,
     # otherwise the member on the flag line; dim 2 offers every point, P too

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -280,21 +281,34 @@ def line_through(p1: JacPoint, p2: JacPoint, p3: JacPoint, curve: CurveSpec) -> 
     return line_through_points(embed(p1, curve), embed(q, curve))
 
 
+# _carlson_rf's series finishes once its arguments agree to 1/_RF_STOP ~ 1/79
+_RF_STOP = (3 * sys.float_info.epsilon) ** (-1 / 8)
+
+
 def _carlson_rf(x: complex, y: complex, z: complex,
                 roots: Sequence[complex] = ()) -> complex:
     """Carlson's R_F(x, y, z) = 1/2 int_0^inf dt / sqrt((t+x)(t+y)(t+z)), by duplication.
 
     Principal square roots; valid off the cut (-inf, 0] with at most one zero
-    argument (Carlson, Numer. Algorithms 10, 1995).  Each duplication step
-    divides every difference a - x_i by exactly 4, so the spread is measured
-    once, as q = 1e3 max|a - x_i|, and q is divided by 4 per step: the loop
-    stops when q < |a|, in exact arithmetic the test max|a - x_i| < 1e-3 |a|
-    of the current arguments.  roots, if given, are cmath.sqrt of x, y, z,
-    which the first step takes instead of computing them again.
+    argument (Carlson, Numer. Algorithms 10, 1995; DLMF 19.36.1).  Each
+    duplication step divides every difference a - x_i by exactly 4, so the
+    spread is measured once, as q = _RF_STOP max|a - x_i|, and q is divided
+    by 4 per step: the loop stops when q < |a|, in exact arithmetic the test
+    max|a - x_i| < |a| / _RF_STOP of the current arguments.  It finishes
+    with the 7th-order series
+
+      R_F = (1 - E2/10 + E3/14 + E2^2/24 - 3 E2 E3/44 - 5 E2^3/208
+             + 3 E3^2/104 + E2^2 E3/16) / sqrt(a)
+
+    in the elementary symmetric functions E2, E3 of the differences 1 - x_i/a.
+    Carlson bounds the relative error of the series cut after degree 5 by r
+    once the arguments agree to (3r)^(1/6); cut after degree 7 the bound
+    holds at (3r)^(1/8), so _RF_STOP = (3 eps)^(-1/8), as in Boost's
+    ellint_rf.  roots, if given, are cmath.sqrt of x, y, z, which the first
+    step takes instead of computing them again.
     """
     a = (x + y + z) / 3
-    # the series below is exact to ~1e-16 once the arguments agree to 1e-3
-    q = 1e3 * max(abs(a - x), abs(a - y), abs(a - z))
+    q = _RF_STOP * max(abs(a - x), abs(a - y), abs(a - z))
     for _ in range(100):
         if q < abs(a):
             break
@@ -311,7 +325,9 @@ def _carlson_rf(x: complex, y: complex, z: complex,
     dz = -dx - dy
     e2 = dx * dy - dz * dz
     e3 = dx * dy * dz
-    return (1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44) / cmath.sqrt(a)
+    # the terms after 1 are small: summed first, they keep more of their bits
+    return (1 + (-e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44 - 5 * e2 * e2 * e2 / 208
+                 + 3 * e3 * e3 / 104 + e2 * e2 * e3 / 16)) / cmath.sqrt(a)
 
 
 def _invert_embedding(x: complex, y: complex, e: Sequence[complex],
@@ -326,13 +342,19 @@ def _invert_embedding(x: complex, y: complex, e: Sequence[complex],
     Returns z with the curve's ordinate P'(z), whose sign y picks.
     """
     u = cmath.sqrt(x / abs(x)) if x else 1.0
-    a = [(x - ei) / u**2 for ei in e]
-    r = [cmath.sqrt(ai) for ai in a]
-    z = _carlson_rf(*a, r) / u
-    pp = -2 * u**3 * r[0] * r[1] * r[2]
+    u2 = u**2
+    e1, e2, e3 = e
+    a1, a2, a3 = (x - e1) / u2, (x - e2) / u2, (x - e3) / u2
+    r1, r2, r3 = cmath.sqrt(a1), cmath.sqrt(a2), cmath.sqrt(a3)
+    z = _carlson_rf(a1, a2, a3, (r1, r2, r3)) / u
+    pp = -2 * u**3 * r1 * r2 * r3
     if abs(pp - y) > abs(pp + y):
         z, pp = -z, -pp
     return _from_complex(z, curve), pp
+
+
+# w**k for the primitive cube root of unity w, k = 0, 1, 2
+_UNIT_CUBE_ROOTS = tuple(complex(-0.5, math.sqrt(3) / 2) ** k for k in range(3))
 
 
 def _cubic_roots(a3: complex, a2: complex, a1: complex,
@@ -360,18 +382,19 @@ def _cubic_roots(a3: complex, a2: complex, a1: complex,
     x1 = complex(-b / 3)
     if big:
         u = big ** (1 / 3)
-        w = complex(-0.5, math.sqrt(3) / 2)
-        x1 = max((u * w**k - p / (3 * u * w**k) - b / 3 for k in range(3)), key=abs)
+        x1 = max((u * w - p / (3 * u * w) - b / 3 for w in _UNIT_CUBE_ROOTS), key=abs)
     if x1 == 0:
         return (0j, 0j, 0j)
+    f1 = f(x1)
     for _ in range(3):
         dp = (3 * x1 + 2 * b) * x1 + c
         if dp == 0:
             break
-        x = x1 - f(x1) / dp
-        if abs(f(x)) >= abs(f(x1)):
+        x = x1 - f1 / dp
+        fx = f(x)
+        if abs(fx) >= abs(f1):
             break
-        x1 = x
+        x1, f1 = x, fx
     # x^3 + b x^2 + c x + d = (x - x1)(x^2 + q1 x + q0), from the constant term up
     q0 = -d / x1
     q1 = (q0 - c) / x1
@@ -492,24 +515,41 @@ def _solve(line: PlaneLine, curve: CurveSpec) -> tuple[tuple[JacPoint, Vec], ...
     a2 = -(u / v) ** 2
     a1 = -g2 - 2 * (u / v) * (w / v)
     a0 = -g3 - (w / v) ** 2
-    roots = _cubic_roots(a3, a2, a1, a0)
-    # cluster near-coincident roots and replace each cluster by its mean: the
-    # mean cancels the leading O(eps^(1/m)) perturbation of an m-fold root
-    clusters: list[list[complex]] = []
-    for x in sorted(roots, key=lambda r: (r.real, r.imag)):
-        for c in clusters:
-            m = sum(c) / len(c)
-            if abs(x - m) < 1e-4 * max(1.0, abs(x), abs(m)):
-                c.append(x)
-                break
-        else:
-            clusters.append([x])
+    clusters = _clusters(_cubic_roots(a3, a2, a1, a0))
     hits = []
-    for c in clusters:
-        x = complex(sum(c) / len(c))
+    for x, _ in clusters:
         z, y = _invert_embedding(x, -(u * x + w) / v, e, curve)
         hits.append((z, (x, y, 1)))
-    return _shared(hits, [len(c) for c in clusters])
+    return _shared(hits, [m for _, m in clusters])
+
+
+def _near(x: complex, m: complex) -> bool:
+    return abs(x - m) < 1e-4 * max(1.0, abs(x), abs(m))
+
+
+def _clusters(roots: Sequence[complex]) -> tuple[tuple[complex, int], ...]:
+    """The three roots grouped into clusters of near-coincident roots, each as
+    (mean, size): the mean cancels the leading O(eps^(1/m)) perturbation of an
+    m-fold root.
+
+    In (real, imag) order, a root joins the first earlier cluster whose
+    running mean it is _near, and starts a new cluster otherwise.  Each mean
+    is summed from the int 0 and divided by the size, as sum(c) / len(c)
+    forms it, so a -0.0 part of a finite root reads +0.0.
+    """
+    x0, x1, x2 = sorted(roots, key=lambda r: (r.real, r.imag))
+    m0 = 0 + x0
+    if _near(x1, m0):
+        m01 = (m0 + x1) / 2
+        if _near(x2, m01):
+            return (((m0 + x1 + x2) / 3, 3),)
+        return ((m01, 2), (0 + x2, 1))
+    if _near(x2, m0):
+        return (((m0 + x2) / 2, 2), (0 + x1, 1))
+    m1 = 0 + x1
+    if _near(x2, m1):
+        return ((m0, 1), ((m1 + x2) / 2, 2))
+    return ((m0, 1), (m1, 1), (0 + x2, 1))
 
 
 def intersect_curve(line: PlaneLine, curve: CurveSpec) -> list[JacPoint]:

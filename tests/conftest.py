@@ -145,3 +145,72 @@ def invert_embedding_reference(x, y, e, curve: CurveSpec):
     if abs(pp - y) > abs(pp + y):
         z, pp = -z, -pp
     return jl.canon(z, curve), pp
+
+
+def cluster_reference(roots):
+    """weierstrass._solve's root clustering as a loop over lists: the clusters
+    of the sorted roots, each a list of its members.  The reference for
+    weierstrass._clusters' decisions and the bits of its means,
+    complex(sum(c) / len(c))."""
+    clusters: list[list[complex]] = []
+    for x in sorted(roots, key=lambda r: (r.real, r.imag)):
+        for c in clusters:
+            m = sum(c) / len(c)
+            if abs(x - m) < 1e-4 * max(1.0, abs(x), abs(m)):
+                c.append(x)
+                break
+        else:
+            clusters.append([x])
+    return clusters
+
+
+def cluster_bits(clusters):
+    """(mean, size) pairs by the hex of each part of the mean."""
+    return [(m.real.hex(), m.imag.hex(), size) for m, size in clusters]
+
+
+def duplication_steps(monkeypatch, triples) -> float:
+    """The mean number of duplication steps weierstrass._carlson_rf takes on
+    the argument triples: without roots given, a call takes three square
+    roots per step and one for the result."""
+    taken = []
+    sqrt = cmath.sqrt
+    with monkeypatch.context() as m:
+        m.setattr(cmath, "sqrt", lambda v: taken.append(v) or sqrt(v))
+        for args in triples:
+            we._carlson_rf(*args)
+    return (len(taken) - len(triples)) / 3 / len(triples)
+
+
+def cubic_roots_reference(a3, a2, a1, a0):
+    """weierstrass._cubic_roots with the unit cube roots w**k formed at every
+    call and each Newton residual evaluated twice: the reference for its bits."""
+    b, c, d = a2 / a3, a1 / a3, a0 / a3
+
+    def f(x):
+        return ((x + b) * x + c) * x + d
+
+    p = c - b * b / 3
+    q = (2 * b * b - 9 * c) * b / 27 + d
+    s = cmath.sqrt(q * q / 4 + p * p * p / 27)
+    big = -q / 2 - s if abs(-q / 2 - s) >= abs(-q / 2 + s) else -q / 2 + s
+    x1 = complex(-b / 3)
+    if big:
+        u = big ** (1 / 3)
+        w = complex(-0.5, math.sqrt(3) / 2)
+        x1 = max((u * w**k - p / (3 * u * w**k) - b / 3 for k in range(3)), key=abs)
+    if x1 == 0:
+        return (0j, 0j, 0j)
+    for _ in range(3):
+        dp = (3 * x1 + 2 * b) * x1 + c
+        if dp == 0:
+            break
+        x = x1 - f(x1) / dp
+        if abs(f(x)) >= abs(f(x1)):
+            break
+        x1 = x
+    q0 = -d / x1
+    q1 = (q0 - c) / x1
+    s = cmath.sqrt(q1 * q1 - 4 * q0)
+    t = -(q1 + s) / 2 if abs(q1 + s) >= abs(q1 - s) else -(q1 - s) / 2
+    return (x1, t, q0 / t if t else t)

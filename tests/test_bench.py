@@ -17,7 +17,8 @@ from ellpar import weierstrass as we
 from ellpar.bundles import classify_triple
 from ellpar.jaclattice import CurveSpec, JacPoint
 
-from conftest import (close_to_reference, contains_reference, equal_reference, frame_lambda,
+from conftest import (close_to_reference, cluster_bits, cluster_reference, contains_reference,
+                      cubic_roots_reference, duplication_steps, equal_reference, frame_lambda,
                       invert_embedding_reference, wp_reference)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -105,6 +106,46 @@ def test_dual_plane_lambda_on_the_benchmark_inputs_matches_the_frame_reference(m
     assert checked_chords > 300
 
 
+def test_dual_plane_inversions_take_fewer_duplication_steps(monkeypatch):
+    # R_F on the elliptic logs of the first operations: stopping at a spread
+    # of 1e-3 for the 5th-order series took 5.36 steps per inversion here
+    monkeypatch.syspath_prepend(str(BENCH))
+    batch = list(islice(importlib.import_module("dual_plane").ops(1), OPS))
+    triples = []
+    rf = we._carlson_rf
+    with monkeypatch.context() as m:
+        m.setattr(we, "_carlson_rf",
+                  lambda x, y, z, roots=(): triples.append((x, y, z)) or rf(x, y, z, roots))
+        for op in batch:
+            _outcome(op)
+    assert len(triples) > 2 * OPS
+    assert duplication_steps(monkeypatch, triples) < 5.33
+
+
+def test_dual_plane_root_clusters_equal_the_reference_loop_bit_for_bit(monkeypatch):
+    # the roots _solve clusters on the lines of the first operations of each
+    # line class: same clusters and same bits as the loop over lists
+    monkeypatch.syspath_prepend(str(BENCH))
+    dual_plane = importlib.import_module("dual_plane")
+    firsts = {kind: [] for kind in dual_plane.MIX if kind != "rank"}
+    for op in dual_plane.ops(1):
+        if op.kind in firsts and len(firsts[op.kind]) < OPS:
+            firsts[op.kind].append(op)
+        if all(len(ops) == OPS for ops in firsts.values()):
+            break
+    roots = []
+    cubic_roots = we._cubic_roots
+    monkeypatch.setattr(we, "_cubic_roots", lambda *a: roots.append(cubic_roots(*a)) or roots[-1])
+    for ops in firsts.values():
+        for op in ops:
+            _outcome(op)
+    # the flex tangent at the origin is the line at infinity, which solves no cubic
+    assert len(roots) > (len(firsts) - 1) * OPS
+    for r in roots:
+        want = [(complex(sum(c) / len(c)), len(c)) for c in cluster_reference(r)]
+        assert cluster_bits(we._clusters(r)) == cluster_bits(want), r
+
+
 def test_cli_batch_answers_alike_with_the_reference_wp(monkeypatch):
     # wp's per-curve series table changes no bit of any response: the first
     # cli-batch requests dump to the same text with the reference wp
@@ -147,8 +188,9 @@ def _counted(f, calls):
 
 @pytest.mark.parametrize("workload", ["stability_scan", "dual_plane"])
 def test_workload_answers_alike_with_the_reference_primitives(workload, monkeypatch):
-    # plane incidence on attributes, the float path of equal and the shared
-    # square roots of the elliptic log change no bit of any answer
+    # plane incidence on attributes, the float path of equal, the shared
+    # square roots of the elliptic log and the line cubic's table of unit
+    # cube roots change no bit of any answer
     monkeypatch.syspath_prepend(str(BENCH))
     batch = list(islice(importlib.import_module(workload).ops(1), OPS))
     fast = [_stored_outcome(op) for op in batch]
@@ -157,11 +199,13 @@ def test_workload_answers_alike_with_the_reference_primitives(workload, monkeypa
     monkeypatch.setattr(we.PlanePoint, "close_to", _counted(close_to_reference, calls))
     monkeypatch.setattr(we.PlaneLine, "close_to", _counted(close_to_reference, calls))
     monkeypatch.setattr(we, "_invert_embedding", _counted(invert_embedding_reference, calls))
+    monkeypatch.setattr(we, "_cubic_roots", _counted(cubic_roots_reference, calls))
     for module in (jl, we):  # the definition and weierstrass' binding of it
         monkeypatch.setattr(module, "equal", _counted(equal_reference, calls))
     assert [_stored_outcome(op) for op in batch] == fast
     used = {"stability_scan": {"close_to_reference", "contains_reference", "equal_reference"},
-            "dual_plane": {"contains_reference", "equal_reference", "invert_embedding_reference"}}
+            "dual_plane": {"contains_reference", "cubic_roots_reference", "equal_reference",
+                           "invert_embedding_reference"}}
     assert set(calls) == used[workload]
 
 

@@ -1,12 +1,15 @@
 """Hygiene of the library modules: every name a module imports at module
 level is used in it, every module-level private name is referenced
-somewhere in the package, and no memo is unbounded.  No linter is part of
-the toolchain, so this test is the check."""
+somewhere in the package, every public one in the package, the scripts, the
+README or the acceptance tests, and no memo is unbounded.  No linter is part
+of the toolchain, so this test is the check."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ellpar"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ellpar"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -30,7 +33,8 @@ def test_no_unused_module_level_imports():
     assert unused == []
 
 
-def _private_definitions(tree: ast.Module) -> set[str]:
+def _definitions(tree: ast.Module) -> set[str]:
+    """The module-level names a module defines, dunders left out."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -38,7 +42,7 @@ def _private_definitions(tree: ast.Module) -> set[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+    return {n for n in names if not n.startswith("__")}
 
 
 def _references(tree: ast.Module) -> set[str]:
@@ -58,7 +62,28 @@ def test_no_module_level_private_name_without_a_reference():
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
     refs = set().union(*(_references(t) for t in trees.values()))
     orphans = [f"{name}:{d}" for name, t in trees.items()
-               for d in sorted(_private_definitions(t)) if d not in refs]
+               for d in sorted(_definitions(t)) if d.startswith("_") and d not in refs]
+    assert orphans == []
+
+
+def _code_names(markdown: str) -> set[str]:
+    """The identifiers in the code blocks and `code` spans of a Markdown text."""
+    blocks = re.findall(r"```.*?```", markdown, flags=re.S)
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", markdown, flags=re.S))
+    return set(re.findall(r"[A-Za-z_]\w*", " ".join(blocks + spans)))
+
+
+def test_no_public_name_without_a_user():
+    # a public helper that only its own tests call is dead code as well:
+    # each is used by the package, a script or an acceptance criterion, or
+    # named as API in the README
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    users = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+             ROOT / "tests" / "test_acceptance.py"]
+    refs = set().union(*(_references(ast.parse(p.read_text(encoding="utf-8"))) for p in users))
+    refs |= _code_names((ROOT / "README.md").read_text(encoding="utf-8"))
+    orphans = [f"{name}:{d}" for name, t in trees.items()
+               for d in sorted(_definitions(t)) if not d.startswith("_") and d not in refs]
     assert orphans == []
 
 

@@ -13,7 +13,8 @@ from ellpar import jaclattice as jl
 from ellpar import weierstrass as we
 from ellpar.jaclattice import CurveSpec
 
-from conftest import (TAU, close_to_reference, contains_reference, exact,
+from conftest import (TAU, close_to_reference, cluster_bits, cluster_reference,
+                      contains_reference, cubic_roots_reference, duplication_steps, exact,
                       invert_embedding_reference, wp_reference)
 
 interior = st.tuples(st.floats(0.08, 0.92), st.floats(0.08, 0.92))
@@ -335,6 +336,13 @@ def test_carlson_rf_matches_mpmath_across_spreads_and_near_pole_inversions():
         assert worst <= CARLSON_WORST[family], (family, worst)
 
 
+def test_carlson_rf_stops_after_fewer_duplication_steps(monkeypatch):
+    # the 7th-order series is exact once the arguments agree to ~1/79; the
+    # 5th-order one stopped at 1e-3 and took 4.03 steps per call here
+    triples = [args for family in _carlson_cases().values() for args in family]
+    assert duplication_steps(monkeypatch, triples) < 4.03
+
+
 def _assert_inverts(x, y, curve):
     """Backward error of the elliptic logarithm: P at the recovered z is x, and P' has y's sign.
 
@@ -431,6 +439,60 @@ def test_cubic_roots_of_double_and_triple_roots_average_to_the_root():
         for a3 in (1, 4):
             roots = we._cubic_roots(a3, -3 * a3 * r, 3 * a3 * r * r, -a3 * r ** 3)
             assert abs(sum(roots) / 3 - r) <= 1e-9 * abs(r), (r, roots)
+
+
+def test_cubic_roots_equal_their_reference_bit_for_bit():
+    # the unit cube roots read from a table and each Newton residual
+    # evaluated once change no bit: random cubics over 12 orders of
+    # magnitude, real ones (signed zeros), multiple roots, a zero root and
+    # Cardano's degenerate case
+    rng = random.Random(109)
+    cases = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) * 10 ** rng.uniform(-6, 6)
+              for _ in range(4)] for _ in range(3000)]
+    cases += [[rng.gauss(0, 1) for _ in range(4)] for _ in range(500)]
+    for r in (1, -2.5, 1e-3 + 2j):
+        cases += [[1, -3 * r, 3 * r * r, -r ** 3], [4, -8 * r, 4 * r * r, 0j], [1, 0, -r * r, 0]]
+    cases += [[4.0, 0j, 0j, 0j], [1, 0, 0, -1], [4.0, -0.0, 0.0, -0.0], [2, 0j, 3, 0j]]
+    for coeffs in cases:
+        got, want = we._cubic_roots(*coeffs), cubic_roots_reference(*coeffs)
+        assert [(x.real.hex(), x.imag.hex()) for x in got] == \
+            [(x.real.hex(), x.imag.hex()) for x in want], coeffs
+
+
+def _near_triple(rng, spread):
+    """Three roots within about spread (relative) of a random centre."""
+    c = 10 ** rng.uniform(-3, 3) * cmath.exp(1j * rng.uniform(-3.1, 3.1))
+    return [c * (1 + spread * rng.random() * cmath.exp(1j * rng.uniform(-3.1, 3.1)))
+            for _ in range(3)]
+
+
+def test_root_clusters_equal_the_reference_loop_bit_for_bit():
+    # one pass over the sorted roots makes the loop's merge tests in its
+    # order, against the same running means: same clusters, same bits
+    rng = random.Random(107)
+    cases = [_near_triple(rng, 10 ** rng.uniform(-7, -3)) for _ in range(2000)]
+    for a, b in ((1 + 2j, -3 + 0.5j), (-0.25 + 0j, 4 + 0j), (1e3 + 1e3j, 1e-3j)):
+        cases += [[a, a, b], [a, b, a], [b, a, a], [a, a * (1 + 1e-7), b], [a, a, a],
+                  [a + 1e-5, a - 1e-5, b]]
+        cases += [[a + 1e-6 * cmath.exp(2j * math.pi * k / 3) for k in range(3)]]
+    # sorted (real, imag): the last root is near the first, the middle one is not
+    cases += [[1 + 0j, 1.00001 + 5j, 1.00002 + 0j], [1 + 0j, 1.00002 + 0j, 1.00001 + 5j]]
+    # ... and the last root is near both earlier singletons: the first one wins
+    cases += [[0j, 6e-5 + 9e-5j, 7e-5 + 3e-5j]]
+    # signed zeros, and ties in the sort key between parts that differ in sign
+    zeros = [complex(sr, si) for sr in (0.0, -0.0) for si in (0.0, -0.0)]
+    cases += [[z, w, 1 + 0j] for z in zeros for w in zeros]
+    cases += [[z, w, v] for z in zeros for w in zeros for v in zeros]
+    cases += [[complex(1, -0.0), complex(1, 0.0), complex(-2, -0.0)],
+              [complex(-0.0, 1), complex(0.0, 1), complex(-0.0, -1)],
+              [1 + 2j, 1 + 2j, 1 + 3j], [1 + 3j, 1 + 2j, 1 + 2j]]
+    shapes = set()
+    for roots in cases:
+        want = [(complex(sum(c) / len(c)), len(c)) for c in cluster_reference(roots)]
+        got = we._clusters(roots)
+        assert cluster_bits(got) == cluster_bits(want), roots
+        shapes.add(tuple(size for _, size in got))
+    assert shapes == {(1, 1, 1), (2, 1), (1, 2), (3,)}
 
 
 def test_shared_points_keep_the_triple_summing_to_zero():
