@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from . import jaclattice as jl
 from .bundles import BundleClass, classify_triple, graded, make_t21, make_t22, make_t3x
-from .jaclattice import EQ_TOL, CurveSpec, JacPoint
-from .parabolic import ProjScalar, flip
+from .jaclattice import DLT_COND_TOL, EQ_TOL, CurveSpec, JacPoint
+from .parabolic import ProjScalar, _check_chamber, flip
 from .weierstrass import embed
 
 
@@ -58,6 +58,8 @@ def act_class(g: ModularAuto, cls: BundleClass) -> BundleClass:
     return make_t3x(cls.label, z)
 
 
+_IDENTITY = ((1 + 0j, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, 1 + 0j))
+
 # generic sample points, as lattice coordinates (s, t): irrational, away
 # from torsion and the lattice
 _BASE = [(0.2718 + 0.0531 * k, (0.3141 + 0.0377 * k * k) % 1) for k in range(8)]
@@ -68,8 +70,11 @@ def act_plane(g: ModularAuto, curve: CurveSpec) -> tuple[tuple[complex, ...], ..
 
     Solved by DLT from 8 point correspondences embed(z) -> embed(g z) in
     general position, two linear rows each, nullspace by SVD (numpy's only call).
-    The pivot of the scale rule below is exactly 1.
+    The pivot of the scale rule below is exactly 1.  The identity lifts to the
+    identity matrix, exactly and without a solve.
     """
+    if not (g.dual or g.shift.s or g.shift.t):
+        return _IDENTITY
     import numpy as np
 
     rows: list[complex] = []  # the 16 rows of 9 entries, flat
@@ -83,7 +88,7 @@ def act_plane(g: ModularAuto, curve: CurveSpec) -> tuple[tuple[complex, ...], ..
                  c * x, c * y, c * w, 0j, 0j, 0j, -a * x, -a * y, -a * w)
     _, sv, vh = np.linalg.svd(np.array(rows).reshape(16, 9), full_matrices=False)
     sv = sv.tolist()
-    if sv[-2] < 1e-8 * sv[0]:
+    if sv[-2] < DLT_COND_TOL * sv[0]:
         raise ValueError("ill-conditioned correspondence system")
     m = [x.conjugate() for x in vh[-1].tolist()]
     # fix the scale by the first entry, in row-major order, of at least half
@@ -102,8 +107,10 @@ def act_parabolic(g: ModularAuto, cls: BundleClass, coord: ProjScalar,
 
     Tensoring fixes the normalized fiber coordinate; dualization transposes
     the flag, which swaps the chamber, and the datum is re-expressed in the
-    original chamber by composing with the flip map.
+    original chamber by composing with the flip map.  The chamber is Pminus
+    or Pplus, as normalize_flag requires.
     """
+    _check_chamber(chamber)
     new_cls = act_class(g, cls)
     new_coord = flip(coord) if g.dual else coord
     return new_cls, new_coord, chamber

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import jaclattice as jl
-from .jaclattice import EQ_TOL, CurveSpec, JacPoint
+from .jaclattice import EQ_TOL, TORSION_SNAP_TOL, CurveSpec, JacPoint
 from .weierstrass import PlaneLine, PlanePoint, line_through
 
 LABELS = ("T1", "T21", "T22", "T31", "T32", "T33")
@@ -108,7 +108,7 @@ def classify_triple(z1: JacPoint, z2: JacPoint, z3: JacPoint,
         return BundleClass("T1", triple=tuple(jl.canonical_sort(pts)))
     if neq >= 2:
         # numerically, all three coincide; snap to the nearest 3-torsion class
-        if not jl.mul(3, pts[0]).is_zero(tol=1e-4):
+        if not jl.mul(3, pts[0]).is_zero(tol=TORSION_SNAP_TOL):
             raise ValueError("coincident triple is not 3-torsion")
         return BundleClass("T31", point=_snap_to_torsion(pts[0], 3))
     return BundleClass("T21", point=pts[0] if e12 or e13 else pts[1])

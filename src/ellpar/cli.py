@@ -352,7 +352,7 @@ def _cmd_covering(payload, tol):
             return Fraction(z)
         return parse_complex(z)
 
-    f2, f3, cusp = ms.covering_invariants(conv(z1), conv(z2), tol=tol or 1e-9)
+    f2, f3, cusp = ms.covering_invariants(conv(z1), conv(z2), tol=tol or jl.CUSP_TOL)
     return {"F2": ser_complex(complex(f2)), "F3": ser_complex(complex(f3)),
             "on_cusp": bool(cusp)}
 
@@ -375,7 +375,7 @@ def _cmd_abel(payload, tol):
 def _cmd_torelli(payload, tol):
     t1 = parse_complex(_need(payload, "tau1"))
     t2 = parse_complex(_need(payload, "tau2"))
-    return {"isomorphic": ms.curves_isomorphic(t1, t2, rel_tol=tol or 1e-6)}
+    return {"isomorphic": ms.curves_isomorphic(t1, t2, rel_tol=tol or jl.J_TOL)}
 
 
 def _ser_auto(g: ag.ModularAuto) -> dict:
@@ -385,7 +385,10 @@ def _ser_auto(g: ag.ModularAuto) -> dict:
 def _parse_auto(v, curve: CurveSpec) -> ag.ModularAuto:
     if not isinstance(v, dict):
         raise SchemaError("automorphism must be an object {shift, dual}")
-    return ag.ModularAuto(parse_point(_need(v, "shift"), curve), bool(_need(v, "dual")))
+    dual = _need(v, "dual")
+    if not isinstance(dual, bool):
+        raise SchemaError(f"'dual' must be true or false, got {dual!r}")
+    return ag.ModularAuto(parse_point(_need(v, "shift"), curve), dual)
 
 
 def _cmd_aut_elements(payload, tol):
@@ -481,8 +484,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         prog="ellpar",
         description="JSON oracle interface to the parabolic-moduli library")
     parser.add_argument("--tol", default=None,
-                        help="override the default tolerance, a finite number > 0 "
-                             "(also via TOL env var)")
+                        help="a finite number > 0 (also via TOL env var) that replaces the "
+                             "library default tolerance of classify-bundle, "
+                             "classify-monodromy, universal-family, covering and torelli; "
+                             "the other commands ignore it (see README.md, Command-line "
+                             "interface)")
     parser.add_argument("--file", type=str, default=None,
                         help="read a JSON array of requests from a file instead of stdin")
     args = parser.parse_args(argv)

@@ -17,10 +17,49 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-DEFAULT_TOL = 1e-9
+# ---------------------------------------------------------------------------
+# Tolerance policy: every decision threshold of the library, named once.  A
+# decision threshold is a value at which an answer changes with the side of
+# it a number falls on; each site reads its name here.  Values that set only
+# accuracy or termination (series breaks, pivots, difference steps) stay
+# with their method, as module-level names in the module that uses them.
+# ---------------------------------------------------------------------------
+
+# jaclattice
+DEFAULT_TOL = 1e-9  # equal and is_zero without a tol: the lattice distance of one point
 # the coincidence rule of every library decision on approximate points: p, q
 # are one point when equal(p, q, EQ_TOL), and z is 3-torsion when 3z is 0 so
 EQ_TOL = 1e-6
+CURVE_TOL = 1e-9  # CurveSpec.same: taus this close, relative to max(1, |tau|), are one curve
+
+# weierstrass, which re-exports the first three
+MERGE_TOL = 1e-6  # close_to: plane points (lines) with |p x q| at most this are one
+POLE_TOL = 1e-7  # wp refuses z this close to the lattice, and embed sends it to [0:1:0]
+INCIDENCE_TOL = 1e-9  # PlaneLine.contains: |l.p| at most this of max|l_i| max|p_i|
+AXIS_TOL = 1e-12  # intersection: |u|, |v| below this of max|l_i| read 0 (vertical, at infinity)
+ROOT_MERGE_TOL = 1e-4  # intersection: x-roots this close, relative to max(1, |x|), are one
+
+# bundles
+TORSION_SNAP_TOL = 1e-4  # classify_triple: a coincident triple must be 3-torsion to this
+
+# modspace
+INCIDENCE_POINT_TOL = 1e-7  # IncidencePoint: a point this far off its line still lies on it
+CHART_EDGE_TOL = 1e-9  # incidence_parametrization: a line with |w| below this leaves the chart
+CUSP_TOL = 1e-9  # covering_invariants: (F2/3)^3 = (F3/2)^2 to this, relative, is the cusp
+J_TOL = 1e-6  # curves_isomorphic: j-invariants this close, relative to max(1, |j|), agree
+RANK_TOL = 1e-6  # parametrization_rank: the singular values above this count
+
+# parabolic
+WEIGHT_SUM_TOL = 1e-12  # Weights: float weights summing to 0 within this are admissible
+CHORDAL_TOL = 1e-9  # ProjScalar.close_to: the chordal distance of one point of P^1
+
+# monodromy
+NILPOTENT_TOL = 1e-8  # normal_form and validate without a tol: nilpotency tests and residuals
+PAIR_TOL = 1e-7  # the least tol at which classify_bundle and normal_form validate a pair
+EIGEN_SEP_TOL = 1e-9  # universal_config: eigenvalues this close degenerate the configuration
+
+# autgroup
+DLT_COND_TOL = 1e-8  # act_plane: 2nd-smallest singular value below this of the largest: no lift
 
 TWO_PI_I = 2j * math.pi
 
@@ -43,8 +82,8 @@ class CurveSpec:
             raise ValueError(f"tau must lie in the upper half-plane, got {tau}")
         object.__setattr__(self, "tau", tau)
 
-    def same(self, other: "CurveSpec", tol: float = DEFAULT_TOL) -> bool:
-        return abs(self.tau - other.tau) <= tol * max(1.0, abs(self.tau))
+    def same(self, other: "CurveSpec") -> bool:
+        return abs(self.tau - other.tau) <= CURVE_TOL * max(1.0, abs(self.tau))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ from numbers import Rational
 
 from . import jaclattice as jl
 from .bundles import BundleClass, _shared_class, tu_line, type_facts
-from .jaclattice import CurveSpec, JacPoint
+from .jaclattice import (CHART_EDGE_TOL, CUSP_TOL, DEFAULT_TOL, INCIDENCE_POINT_TOL, J_TOL,
+                         RANK_TOL, CurveSpec, JacPoint)
 from .parabolic import PROJ_INF, ProjScalar
 from .weierstrass import (PlaneLine, PlanePoint, _cross, _cubic_roots, _solved, _Solved,
                           curve_invariants, intersect_curve)
@@ -30,7 +31,7 @@ class IncidencePoint:
     line: PlaneLine
 
     def __post_init__(self):
-        if not self.line.contains(self.x, tol=1e-7):
+        if not self.line.contains(self.x, tol=INCIDENCE_POINT_TOL):
             raise ValueError(f"point not on line (residual {abs(self.line.eval(self.x)):.3g})")
 
 
@@ -46,7 +47,7 @@ class SymPair:
         object.__setattr__(self, "p1", a)
         object.__setattr__(self, "p2", b)
 
-    def close_to(self, other: "SymPair", tol: float = 1e-9) -> bool:
+    def close_to(self, other: "SymPair", tol: float = DEFAULT_TOL) -> bool:
         return ((jl.equal(self.p1, other.p1, tol=tol) and jl.equal(self.p2, other.p2, tol=tol))
                 or (jl.equal(self.p1, other.p2, tol=tol) and jl.equal(self.p2, other.p1, tol=tol)))
 
@@ -101,10 +102,11 @@ def psi_plus(ip: IncidencePoint, curve: CurveSpec) -> tuple[BundleClass, ProjSca
     lambda is read in one chart of the line (see _line_chart), as
     (d13 d24) / (d14 d23) from the 2x2 determinants d_ij of the points'
     kept coordinates.  A point ip.x off the line (IncidencePoint allows a
-    residual of 1e-7) is thereby projected onto it centrally from e_k.  On a
-    tangent line (a shared parameter: the extension stratum) lambda is the
-    cross-ratio's value there, whatever ip.x is: exactly 1 when the double
-    point sorts first and inf when it sorts last.  A flex tangent has no frame.
+    residual of INCIDENCE_POINT_TOL) is thereby projected onto it centrally
+    from e_k.  On a tangent line (a shared parameter: the extension stratum)
+    lambda is the cross-ratio's value there, whatever ip.x is: exactly 1 when
+    the double point sorts first and inf when it sorts last.  A flex tangent
+    has no frame.
     """
     solved = _solved(ip.line, curve)
     cls = _line_class(solved)
@@ -138,7 +140,7 @@ def _exact(x):
     return x
 
 
-def covering_invariants(z1, z2, tol: float = 1e-9) -> tuple[complex, complex, bool]:
+def covering_invariants(z1, z2, tol: float = CUSP_TOL) -> tuple[complex, complex, bool]:
     """The S3-invariants F2, F3 of the covering base and the cusp test.
 
     F2 = z1^2 + z1 z2 + z2^2, F3 = z1 z2 (z1 + z2); on_cusp iff
@@ -181,7 +183,7 @@ def sigma_cover_count(line: PlaneLine, curve: CurveSpec) -> int:
     return type_facts(_line_class(_solved(line, curve)).label)[2]
 
 
-def curves_isomorphic(tau1: complex, tau2: complex, rel_tol: float = 1e-6) -> bool:
+def curves_isomorphic(tau1: complex, tau2: complex, rel_tol: float = J_TOL) -> bool:
     """Torelli decision: the moduli pairs agree iff the j-invariants agree."""
     j1 = curve_invariants(CurveSpec(tau1))[2]
     j2 = curve_invariants(CurveSpec(tau2))[2]
@@ -208,15 +210,20 @@ def _chart(line: PlaneLine, u1: complex, u2: complex, t: complex,
     x = PlanePoint.of(1, complex(t), -u1 - complex(t) * u2)
     cls, lam = psi_plus(IncidencePoint(x, line), curve)
     lrec = tu_line(cls, curve)
-    if abs(lrec.w) < 1e-9:
+    if abs(lrec.w) < CHART_EDGE_TOL:
         raise ValueError("recovered line leaves the affine chart")
     if lam.is_inf:
         raise ValueError("fiber coordinate at infinity; choose another t")
     return (lrec.u / lrec.w, lrec.v / lrec.w, lam.num)
 
 
+# parametrization_rank's central-difference step, which balances the
+# truncation error O(step^2) against the roundoff O(eps / step)
+_RANK_STEP = 1e-5
+
+
 def parametrization_rank(u1: complex, u2: complex, t: complex, curve: CurveSpec,
-                         tol: float = 1e-6) -> int:
+                         tol: float = RANK_TOL) -> int:
     """Numerical complex-Jacobian rank of incidence_parametrization at a point:
     the number of singular values sigma of the central-difference Jacobian J
     above tol.  The sigma^2 are the eigenvalues of the Hermitian J^H J, the
@@ -224,7 +231,7 @@ def parametrization_rank(u1: complex, u2: complex, t: complex, curve: CurveSpec,
     tol^2."""
     # t +- step lie on the base point's line, which is intersected once
     line = PlaneLine.of(u1, u2, 1)
-    step = 1e-5
+    step = _RANK_STEP
     cols = []
     for k in range(3):
         d = [0, 0, 0]

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from . import jaclattice as jl
 from .bundles import (BundleClass, LineLocus, PointLocus, SubbundleConfig, classify_triple,
                       make_t21, make_t22, make_t3x)
-from .jaclattice import EQ_TOL, CurveSpec, JacPoint
+from .jaclattice import EIGEN_SEP_TOL, EQ_TOL, NILPOTENT_TOL, PAIR_TOL, CurveSpec, JacPoint
 from .weierstrass import PlaneLine, PlanePoint, _cubic_roots
 
-DEFAULT_TOL = 1e-8
 _I = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
@@ -108,7 +107,7 @@ def _adjugate(M, sign: float = -1.0) -> tuple[tuple, complex]:
     return K, m00 * K[0] + m01 * K[3] + m02 * K[6]
 
 
-def validate(pair: CommutingPair, tol: float = DEFAULT_TOL) -> CommutingPair:
+def validate(pair: CommutingPair, tol: float = NILPOTENT_TOL) -> CommutingPair:
     """Check |det - 1| and the commutator at tolerance."""
     A, B = pair.A, pair.B
     scale = max(_amax(A), _amax(B), 1.0)
@@ -233,7 +232,7 @@ def _is_regular(nil: tuple[tuple, tuple], tol: float) -> bool:
     return _amax(nil[1]) > tol * _amax(nil[0])
 
 
-def normal_form(pair: CommutingPair, tol: float = DEFAULT_TOL):
+def normal_form(pair: CommutingPair, tol: float = NILPOTENT_TOL):
     """Reduce a valid commuting pair to its normal form.
 
     Returns (form, conjugator P, swapped) with
@@ -247,7 +246,7 @@ def normal_form(pair: CommutingPair, tol: float = DEFAULT_TOL):
     def _unimodular(P):
         return P / np.linalg.det(P) ** (1.0 / 3.0)
 
-    validate(pair, tol=max(tol, 1e-7))
+    validate(pair, tol=max(tol, PAIR_TOL))
     blocks = _joint_blocks(pair.A, pair.B, tol)
     A, B = np.array(pair.A), np.array(pair.B)
     if all(m == 1 or _is_zero(nA[0], P, tol) and _is_zero(nB[0], P, tol)
@@ -298,7 +297,7 @@ def classify_bundle(pair: CommutingPair, curve: CurveSpec,
     """Bundle type of the flat bundle with monodromy (A, B) along (1, tau),
     from the Atiyah summands L_z (x) F of its joint blocks.  tol sets only the
     nilpotency tests; coincidence and 3-torsion are decided at EQ_TOL."""
-    validate(pair, tol=1e-7)
+    validate(pair, tol=PAIR_TOL)
     tau = curve.tau
     scale = tol * max(1.0, abs(tau))
     summands: list[tuple[JacPoint, int]] = []
@@ -355,7 +354,7 @@ def universal_config(b1: complex, b2: complex):
     """Fiber-plane loci of the degree-0 subbundles of the generic universal family."""
     b1, b2 = complex(b1), complex(b2)
     b3 = 1.0 / (b1 * b2)
-    if min(abs(b1 - b2), abs(b1 - b3), abs(b2 - b3)) < 1e-9:
+    if min(abs(b1 - b2), abs(b1 - b3), abs(b2 - b3)) < EIGEN_SEP_TOL:
         raise ValueError("coincident eigenvalues: the configuration degenerates")
     L1 = PlanePoint.of(1, 0, 0)
     L2 = PlanePoint.of(1, b2 - b1, 0)

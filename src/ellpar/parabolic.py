@@ -26,6 +26,7 @@ from numbers import Rational
 from typing import Optional, Sequence, Union
 
 from .bundles import _CONFIGS, BundleClass, LineLocus, PointLocus
+from .jaclattice import CHORDAL_TOL, WEIGHT_SUM_TOL
 from .weierstrass import PlaneLine, PlanePoint, _cross, line_through_points, lines_meet
 
 Scalar = Union[Fraction, float]
@@ -66,7 +67,7 @@ class Weights:
         if self.mu1 - self.mu3 >= 1:
             raise InadmissibleWeightsError("weight spread must be < 1")
         s = self.mu1 + self.mu2 + self.mu3
-        if abs(s) > 1e-12:
+        if abs(s) > WEIGHT_SUM_TOL:
             raise InadmissibleWeightsError(f"weights must sum to 0, got {s}")
 
     def as_tuple(self) -> tuple[Scalar, Scalar, Scalar]:
@@ -109,6 +110,12 @@ CHAMBER_WALL = "Wall"
 PROBE_MINUS = Weights(Fraction(2, 10), Fraction(-1, 10), Fraction(-1, 10))
 PROBE_PLUS = Weights(Fraction(2, 10), Fraction(1, 10), Fraction(-3, 10))
 PROBE_WALL = Weights(Fraction(1, 3), Fraction(0), Fraction(-1, 3))
+
+
+def _check_chamber(chamber: str) -> None:
+    """Refuse any chamber but the two open ones, which fiber coordinates live in."""
+    if chamber not in (CHAMBER_MINUS, CHAMBER_PLUS):
+        raise ValueError(f"chamber must be {CHAMBER_MINUS} or {CHAMBER_PLUS}")
 
 
 def chamber_of(w: Weights) -> str:
@@ -260,7 +267,7 @@ class ProjScalar:
             raise ZeroDivisionError("infinite projective scalar")
         return self.num
 
-    def close_to(self, other: "ProjScalar", tol: float = 1e-9) -> bool:
+    def close_to(self, other: "ProjScalar", tol: float = CHORDAL_TOL) -> bool:
         # chordal comparison, well-behaved at infinity
         cross = self.num * other.den - other.num * self.den
         na = abs(self.num) ** 2 + abs(self.den) ** 2
@@ -350,9 +357,8 @@ def normalize_flag(cls: BundleClass, flag: Flag, chamber: str) -> tuple[ProjScal
     image line written as {Z2 - t Z1 = (1 - t) Z3}.  Pplus: the gauge moves L
     to {Z1 + Z2 = Z3}; the coordinate is lambda with image P = [lambda : 1-lambda : 1].
     """
+    _check_chamber(chamber)
     probe = PROBE_MINUS if chamber == CHAMBER_MINUS else PROBE_PLUS
-    if chamber not in (CHAMBER_MINUS, CHAMBER_PLUS):
-        raise ValueError(f"chamber must be {CHAMBER_MINUS} or {CHAMBER_PLUS}")
     if stability(cls, flag, probe).status != "Stable":
         raise NotStableError(f"flag is not stable in chamber {chamber}")
     if chamber == CHAMBER_MINUS:

@@ -18,12 +18,14 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .jaclattice import (EQ_TOL, CurveSpec, JacPoint, _from_complex, add, equal, mul, neg, sub,
-                         zero)
+from .jaclattice import (AXIS_TOL, EQ_TOL, INCIDENCE_TOL, MERGE_TOL, POLE_TOL, ROOT_MERGE_TOL,
+                         CurveSpec, JacPoint, _from_complex, add, equal, mul, neg, sub, zero)
 
-MERGE_TOL = 1e-6
-POLE_TOL = 1e-7
-INCIDENCE_TOL = 1e-9
+# method constants: _normalize divides by the first coordinate above _PIVOT
+# of the largest, and a relative test on a scale that is 0 compares against
+# _FLOOR instead
+_PIVOT = 1e-14
+_FLOOR = 1e-30
 
 Vec = tuple[complex, complex, complex]
 
@@ -37,7 +39,7 @@ class DegenerateGeometryError(ValueError):
 
 
 def _normalize(v: Sequence[complex]) -> tuple[complex, complex, complex]:
-    """v divided by its first coordinate of modulus above 1e-14 of the largest."""
+    """v divided by its first coordinate of modulus above _PIVOT of the largest."""
     a, b, c = map(complex, v)
     ma, mb, mc = abs(a), abs(b), abs(c)
     # NaN compares false, so this refuses it in any position
@@ -46,7 +48,7 @@ def _normalize(v: Sequence[complex]) -> tuple[complex, complex, complex]:
     scale = max(ma, mb, mc)
     if scale == 0:
         raise DegenerateGeometryError("all homogeneous coordinates vanish")
-    tiny = 1e-14 * scale
+    tiny = _PIVOT * scale
     x = a if ma > tiny else b if mb > tiny else c
     return (a / x, b / x, c / x)
 
@@ -112,7 +114,7 @@ class PlaneLine:
         """Incidence p in L relative to the coordinates: |l.p| <= tol max|p_i| max|l_i|."""
         x, y, z, u, v, w = p.x, p.y, p.z, self.u, self.v, self.w
         scale = max(abs(x), abs(y), abs(z)) * max(abs(u), abs(v), abs(w))
-        return abs(u * x + v * y + w * z) <= tol * max(scale, 1e-30)
+        return abs(u * x + v * y + w * z) <= tol * max(scale, _FLOOR)
 
     def close_to(self, other: "PlaneLine", tol: float = MERGE_TOL) -> bool:
         """|self x other| <= tol: _cross's products, written out."""
@@ -133,6 +135,9 @@ def lines_meet(l1: PlaneLine, l2: PlaneLine) -> PlanePoint:
 # ---------------------------------------------------------------------------
 
 _MAX_TERMS = 4000
+# a q-series stops at the first term below this (relative to the sum in
+# curve_invariants, absolute in wp), where it no longer changes a double
+_SERIES_BREAK = 1e-17
 
 
 def _nome(tau: complex) -> complex:
@@ -151,7 +156,7 @@ def curve_invariants(curve: CurveSpec) -> tuple[complex, complex, complex]:
         t6 = -504 * n**5 * term
         e4 += t4
         e6 += t6
-        if abs(t4) < 1e-17 * abs(e4) and abs(t6) < 1e-17 * max(abs(e6), 1e-30):
+        if abs(t4) < _SERIES_BREAK * abs(e4) and abs(t6) < _SERIES_BREAK * max(abs(e6), _FLOOR):
             break
         qn *= q
     else:
@@ -226,7 +231,7 @@ def wp(z: complex, curve: CurveSpec) -> tuple[complex, complex]:
         tpp = qu * (1 + qu) / (a * (a * a)) - qiu * (1 + qiu) / (b * (b * b))
         p = p + tp
         pp = pp + tpp
-        if abs(tp) < 1e-17 and abs(tpp) < 1e-17:
+        if abs(tp) < _SERIES_BREAK and abs(tpp) < _SERIES_BREAK:
             break
     else:
         raise ArithmeticError("P series did not converge")
@@ -500,11 +505,11 @@ def _solve(line: PlaneLine, curve: CurveSpec) -> tuple[tuple[JacPoint, Vec], ...
     scale = max(abs(u), abs(v), abs(w))
     if scale == 0:
         raise DegenerateGeometryError("zero line")
-    if abs(u) <= 1e-12 * scale and abs(v) <= 1e-12 * scale:
+    if abs(u) <= AXIS_TOL * scale and abs(v) <= AXIS_TOL * scale:
         # the line at infinity meets the cubic only in the flex at the origin
         return ((zero(curve), INFINITY_POINT.vec()),) * 3
     g2, g3, e = _curve_constants(curve)
-    if abs(v) <= 1e-12 * scale:
+    if abs(v) <= AXIS_TOL * scale:
         # vertical line x = -w/u: points (x, +-y) plus the point at infinity
         x = -w / u
         z1, y = _invert_embedding(x, cmath.sqrt(4 * x**3 - g2 * x - g3), e, curve)
@@ -524,7 +529,7 @@ def _solve(line: PlaneLine, curve: CurveSpec) -> tuple[tuple[JacPoint, Vec], ...
 
 
 def _near(x: complex, m: complex) -> bool:
-    return abs(x - m) < 1e-4 * max(1.0, abs(x), abs(m))
+    return abs(x - m) < ROOT_MERGE_TOL * max(1.0, abs(x), abs(m))
 
 
 def _clusters(roots: Sequence[complex]) -> tuple[tuple[complex, int], ...]:

@@ -239,11 +239,22 @@ def test_act_plane_matches_the_numpy_dlt(tau):
 
 
 def test_act_plane_refuses_a_degenerate_correspondence(curve, monkeypatch):
-    # one image point for every z: the 16 rows have rank 2
+    # one image point for every z: the 16 rows have rank 2 (the identity is
+    # not solved for, so the dualisation is)
     point = we.embed(jl.JacPoint(curve, 0.3, 0.4), curve)
     monkeypatch.setattr(ag, "embed", lambda z, c: point)
     with pytest.raises(ValueError, match="^ill-conditioned correspondence system$"):
-        ag.act_plane(ag.identity(curve), curve)
+        ag.act_plane(ag.ModularAuto(jl.zero(curve), True), curve)
+
+
+@pytest.mark.parametrize("tau", [0.3294 + 0.8462j, 0.3 + 1.1j])
+def test_act_plane_lifts_the_identity_exactly(tau):
+    # at tau = 0.3294+0.8462i the 8 sample correspondences of the identity
+    # once made a system the conditioning cut refused
+    curve = CurveSpec(tau)
+    eye = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for g in (ag.identity(curve), ag.ModularAuto(jl.JacPoint(curve, 0.0, 0.0), False)):
+        assert ag.act_plane(g, curve) == eye
 
 
 def test_act_plane_embeds_16_points_over_one_series_table(curve, monkeypatch):

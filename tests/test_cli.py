@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from ellpar import cli
+from ellpar import jaclattice as jl
 from ellpar.jaclattice import CurveSpec
 
 TAU = [0.3, 1.1]
@@ -147,6 +148,56 @@ def test_aut_commands():
                          "target": {"class": {"label": "T21", "point": [1, 5, 0, 1]},
                                     "coord": [2, 1], "chamber": "Pminus"}})
     assert res["coord"] == [2.0, 1.0] and res["chamber"] == "Pminus"
+
+
+AUT_CLASS = {"label": "T21", "point": [1, 5, 0, 1]}
+
+
+@pytest.mark.parametrize("dual", ["false", "x", 1, 0, [], None], ids=repr)
+def test_aut_act_reads_dual_only_as_a_json_boolean(dual):
+    resp, code = cli.run({"command": "aut-act", "payload": {
+        "tau": TAU, "g": {"shift": [0, 1, 0, 1], "dual": dual}, "target": {"class": AUT_CLASS}}})
+    assert code == cli.EXIT_SCHEMA and resp["result"]["error"] == "SchemaViolation", resp
+
+
+@pytest.mark.parametrize("chamber", ["bogus", "Wall", 1])
+def test_aut_act_refuses_a_chamber_as_normalize_flag_does(chamber):
+    act = {"command": "aut-act", "payload": {
+        "tau": TAU, "g": {"shift": [0, 1, 0, 1], "dual": True},
+        "target": {"class": AUT_CLASS, "coord": [2, 1], "chamber": chamber}}}
+    normalize = {"command": "normalize-flag", "payload": {
+        "tau": TAU, "class": AUT_CLASS, "flag": {"P": [1, 2, 3], "L": [1, 1, -1]},
+        "chamber": chamber}}
+    refused = ({"ok": False, "result": {"error": "ValueError",
+                                        "message": "chamber must be Pminus or Pplus"},
+                "diagnostics": []}, cli.EXIT_DOMAIN)
+    assert cli.run(act) == refused and cli.run(normalize) == refused
+
+
+# the five commands that read --tol, each on an input whose answer changes
+# with a --tol 100 times smaller or larger than the library default it reads
+TOL_READERS = {
+    "classify-bundle": ({"tau": TAU, "triple": [[0.1, 0.2], [0.1 + 3e-7, 0.2],
+                                                [-0.2 - 3e-7, -0.4]]}, jl.EQ_TOL),
+    "classify-monodromy": ({"tau": TAU, "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                            "B": [[1, 5e-7, 0], [0, 1, 0], [0, 0, 1]]}, jl.EQ_TOL),
+    "universal-family": ({"tau": TAU, "b1": 1.3, "b2": 1.3 + 1e-7, "kind": "decomposable"},
+                         jl.EQ_TOL),
+    "covering": ({"z1": 2.0001, "z2": 2}, jl.CUSP_TOL),
+    "torelli": ({"tau1": TAU, "tau2": [0.3, 1.1 + 3e-8]}, jl.J_TOL),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TOL_READERS))
+def test_no_tol_answers_as_the_library_default(command):
+    payload, default = TOL_READERS[command]
+    request = {"command": command, "payload": payload}
+    plain, code = cli.run(request)
+    named, named_code = cli.run(request, tol=default)
+    assert (named_code, named["ok"], named["result"]) == (code, plain["ok"], plain["result"])
+    assert named["diagnostics"] == [f"tol={default!r}"]
+    assert any(cli.run(request, tol=default * f)[0]["result"] != plain["result"]
+               for f in (0.01, 100))
 
 
 def test_schema_errors_exit_3():

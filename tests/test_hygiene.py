@@ -1,8 +1,9 @@
 """Hygiene of the library modules: every name a module imports at module
 level is used in it, every module-level private name is referenced
 somewhere in the package, every public one in the package, the scripts, the
-README or the acceptance tests, and no memo is unbounded.  No linter is part
-of the toolchain, so this test is the check."""
+README or the acceptance tests, no memo is unbounded, and no small float
+literal stands outside a module-level name.  No linter is part of the
+toolchain, so this test is the check."""
 
 import ast
 import re
@@ -112,3 +113,23 @@ def test_no_unbounded_memo():
     # a memo that grows with the operations run grows the process with them
     unbounded = [u for p in sorted(SRC.glob("*.py")) for u in _unbounded_memos(p)]
     assert unbounded == []
+
+
+def _unnamed_small_floats(path: Path) -> list[str]:
+    """Float and complex literals of modulus in (0, 1e-3) outside a module-level
+    assignment, default arguments included."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    named = {id(n) for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for n in ast.walk(node)}
+    return [f"{path.name}:{n.lineno} {n.value!r}" for n in ast.walk(tree)
+            if isinstance(n, ast.Constant) and type(n.value) in (float, complex)
+            and 0 < abs(n.value) < 1e-3 and id(n) not in named]
+
+
+def test_no_small_float_literal_outside_a_module_level_name():
+    # a decision threshold is named once, in the tolerance policy block of
+    # jaclattice, and a method constant (a series break, a pivot, a step) as
+    # a module-level name with its reason; a small literal anywhere else is
+    # a threshold or constant without a name
+    unnamed = [u for p in sorted(SRC.glob("*.py")) for u in _unnamed_small_floats(p)]
+    assert unnamed == []
