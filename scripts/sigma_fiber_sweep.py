@@ -49,7 +49,7 @@ def main():
     done = 0
     while done < args.tangents:
         z = random_point(curve, rng)
-        if jl.mul(3, z).is_zero(tol=1e-3) or jl.mul(2, z).is_zero(tol=1e-3):
+        if jl.is_torsion(z, 3, tol=1e-3) or jl.is_torsion(z, 2, tol=1e-3):
             continue
         counts["tangent"][ms.sigma_cover_count(we.tangent_line(z, curve), curve)] += 1
         done += 1

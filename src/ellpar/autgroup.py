@@ -25,7 +25,7 @@ class ModularAuto:
     dual: bool
 
     def __post_init__(self):
-        if not jl.mul(3, self.shift).is_zero(tol=EQ_TOL):
+        if not jl.is_torsion(self.shift, 3, EQ_TOL):
             raise ValueError("shift must be a 3-torsion point")
 
 

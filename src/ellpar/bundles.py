@@ -96,8 +96,7 @@ def classify_triple(z1: JacPoint, z2: JacPoint, z3: JacPoint,
     The representative convention picks the class admitting stable parabolic
     structures: all distinct -> T1, exactly two equal -> T21, all equal -> T31.
     """
-    total = jl.add(jl.add(z1, z2), z3)
-    if not total.is_zero(tol=tol):
+    if not jl.sums_to_zero(z1, z2, z3, tol):
         raise ValueError("triple does not sum to zero in the Jacobian")
     pts = [jl.canon(z, z1.curve) for z in (z1, z2, z3)]
     e12 = jl.equal(pts[0], pts[1], tol=tol)
@@ -108,7 +107,7 @@ def classify_triple(z1: JacPoint, z2: JacPoint, z3: JacPoint,
         return BundleClass("T1", triple=tuple(jl.canonical_sort(pts)))
     if neq >= 2:
         # numerically, all three coincide; snap to the nearest 3-torsion class
-        if not jl.mul(3, pts[0]).is_zero(tol=TORSION_SNAP_TOL):
+        if not jl.is_torsion(pts[0], 3, TORSION_SNAP_TOL):
             raise ValueError("coincident triple is not 3-torsion")
         return BundleClass("T31", point=_snap_to_torsion(pts[0], 3))
     return BundleClass("T21", point=pts[0] if e12 or e13 else pts[1])
@@ -120,7 +119,7 @@ def _shared_class(zs: Sequence[JacPoint]) -> BundleClass:
     point thrice is T31 at the snapped flex, twice T21 there, three points T1),
     and only the zero-sum check is made again."""
     z1, z2, z3 = zs
-    if not jl.add(jl.add(z1, z2), z3).is_zero(tol=EQ_TOL):
+    if not jl.sums_to_zero(z1, z2, z3, EQ_TOL):
         raise ValueError("triple does not sum to zero in the Jacobian")
     if z1 is z2 is z3:
         return BundleClass("T31", point=_snap_to_torsion(z1, 3))
@@ -130,24 +129,28 @@ def _shared_class(zs: Sequence[JacPoint]) -> BundleClass:
 
 
 def _snap_to_torsion(p: JacPoint, n: int) -> JacPoint:
+    """The n-torsion point nearest p, which every caller has found n-torsion:
+    an exact p is then n-torsion exactly, and only canon is left to do."""
+    if p.is_exact:
+        return jl.canon(p, p.curve)
     s, t = p.coords()
     return JacPoint(p.curve, s=Fraction(round(s * n) % n, n), t=Fraction(round(t * n) % n, n))
 
 
 def make_t21(z: JacPoint) -> BundleClass:
-    if jl.mul(3, z).is_zero(tol=EQ_TOL):
+    if jl.is_torsion(z, 3, EQ_TOL):
         raise ValueError("T21 requires 3z != 0")
     return BundleClass("T21", point=jl.canon(z, z.curve))
 
 
 def make_t22(z: JacPoint) -> BundleClass:
-    if jl.mul(3, z).is_zero(tol=EQ_TOL):
+    if jl.is_torsion(z, 3, EQ_TOL):
         raise ValueError("T22 requires 3z != 0")
     return BundleClass("T22", point=jl.canon(z, z.curve))
 
 
 def make_t3x(label: str, z: JacPoint) -> BundleClass:
-    if not jl.mul(3, z).is_zero(tol=EQ_TOL):
+    if not jl.is_torsion(z, 3, EQ_TOL):
         raise ValueError(f"{label} requires a 3-torsion point")
     return BundleClass(label, point=_snap_to_torsion(z, 3))
 

@@ -16,10 +16,8 @@ import sys
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
-from . import autgroup as ag
 from . import bundles as bd
 from . import jaclattice as jl
-from . import modspace as ms
 from . import parabolic as pa
 from . import weierstrass as we
 from .jaclattice import CurveSpec, JacPoint
@@ -336,6 +334,8 @@ def _cmd_flip(payload, tol):
 
 
 def _cmd_psi_plus(payload, tol):
+    from . import modspace as ms
+
     curve = parse_curve(payload)
     line = parse_plane_line(_need(payload, "line"))
     x = parse_plane_point(_need(payload, "x"))
@@ -344,6 +344,8 @@ def _cmd_psi_plus(payload, tol):
 
 
 def _cmd_covering(payload, tol):
+    from . import modspace as ms
+
     z1 = _need(payload, "z1")
     z2 = _need(payload, "z2")
 
@@ -358,12 +360,16 @@ def _cmd_covering(payload, tol):
 
 
 def _cmd_sigma_count(payload, tol):
+    from . import modspace as ms
+
     curve = parse_curve(payload)
     line = parse_plane_line(_need(payload, "line"))
     return {"count": ms.sigma_cover_count(line, curve)}
 
 
 def _cmd_abel(payload, tol):
+    from . import modspace as ms
+
     curve = parse_curve(payload)
     pair = _need(payload, "pair")
     if not (isinstance(pair, list) and len(pair) == 2):
@@ -373,16 +379,20 @@ def _cmd_abel(payload, tol):
 
 
 def _cmd_torelli(payload, tol):
+    from . import modspace as ms
+
     t1 = parse_complex(_need(payload, "tau1"))
     t2 = parse_complex(_need(payload, "tau2"))
     return {"isomorphic": ms.curves_isomorphic(t1, t2, rel_tol=tol or jl.J_TOL)}
 
 
-def _ser_auto(g: ag.ModularAuto) -> dict:
+def _ser_auto(g) -> dict:
     return {"shift": ser_point(g.shift), "dual": g.dual}
 
 
-def _parse_auto(v, curve: CurveSpec) -> ag.ModularAuto:
+def _parse_auto(v, curve: CurveSpec):
+    from . import autgroup as ag
+
     if not isinstance(v, dict):
         raise SchemaError("automorphism must be an object {shift, dual}")
     dual = _need(v, "dual")
@@ -392,11 +402,15 @@ def _parse_auto(v, curve: CurveSpec) -> ag.ModularAuto:
 
 
 def _cmd_aut_elements(payload, tol):
+    from . import autgroup as ag
+
     curve = parse_curve(payload)
     return {"elements": [_ser_auto(g) for g in ag.group_elements(curve)]}
 
 
 def _cmd_aut_act(payload, tol):
+    from . import autgroup as ag
+
     curve = parse_curve(payload)
     g = _parse_auto(_need(payload, "g"), curve)
     target = _need(payload, "target")
@@ -439,12 +453,22 @@ COMMANDS = {
 }
 
 
+def _check_tol(tol, given=None) -> None:
+    """Refuse a tol other than None or a finite number > 0, named as given:
+    a negative or NaN tol reverses or voids the decisions it sets, and 0
+    would fall back to the library default while echoed in diagnostics."""
+    if tol is not None and not (_is_number(tol) and tol > 0):
+        shown = tol if given is None else given
+        raise SchemaError(f"tol must be a finite number > 0, got {shown!r}")
+
+
 def run(request: dict, tol: Optional[float] = None) -> tuple[dict, int]:
     """Dispatch one request; returns (response, exit_code)."""
     diagnostics: list[str] = []
     if tol is not None:
         diagnostics.append(f"tol={tol!r}")
     try:
+        _check_tol(tol)
         if not isinstance(request, dict):
             raise SchemaError("request must be a JSON object")
         command = request.get("command")
@@ -498,8 +522,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         tol = None if raw is None else float(raw)
     except ValueError:
         tol = math.nan  # refused below with the other non-finite values
-    if tol is not None and not 0 < tol < math.inf:
-        return _refuse(f"tol must be a finite number > 0, got {raw!r}")
+    try:
+        _check_tol(tol, raw)
+    except SchemaError as exc:
+        return _refuse(str(exc))
 
     try:
         if args.file:

@@ -6,7 +6,8 @@ intersections, holonomy logarithms).  All values are immutable; every
 operation is pure.  Exact operations compute on the coordinates' integer
 numerators and denominators and build each result coordinate once as a
 reduced Fraction, passing a coordinate that is already reduced through as it
-is.
+is; the membership tests sums_to_zero and is_torsion decide exact points on
+those integers alone.
 """
 
 from __future__ import annotations
@@ -184,10 +185,14 @@ def zero(curve: CurveSpec) -> JacPoint:
 
 
 def canon(raw: Union[tuple, complex, float, int], curve: CurveSpec) -> JacPoint:
-    """Canonical fundamental-domain representative; exact inputs stay exact."""
+    """Canonical fundamental-domain representative; exact inputs stay exact,
+    and an exact point on curve with reduced coordinates is returned as it is."""
     if isinstance(raw, JacPoint):
         if raw.is_exact:
-            return JacPoint(curve, _coord(raw.s), _coord(raw.t))
+            s, t = _coord(raw.s), _coord(raw.t)
+            if s is raw.s and t is raw.t and raw.curve is curve:
+                return raw
+            return JacPoint(curve, s, t)
         return _reduced(curve, raw.s, raw.t)
     if isinstance(raw, tuple):
         return JacPoint(curve, _coord(raw[0]), _coord(raw[1]))
@@ -239,6 +244,39 @@ def mul(k: int, p: JacPoint) -> JacPoint:
         return JacPoint(p.curve, _fraction(k * s.numerator, s.denominator),
                         _fraction(k * t.numerator, t.denominator))
     return _reduced(p.curve, k * p.s, k * p.t)
+
+
+def sums_to_zero(p: JacPoint, q: JacPoint, r: JacPoint, tol: float = DEFAULT_TOL) -> bool:
+    """add(add(p, q), r).is_zero(tol): does the triple sum to 0 mod Lambda.
+
+    Three exact points are decided on their coordinates' integers, building
+    no point or Fraction; a float coordinate anywhere takes the composition
+    itself, so its answer keeps every bit."""
+    ps, pt, qs, qt, rs, rt = p.s, p.t, q.s, q.t, r.s, r.t
+    if (isinstance(ps, float) or isinstance(pt, float) or isinstance(qs, float)
+            or isinstance(qt, float) or isinstance(rs, float) or isinstance(rt, float)):
+        return add(add(p, q), r).is_zero(tol)
+    _check_curves(p, q)
+    _check_curves(p, r)
+    return _integral_sum(ps, qs, rs) and _integral_sum(pt, qt, rt)
+
+
+def _integral_sum(x, y, z) -> bool:
+    """x + y + z is an integer, for exact coordinates."""
+    d1, d2, d3 = x.denominator, y.denominator, z.denominator
+    return not (x.numerator * d2 * d3 + y.numerator * d1 * d3
+                + z.numerator * d1 * d2) % (d1 * d2 * d3)
+
+
+def is_torsion(p: JacPoint, n: int, tol: float = DEFAULT_TOL) -> bool:
+    """mul(n, p).is_zero(tol): is p n-torsion.
+
+    An exact point is decided on its coordinates' integers, building no
+    point or Fraction; a float coordinate takes the composition itself."""
+    s, t = p.s, p.t
+    if isinstance(s, float) or isinstance(t, float):
+        return mul(n, p).is_zero(tol)
+    return not n * s.numerator % s.denominator and not n * t.numerator % t.denominator
 
 
 def equal(p: JacPoint, q: JacPoint, tol: float = DEFAULT_TOL) -> bool:

@@ -327,7 +327,7 @@ def classify_bundle(pair: CommutingPair, curve: CurveSpec,
         return make_t3x("T31", by_size[3])
     if 2 in by_size:
         z = by_size[2]
-        return make_t3x("T32", z) if jl.mul(3, z).is_zero(tol=EQ_TOL) else make_t21(z)
+        return make_t3x("T32", z) if jl.is_torsion(z, 3, EQ_TOL) else make_t21(z)
     # semisimple: classify_triple's T21/T31 (at the repeated point) read T22/T33
     cls = classify_triple(*(z for z, _ in summands))
     if cls.label == "T1":

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .jaclattice import (AXIS_TOL, EQ_TOL, INCIDENCE_TOL, MERGE_TOL, POLE_TOL, ROOT_MERGE_TOL,
-                         CurveSpec, JacPoint, _from_complex, add, equal, mul, neg, sub, zero)
+                         CurveSpec, JacPoint, _from_complex, add, equal, mul, neg, sub,
+                         sums_to_zero, zero)
 
 # method constants: _normalize divides by the first coordinate above _PIVOT
 # of the largest, and a relative test on a scale that is 0 compares against
@@ -275,8 +276,7 @@ def line_through(p1: JacPoint, p2: JacPoint, p3: JacPoint, curve: CurveSpec) -> 
     Requires p1 + p2 + p3 = 0 in the Jacobian.  Repetitions give tangent
     lines; a triple repetition gives an inflection tangent.
     """
-    total = add(add(p1, p2), p3)
-    if not total.is_zero(tol=EQ_TOL):
+    if not sums_to_zero(p1, p2, p3, EQ_TOL):
         raise ValueError("triple does not sum to zero in the Jacobian")
     # a point distinct from p1 gives the chord; collinearity of the third is
     # automatic from the zero-sum condition

@@ -108,9 +108,11 @@ def wp_reference(z: complex, curve: CurveSpec) -> tuple[complex, complex]:
     return c**2 * p, c**3 * pp
 
 
-# The value layer as it was before its primitives read attributes directly:
-# the references for the bits of contains, both close_to, equal and
-# _invert_embedding (see test_weierstrass, test_jaclattice and test_bench).
+# The value layer as it was before its primitives read attributes directly
+# and its membership tests read integers: the references for the bits of
+# contains, both close_to, equal, sums_to_zero, is_torsion, the torsion snap
+# and _invert_embedding (see test_weierstrass, test_jaclattice, test_bundles
+# and test_bench).
 
 def contains_reference(line: we.PlaneLine, p: we.PlanePoint, tol: float = we.INCIDENCE_TOL) -> bool:
     """PlaneLine.contains through vec(), map and max."""
@@ -133,6 +135,23 @@ def equal_reference(p: JacPoint, q: JacPoint, tol: float = jl.DEFAULT_TOL) -> bo
     ds = min((ps - qs) % 1.0, (qs - ps) % 1.0)
     dt = min((pt - qt) % 1.0, (qt - pt) % 1.0)
     return math.hypot(ds, dt) <= tol
+
+
+def sums_to_zero_reference(p: JacPoint, q: JacPoint, r: JacPoint, tol: float = jl.DEFAULT_TOL) -> bool:
+    """jaclattice.sums_to_zero as the composition it is defined by."""
+    return jl.add(jl.add(p, q), r).is_zero(tol)
+
+
+def is_torsion_reference(p: JacPoint, n: int, tol: float = jl.DEFAULT_TOL) -> bool:
+    """jaclattice.is_torsion as the composition it is defined by."""
+    return jl.mul(n, p).is_zero(tol)
+
+
+def snap_to_torsion_reference(p: JacPoint, n: int) -> JacPoint:
+    """bundles._snap_to_torsion by rounding the float coordinates, exact
+    points included."""
+    s, t = p.coords()
+    return JacPoint(p.curve, s=Fraction(round(s * n) % n, n), t=Fraction(round(t * n) % n, n))
 
 
 def invert_embedding_reference(x, y, e, curve: CurveSpec):

@@ -10,7 +10,7 @@ from ellpar import jaclattice as jl
 from ellpar import weierstrass as we
 from ellpar.jaclattice import CurveSpec, JacPoint
 
-from conftest import TAU, count_calls, exact
+from conftest import TAU, count_calls, exact, snap_to_torsion_reference
 
 fractions = st.fractions(min_value=0, max_value=1, max_denominator=30)
 
@@ -163,3 +163,32 @@ def test_exact_class_construction_does_no_fraction_arithmetic(curve, monkeypatch
     assert calls == []
     assert after == before
     assert [cls.label for cls in before[:5]] == ["T1", "T21", "T31", "T21", "T31"]
+
+
+def test_an_exact_flex_snaps_as_the_float_rounding_did(curve):
+    # canon of an exact 3-torsion point is the point the rounding of its
+    # float coordinates gave, for every flex and unreduced representatives
+    reps = [Fraction(a, 3) + k for a in range(3) for k in (0, 1, -2)] + [0, 2, -1]
+    for s in reps:
+        for t in reps:
+            z = JacPoint(curve, s, t)
+            want = snap_to_torsion_reference(z, 3)
+            for label in ("T31", "T32", "T33"):
+                got = bd.make_t3x(label, z).point
+                assert got == want and repr(got) == repr(want)
+                assert type(got.s) is type(got.t) is Fraction
+            assert bd.classify_triple(z, z, z).point == want
+
+
+def test_canonical_exact_points_pass_through_classification_unbuilt(curve, monkeypatch):
+    a, b = exact(curve, Fraction(1, 5), Fraction(2, 7)), exact(curve, Fraction(1, 4), Fraction(3, 7))
+    c = jl.neg(jl.add(a, b))
+    z = exact(curve, Fraction(5, 8), Fraction(1, 6))
+    flex = exact(curve, Fraction(1, 3), Fraction(2, 3))
+    built = []
+    count_calls(monkeypatch, built, JacPoint, ("__init__",))
+    classes = [bd.classify_triple(a, b, c), bd.classify_triple(flex, flex, flex),
+               bd.make_t21(z), bd.make_t22(z), bd.make_t3x("T32", flex)]
+    assert built == []
+    assert classes[0].triple == tuple(jl.canonical_sort([a, b, c]))
+    assert all(cls.point is p for cls, p in zip(classes[1:], (flex, z, z, flex)))

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -379,6 +380,24 @@ def test_tolerance_must_be_finite_and_positive(value, source, monkeypatch, capsy
     assert value in out["result"]["message"]
 
 
+COVERING_CUSP = {"command": "covering", "payload": {"z1": 2.0, "z2": 2.0}}
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_run_refuses_the_tolerance_main_refuses(tol, monkeypatch, capsys):
+    # in process as from the command line: -1 read the cusp as off it and a
+    # curve as not isomorphic to itself, 0 fell back to the default
+    for request in (TORELLI_SELF, COVERING_CUSP):
+        resp, code = cli.run(request, tol=tol)
+        assert code == cli.EXIT_SCHEMA and resp["result"] == {
+            "error": "SchemaViolation", "message": f"tol must be a finite number > 0, got {tol!r}"}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(TORELLI_SELF)))
+    monkeypatch.delenv("TOL", raising=False)
+    assert cli.main([f"--tol={tol!r}"]) == cli.EXIT_SCHEMA
+    out = json.loads(capsys.readouterr().out)
+    assert out["result"]["message"] == f"tol must be a finite number > 0, got {repr(tol)!r}"
+
+
 def test_a_valid_tolerance_flag_wins_over_the_environment(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(TORELLI_SELF)))
     monkeypatch.setenv("TOL", "abc")
@@ -419,6 +438,31 @@ def test_core_and_cli_import_without_numpy():
     assert json.loads(gate) == {"code": 0, "numpy": False}
     assert json.loads(monodromy) == {"code": 0, "label": "T31", "family": [0, "T1"],
                                      "numpy": False}
+
+
+STABILITY_REQUEST = {"command": "stability", "payload": {
+    "tau": [0.3, 1.1],
+    "class": {"label": "T1", "triple": [[1, 5, 0, 1], [0, 1, 1, 7], [4, 5, 6, 7]]},
+    "flag": {"P": [1, 1, 0], "L": [1, -1, -1]}, "weights": ["1/5", "1/10", "-3/10"]}}
+COLD_START = """
+import json, sys
+from ellpar import cli
+code = cli.main([])
+print(json.dumps({"code": code, "loaded": sorted(m for m in sys.modules if m.startswith("ellpar"))}))
+"""
+
+
+def test_cli_answers_stability_without_loading_modspace_or_autgroup():
+    # a cold start loads only the modules its command uses
+    env = {k: v for k, v in os.environ.items() if k != "TOL"}
+    proc = subprocess.run([sys.executable, "-c", COLD_START], input=json.dumps(STABILITY_REQUEST),
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    answer, loaded = proc.stdout.splitlines()
+    assert json.loads(answer)["result"]["verdict"] == "Stable"
+    assert json.loads(loaded) == {"code": 0, "loaded": [
+        "ellpar", "ellpar.bundles", "ellpar.cli", "ellpar.jaclattice", "ellpar.parabolic",
+        "ellpar.weierstrass"]}
 
 
 def test_matrices_in_and_out_of_the_cli():

@@ -1,8 +1,9 @@
 """Hygiene of the library modules: every name a module imports at module
 level is used in it, every module-level private name is referenced
 somewhere in the package, every public one in the package, the scripts, the
-README or the acceptance tests, no memo is unbounded, and no small float
-literal stands outside a module-level name.  No linter is part of the
+README or the acceptance tests, no memo is unbounded, no small float
+literal stands outside a module-level name, and no membership test of the
+Jacobian is composed outside jaclattice.  No linter is part of the
 toolchain, so this test is the check."""
 
 import ast
@@ -133,3 +134,19 @@ def test_no_small_float_literal_outside_a_module_level_name():
     # a threshold or constant without a name
     unnamed = [u for p in sorted(SRC.glob("*.py")) for u in _unnamed_small_floats(p)]
     assert unnamed == []
+
+
+def _is_zero_calls(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "is_zero"]
+
+
+def test_no_is_zero_call_outside_jaclattice():
+    # zero-sum and torsion tests go through jaclattice.sums_to_zero and
+    # is_torsion, which decide exact points on integers: one implementation
+    # of each membership test
+    paths = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    calls = [c for p in sorted(paths) if p.name != "jaclattice.py" for c in _is_zero_calls(p)]
+    assert calls == []

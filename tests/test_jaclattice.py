@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from ellpar import jaclattice as jl
 from ellpar.jaclattice import CurveSpec, JacPoint
 
-from conftest import TAU, count_calls, equal_reference, exact
+from conftest import (TAU, count_calls, equal_reference, exact, is_torsion_reference,
+                      sums_to_zero_reference)
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=24)
 small_complex = st.builds(complex,
@@ -321,3 +322,102 @@ def test_equal_equals_its_reference_bit_for_bit(curve):
                 assert got == _decision(equal_reference, a, b, tol), (a.s, a.t, b.s, b.t, tol)
                 decided.add(got if isinstance(got, bool) else got[0])
     assert decided == {True, False, "CurveMismatchError"}
+
+
+# the membership tests against their compositions: exact coordinates (ints,
+# Fractions of either sign, denominators up to 60), floats (near the seam
+# too), and points on the curve, an equal copy of it, one within CURVE_TOL
+# and one off it
+small_exact = st.one_of(st.integers(-5, 5),
+                        st.builds(Fraction, st.integers(-120, 120), st.integers(1, 60)),
+                        st.builds(Fraction, st.integers(-120, 120), st.integers(-60, -1)))
+small_float = st.one_of(st.floats(-2, 2, allow_nan=False), st.floats(-1e-6, 1e-6),
+                        st.sampled_from([0.0, -0.0, 5e-324, 1 - 2 ** -53]))
+CURVE = CurveSpec(TAU)
+curves = st.sampled_from([CURVE] * 5 + [CurveSpec(TAU), CurveSpec(TAU + 1e-12), CurveSpec(TAU + 1e-3)])
+tols = st.sampled_from([0.0, 1e-12, jl.DEFAULT_TOL, jl.EQ_TOL, jl.TORSION_SNAP_TOL, 1e-3])
+# added to minus the sum of two coordinates to give the third: 0 and
+# integers close the triple exactly, the rest miss by a little or a lot
+offsets = st.one_of(st.none(), st.sampled_from([0, 1, -2, Fraction(1, 60), Fraction(-1, 7)]),
+                    st.sampled_from([0.0, 1e-13, -1e-7, 2e-5, 0.5]))
+
+
+def _outcome(f, *args):
+    try:
+        got = f(*args)
+    except jl.CurveMismatchError as exc:
+        return type(exc).__name__, str(exc)
+    assert type(got) is bool
+    return got
+
+
+def _triple(coords, close, curves):
+    (s1, t1), (s2, t2), (s3, t3) = coords
+    if close is not None:
+        s3, t3 = close - s1 - s2, close - t1 - t2
+    return (JacPoint(curves[0], s1, t1), JacPoint(curves[1], s2, t2), JacPoint(curves[2], s3, t3))
+
+
+def _check_sums_to_zero(coords, close, curves, tol):
+    p, q, r = _triple(coords, close, curves)
+    assert _outcome(jl.sums_to_zero, p, q, r, tol) == _outcome(sums_to_zero_reference, p, q, r, tol)
+
+
+@given(coords=st.lists(st.tuples(small_exact, small_exact), min_size=3, max_size=3),
+       close=offsets.filter(lambda o: not isinstance(o, float)), tol=tols)
+def test_sums_to_zero_on_exact_points_equals_its_composition(coords, close, tol):
+    _check_sums_to_zero(coords, close, [CURVE] * 3, tol)
+
+
+@given(coords=st.lists(st.tuples(small_float, small_float), min_size=3, max_size=3),
+       close=offsets, tol=tols)
+def test_sums_to_zero_on_float_points_equals_its_composition(coords, close, tol):
+    _check_sums_to_zero(coords, close, [CURVE] * 3, tol)
+
+
+@given(coords=st.lists(st.tuples(st.one_of(small_exact, small_float),
+                                 st.one_of(small_exact, small_float)), min_size=3, max_size=3),
+       close=offsets, tol=tols)
+def test_sums_to_zero_on_mixed_points_equals_its_composition(coords, close, tol):
+    _check_sums_to_zero(coords, close, [CURVE] * 3, tol)
+
+
+@given(coords=st.lists(st.tuples(small_exact, small_exact) | st.tuples(small_float, small_float),
+                       min_size=3, max_size=3),
+       close=offsets, curves=st.lists(curves, min_size=3, max_size=3), tol=tols)
+def test_sums_to_zero_raises_the_curve_mismatch_of_its_composition(coords, close, curves, tol):
+    _check_sums_to_zero(coords, close, curves, tol)
+
+
+@given(s=st.one_of(small_exact, small_float), t=st.one_of(small_exact, small_float),
+       n=st.integers(-6, 12), near=st.sampled_from([None, 0.0, 1e-13, -3e-7, 2e-5]), tol=tols)
+def test_is_torsion_equals_its_composition(s, t, n, near, tol):
+    # near puts both coordinates at an n-torsion value plus near
+    if near is not None and n:
+        s, t = round(float(s) * n) / n + near, round(float(t) * n) / n - near
+    p = JacPoint(CURVE, s, t)
+    assert _outcome(jl.is_torsion, p, n, tol) == _outcome(is_torsion_reference, p, n, tol)
+
+
+def test_membership_tests_decide_exact_points_without_building_one(curve, monkeypatch):
+    p, q = exact(curve, Fraction(1, 5), Fraction(2, 7)), exact(curve, Fraction(3, 4), Fraction(4, 7))
+    r = jl.neg(jl.add(p, q))
+    flex = exact(curve, Fraction(1, 3), Fraction(2, 3))
+    built = []
+    count_calls(monkeypatch, built, JacPoint, ("__init__",))
+    count_calls(monkeypatch, built, Fraction, ("__new__",))
+    answers = [jl.sums_to_zero(p, q, r), jl.sums_to_zero(p, q, p), jl.is_torsion(flex, 3),
+               jl.is_torsion(p, 3), jl.is_torsion(p, 5), jl.is_torsion(q, 28)]
+    assert answers == [True, False, True, False, False, True] and built == []
+
+
+def test_canon_passes_a_canonical_exact_point_through(curve):
+    p = exact(curve, Fraction(2, 7), Fraction(0))
+    assert jl.canon(p, curve) is p
+    others = [(p, CurveSpec(TAU)),  # an equal curve, not the same object
+              (JacPoint(curve, Fraction(9, 7), Fraction(-1)), curve),  # not reduced
+              (JacPoint(curve, Fraction(2, 7), 0), curve)]  # an int coordinate
+    for raw, target in others:
+        q = jl.canon(raw, target)
+        assert q is not raw and q == JacPoint(target, Fraction(2, 7), Fraction(0))
+        assert q.curve is target and type(q.s) is type(q.t) is Fraction
