@@ -38,15 +38,17 @@ class BundleClass:
     triple: Optional[tuple[JacPoint, JacPoint, JacPoint]] = None
     point: Optional[JacPoint] = None
 
-    def __post_init__(self):
-        if self.label not in LABELS:
-            raise ValueError(f"unknown label {self.label}")
-        if self.label == "T1":
-            if self.triple is None or self.point is not None:
+    def __init__(self, label, triple=None, point=None):
+        if label not in LABELS:
+            raise ValueError(f"unknown label {label}")
+        if label == "T1":
+            if triple is None or point is not None:
                 raise ValueError("T1 carries a triple")
         else:
-            if self.point is None or self.triple is not None:
-                raise ValueError(f"{self.label} carries a single point")
+            if point is None or triple is not None:
+                raise ValueError(f"{label} carries a single point")
+        d = self.__dict__
+        d["label"], d["triple"], d["point"] = label, triple, point
 
     @property
     def curve(self) -> CurveSpec:

@@ -492,8 +492,12 @@ def run(request: dict, tol: Optional[float] = None) -> tuple[dict, int]:
                  "diagnostics": diagnostics}, EXIT_DOMAIN)
 
 
+# the encoder json.dumps would build for these arguments on every call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _ENCODER.encode(obj)
 
 
 def _refuse(message: str) -> int:

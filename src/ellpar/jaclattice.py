@@ -75,13 +75,13 @@ class CurveSpec:
 
     tau: complex
 
-    def __post_init__(self):
-        tau = complex(self.tau)
+    def __init__(self, tau):
+        tau = complex(tau)
         if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
             raise ValueError("tau must be finite")
         if tau.imag <= 0:
             raise ValueError(f"tau must lie in the upper half-plane, got {tau}")
-        object.__setattr__(self, "tau", tau)
+        self.__dict__["tau"] = tau
 
     def same(self, other: "CurveSpec") -> bool:
         return abs(self.tau - other.tau) <= CURVE_TOL * max(1.0, abs(self.tau))
@@ -250,9 +250,20 @@ def sums_to_zero(p: JacPoint, q: JacPoint, r: JacPoint, tol: float = DEFAULT_TOL
     """add(add(p, q), r).is_zero(tol): does the triple sum to 0 mod Lambda.
 
     Three exact points are decided on their coordinates' integers, building
-    no point or Fraction; a float coordinate anywhere takes the composition
-    itself, so its answer keeps every bit."""
+    no point or Fraction.  Six plain float coordinates make the composition's
+    float operations in its order, building no point; any other mix takes the
+    composition itself.  Either way the answer keeps every bit."""
     ps, pt, qs, qt, rs, rt = p.s, p.t, q.s, q.t, r.s, r.t
+    if type(ps) is type(pt) is type(qs) is type(qt) is type(rs) is type(rt) is float:
+        # the composition's arithmetic written out: add's two _reduced sums,
+        # then is_zero's lattice distance of the plain floats
+        _check_curves(p, q)
+        _check_curves(p, r)
+        s, t = (ps + qs) % 1, (pt + qt) % 1
+        s, t = (s if s < 1 else 0.0) + rs, (t if t < 1 else 0.0) + rt
+        s, t = s % 1, t % 1
+        s, t = s if s < 1 else 0.0, t if t < 1 else 0.0
+        return math.hypot(min(s % 1.0, -s % 1.0), min(t % 1.0, -t % 1.0)) <= tol
     if (isinstance(ps, float) or isinstance(pt, float) or isinstance(qs, float)
             or isinstance(qt, float) or isinstance(rs, float) or isinstance(rt, float)):
         return add(add(p, q), r).is_zero(tol)
@@ -284,20 +295,28 @@ def equal(p: JacPoint, q: JacPoint, tol: float = DEFAULT_TOL) -> bool:
 
     Exact/exact comparison is exact: it compares the stored coordinates, so
     it is equality mod Lambda only on reduced points (canon reduces).  Any
-    other pair is compared at tolerance by its lattice distance, which
-    reduces the difference mod Lambda itself."""
-    _check_curves(p, q)
+    other pair is compared at tolerance by its distance, which reduces the
+    difference mod Lambda itself."""
     ps, pt, qs, qt = p.s, p.t, q.s, q.t
     if not (isinstance(ps, float) or isinstance(pt, float)
             or isinstance(qs, float) or isinstance(qt, float)):
+        _check_curves(p, q)
         return ps == qs and pt == qt  # both exact, as is_exact decides
+    return distance(p, q) <= tol
+
+
+def distance(p: JacPoint, q: JacPoint) -> float:
+    """The distance of p and q mod Lambda in lattice coordinates: the length
+    of the shortest (ds, dt) with p - q = ds + dt*tau mod Lambda."""
+    _check_curves(p, q)
+    ps, pt, qs, qt = p.s, p.t, q.s, q.t
     if not type(ps) is type(pt) is type(qs) is type(qt) is float:
         # four plain floats are their own coords(); read any other pair so
         ps, pt = p.coords()
         qs, qt = q.coords()
     ds = min((ps - qs) % 1.0, (qs - ps) % 1.0)
     dt = min((pt - qt) % 1.0, (qt - pt) % 1.0)
-    return math.hypot(ds, dt) <= tol
+    return math.hypot(ds, dt)
 
 
 def torsion_points(n: int, curve: CurveSpec) -> list[JacPoint]:
@@ -322,6 +341,13 @@ def from_holonomy(a: complex, b: complex, curve: CurveSpec) -> JacPoint:
     return canon(z, curve)
 
 
+def _sort_key(p: JacPoint) -> tuple:
+    """canonical_sort's key, coords(): a point with plain float coordinates
+    is its own (s, t)."""
+    s, t = p.s, p.t
+    return (s, t) if type(s) is type(t) is float else p.coords()
+
+
 def canonical_sort(points: Iterable[JacPoint]) -> list[JacPoint]:
     """Deterministic ordering: lexicographic on fundamental-domain (s, t)."""
-    return sorted(points, key=lambda p: p.coords())
+    return sorted(points, key=_sort_key)

@@ -8,14 +8,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from numbers import Rational
+from typing import Optional, Sequence
 
 from . import jaclattice as jl
 from .bundles import BundleClass, _shared_class, tu_line, type_facts
 from .jaclattice import (CHART_EDGE_TOL, CUSP_TOL, DEFAULT_TOL, INCIDENCE_POINT_TOL, J_TOL,
                          RANK_TOL, CurveSpec, JacPoint)
 from .parabolic import PROJ_INF, ProjScalar
-from .weierstrass import (PlaneLine, PlanePoint, _cross, _cubic_roots, _solved, _Solved,
+from .weierstrass import (PlaneLine, PlanePoint, Vec, _cross, _cubic_roots, _solved, _Solved,
                           curve_invariants, intersect_curve)
 
 
@@ -30,9 +32,11 @@ class IncidencePoint:
     x: PlanePoint
     line: PlaneLine
 
-    def __post_init__(self):
-        if not self.line.contains(self.x, tol=INCIDENCE_POINT_TOL):
-            raise ValueError(f"point not on line (residual {abs(self.line.eval(self.x)):.3g})")
+    def __init__(self, x, line):
+        if not line.contains(x, tol=INCIDENCE_POINT_TOL):
+            raise ValueError(f"point not on line (residual {abs(line.eval(x)):.3g})")
+        d = self.__dict__
+        d["x"], d["line"] = x, line
 
 
 @dataclass(frozen=True)
@@ -42,10 +46,9 @@ class SymPair:
     p1: JacPoint
     p2: JacPoint
 
-    def __post_init__(self):
-        a, b = jl.canonical_sort([self.p1, self.p2])
-        object.__setattr__(self, "p1", a)
-        object.__setattr__(self, "p2", b)
+    def __init__(self, p1, p2):
+        d = self.__dict__
+        d["p1"], d["p2"] = jl.canonical_sort([p1, p2])
 
     def close_to(self, other: "SymPair", tol: float = DEFAULT_TOL) -> bool:
         return ((jl.equal(self.p1, other.p1, tol=tol) and jl.equal(self.p2, other.p2, tol=tol))
@@ -73,7 +76,7 @@ def _line_class(solved: _Solved) -> BundleClass:
     triple that does not sum to zero is not kept: each call raises alike."""
     cls = solved.cls
     if cls is None:
-        cls = solved.cls = _shared_class([z for z, _ in solved.hits])
+        cls = solved.cls = _shared_class([z for z, _ in solved.order])
     return cls
 
 
@@ -110,21 +113,38 @@ def psi_plus(ip: IncidencePoint, curve: CurveSpec) -> tuple[BundleClass, ProjSca
     """
     solved = _solved(ip.line, curve)
     cls = _line_class(solved)
-    # the order of jl.canonical_sort, keeping each parameter's plane point
-    (z1, p1), (z2, p2), (z3, p3) = sorted(solved.hits, key=lambda h: h[0].coords())
-    if z1 is z3:
+    return cls, _framed(solved.order, ip.line, ip.x)
+
+
+def _framed(hits: Sequence[tuple[JacPoint, Vec]], line: PlaneLine,
+            x: PlanePoint) -> ProjScalar:
+    """The cross-ratio (p1, p2; p3, x) of the line's three intersection points
+    hits = [(parameter, plane point)], in the order given, and a point x on
+    the line (see psi_plus).  Coincident points are shared parameters, so
+    the double point gives exactly 1 in front and inf at the back."""
+    (z1, p1), (z2, p2), (z3, p3) = hits
+    if z1 is z2 is z3:
         raise ThreefoldCoincidenceError("three of the four points coincide")
     if z1 is z2:
-        return cls, ProjScalar(1, 1)
+        return ProjScalar(1, 1)
     if z2 is z3:
-        return cls, PROJ_INF
-    i, j = _line_chart(ip.line)
-    p4 = ip.x.vec()
+        return PROJ_INF
+    i, j = _line_chart(line)
+    p4 = x.vec()
     num = (p1[i] * p3[j] - p1[j] * p3[i]) * (p2[i] * p4[j] - p2[j] * p4[i])
     den = (p1[i] * p4[j] - p1[j] * p4[i]) * (p2[i] * p3[j] - p2[j] * p3[i])
     if num == 0 and den == 0:
         raise ThreefoldCoincidenceError("three of the four points coincide")
-    return cls, ProjScalar(num, den)
+    return ProjScalar(num, den)
+
+
+def _nearest_order(hits: Sequence[tuple[JacPoint, Vec]],
+                   frame: Sequence[JacPoint]) -> tuple[tuple[JacPoint, Vec], ...]:
+    """hits in the order, of the 3! orders, whose parameters lie nearest the
+    frame's position by position: the least sum of jl.distance."""
+    d = [[jl.distance(z, f) for z, _ in hits] for f in frame]
+    a, b, c = min(permutations(range(3)), key=lambda o: d[0][o[0]] + d[1][o[1]] + d[2][o[2]])
+    return hits[a], hits[b], hits[c]
 
 
 def parabolic_point(lam: ProjScalar) -> PlanePoint:
@@ -204,11 +224,19 @@ def incidence_parametrization(u1: complex, u2: complex, t: complex,
     return _chart(PlaneLine.of(u1, u2, 1), u1, u2, t, curve)
 
 
-def _chart(line: PlaneLine, u1: complex, u2: complex, t: complex,
-           curve: CurveSpec) -> tuple[complex, complex, complex]:
-    """incidence_parametrization on the line l = PlaneLine.of(u1, u2, 1)."""
+def _chart(line: PlaneLine, u1: complex, u2: complex, t: complex, curve: CurveSpec,
+           frame: Optional[Sequence[JacPoint]] = None) -> tuple[complex, complex, complex]:
+    """incidence_parametrization on the line l = PlaneLine.of(u1, u2, 1).
+    Given a frame, the canonically ordered parameters of a nearby line,
+    lambda frames x with l's points in the order nearest the frame's (see
+    _nearest_order) instead of in their own canonical order."""
     x = PlanePoint.of(1, complex(t), -u1 - complex(t) * u2)
-    cls, lam = psi_plus(IncidencePoint(x, line), curve)
+    ip = IncidencePoint(x, line)
+    if frame is None:
+        cls, lam = psi_plus(ip, curve)
+    else:
+        solved = _solved(line, curve)
+        cls, lam = _line_class(solved), _framed(_nearest_order(solved.hits, frame), line, x)
     lrec = tu_line(cls, curve)
     if abs(lrec.w) < CHART_EDGE_TOL:
         raise ValueError("recovered line leaves the affine chart")
@@ -228,18 +256,25 @@ def parametrization_rank(u1: complex, u2: complex, t: complex, curve: CurveSpec,
     the number of singular values sigma of the central-difference Jacobian J
     above tol.  The sigma^2 are the eigenvalues of the Hermitian J^H J, the
     roots of its characteristic polynomial, so the cut is made on sigma^2 at
-    tol^2."""
+    tol^2.
+
+    lambda is differenced in the base line's frame: the canonical order of
+    a line's points can change between the base line and a neighbour (two
+    points swap, or one crosses the seam of the fundamental domain), and
+    lambda then jumps by one of the maps that permute a cross-ratio's
+    points, so each neighbour's points are put in the base line's order."""
     # t +- step lie on the base point's line, which is intersected once
     line = PlaneLine.of(u1, u2, 1)
+    base = [z for z, _ in _solved(line, curve).order]
     step = _RANK_STEP
     cols = []
     for k in range(3):
         d = [0, 0, 0]
         d[k] = step
-        lp, lm = (line, line) if k == 2 else (PlaneLine.of(u1 + d[0], u2 + d[1], 1),
-                                             PlaneLine.of(u1 - d[0], u2 - d[1], 1))
-        fp = _chart(lp, u1 + d[0], u2 + d[1], t + d[2], curve)
-        fm = _chart(lm, u1 - d[0], u2 - d[1], t - d[2], curve)
+        lp, lm, frame = (line, line, None) if k == 2 else (
+            PlaneLine.of(u1 + d[0], u2 + d[1], 1), PlaneLine.of(u1 - d[0], u2 - d[1], 1), base)
+        fp = _chart(lp, u1 + d[0], u2 + d[1], t + d[2], curve, frame)
+        fm = _chart(lm, u1 - d[0], u2 - d[1], t - d[2], curve, frame)
         cols.append([(a - b) / (2 * step) for a, b in zip(fp, fm)])
     # G = J^H J: lambda^3 - tr(G) lambda^2 + c2 lambda - |det J|^2, c2 the sum
     # of G's principal 2x2 minors

@@ -59,10 +59,10 @@ class CommutingPair:
     A: tuple  # three rows of three complex, from any 3x3 array-like
     B: tuple
 
-    def __post_init__(self):
-        for name in ("A", "B"):
-            object.__setattr__(self, name, tuple(tuple(map(complex, row))
-                                                 for row in getattr(self, name)))
+    def __init__(self, A, B):
+        d = self.__dict__
+        d["A"] = tuple(tuple(map(complex, row)) for row in A)
+        d["B"] = tuple(tuple(map(complex, row)) for row in B)
 
 
 @dataclass(frozen=True)

@@ -140,11 +140,13 @@ class Flag:
     P: PlanePoint
     L: PlaneLine
 
-    def __post_init__(self):
-        if not self.L.contains(self.P):
-            raise FlagIncidenceError(f"flag point {self.P} not on flag line {self.L}")
+    def __init__(self, P, L):
+        if not L.contains(P):
+            raise FlagIncidenceError(f"flag point {P} not on flag line {L}")
+        d = self.__dict__
+        d["P"], d["L"] = P, L
         # _signature of each type label looked up on this flag; not a field
-        self.__dict__["_signatures"] = {}
+        d["_signatures"] = {}
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .jaclattice import (AXIS_TOL, EQ_TOL, INCIDENCE_TOL, MERGE_TOL, POLE_TOL, ROOT_MERGE_TOL,
-                         CurveSpec, JacPoint, _from_complex, add, equal, mul, neg, sub,
-                         sums_to_zero, zero)
+                         CurveSpec, JacPoint, _from_complex, _sort_key, add, equal, mul, neg,
+                         sub, sums_to_zero, zero)
 
 # method constants: _normalize divides by the first coordinate above _PIVOT
 # of the largest, and a relative test on a scale that is 0 compares against
@@ -440,6 +440,8 @@ def _shared(hits: list[tuple[JacPoint, Vec]],
     triple point the nearest flex."""
     n = len(hits)
     firsts, mult = _group([z for z, _ in hits], sizes)
+    if len(firsts) == 3:
+        return tuple(hits)  # three classes: nothing merges
     hits = [hits[i] for i in firsts]
     if len(hits) == 2 and n == 3:
         k = mult.index(2)
@@ -462,14 +464,16 @@ def _curve_constants(curve: CurveSpec) -> tuple[complex, complex, tuple[complex,
 
 class _Solved:
     """One line's intersection with one curve, kept on the line: the triple of
-    (parameter, plane point) pairs, and the S-class of the triple once
+    (parameter, plane point) pairs, the same pairs in the parameters' order
+    of jaclattice.canonical_sort, and the S-class of the triple once
     modspace has read it (None before, and for a triple that does not sum to
     zero, which has no class)."""
 
-    __slots__ = ("hits", "cls")
+    __slots__ = ("hits", "order", "cls")
 
     def __init__(self, hits: tuple[tuple[JacPoint, Vec], ...]):
         self.hits = hits
+        self.order = tuple(sorted(hits, key=lambda h: _sort_key(h[0])))
         self.cls = None
 
 

@@ -2,8 +2,9 @@
 level is used in it, every module-level private name is referenced
 somewhere in the package, every public one in the package, the scripts, the
 README or the acceptance tests, no memo is unbounded, no small float
-literal stands outside a module-level name, and no membership test of the
-Jacobian is composed outside jaclattice.  No linter is part of the
+literal stands outside a module-level name, no membership test of the
+Jacobian is composed outside jaclattice, and no frozen value is built
+through object.__setattr__.  No linter is part of the
 toolchain, so this test is the check."""
 
 import ast
@@ -149,4 +150,18 @@ def test_no_is_zero_call_outside_jaclattice():
     # of each membership test
     paths = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
     calls = [c for p in sorted(paths) if p.name != "jaclattice.py" for c in _is_zero_calls(p)]
+    assert calls == []
+
+
+def _setattr_calls(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr == "__setattr__"
+            and getattr(n.value, "id", None) == "object"]
+
+
+def test_no_object_setattr_in_the_library():
+    # a frozen value fills its instance dict in a hand-written __init__,
+    # which validates its arguments first: one construction idiom
+    calls = [c for p in sorted(SRC.glob("*.py")) for c in _setattr_calls(p)]
     assert calls == []

@@ -399,6 +399,63 @@ def test_is_torsion_equals_its_composition(s, t, n, near, tol):
     assert _outcome(jl.is_torsion, p, n, tol) == _outcome(is_torsion_reference, p, n, tol)
 
 
+# floats at and near the seam: sums that reduce to 1.0 (the seam 0), -0.0,
+# values just below 1 and the smallest subnormals
+seam_float = st.one_of(st.floats(-2, 2, allow_nan=False),
+                       st.sampled_from([0.0, -0.0, 1e-17, -1e-17, 5e-324, -5e-324, 0.5, -0.5,
+                                        1 - 2 ** -53, -(1 - 2 ** -53), 1 - 2 ** -52, 1.0, -1.0]))
+float_offsets = st.one_of(st.none(), st.sampled_from([0.0, -0.0, 1.0, 1e-17, -1e-17, 1e-13,
+                                                      -1e-7, 2e-5, 0.5]))
+
+
+@given(coords=st.lists(st.tuples(seam_float, seam_float), min_size=3, max_size=3),
+       close=float_offsets, tol=tols)
+def test_sums_to_zero_on_plain_floats_equals_its_composition_and_builds_no_point(coords, close,
+                                                                                   tol):
+    p, q, r = _triple(coords, close, [CURVE] * 3)
+    assert type(p.s) is type(p.t) is type(r.s) is type(r.t) is float
+    want = _outcome(sums_to_zero_reference, p, q, r, tol)
+    built = []
+    original = JacPoint.__init__
+    JacPoint.__init__ = lambda self, *a, **k: built.append(a) or original(self, *a, **k)
+    try:
+        got = _outcome(jl.sums_to_zero, p, q, r, tol)
+    finally:
+        JacPoint.__init__ = original
+    assert got == want and built == []
+
+
+def test_sums_to_zero_reads_the_seam_as_zero():
+    # -1e-17 % 1 rounds to 1.0, which both sums read as the seam 0
+    p, q = JacPoint(CURVE, -1e-17, 0.25), JacPoint(CURVE, 0.0, 0.25)
+    r = JacPoint(CURVE, 1e-17, 0.5)
+    for tol in (0.0, 1e-17, jl.DEFAULT_TOL):
+        assert jl.sums_to_zero(p, q, r, tol) == sums_to_zero_reference(p, q, r, tol)
+    assert jl.sums_to_zero(p, q, r, jl.DEFAULT_TOL)
+
+
+@given(coords=st.lists(st.tuples(st.one_of(small_exact, seam_float, seam_float.map(np.float64)),
+                                 st.one_of(small_exact, seam_float, seam_float.map(np.float64))),
+                       min_size=3, max_size=3),
+       close=offsets, tol=tols)
+def test_sums_to_zero_on_float_subclasses_and_fraction_mixes_equals_its_composition(coords, close,
+                                                                                    tol):
+    # anything but six plain floats takes the composition itself
+    _check_sums_to_zero(coords, close, [CURVE] * 3, tol)
+
+
+@given(coords=st.lists(st.tuples(st.one_of(small_exact, seam_float, seam_float.map(np.float64)),
+                                 st.one_of(small_exact, seam_float, seam_float.map(np.float64))),
+                       min_size=0, max_size=6))
+def test_canonical_sort_equals_the_sort_by_coords(coords):
+    # plain float points are keyed by (s, t), which is their coords(); ties
+    # (0.0 and -0.0 among them) keep their order alike
+    pts = [JacPoint(CURVE, s, t) for s, t in coords]
+    got = jl.canonical_sort(pts)
+    want = sorted(pts, key=lambda p: p.coords())
+    assert [id(p) for p in got] == [id(p) for p in want]
+
+
 def test_membership_tests_decide_exact_points_without_building_one(curve, monkeypatch):
     p, q = exact(curve, Fraction(1, 5), Fraction(2, 7)), exact(curve, Fraction(3, 4), Fraction(4, 7))
     r = jl.neg(jl.add(p, q))

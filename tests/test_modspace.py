@@ -533,7 +533,7 @@ def test_parametrization_rank_of_a_stubbed_linear_chart(monkeypatch, sigma, rank
     rng = np.random.RandomState(97)
     for _ in range(20):
         M = _unitary(rng) @ np.diag(sigma) @ _unitary(rng)
-        monkeypatch.setattr(ms, "_chart", lambda line, u1, u2, t, curve: tuple(
+        monkeypatch.setattr(ms, "_chart", lambda line, u1, u2, t, curve, frame=None: tuple(
             complex(f) for f in M @ np.array([u1, u2, t])))
         assert ms.parametrization_rank(0.3, -0.2j, 0.5 + 0.1j, CurveSpec(TAU)) == rank
         assert np.linalg.matrix_rank(M, tol=1e-6) == rank
@@ -551,6 +551,33 @@ def test_parametrization_rank_leaves_numpy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"rank": 3, "numpy": False}
+
+
+def test_parametrization_rank_differences_lambda_in_the_base_line_frame():
+    # dual-plane seed 32, operation 56,953: between the lines at u2 - step and
+    # u2 + step two points swap places in the canonical order, so lambda read
+    # in each line's own order jumps to its inverse; differenced in the base
+    # line's order it is smooth, and the rank is 3
+    curve = CurveSpec(0.5 + 1j)
+    u1, u2 = -2.731088215501241 + 0.6602377235667871j, -0.14103109189129465 + 0.30509208976522406j
+    t = 1.8221645527794699 + 0.039623948097617906j
+    lam_p = ms.incidence_parametrization(u1, u2 + ms._RANK_STEP, t, curve)[2]
+    lam_m = ms.incidence_parametrization(u1, u2 - ms._RANK_STEP, t, curve)[2]
+    assert abs(lam_p * lam_m - 1) < 1e-3
+    assert ms.parametrization_rank(u1, u2, t, curve, tol=1e-6) == 3
+
+
+def test_lines_keep_their_points_in_canonical_order(curve):
+    rng = random.Random(83)
+    lines = [_chord(curve, _random_point(rng, curve), _random_point(rng, curve)).line
+             for _ in range(20)]
+    lines += [we.tangent_line(_random_point(rng, curve), curve),
+              we.tangent_line(jl.torsion_points(3, curve)[4], curve), we.PlaneLine.of(1, 0, -2)]
+    for line in lines:
+        solved = we._solved(line, curve)
+        assert [id(z) for z, _ in solved.order] == [
+            id(z) for z in jl.canonical_sort(we.intersect_curve(line, curve))]
+        assert sorted(map(id, solved.order)) == sorted(map(id, solved.hits))
 
 
 def test_parametrization_rank_solves_each_distinct_line_once(curve, monkeypatch):

@@ -475,7 +475,7 @@ def test_normalize_flag_builds_no_image_flag(curve, monkeypatch, chamber):
     flag = pa.Flag(P, L)
     assert pa.locus(t1, flag) == pa.LOCUS_UGEN
     built = []
-    for cls, name in ((pa.Flag, "__post_init__"), (PlanePoint, "of"), (PlaneLine, "of")):
+    for cls, name in ((pa.Flag, "__init__"), (PlanePoint, "of"), (PlaneLine, "of")):
         count_calls(monkeypatch, built, cls, (name,))
     coord, _ = pa.normalize_flag(t1, flag, chamber)
     assert built == []

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from ellpar import modspace as ms
 from ellpar import parabolic as pa
 from ellpar import weierstrass as we
 from ellpar.bundles import BundleClass
@@ -17,6 +18,9 @@ from ellpar.jaclattice import CurveSpec, JacPoint
 from conftest import TAU
 
 CURVE = CurveSpec(TAU)
+THIRD = JacPoint(CURVE, Fraction(1, 3), Fraction(0))
+# a flag: P on L
+P, L = we.PlanePoint.of(1, 2, 3), we.PlaneLine.of(1, 1, -1)
 
 # each class with the keyword arguments of one instance, and one field changed
 VALUES = [
@@ -29,8 +33,19 @@ VALUES = [
     (pa.Verdict, {"status": "Unstable",
                   "witness": pa.Witness(1, we.PlanePoint(1 + 0j, 0j, 0j), Fraction(1, 5))},
      {"witness": None}),
+    (CurveSpec, {"tau": 0.5 + 1j}, {"tau": 1j}),
+    (BundleClass, {"label": "T21", "triple": None, "point": THIRD},
+     {"point": JacPoint(CURVE, 0.5, 0.25)}),
+    (BundleClass, {"label": "T1", "triple": (THIRD, THIRD, THIRD), "point": None},
+     {"triple": (THIRD,) * 2 + (JacPoint(CURVE, 0.5, 0.25),)}),
+    (ms.IncidencePoint, {"x": P, "line": L}, {"x": we.PlanePoint.of(1, 0, 1)}),
+    (pa.Flag, {"P": P, "L": L}, {"P": we.PlanePoint.of(1, 0, 1)}),
+    # the pair keeps its points in canonical order
+    (ms.SymPair, {"p1": THIRD, "p2": JacPoint(CURVE, 0.5, 0.25)},
+     {"p2": JacPoint(CURVE, 0.75, 0.25)}),
 ]
-IDS = [cls.__name__ for cls, _, _ in VALUES]
+IDS = [cls.__name__ + (f"-{kwargs['label']}" if cls is BundleClass else "")
+       for cls, kwargs, _ in VALUES]
 
 
 @pytest.mark.parametrize("cls,kwargs,changed", VALUES, ids=IDS)
@@ -110,3 +125,48 @@ def test_projective_scalars_keep_their_canonical_scale():
     inf = pa.ProjScalar(1e300, 1e-300)
     assert inf.is_inf and (inf.num, inf.den) == (1 + 0j, 0j)
     assert type(pa.ProjScalar(1, 3).num) is complex
+
+
+def test_the_commuting_pair_is_frozen_and_keeps_its_rows_as_tuples_of_complex():
+    from ellpar.monodromy import CommutingPair
+    pair = CommutingPair([[1, 0, 0], [0, 2, 0], [0, 0, 3]], B=((1j, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert pair.A == ((1, 0, 0), (0, 2, 0), (0, 0, 3)) and pair.B[0] == (1j, 0, 0)
+    assert all(type(x) is complex for m in (pair.A, pair.B) for row in m for x in row)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.A = pair.B
+    # compared by identity (eq=False), as before
+    assert pair != CommutingPair(pair.A, pair.B)
+
+
+REFUSALS = [
+    (lambda: CurveSpec(complex("nan")), ValueError, "^tau must be finite$"),
+    (lambda: CurveSpec(complex(1, float("inf"))), ValueError, "^tau must be finite$"),
+    (lambda: CurveSpec(1 + 0j), ValueError, r"^tau must lie in the upper half-plane, got \(1\+0j\)$"),
+    (lambda: CurveSpec(tau=-1j), ValueError, r"^tau must lie in the upper half-plane, got \(-0-1j\)$"),
+    (lambda: CurveSpec("i"), ValueError, "^complex\\(\\) arg is a malformed string$"),
+    (lambda: BundleClass("T4", point=THIRD), ValueError, "^unknown label T4$"),
+    (lambda: BundleClass("T1"), ValueError, "^T1 carries a triple$"),
+    (lambda: BundleClass("T1", (THIRD,) * 3, THIRD), ValueError, "^T1 carries a triple$"),
+    (lambda: BundleClass("T21"), ValueError, "^T21 carries a single point$"),
+    (lambda: BundleClass("T33", triple=(THIRD,) * 3, point=THIRD), ValueError,
+     "^T33 carries a single point$"),
+    (lambda: ms.IncidencePoint(we.PlanePoint.of(1, 0, 0), L), ValueError,
+     r"^point not on line \(residual 1\)$"),
+    (lambda: pa.Flag(we.PlanePoint.of(1, 0, 0), L), pa.FlagIncidenceError,
+     r"^flag point PlanePoint\(x=\(1\+0j\), y=0j, z=0j\) not on flag line "
+     r"PlaneLine\(u=\(1\+0j\), v=\(1\+0j\), w=\(-1\+0j\)\)$"),
+]
+
+
+@pytest.mark.parametrize("build,error,message", REFUSALS)
+def test_value_objects_refuse_what_they_refused_before(build, error, message):
+    with pytest.raises(error, match=message) as info:
+        build()
+    assert type(info.value) is error
+
+
+def test_a_sym_pair_is_the_same_in_either_order():
+    far = JacPoint(CURVE, 0.5, 0.25)
+    assert ms.SymPair(far, THIRD) == ms.SymPair(THIRD, far)
+    pair = ms.SymPair(p2=THIRD, p1=far)
+    assert (pair.p1, pair.p2) == (THIRD, far)
