@@ -96,38 +96,33 @@ def classify_triple(z1: JacPoint, z2: JacPoint, z3: JacPoint,
     """Classify a zero-sum triple of Jacobian points into T1 / T21 / T31.
 
     The representative convention picks the class admitting stable parabolic
-    structures: all distinct -> T1, exactly two equal -> T21, all equal -> T31.
+    structures: all distinct -> T1, exactly two equal -> T21, all equal -> T31,
+    with the coincidences of jaclattice.merge_triple at tol.  A coincident
+    triple must be 3-torsion at TORSION_SNAP_TOL before it merges.
     """
     if not jl.sums_to_zero(z1, z2, z3, tol):
         raise ValueError("triple does not sum to zero in the Jacobian")
-    pts = [jl.canon(z, z1.curve) for z in (z1, z2, z3)]
-    e12 = jl.equal(pts[0], pts[1], tol=tol)
-    e13 = jl.equal(pts[0], pts[2], tol=tol)
-    e23 = jl.equal(pts[1], pts[2], tol=tol)
-    neq = sum((e12, e13, e23))
-    if neq == 0:
-        return BundleClass("T1", triple=tuple(jl.canonical_sort(pts)))
-    if neq >= 2:
-        # numerically, all three coincide; snap to the nearest 3-torsion class
-        if not jl.is_torsion(pts[0], 3, TORSION_SNAP_TOL):
-            raise ValueError("coincident triple is not 3-torsion")
-        return BundleClass("T31", point=_snap_to_torsion(pts[0], 3))
-    return BundleClass("T21", point=pts[0] if e12 or e13 else pts[1])
+    curve = z1.curve
+    pts = jl.canonical_sort([jl.canon(z1, curve), jl.canon(z2, curve), jl.canon(z3, curve)])
+    zs = jl.merge_triple(pts, tol)
+    z = zs[0]
+    if z is zs[1] is zs[2] and not jl.is_torsion(z if z.is_exact else pts[0], 3,
+                                                  TORSION_SNAP_TOL):
+        raise ValueError("coincident triple is not 3-torsion")
+    return _shared_class(zs)
 
 
 def _shared_class(zs: Sequence[JacPoint]) -> BundleClass:
-    """classify_triple of intersect_curve's triple, which returns coincident
-    parameters as one shared JacPoint: the class follows from identity (one
-    point thrice is T31 at the snapped flex, twice T21 there, three points T1),
-    and only the zero-sum check is made again."""
+    """The class of a zero-sum triple in canonical order whose coincident
+    points are one shared JacPoint, as jaclattice.merge_triple leaves them:
+    one point thrice is T31 at the snapped flex, twice T21 there, and three
+    points are T1 with the triple as given."""
     z1, z2, z3 = zs
-    if not jl.sums_to_zero(z1, z2, z3, EQ_TOL):
-        raise ValueError("triple does not sum to zero in the Jacobian")
     if z1 is z2 is z3:
         return BundleClass("T31", point=_snap_to_torsion(z1, 3))
     if z1 is z2 or z1 is z3 or z2 is z3:
         return BundleClass("T21", point=z3 if z2 is z3 else z1)
-    return BundleClass("T1", triple=tuple(jl.canonical_sort(zs)))
+    return BundleClass("T1", triple=tuple(zs))
 
 
 def _snap_to_torsion(p: JacPoint, n: int) -> JacPoint:

@@ -174,9 +174,17 @@ def ser_matrix(M: Sequence[Sequence[complex]]) -> list:
     return [[ser_complex(c) for c in row] for row in M]
 
 
+def parse_fraction(v: str) -> Fraction:
+    """A fraction string such as "1/3"; one Fraction cannot read is a schema error."""
+    try:
+        return Fraction(v)
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(f"expected a fraction string, got {v!r}") from None
+
+
 def _parse_weight_entry(x):
     if isinstance(x, str):
-        return Fraction(x)
+        return parse_fraction(x)
     if _is_number(x):
         return x
     raise SchemaError(f"weight must be a number or fraction string, got {x!r}")
@@ -351,7 +359,7 @@ def _cmd_covering(payload, tol):
 
     def conv(z):
         if isinstance(z, str):
-            return Fraction(z)
+            return parse_fraction(z)
         return parse_complex(z)
 
     f2, f3, cusp = ms.covering_invariants(conv(z1), conv(z2), tol=tol or jl.CUSP_TOL)

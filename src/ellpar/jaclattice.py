@@ -16,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 # ---------------------------------------------------------------------------
 # Tolerance policy: every decision threshold of the library, named once.  A
@@ -29,7 +29,8 @@ from typing import Iterable, Optional, Union
 # jaclattice
 DEFAULT_TOL = 1e-9  # equal and is_zero without a tol: the lattice distance of one point
 # the coincidence rule of every library decision on approximate points: p, q
-# are one point when equal(p, q, EQ_TOL), and z is 3-torsion when 3z is 0 so
+# are one point when equal(p, q, EQ_TOL), a triple's points coincide as
+# merge_triple decides at it, and z is 3-torsion when 3z is 0 so
 EQ_TOL = 1e-6
 CURVE_TOL = 1e-9  # CurveSpec.same: taus this close, relative to max(1, |tau|), are one curve
 
@@ -126,9 +127,6 @@ class JacPoint:
         s, t = self.coords()
         return s + t * self.curve.tau
 
-    def approx(self) -> "JacPoint":
-        return JacPoint(self.curve, *self.coords())
-
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
         """equal(self, zero(curve), tol), without building the zero point."""
         if self.is_exact:
@@ -186,14 +184,18 @@ def zero(curve: CurveSpec) -> JacPoint:
 
 def canon(raw: Union[tuple, complex, float, int], curve: CurveSpec) -> JacPoint:
     """Canonical fundamental-domain representative; exact inputs stay exact,
-    and an exact point on curve with reduced coordinates is returned as it is."""
+    and a point on curve with reduced coordinates is returned as it is, so
+    that points given as one object stay one (see merge_triple)."""
     if isinstance(raw, JacPoint):
+        s, t = raw.s, raw.t
         if raw.is_exact:
-            s, t = _coord(raw.s), _coord(raw.t)
+            s, t = _coord(s), _coord(t)
             if s is raw.s and t is raw.t and raw.curve is curve:
                 return raw
             return JacPoint(curve, s, t)
-        return _reduced(curve, raw.s, raw.t)
+        if type(s) is type(t) is float and 0 <= s < 1 and 0 <= t < 1 and raw.curve is curve:
+            return raw
+        return _reduced(curve, s, t)
     if isinstance(raw, tuple):
         return JacPoint(curve, _coord(raw[0]), _coord(raw[1]))
     return _from_complex(complex(raw), curve)
@@ -317,6 +319,52 @@ def distance(p: JacPoint, q: JacPoint) -> float:
     ds = min((ps - qs) % 1.0, (qs - ps) % 1.0)
     dt = min((pt - qt) % 1.0, (qt - pt) % 1.0)
     return math.hypot(ds, dt)
+
+
+def merge_triple(zs: Sequence[JacPoint], tol: float = EQ_TOL) -> Sequence[JacPoint]:
+    """The coincidences of a zero-sum triple zs at tol: zs with each class
+    of coincident points as one shared point, position by position, and zs
+    itself when every class is one object already.
+
+    Points given as one object are one point, and the classes are
+    single-linkage: a point equal at tol to any member joins the class, so
+    they do not depend on the order of zs.  A class's point is its first
+    exact member, which never moves, else its first member.  A merge moves
+    the sum by up to tol, which a class of two or more distinct approximate
+    points takes up: a double point d moves to the root of 2d + r = 0
+    nearest d, r the third point (a vertical tangent touches at a 2-torsion
+    point), and joins r if it comes within tol of it; a triple point moves
+    to the flex nearest it.
+    """
+    z1, z2, z3 = zs
+    # identity answers a pair before equal does, and each pair is compared once
+    e12 = z1 is z2 or equal(z1, z2, tol)
+    e13 = e12 if z2 is z3 else z1 is z3 or equal(z1, z3, tol)
+    e23 = e13 if z1 is z2 else e12 if z1 is z3 else z2 is z3 or equal(z2, z3, tol)
+    if not (e12 or e13 or e23):
+        return zs
+    if e12 + e13 + e23 == 1:
+        (a, b), r = ((z1, z2), z3) if e12 else ((z1, z3), z2) if e13 else ((z2, z3), z1)
+        if a is b:
+            return zs
+        if a.is_exact or b.is_exact:
+            d = a if a.is_exact else b
+        else:
+            s, t = add(mul(2, a), r).coords()
+            d = sub(a, JacPoint(a.curve, (s - round(s)) / 2, (t - round(t)) / 2))
+        if d is a or d is b or not equal(d, r, tol):
+            return (d, d, z3) if e12 else (d, z2, d) if e13 else (z1, d, d)
+        # the moved double reached r: one class, whose first member is z1
+        first = r if r is z1 else d
+    elif z1 is z2 is z3:
+        return zs
+    else:
+        first = z1
+    d = next((z for z in zs if z.is_exact), None)
+    if d is None:
+        s, t = mul(3, first).coords()
+        d = sub(first, JacPoint(first.curve, (s - round(s)) / 3, (t - round(t)) / 3))
+    return (d, d, d)
 
 
 def torsion_points(n: int, curve: CurveSpec) -> list[JacPoint]:

@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 
 from . import jaclattice as jl
 from .bundles import BundleClass, _shared_class, tu_line, type_facts
-from .jaclattice import (CHART_EDGE_TOL, CUSP_TOL, DEFAULT_TOL, INCIDENCE_POINT_TOL, J_TOL,
-                         RANK_TOL, CurveSpec, JacPoint)
+from .jaclattice import (CHART_EDGE_TOL, CUSP_TOL, EQ_TOL, INCIDENCE_POINT_TOL, J_TOL, RANK_TOL,
+                         CurveSpec, JacPoint)
 from .parabolic import PROJ_INF, ProjScalar
 from .weierstrass import (PlaneLine, PlanePoint, Vec, _cross, _cubic_roots, _solved, _Solved,
                           curve_invariants, intersect_curve)
@@ -50,10 +50,6 @@ class SymPair:
         d = self.__dict__
         d["p1"], d["p2"] = jl.canonical_sort([p1, p2])
 
-    def close_to(self, other: "SymPair", tol: float = DEFAULT_TOL) -> bool:
-        return ((jl.equal(self.p1, other.p1, tol=tol) and jl.equal(self.p2, other.p2, tol=tol))
-                or (jl.equal(self.p1, other.p2, tol=tol) and jl.equal(self.p2, other.p1, tol=tol)))
-
 
 def cross_ratio(z1: ProjScalar, z2: ProjScalar, z3: ProjScalar,
                 z4: ProjScalar) -> ProjScalar:
@@ -76,7 +72,10 @@ def _line_class(solved: _Solved) -> BundleClass:
     triple that does not sum to zero is not kept: each call raises alike."""
     cls = solved.cls
     if cls is None:
-        cls = solved.cls = _shared_class([z for z, _ in solved.order])
+        zs = [z for z, _ in solved.order]
+        if not jl.sums_to_zero(*zs, EQ_TOL):
+            raise ValueError("triple does not sum to zero in the Jacobian")
+        cls = solved.cls = _shared_class(zs)
     return cls
 
 

@@ -70,16 +70,6 @@ class NormalForm:
     case: str  # "i", "ii", "iii"
     params: tuple
 
-    def matrices(self) -> tuple[tuple, tuple]:
-        if self.case == "i":
-            a1, a2, a3, b1, b2, b3 = self.params
-            return ((a1, 0, 0), (0, a2, 0), (0, 0, a3)), ((b1, 0, 0), (0, b2, 0), (0, 0, b3))
-        if self.case == "ii":
-            a, b, b1 = self.params
-            return ((a**-2, 0, 0), (0, a, 1), (0, 0, a)), ((b**-2, 0, 0), (0, b, b1), (0, 0, b))
-        a, b, b1, b2 = self.params
-        return ((a, 1, 0), (0, a, 1), (0, 0, a)), ((b, b1, b2), (0, b, b1), (0, 0, b))
-
 
 def _mul(X: tuple, Y: tuple) -> tuple:
     (y00, y01, y02), (y10, y11, y12), (y20, y21, y22) = Y

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .jaclattice import (AXIS_TOL, EQ_TOL, INCIDENCE_TOL, MERGE_TOL, POLE_TOL, ROOT_MERGE_TOL,
-                         CurveSpec, JacPoint, _from_complex, _sort_key, add, equal, mul, neg,
-                         sub, sums_to_zero, zero)
+                         CurveSpec, JacPoint, _from_complex, _sort_key, equal, merge_triple, neg,
+                         sums_to_zero, zero)
 
 # method constants: _normalize divides by the first coordinate above _PIVOT
 # of the largest, and a relative test on a scale that is 0 compares against
@@ -408,51 +408,19 @@ def _cubic_roots(a3: complex, a2: complex, a1: complex,
     return (x1, t, q0 / t if t else t)
 
 
-def _root_near(d: JacPoint, m: int, rest: JacPoint) -> JacPoint:
-    """The solution x of m*x + rest = 0 mod Lambda nearest d."""
-    s, t = add(mul(m, d), rest).coords()
-    return sub(d, JacPoint(d.curve, s=(s - round(s)) / m, t=(t - round(t)) / m))
-
-
-def _group(zs: Sequence[JacPoint], sizes: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The classes of zs at EQ_TOL: the index in zs of each class's first member,
-    and the class's multiplicity (zs[i] counts sizes[i] times)."""
-    firsts: list[int] = []
-    mult: list[int] = []
-    for i, (z, m) in enumerate(zip(zs, sizes)):
-        for k, j in enumerate(firsts):
-            if equal(zs[j], z, tol=EQ_TOL):
-                mult[k] += m
-                break
-        else:
-            firsts.append(i)
-            mult.append(m)
-    return firsts, mult
-
-
-def _shared(hits: list[tuple[JacPoint, Vec]],
-            sizes: list[int]) -> tuple[tuple[JacPoint, Vec], ...]:
-    """The triple of the distinct intersections hits = [(parameter, plane point)],
-    grouped at EQ_TOL into shared JacPoints, each keeping the plane point of
-    its class's first member.  A merge moves the sum by up to EQ_TOL; the
-    merged point takes that up, so a double point d becomes the root of
-    2d + r = 0 nearest d (a vertical tangent touches at a 2-torsion point), a
-    triple point the nearest flex."""
-    n = len(hits)
-    firsts, mult = _group([z for z, _ in hits], sizes)
-    if len(firsts) == 3:
-        return tuple(hits)  # three classes: nothing merges
-    hits = [hits[i] for i in firsts]
-    if len(hits) == 2 and n == 3:
-        k = mult.index(2)
-        (d, p), (r, _) = hits[k], hits[1 - k]
-        hits[k] = (_root_near(d, 2, r), p)
-        firsts, mult = _group([z for z, _ in hits], mult)
-        hits = [hits[i] for i in firsts]
-    if len(hits) == 1 and n > 1:
-        d, p = hits[0]
-        hits = [(_root_near(d, 3, zero(d.curve)), p)]
-    return tuple(h for h, m in zip(hits, mult) for _ in range(m))
+def _shared(hits: list[tuple[JacPoint, Vec]]) -> tuple[tuple[JacPoint, Vec], ...]:
+    """The three intersections hits = [(parameter, plane point)] with each
+    class of jaclattice.merge_triple as one shared JacPoint, which keeps the
+    plane point of the class's first member; the classes come in the order
+    of their first members."""
+    zs = [z for z, _ in hits]
+    merged = merge_triple(zs)
+    if merged is zs:
+        return tuple(hits)
+    kept: dict[int, tuple[JacPoint, Vec]] = {}
+    for z, (_, p) in zip(merged, hits):
+        kept.setdefault(id(z), (z, p))
+    return tuple(h for h in kept.values() for z in merged if z is h[0])
 
 
 @functools.lru_cache(maxsize=8)
@@ -486,20 +454,9 @@ def _solved(line: PlaneLine, curve: CurveSpec) -> _Solved:
     return entry
 
 
-def _intersect(line: PlaneLine, curve: CurveSpec) -> tuple[tuple[JacPoint, Vec], ...]:
-    """intersect_curve's triple, each parameter with its plane point (x, y, 1) or [0:1:0].
-
-    Solved at most once per line object and curve: the line keeps the
-    immutable result (see _solved), so every question asked of one line (its
-    count, its class, the fiber coordinate of each point on it) reads the
-    same shared JacPoints, and the memo is freed with the line.  An equal but
-    distinct line object solves again.
-    """
-    return _solved(line, curve).hits
-
-
 def _solve(line: PlaneLine, curve: CurveSpec) -> tuple[tuple[JacPoint, Vec], ...]:
-    """_intersect's triple, solved.
+    """intersect_curve's triple, each parameter with its plane point (x, y, 1)
+    or [0:1:0], solved.
 
     x is the root-cluster mean and y the curve's ordinate at x, with the sign
     the line picks: y read off the line, -(ux + w)/v, would carry x's
@@ -518,18 +475,17 @@ def _solve(line: PlaneLine, curve: CurveSpec) -> tuple[tuple[JacPoint, Vec], ...
         x = -w / u
         z1, y = _invert_embedding(x, cmath.sqrt(4 * x**3 - g2 * x - g3), e, curve)
         return _shared([(z1, (x, y, 1)), (neg(z1), (x, -y, 1)),
-                        (zero(curve), INFINITY_POINT.vec())], [1, 1, 1])
+                        (zero(curve), INFINITY_POINT.vec())])
     # y = -(u x + w)/v substituted into y^2 = 4x^3 - g2 x - g3
     a3 = 4.0
     a2 = -(u / v) ** 2
     a1 = -g2 - 2 * (u / v) * (w / v)
     a0 = -g3 - (w / v) ** 2
-    clusters = _clusters(_cubic_roots(a3, a2, a1, a0))
     hits = []
-    for x, _ in clusters:
+    for x, m in _clusters(_cubic_roots(a3, a2, a1, a0)):
         z, y = _invert_embedding(x, -(u * x + w) / v, e, curve)
-        hits.append((z, (x, y, 1)))
-    return _shared(hits, [m for _, m in clusters])
+        hits += [(z, (x, y, 1))] * m
+    return _shared(hits)
 
 
 def _near(x: complex, m: complex) -> bool:
@@ -567,9 +523,13 @@ def intersect_curve(line: PlaneLine, curve: CurveSpec) -> list[JacPoint]:
     Inverse of line_through on its image; the result sums to 0 mod Lambda.
     Parameters that coincide at jaclattice.EQ_TOL come back as one shared
     JacPoint (see _shared), so every caller reads the same multiplicities.
-    Each call returns a new list; the line keeps the points (see _intersect).
+    Each call returns a new list of the points the line keeps: the line is
+    solved at most once per line object and curve (see _solved), so every
+    question asked of one line (its count, its class, the fiber coordinate
+    of each point on it) reads the same shared JacPoints.  An equal but
+    distinct line object solves again.
     """
-    return [z for z, _ in _intersect(line, curve)]
+    return [z for z, _ in _solved(line, curve).hits]
 
 
 def multiplicities(points: Sequence[JacPoint]) -> list[int]:

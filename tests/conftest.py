@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ellpar import bundles as bd
 from ellpar import jaclattice as jl
 from ellpar import modspace as ms
 from ellpar import weierstrass as we
@@ -112,7 +113,7 @@ def wp_reference(z: complex, curve: CurveSpec) -> tuple[complex, complex]:
 # and its membership tests read integers: the references for the bits of
 # contains, both close_to, equal, sums_to_zero, is_torsion, the torsion snap
 # and _invert_embedding (see test_weierstrass, test_jaclattice, test_bundles
-# and test_bench).
+# and test_bench), and classify_triple as it was before jaclattice.merge_triple.
 
 def contains_reference(line: we.PlaneLine, p: we.PlanePoint, tol: float = we.INCIDENCE_TOL) -> bool:
     """PlaneLine.contains through vec(), map and max."""
@@ -152,6 +153,28 @@ def snap_to_torsion_reference(p: JacPoint, n: int) -> JacPoint:
     points included."""
     s, t = p.coords()
     return JacPoint(p.curve, s=Fraction(round(s * n) % n, n), t=Fraction(round(t * n) % n, n))
+
+
+def classify_triple_reference(z1: JacPoint, z2: JacPoint, z3: JacPoint,
+                              tol: float = jl.EQ_TOL) -> bd.BundleClass:
+    """bundles.classify_triple by counting the pairs equal at tol: none is
+    T1, one is T21 at the first point of the pair as given, more is T31 at
+    the flex of the first point.  The reference for the classes of triples
+    whose pairs are all apart, or all one object."""
+    if not jl.sums_to_zero(z1, z2, z3, tol):
+        raise ValueError("triple does not sum to zero in the Jacobian")
+    pts = [jl.canon(z, z1.curve) for z in (z1, z2, z3)]
+    e12 = jl.equal(pts[0], pts[1], tol=tol)
+    e13 = jl.equal(pts[0], pts[2], tol=tol)
+    e23 = jl.equal(pts[1], pts[2], tol=tol)
+    neq = sum((e12, e13, e23))
+    if neq == 0:
+        return bd.BundleClass("T1", triple=tuple(jl.canonical_sort(pts)))
+    if neq >= 2:
+        if not jl.is_torsion(pts[0], 3, jl.TORSION_SNAP_TOL):
+            raise ValueError("coincident triple is not 3-torsion")
+        return bd.BundleClass("T31", point=bd._snap_to_torsion(pts[0], 3))
+    return bd.BundleClass("T21", point=pts[0] if e12 or e13 else pts[1])
 
 
 def invert_embedding_reference(x, y, e, curve: CurveSpec):

@@ -89,7 +89,7 @@ def test_dual_plane_lambda_on_the_benchmark_inputs_matches_the_frame_reference(m
         cls, lam = psi_plus(ip, curve)
         if cls.label == "T1":
             checked_chords += 1
-            pts = [p for _, p in sorted(we._intersect(ip.line, curve),
+            pts = [p for _, p in sorted(we._solved(ip.line, curve).hits,
                                         key=lambda h: h[0].coords())]
             want = frame_lambda(pts, ip.x.vec())
             if not lam.close_to(want, tol=1e-9):

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,8 @@ from ellpar import jaclattice as jl
 from ellpar import weierstrass as we
 from ellpar.jaclattice import CurveSpec, JacPoint
 
-from conftest import TAU, count_calls, exact, snap_to_torsion_reference
+from conftest import (TAU, classify_triple_reference, count_calls, exact,
+                      snap_to_torsion_reference)
 
 fractions = st.fractions(min_value=0, max_value=1, max_denominator=30)
 
@@ -192,3 +195,73 @@ def test_canonical_exact_points_pass_through_classification_unbuilt(curve, monke
     assert built == []
     assert classes[0].triple == tuple(jl.canonical_sort([a, b, c]))
     assert all(cls.point is p for cls, p in zip(classes[1:], (flex, z, z, flex)))
+
+
+def _one_or_apart(triple) -> bool:
+    """Every pair of the triple is one object or far apart at EQ_TOL."""
+    return all(x is y or jl.distance(x, y) > 10 * jl.EQ_TOL
+               for x, y in itertools.combinations(triple, 2))
+
+
+def test_classify_triple_agrees_with_the_pairwise_reference(curve):
+    # on exact triples, and on float triples whose pairs are all apart or
+    # all one object, the one coincidence rule is the pairwise count
+    rng = random.Random(97)
+    coords = [Fraction(a, n) for n in (3, 4, 5, 7, 12) for a in range(n)]
+    exact_triples, float_triples = [], []
+    for _ in range(100):
+        a, b = (jl.canon((rng.choice(coords), rng.choice(coords)), curve) for _ in range(2))
+        flex = jl.torsion_points(3, curve)[rng.randrange(9)]
+        # a double and a flex also as distinct but equal objects
+        exact_triples += [(a, b, jl.neg(jl.add(a, b))),
+                          (jl.canon((a.s, a.t), curve), a, jl.neg(jl.mul(2, a))),
+                          (flex, jl.canon((flex.s, flex.t), curve), flex)]
+        p, q = (JacPoint(curve, rng.random(), rng.random()) for _ in range(2))
+        w = JacPoint(curve, rng.randrange(3) / 3, rng.randrange(3) / 3)
+        float_triples += [(p, q, jl.neg(jl.add(p, q))), (p, jl.neg(jl.mul(2, p)), p), (w, w, w)]
+    float_triples = [t for t in float_triples if _one_or_apart(t)]
+    assert len(float_triples) > 250
+    for triple in exact_triples + float_triples:
+        for order in itertools.permutations(triple):
+            assert bd.classify_triple(*order) == classify_triple_reference(*order), order
+
+
+def test_a_chain_triple_reads_one_class_in_every_order(curve):
+    # p1, p2 and p2, p3 are within EQ_TOL, p1, p3 are not: single linkage
+    # makes them one class whatever their order, as the pairwise count did
+    eps = 9e-7
+    chain = [JacPoint(curve, 1 / 3 + k * eps, 2 / 3) for k in (-1, 0, 1)]
+    assert jl.distance(chain[0], chain[2]) > jl.EQ_TOL
+    want = bd.BundleClass("T31", point=exact(curve, Fraction(1, 3), Fraction(2, 3)))
+    for order in itertools.permutations(chain):
+        assert bd.classify_triple(*order) == want
+        assert classify_triple_reference(*order) == want
+
+
+def test_a_double_of_two_nearby_float_points_moves_to_the_root_of_the_sum(curve):
+    # 2d + r = 0 only to the points' separation; the merged double point is
+    # the root of 2d + r = 0 nearest d, and the class is the same in every order
+    d = JacPoint(curve, 0.21, 0.33)
+    d1 = jl.add(d, JacPoint(curve, 4e-7, 0.0))
+    d2 = jl.add(d, JacPoint(curve, -3e-7, 2e-7))
+    r = jl.neg(jl.add(d1, d2))
+    assert jl.distance(jl.add(jl.mul(2, d1), r), jl.zero(curve)) > 5e-7
+    classes = [bd.classify_triple(*order) for order in itertools.permutations((d1, d2, r))]
+    for cls in classes:
+        assert cls.label == "T21"
+        assert jl.distance(jl.add(jl.mul(2, cls.point), r), jl.zero(curve)) < 1e-15
+        assert jl.distance(cls.point, d) < jl.EQ_TOL
+        assert jl.distance(cls.point, classes[0].point) < 1e-15
+
+
+def test_classify_triple_reads_a_merged_intersection_as_it_is(curve):
+    # intersect_curve returns the merged double point as one object; canon
+    # keeps it one, so classify_triple neither rebuilds nor moves it again
+    z = jl.canon(0.37 + 0.21 * curve.tau, curve)
+    h = JacPoint(curve, 2e-7, 1e-7)
+    z1, z2 = jl.add(z, h), jl.sub(z, h)
+    pts = we.intersect_curve(we.line_through(z1, z2, jl.neg(jl.add(z1, z2)), curve), curve)
+    assert sorted(we.multiplicities(pts)) == [1, 2]
+    double = next(p for p in pts if sum(q is p for q in pts) == 2)
+    cls = bd.classify_triple(*pts)
+    assert cls.label == "T21" and cls.point is double

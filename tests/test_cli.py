@@ -221,6 +221,21 @@ def test_schema_errors_exit_3():
         assert not resp["ok"]
 
 
+@pytest.mark.parametrize("request_", [
+    {"command": "weights", "payload": {"raw": ["abc", "1/3", "0"]}},
+    {"command": "weights", "payload": {"raw": ["1/0", "1/3", "0"]}},
+    {"command": "covering", "payload": {"z1": "x", "z2": 2}},
+    {"command": "covering", "payload": {"z1": 2, "z2": "1/0"}},
+], ids=["weights-text", "weights-zero-denominator", "covering-text",
+        "covering-zero-denominator"])
+def test_malformed_fraction_strings_are_schema_errors(request_):
+    # a fraction string Fraction cannot read is malformed input, not a
+    # question the library refuses
+    resp, code = cli.run(request_)
+    assert code == cli.EXIT_SCHEMA, resp
+    assert resp["result"]["error"] == "SchemaViolation"
+
+
 STABILITY_JSON = ('{"command": "stability", "payload": {"tau": %s, "class": {"label": "T1", '
                   '"triple": [[1, 5, 0, 1], [0, 1, 1, 7], [4, 5, 6, 7]]}, "flag": '
                   '{"P": [1, 2, 3], "L": [1, 1, -1]}, "weights": ["1/5", "-1/10", "-1/10"]}}')

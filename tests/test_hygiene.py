@@ -1,10 +1,10 @@
 """Hygiene of the library modules: every name a module imports at module
 level is used in it, every module-level private name is referenced
-somewhere in the package, every public one in the package, the scripts, the
-README or the acceptance tests, no memo is unbounded, no small float
-literal stands outside a module-level name, no membership test of the
-Jacobian is composed outside jaclattice, and no frozen value is built
-through object.__setattr__.  No linter is part of the
+somewhere in the package, every public one and every public method in the
+package, the scripts, the README or the acceptance tests, no memo is
+unbounded, no small float literal stands outside a module-level name, no
+membership test of the Jacobian is composed outside jaclattice, and no
+frozen value is built through object.__setattr__.  No linter is part of the
 toolchain, so this test is the check."""
 
 import ast
@@ -36,12 +36,15 @@ def test_no_unused_module_level_imports():
     assert unused == []
 
 
-def _definitions(tree: ast.Module) -> set[str]:
-    """The module-level names a module defines, dunders left out."""
+def _definitions(tree: ast.Module, methods: bool = False) -> set[str]:
+    """The module-level names a module defines, and with methods the names
+    of its classes' methods, dunders left out."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
+        if methods and isinstance(node, ast.ClassDef):
+            names.update(f.name for f in node.body if isinstance(f, ast.FunctionDef))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
@@ -78,15 +81,17 @@ def _code_names(markdown: str) -> set[str]:
 
 def test_no_public_name_without_a_user():
     # a public helper that only its own tests call is dead code as well:
-    # each is used by the package, a script or an acceptance criterion, or
-    # named as API in the README
+    # each, and each public method of a library class (matched by name), is
+    # used by the package, a script or an acceptance criterion, or named as
+    # API in the README
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
     users = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
              ROOT / "tests" / "test_acceptance.py"]
     refs = set().union(*(_references(ast.parse(p.read_text(encoding="utf-8"))) for p in users))
     refs |= _code_names((ROOT / "README.md").read_text(encoding="utf-8"))
     orphans = [f"{name}:{d}" for name, t in trees.items()
-               for d in sorted(_definitions(t)) if not d.startswith("_") and d not in refs]
+               for d in sorted(_definitions(t, methods=True))
+               if not d.startswith("_") and d not in refs]
     assert orphans == []
 
 

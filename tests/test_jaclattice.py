@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -90,7 +91,7 @@ def test_equal_handles_wraparound(curve):
     a = jl.canon(1e-12 + 0j, curve)
     b = jl.canon((1 - 1e-12) + 0j, curve)
     assert jl.equal(a, b, tol=1e-9)
-    assert jl.equal(a, jl.zero(curve).approx(), tol=1e-9)
+    assert jl.equal(a, JacPoint(curve, 0.0, 0.0), tol=1e-9)
 
 
 def test_torsion_points_count_and_exactness(curve):
@@ -478,3 +479,32 @@ def test_canon_passes_a_canonical_exact_point_through(curve):
         q = jl.canon(raw, target)
         assert q is not raw and q == JacPoint(target, Fraction(2, 7), Fraction(0))
         assert q.curve is target and type(q.s) is type(q.t) is Fraction
+
+
+def test_canon_passes_a_reduced_float_point_through(curve):
+    # so that a point given as one object stays one for merge_triple
+    p = JacPoint(curve, 0.25, 0.75)
+    assert jl.canon(p, curve) is p
+    others = [(p, CurveSpec(TAU)), (JacPoint(curve, 1.25, -0.25), curve),
+              (JacPoint(curve, 0.25, Fraction(3, 4)), curve)]
+    for raw, target in others:
+        q = jl.canon(raw, target)
+        assert q is not raw and q == JacPoint(target, 0.25, 0.75) and q.curve is target
+
+
+def test_merge_triple_keeps_exact_points_and_given_identity(curve):
+    e = exact(curve, Fraction(1, 5), Fraction(2, 7))
+    near = JacPoint(curve, 0.2 + 3e-7, 2 / 7)
+    r = jl.neg(jl.mul(2, e))
+    # an exact member is its class's point, in every order
+    for order in itertools.permutations((e, near, r)):
+        merged = jl.merge_triple(order)
+        assert [z is e for z in merged] == [z is not r for z in order]
+    flex = exact(curve, Fraction(1, 3), Fraction(2, 3))
+    around = [JacPoint(curve, 1 / 3 + k * 4e-7, 2 / 3) for k in (-1, 1)]
+    for order in itertools.permutations([flex, *around]):
+        assert all(z is flex for z in jl.merge_triple(order))
+    # classes that are one object already come back as the triple itself
+    p, q = JacPoint(curve, 0.1, 0.2), JacPoint(curve, 0.4, 0.7)
+    for zs in ([near, near, r], (p, q, jl.neg(jl.add(p, q))), [p, p, p]):
+        assert jl.merge_triple(zs) is zs

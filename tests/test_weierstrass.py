@@ -594,9 +594,9 @@ def _lines_of_every_kind(curve):
 def test_a_memo_hit_is_the_solved_tuple_and_equals_a_cold_solve(tau):
     curve = CurveSpec(tau)
     for line in _lines_of_every_kind(curve):
-        hits = we._intersect(line, curve)
+        hits = we._solved(line, curve).hits
         assert isinstance(hits, tuple) and len(hits) == 3
-        again = we._intersect(line, curve)
+        again = we._solved(line, curve).hits
         assert again is hits
         assert all(a is b for pair in zip(hits, again) for a, b in zip(*pair))
         # intersect_curve hands out a new list of the same shared points
@@ -605,7 +605,7 @@ def test_a_memo_hit_is_the_solved_tuple_and_equals_a_cold_solve(tau):
         assert all(z is h[0] for z, h in zip(pts, hits))
         # an equal but distinct line solves again, to the same bits
         fresh = we.PlaneLine(*line.vec())
-        cold = we._intersect(fresh, curve)
+        cold = we._solved(fresh, curve).hits
         assert cold is not hits and _bits(cold) == _bits(hits)
         assert we.multiplicities([z for z, _ in cold]) == we.multiplicities(pts)
 
@@ -613,17 +613,17 @@ def test_a_memo_hit_is_the_solved_tuple_and_equals_a_cold_solve(tau):
 def test_one_line_keeps_one_intersection_per_curve():
     line = we.PlaneLine.of(1, 2, 3)
     curves = [CurveSpec(TAU), CurveSpec(1j), CurveSpec(0.5 + 1j)]
-    solved = [we._intersect(line, c) for c in curves]
+    solved = [we._solved(line, c).hits for c in curves]
     for curve, hits in zip(curves, solved):
         assert all(z.curve == curve for z, _ in hits)
-        assert we._intersect(line, curve) is hits
-        assert _bits(we._intersect(we.PlaneLine.of(1, 2, 3), curve)) == _bits(hits)
+        assert we._solved(line, curve).hits is hits
+        assert _bits(we._solved(we.PlaneLine.of(1, 2, 3), curve).hits) == _bits(hits)
     assert _bits(solved[0]) != _bits(solved[1])
 
 
 def test_the_line_memo_is_freed_with_its_line(curve):
     line = _chord_lines(curve, 1, seed=71)[0]
-    point = weakref.ref(we._intersect(line, curve)[0][0])
+    point = weakref.ref(we._solved(line, curve).hits[0][0])
     ref = weakref.ref(line)
     del line
     assert ref() is None and point() is None
