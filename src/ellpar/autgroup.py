@@ -10,23 +10,22 @@ action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import jaclattice as jl
 from .bundles import BundleClass, classify_triple, graded, make_t21, make_t22, make_t3x
-from .jaclattice import DLT_COND_TOL, EQ_TOL, CurveSpec, JacPoint
+from .jaclattice import DLT_COND_TOL, EQ_TOL, CurveSpec, JacPoint, Value
 from .parabolic import ProjScalar, _check_chamber, flip
 from .weierstrass import embed
 
 
-@dataclass(frozen=True)
-class ModularAuto:
+class ModularAuto(Value):
     shift: JacPoint  # 3-torsion
     dual: bool
 
-    def __post_init__(self):
-        if not jl.is_torsion(self.shift, 3, EQ_TOL):
+    def __init__(self, shift, dual):
+        if not jl.is_torsion(shift, 3, EQ_TOL):
             raise ValueError("shift must be a 3-torsion point")
+        d = self.__dict__
+        d["shift"], d["dual"] = shift, dual
 
 
 def identity(curve: CurveSpec) -> ModularAuto:

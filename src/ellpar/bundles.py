@@ -12,12 +12,11 @@ are constructible explicitly for never-stable testing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import jaclattice as jl
-from .jaclattice import EQ_TOL, TORSION_SNAP_TOL, CurveSpec, JacPoint
+from .jaclattice import EQ_TOL, TORSION_SNAP_TOL, CurveSpec, JacPoint, Value
 from .weierstrass import PlaneLine, PlanePoint, line_through
 
 LABELS = ("T1", "T21", "T22", "T31", "T32", "T33")
@@ -31,12 +30,11 @@ LINE_Z2 = PlaneLine.of(0, 1, 0)
 LINE_Z3 = PlaneLine.of(0, 0, 1)
 
 
-@dataclass(frozen=True)
-class BundleClass:
+class BundleClass(Value):
     label: str
     # T1: canonical (sorted) zero-sum triple; others: single defining point
-    triple: Optional[tuple[JacPoint, JacPoint, JacPoint]] = None
-    point: Optional[JacPoint] = None
+    triple: Optional[tuple[JacPoint, JacPoint, JacPoint]]
+    point: Optional[JacPoint]
 
     def __init__(self, label, triple=None, point=None):
         if label not in LABELS:
@@ -59,8 +57,7 @@ class BundleClass:
         return f"BundleClass({self.label}, {data})"
 
 
-@dataclass(frozen=True)
-class PointLocus:
+class PointLocus(Value):
     """A family of degree-0 line subbundles seen in the fiber plane.
 
     dim 0: the isolated point; dim 1: a pencil of points sweeping ``sweep``;
@@ -68,12 +65,15 @@ class PointLocus:
     """
 
     dim: int
-    point: Optional[PlanePoint] = None
-    sweep: Optional[PlaneLine] = None
+    point: Optional[PlanePoint]
+    sweep: Optional[PlaneLine]
+
+    def __init__(self, dim, point=None, sweep=None):
+        d = self.__dict__
+        d["dim"], d["point"], d["sweep"] = dim, point, sweep
 
 
-@dataclass(frozen=True)
-class LineLocus:
+class LineLocus(Value):
     """A family of degree-0 rank-2 subbundles seen as lines in the fiber plane.
 
     dim 0: the isolated line; dim 1: the pencil of lines through ``pencil``;
@@ -81,14 +81,21 @@ class LineLocus:
     """
 
     dim: int
-    line: Optional[PlaneLine] = None
-    pencil: Optional[PlanePoint] = None
+    line: Optional[PlaneLine]
+    pencil: Optional[PlanePoint]
+
+    def __init__(self, dim, line=None, pencil=None):
+        d = self.__dict__
+        d["dim"], d["line"], d["pencil"] = dim, line, pencil
 
 
-@dataclass(frozen=True)
-class SubbundleConfig:
+class SubbundleConfig(Value):
     rank1: tuple[PointLocus, ...]
     rank2: tuple[LineLocus, ...]
+
+    def __init__(self, rank1, rank2):
+        d = self.__dict__
+        d["rank1"], d["rank2"] = rank1, rank2
 
 
 def classify_triple(z1: JacPoint, z2: JacPoint, z3: JacPoint,

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from operator import attrgetter
+from typing import Iterable, Sequence, Union
 
 # ---------------------------------------------------------------------------
 # Tolerance policy: every decision threshold of the library, named once.  A
@@ -70,8 +70,49 @@ class CurveMismatchError(ValueError):
     """Operands defined over different lattice parameters."""
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or a deletion of, an attribute of a Value."""
+
+
+class Value:
+    """Base of the library's frozen value classes.
+
+    A subclass's fields are the names it annotates, in order; _fields lists
+    them.  Its own __init__ validates the arguments and writes each field
+    into the instance dict, since __setattr__ and __delattr__ raise
+    FrozenInstanceError.  Two values are equal when they are of one class
+    and their fields, as the class's _key reads them (a tuple, or a lone
+    field itself), are equal; the hash is theirs.  The repr is the class
+    name with each field as name=repr.  Other entries of the instance dict
+    (memos) are no part of equality, hash or repr.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", {}))
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class CurveSpec(Value):
     """Lattice parameter tau with Im(tau) > 0, fixing the curve C/(Z + tau*Z)."""
 
     tau: complex
@@ -84,12 +125,21 @@ class CurveSpec:
             raise ValueError(f"tau must lie in the upper half-plane, got {tau}")
         self.__dict__["tau"] = tau
 
+    # by hand, as cheap as can be: the memos keyed on a curve compare and
+    # hash it several times per operation
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.tau == other.tau
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.tau,))
+
     def same(self, other: "CurveSpec") -> bool:
         return abs(self.tau - other.tau) <= CURVE_TOL * max(1.0, abs(self.tau))
 
 
-@dataclass(frozen=True)
-class JacPoint:
+class JacPoint(Value):
     """A point s + t*tau of Jac(X) = C/(Z + tau*Z), stored as its lattice
     coordinates (s, t) with 0 <= s, t < 1.
 
@@ -101,8 +151,8 @@ class JacPoint:
     """
 
     curve: CurveSpec
-    s: Optional[Union[Fraction, float]] = None
-    t: Optional[Union[Fraction, float]] = None
+    s: Union[Fraction, float]
+    t: Union[Fraction, float]
 
     def __init__(self, curve, s=None, t=None):
         if s is None or t is None:

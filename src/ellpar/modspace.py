@@ -6,7 +6,6 @@ decision via the j-invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from numbers import Rational
@@ -15,7 +14,7 @@ from typing import Optional, Sequence
 from . import jaclattice as jl
 from .bundles import BundleClass, _shared_class, tu_line, type_facts
 from .jaclattice import (CHART_EDGE_TOL, CUSP_TOL, EQ_TOL, INCIDENCE_POINT_TOL, J_TOL, RANK_TOL,
-                         CurveSpec, JacPoint)
+                         CurveSpec, JacPoint, Value)
 from .parabolic import PROJ_INF, ProjScalar
 from .weierstrass import (PlaneLine, PlanePoint, Vec, _cross, _cubic_roots, _solved, _Solved,
                           curve_invariants, intersect_curve)
@@ -25,8 +24,7 @@ class ThreefoldCoincidenceError(ValueError):
     """Cross-ratio is undefined when three of the four points coincide."""
 
 
-@dataclass(frozen=True)
-class IncidencePoint:
+class IncidencePoint(Value):
     """A point of P(TP^2): a plane point on a plane line."""
 
     x: PlanePoint
@@ -39,8 +37,7 @@ class IncidencePoint:
         d["x"], d["line"] = x, line
 
 
-@dataclass(frozen=True)
-class SymPair:
+class SymPair(Value):
     """Unordered pair of Jacobian points; order-free equality via canonical sort."""
 
     p1: JacPoint

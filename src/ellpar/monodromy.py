@@ -18,12 +18,11 @@ normal_form raises ExoticPairError, while classify_bundle reads them as T32.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import jaclattice as jl
 from .bundles import (BundleClass, LineLocus, PointLocus, SubbundleConfig, classify_triple,
                       make_t21, make_t22, make_t3x)
-from .jaclattice import EIGEN_SEP_TOL, EQ_TOL, NILPOTENT_TOL, PAIR_TOL, CurveSpec, JacPoint
+from .jaclattice import (EIGEN_SEP_TOL, EQ_TOL, NILPOTENT_TOL, PAIR_TOL, CurveSpec, JacPoint,
+                         Value)
 from .weierstrass import PlaneLine, PlanePoint, _cubic_roots
 
 _I = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
@@ -54,10 +53,12 @@ class ExoticPairError(ValueError):
     """
 
 
-@dataclass(frozen=True, eq=False)
-class CommutingPair:
+class CommutingPair(Value):
     A: tuple  # three rows of three complex, from any 3x3 array-like
     B: tuple
+
+    # compared and hashed by identity
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, A, B):
         d = self.__dict__
@@ -65,10 +66,13 @@ class CommutingPair:
         d["B"] = tuple(tuple(map(complex, row)) for row in B)
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Value):
     case: str  # "i", "ii", "iii"
     params: tuple
+
+    def __init__(self, case, params):
+        d = self.__dict__
+        d["case"], d["params"] = case, params
 
 
 def _mul(X: tuple, Y: tuple) -> tuple:

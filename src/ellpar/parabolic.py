@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from numbers import Rational
 from typing import Optional, Sequence, Union
 
 from .bundles import _CONFIGS, BundleClass, LineLocus, PointLocus
-from .jaclattice import CHORDAL_TOL, WEIGHT_SUM_TOL
+from .jaclattice import CHORDAL_TOL, WEIGHT_SUM_TOL, Value
 from .weierstrass import PlaneLine, PlanePoint, _cross, line_through_points, lines_meet
 
 Scalar = Union[Fraction, float]
@@ -55,20 +54,21 @@ def _exactify(x) -> Scalar:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
-class Weights:
+class Weights(Value):
     mu1: Scalar
     mu2: Scalar
     mu3: Scalar
 
-    def __post_init__(self):
-        if not (self.mu1 >= self.mu2 >= self.mu3):
+    def __init__(self, mu1, mu2, mu3):
+        if not (mu1 >= mu2 >= mu3):
             raise InadmissibleWeightsError("weights must be sorted descending")
-        if self.mu1 - self.mu3 >= 1:
+        if mu1 - mu3 >= 1:
             raise InadmissibleWeightsError("weight spread must be < 1")
-        s = self.mu1 + self.mu2 + self.mu3
+        s = mu1 + mu2 + mu3
         if abs(s) > WEIGHT_SUM_TOL:
             raise InadmissibleWeightsError(f"weights must sum to 0, got {s}")
+        d = self.__dict__
+        d["mu1"], d["mu2"], d["mu3"] = mu1, mu2, mu3
 
     def as_tuple(self) -> tuple[Scalar, Scalar, Scalar]:
         return (self.mu1, self.mu2, self.mu3)
@@ -135,8 +135,7 @@ def make_weights(raw1, raw2, raw3) -> tuple[Weights, str]:
     return w, chamber_of(w)
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(Value):
     P: PlanePoint
     L: PlaneLine
 
@@ -149,8 +148,7 @@ class Flag:
         d["_signatures"] = {}
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Value):
     """Destabilizing / equalizing degree-0 subbundle, by its fiber locus."""
 
     rank: int
@@ -162,10 +160,9 @@ class Witness:
         d["rank"], d["locus"], d["pardeg"] = rank, locus, pardeg
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
     status: str  # Stable | StrictlySemistable | Unstable
-    witness: Optional[Witness] = None
+    witness: Optional[Witness]
 
     def __init__(self, status, witness=None):
         d = self.__dict__
@@ -240,8 +237,7 @@ def locus(cls: BundleClass, flag: Flag) -> str:
     return LOCUS_NEITHER
 
 
-@dataclass(frozen=True)
-class ProjScalar:
+class ProjScalar(Value):
     """A point of P^1 as a (num, den) pair; den = 0 encodes infinity."""
 
     num: complex

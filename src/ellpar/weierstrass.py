@@ -15,12 +15,11 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from .jaclattice import (AXIS_TOL, EQ_TOL, INCIDENCE_TOL, MERGE_TOL, POLE_TOL, ROOT_MERGE_TOL,
-                         CurveSpec, JacPoint, _from_complex, _sort_key, equal, merge_triple, neg,
-                         sums_to_zero, zero)
+                         CurveSpec, JacPoint, Value, _from_complex, _sort_key, merge_triple,
+                         neg, sums_to_zero, zero)
 
 # method constants: _normalize divides by the first coordinate above _PIVOT
 # of the largest, and a relative test on a scale that is 0 compares against
@@ -61,8 +60,7 @@ def _cross(a: Sequence[complex], b: Sequence[complex]) -> tuple[complex, complex
             a[0] * b[1] - a[1] * b[0])
 
 
-@dataclass(frozen=True)
-class PlanePoint:
+class PlanePoint(Value):
     """Homogeneous [x : y : z], normalized so the first nonzero coordinate is 1."""
 
     x: complex
@@ -86,8 +84,7 @@ class PlanePoint:
         return math.hypot(abs(y * oz - z * oy), abs(z * ox - x * oz), abs(x * oy - y * ox)) <= tol
 
 
-@dataclass(frozen=True)
-class PlaneLine:
+class PlaneLine(Value):
     """Homogeneous coefficients [u : v : w], same normalization as PlanePoint."""
 
     u: complex
@@ -273,17 +270,18 @@ def tangent_line(p: JacPoint, curve: CurveSpec) -> PlaneLine:
 def line_through(p1: JacPoint, p2: JacPoint, p3: JacPoint, curve: CurveSpec) -> PlaneLine:
     """The line cutting the cubic exactly in the triple (p1, p2, p3).
 
-    Requires p1 + p2 + p3 = 0 in the Jacobian.  Repetitions give tangent
-    lines; a triple repetition gives an inflection tangent.
+    Requires p1 + p2 + p3 = 0 in the Jacobian.  The triple's points coincide
+    as merge_triple decides: one class gives the tangent at its point (an
+    inflection tangent), two the chord through the two class points (the
+    tangent at the double one), three the chord through p1 and p2.
     """
     if not sums_to_zero(p1, p2, p3, EQ_TOL):
         raise ValueError("triple does not sum to zero in the Jacobian")
-    # a point distinct from p1 gives the chord; collinearity of the third is
-    # automatic from the zero-sum condition
-    q = next((q for q in (p2, p3) if not equal(p1, q, tol=EQ_TOL)), None)
-    if q is None:
-        return tangent_line(p1, curve)
-    return line_through_points(embed(p1, curve), embed(q, curve))
+    z1, z2, z3 = merge_triple((p1, p2, p3), EQ_TOL)
+    if z1 is z2 is z3:
+        return tangent_line(z1, curve)
+    # collinearity of the third point is automatic from the zero-sum condition
+    return line_through_points(embed(z1, curve), embed(z3 if z1 is z2 else z2, curve))
 
 
 # _carlson_rf's series finishes once its arguments agree to 1/_RF_STOP ~ 1/79

@@ -2,8 +2,9 @@
 workload, run in process and scored by the workload's own reference check,
 fail only in the input classes the workload lists as known defects."""
 
-import dataclasses
 import importlib
+import math
+import sys
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -163,13 +164,23 @@ def test_cli_batch_answers_alike_with_the_reference_wp(monkeypatch):
 
 def _stored(x):
     """Every value x stores, recursively, by repr: equal iff bit-identical."""
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return [_stored(getattr(x, f.name)) for f in dataclasses.fields(x)]
+    if isinstance(x, jl.Value):
+        return [_stored(getattr(x, name)) for name in x._fields]
     if isinstance(x, (tuple, list)):
         return [_stored(v) for v in x]
     if isinstance(x, dict):
         return [(k, _stored(v)) for k, v in x.items()]
     return repr(x)
+
+
+def test_stored_tells_apart_values_one_ulp_apart():
+    # _stored recurses through a value's fields: JacPoint's repr prints a
+    # float point to 6 digits, its stored coordinates keep every bit
+    curve = CurveSpec(0.3 + 1.1j)
+    p, q = JacPoint(curve, 0.25, 0.5), JacPoint(curve, math.nextafter(0.25, 1), 0.5)
+    assert repr(p) == repr(q)
+    assert _stored(p) != _stored(q)
+    assert _stored(pa.Witness(1, p, 0)) != _stored(pa.Witness(1, q, 0))
 
 
 def _stored_outcome(op):
@@ -200,8 +211,10 @@ def test_workload_answers_alike_with_the_reference_primitives(workload, monkeypa
     monkeypatch.setattr(we.PlaneLine, "close_to", _counted(close_to_reference, calls))
     monkeypatch.setattr(we, "_invert_embedding", _counted(invert_embedding_reference, calls))
     monkeypatch.setattr(we, "_cubic_roots", _counted(cubic_roots_reference, calls))
-    for module in (jl, we):  # the definition and weierstrass' binding of it
-        monkeypatch.setattr(module, "equal", _counted(equal_reference, calls))
+    # the definition, which no other module binds: each caller reaches it there
+    assert [name for name, module in sys.modules.items() if name.startswith("ellpar")
+            and getattr(module, "equal", None) is jl.equal] == ["ellpar.jaclattice"]
+    monkeypatch.setattr(jl, "equal", _counted(equal_reference, calls))
     assert [_stored_outcome(op) for op in batch] == fast
     used = {"stability_scan": {"close_to_reference", "contains_reference", "equal_reference"},
             "dual_plane": {"contains_reference", "cubic_roots_reference", "equal_reference",

@@ -238,6 +238,18 @@ def test_a_chain_triple_reads_one_class_in_every_order(curve):
         assert classify_triple_reference(*order) == want
 
 
+def test_the_line_through_a_chain_triple_meets_the_curve_in_its_one_class(curve):
+    # line_through decides chord or tangent by merge_triple's classes: the
+    # chain is one class, so its line is the tangent at the flex, whatever
+    # the order, and the line's intersection reads the triple's class
+    eps = 9e-7
+    chain = [JacPoint(curve, 1 / 3 + k * eps, 2 / 3) for k in (-1, 0, 1)]
+    want = bd.BundleClass("T31", point=exact(curve, Fraction(1, 3), Fraction(2, 3)))
+    for order in itertools.permutations(chain):
+        pts = we.intersect_curve(we.line_through(*order, curve), curve)
+        assert bd.classify_triple(*pts) == want, order
+
+
 def test_a_double_of_two_nearby_float_points_moves_to_the_root_of_the_sum(curve):
     # 2d + r = 0 only to the points' separation; the merged double point is
     # the root of 2d + r = 0 nearest d, and the class is the same in every order

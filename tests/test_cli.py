@@ -463,12 +463,14 @@ COLD_START = """
 import json, sys
 from ellpar import cli
 code = cli.main([])
-print(json.dumps({"code": code, "loaded": sorted(m for m in sys.modules if m.startswith("ellpar"))}))
+print(json.dumps({"code": code, "loaded": sorted(m for m in sys.modules if m.startswith("ellpar")),
+                  "unused": sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)}))
 """
 
 
 def test_cli_answers_stability_without_loading_modspace_or_autgroup():
-    # a cold start loads only the modules its command uses
+    # a cold start loads only the modules its command uses, and neither
+    # dataclasses nor inspect, which only dataclasses would load
     env = {k: v for k, v in os.environ.items() if k != "TOL"}
     proc = subprocess.run([sys.executable, "-c", COLD_START], input=json.dumps(STABILITY_REQUEST),
                           capture_output=True, text=True, env=env)
@@ -477,7 +479,7 @@ def test_cli_answers_stability_without_loading_modspace_or_autgroup():
     assert json.loads(answer)["result"]["verdict"] == "Stable"
     assert json.loads(loaded) == {"code": 0, "loaded": [
         "ellpar", "ellpar.bundles", "ellpar.cli", "ellpar.jaclattice", "ellpar.parabolic",
-        "ellpar.weierstrass"]}
+        "ellpar.weierstrass"], "unused": []}
 
 
 def test_matrices_in_and_out_of_the_cli():

@@ -3,9 +3,10 @@ level is used in it, every module-level private name is referenced
 somewhere in the package, every public one and every public method in the
 package, the scripts, the README or the acceptance tests, no memo is
 unbounded, no small float literal stands outside a module-level name, no
-membership test of the Jacobian is composed outside jaclattice, and no
-frozen value is built through object.__setattr__.  No linter is part of the
-toolchain, so this test is the check."""
+membership test of the Jacobian is composed outside jaclattice, no frozen
+value is built through object.__setattr__, and no module imports
+dataclasses.  No linter is part of the toolchain, so this test is the
+check."""
 
 import ast
 import re
@@ -170,3 +171,18 @@ def test_no_object_setattr_in_the_library():
     # which validates its arguments first: one construction idiom
     calls = [c for p in sorted(SRC.glob("*.py")) for c in _setattr_calls(p)]
     assert calls == []
+
+
+def _dataclasses_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+            if isinstance(n, ast.Import) and any(a.name == "dataclasses" for a in n.names)
+            or isinstance(n, ast.ImportFrom) and n.module == "dataclasses"]
+
+
+def test_no_dataclasses_import_in_the_library():
+    # the value classes derive from jaclattice.Value: importing dataclasses
+    # (and the inspect it loads) and exec-compiling its generated methods
+    # cost a fifth of a cold start of the CLI
+    imports = [i for p in sorted(SRC.glob("*.py")) for i in _dataclasses_imports(p)]
+    assert imports == []

@@ -1,9 +1,8 @@
-"""The contract of the frozen value classes, whose constructors write the
-instance dict: immutable, compared and hashed by their fields only, built
-positionally or by keyword, weakly referenceable, and refusing what they
-refused before."""
+"""The contract of the frozen value classes (jaclattice.Value), whose
+constructors write the instance dict: immutable, compared and hashed by their
+fields only, built positionally or by keyword, weakly referenceable, and
+refusing what they refused before."""
 
-import dataclasses
 import weakref
 from fractions import Fraction
 
@@ -12,8 +11,10 @@ import pytest
 from ellpar import modspace as ms
 from ellpar import parabolic as pa
 from ellpar import weierstrass as we
-from ellpar.bundles import BundleClass
-from ellpar.jaclattice import CurveSpec, JacPoint
+from ellpar.autgroup import ModularAuto
+from ellpar.bundles import BundleClass, LineLocus, PointLocus, SubbundleConfig
+from ellpar.jaclattice import CurveSpec, FrozenInstanceError, JacPoint
+from ellpar.monodromy import NormalForm
 
 from conftest import TAU
 
@@ -43,21 +44,42 @@ VALUES = [
     # the pair keeps its points in canonical order
     (ms.SymPair, {"p1": THIRD, "p2": JacPoint(CURVE, 0.5, 0.25)},
      {"p2": JacPoint(CURVE, 0.75, 0.25)}),
+    (pa.Weights, {"mu1": Fraction(1, 5), "mu2": Fraction(1, 10), "mu3": Fraction(-3, 10)},
+     {"mu1": 0.2}),
+    (ModularAuto, {"shift": THIRD, "dual": False}, {"dual": True}),
+    (PointLocus, {"dim": 1, "point": None, "sweep": L}, {"sweep": we.PlaneLine.of(0, 0, 1)}),
+    (LineLocus, {"dim": 0, "line": L, "pencil": None}, {"dim": 1}),
+    (SubbundleConfig, {"rank1": (PointLocus(0, P),), "rank2": ()},
+     {"rank2": (LineLocus(0, L),)}),
+    (NormalForm, {"case": "ii", "params": (1j, 2 + 0j, 0.5j)}, {"case": "iii"}),
 ]
 IDS = [cls.__name__ + (f"-{kwargs['label']}" if cls is BundleClass else "")
        for cls, kwargs, _ in VALUES]
+
+
+def _astuple(v) -> tuple:
+    return tuple(getattr(v, name) for name in v._fields)
+
+
+def _rebuilt(v):
+    """v built again from its fields by keyword."""
+    return type(v)(**dict(zip(v._fields, _astuple(v))))
 
 
 @pytest.mark.parametrize("cls,kwargs,changed", VALUES, ids=IDS)
 def test_value_objects_are_frozen(cls, kwargs, changed):
     v = cls(**kwargs)
     for name in kwargs:
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError) as info:
             setattr(v, name, kwargs[name])
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        assert type(info.value) is FrozenInstanceError
+        with pytest.raises(FrozenInstanceError) as info:
             delattr(v, name)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+        assert type(info.value) is FrozenInstanceError
+    with pytest.raises(FrozenInstanceError) as info:
         v.extra = 1
+    assert type(info.value) is FrozenInstanceError
+    assert issubclass(FrozenInstanceError, AttributeError)
 
 
 @pytest.mark.parametrize("cls,kwargs,changed", VALUES, ids=IDS)
@@ -66,9 +88,9 @@ def test_value_objects_are_built_by_position_or_keyword_and_compared_by_fields(c
     by_keyword, by_position = cls(**kwargs), cls(*kwargs.values())
     assert by_keyword is not by_position
     assert by_keyword == by_position and hash(by_keyword) == hash(by_position)
-    assert [f.name for f in dataclasses.fields(cls)] == list(kwargs)
+    assert cls._fields == tuple(kwargs)
     assert [getattr(by_keyword, name) for name in kwargs] == list(kwargs.values())
-    assert dataclasses.replace(by_keyword) == by_keyword
+    assert _rebuilt(by_keyword) == by_keyword
     assert cls(**{**kwargs, **changed}) != by_keyword
     assert weakref.ref(by_keyword)() is by_keyword
 
@@ -80,6 +102,9 @@ def test_generated_reprs_show_the_fields_only():
     assert repr(we.PlanePoint(1, 2, 3)) == "PlanePoint(x=1, y=2, z=3)"
     assert repr(pa.Verdict("Stable")) == "Verdict(status='Stable', witness=None)"
     assert repr(pa.Witness(1, 2, 3)) == "Witness(rank=1, locus=2, pardeg=3)"
+    assert repr(PointLocus(2)) == "PointLocus(dim=2, point=None, sweep=None)"
+    assert repr(pa.Weights(Fraction(1, 4), 0, Fraction(-1, 4))) == (
+        "Weights(mu1=Fraction(1, 4), mu2=0, mu3=Fraction(-1, 4))")
     # the hand-written reprs stay
     assert repr(JacPoint(CURVE, Fraction(1, 2), Fraction(0))) == "JacPoint(1/2, 0)"
     assert repr(pa.ProjScalar(1, 0)) == "ProjScalar(inf)"
@@ -92,7 +117,7 @@ def test_a_line_with_a_filled_memo_equals_a_fresh_line_and_hashes_alike():
     assert line._intersections and not fresh._intersections
     assert line == fresh and hash(line) == hash(fresh)
     assert len({line, fresh}) == 1
-    assert dataclasses.astuple(line) == dataclasses.astuple(fresh) == line.vec()
+    assert _astuple(line) == _astuple(fresh) == line.vec()
     # each line object keeps its own memo
     assert we.PlaneLine.of(1, 2, 3)._intersections is not fresh._intersections
 
@@ -132,8 +157,9 @@ def test_the_commuting_pair_is_frozen_and_keeps_its_rows_as_tuples_of_complex():
     pair = CommutingPair([[1, 0, 0], [0, 2, 0], [0, 0, 3]], B=((1j, 0, 0), (0, 1, 0), (0, 0, 1)))
     assert pair.A == ((1, 0, 0), (0, 2, 0), (0, 0, 3)) and pair.B[0] == (1j, 0, 0)
     assert all(type(x) is complex for m in (pair.A, pair.B) for row in m for x in row)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenInstanceError) as info:
         pair.A = pair.B
+    assert type(info.value) is FrozenInstanceError
     # compared by identity (eq=False), as before
     assert pair != CommutingPair(pair.A, pair.B)
 
@@ -155,6 +181,18 @@ REFUSALS = [
     (lambda: pa.Flag(we.PlanePoint.of(1, 0, 0), L), pa.FlagIncidenceError,
      r"^flag point PlanePoint\(x=\(1\+0j\), y=0j, z=0j\) not on flag line "
      r"PlaneLine\(u=\(1\+0j\), v=\(1\+0j\), w=\(-1\+0j\)\)$"),
+    (lambda: pa.Weights(Fraction(-1, 10), Fraction(1, 5), Fraction(-1, 10)),
+     pa.InadmissibleWeightsError, "^weights must be sorted descending$"),
+    (lambda: pa.Weights(Fraction(3, 5), Fraction(0), Fraction(-3, 5)),
+     pa.InadmissibleWeightsError, r"^weight spread must be < 1$"),
+    (lambda: pa.Weights(mu1=0.5, mu2=0.25, mu3=-0.25), pa.InadmissibleWeightsError,
+     "^weights must sum to 0, got 0.5$"),
+    (lambda: pa.Weights(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
+     pa.InadmissibleWeightsError, "^weights must sum to 0, got 1$"),
+    (lambda: ModularAuto(JacPoint(CURVE, Fraction(1, 2), Fraction(0)), False), ValueError,
+     "^shift must be a 3-torsion point$"),
+    (lambda: ModularAuto(shift=JacPoint(CURVE, 1 / 3 + 1e-5, 0.0), dual=True), ValueError,
+     "^shift must be a 3-torsion point$"),
 ]
 
 
