@@ -41,6 +41,20 @@ def _need(payload: dict, key: str):
     return payload[key]
 
 
+# the two shape checks: v itself when it has the shape, else a SchemaError with message
+
+def _list(v, n: int, message: str) -> list:
+    if isinstance(v, list) and len(v) == n:
+        return v
+    raise SchemaError(message)
+
+
+def _object(v, message: str) -> dict:
+    if isinstance(v, dict):
+        return v
+    raise SchemaError(message)
+
+
 def _is_number(x) -> bool:
     # JSON true/false arrive as bool, a subclass of int, but are not numbers;
     # json reads NaN, Infinity and -Infinity as floats, which are not either
@@ -57,8 +71,8 @@ def parse_complex(v) -> complex:
     raise SchemaError(f"expected a number or [re, im] pair, got {v!r}")
 
 
-def parse_curve(payload: dict, key: str = "tau") -> CurveSpec:
-    return CurveSpec(parse_complex(_need(payload, key)))
+def parse_curve(payload: dict) -> CurveSpec:
+    return CurveSpec(parse_complex(_need(payload, "tau")))
 
 
 def parse_point(v, curve: CurveSpec) -> JacPoint:
@@ -87,6 +101,10 @@ def ser_complex(z: complex) -> Any:
     return [z.real, z.imag]
 
 
+def parse_points(v, n: int, curve: CurveSpec, message: str) -> list:
+    return [parse_point(p, curve) for p in _list(v, n, message)]
+
+
 def ser_point(p: JacPoint) -> list:
     if p.is_exact:
         return [p.s.numerator, p.s.denominator, p.t.numerator, p.t.denominator]
@@ -95,36 +113,29 @@ def ser_point(p: JacPoint) -> list:
 
 
 def parse_plane_point(v) -> we.PlanePoint:
-    if not (isinstance(v, list) and len(v) == 3):
-        raise SchemaError("plane point must be a 3-list of complex coordinates")
+    v = _list(v, 3, "plane point must be a 3-list of complex coordinates")
     return we.PlanePoint.of(*(parse_complex(c) for c in v))
 
 
 def parse_plane_line(v) -> we.PlaneLine:
-    if not (isinstance(v, list) and len(v) == 3):
-        raise SchemaError("plane line must be a 3-list of complex coefficients")
+    v = _list(v, 3, "plane line must be a 3-list of complex coefficients")
     return we.PlaneLine.of(*(parse_complex(c) for c in v))
 
 
-def ser_plane_point(p: we.PlanePoint) -> list:
-    return [ser_complex(p.x), ser_complex(p.y), ser_complex(p.z)]
+def ser_plane(p) -> list:
+    """A PlanePoint's coordinates or a PlaneLine's coefficients."""
+    a, b, c = p.vec()
+    return [ser_complex(a), ser_complex(b), ser_complex(c)]
 
 
-def ser_plane_line(l: we.PlaneLine) -> list:
-    return [ser_complex(l.u), ser_complex(l.v), ser_complex(l.w)]
-
-
-def parse_class(payload: dict, curve: CurveSpec, key: str = "class") -> bd.BundleClass:
-    v = _need(payload, key)
+def parse_class(payload: dict, curve: CurveSpec) -> bd.BundleClass:
+    v = _need(payload, "class")
     if not isinstance(v, dict) or "label" not in v:
         raise SchemaError("class must be an object with a 'label'")
     label = v["label"]
     if label == "T1":
-        triple = v.get("triple")
-        if not (isinstance(triple, list) and len(triple) == 3):
-            raise SchemaError("T1 class needs a 3-element 'triple'")
-        pts = [parse_point(p, curve) for p in triple]
-        return bd.classify_triple(*pts)
+        return bd.classify_triple(*parse_points(v.get("triple"), 3, curve,
+                                                "T1 class needs a 3-element 'triple'"))
     if "point" not in v:
         raise SchemaError(f"{label} class needs a 'point'")
     z = parse_point(v["point"], curve)
@@ -157,17 +168,15 @@ def ser_proj(p: ProjScalar) -> Any:
     return [ser_complex(p.num), 1.0]
 
 
-def parse_flag(payload: dict, key: str = "flag") -> pa.Flag:
-    v = _need(payload, key)
-    if not isinstance(v, dict):
-        raise SchemaError("flag must be an object {P, L}")
+def parse_flag(payload: dict) -> pa.Flag:
+    v = _object(_need(payload, "flag"), "flag must be an object {P, L}")
     return pa.Flag(parse_plane_point(_need(v, "P")), parse_plane_line(_need(v, "L")))
 
 
 def parse_matrix(v) -> list:
-    if not (isinstance(v, list) and len(v) == 3 and all(isinstance(r, list) and len(r) == 3 for r in v)):
-        raise SchemaError("matrix must be a 3x3 array")
-    return [[parse_complex(c) for c in row] for row in v]
+    message = "matrix must be a 3x3 array"
+    rows = [_list(r, 3, message) for r in _list(v, 3, message)]  # every shape before any entry
+    return [[parse_complex(c) for c in row] for row in rows]
 
 
 def ser_matrix(M: Sequence[Sequence[complex]]) -> list:
@@ -190,12 +199,9 @@ def _parse_weight_entry(x):
     raise SchemaError(f"weight must be a number or fraction string, got {x!r}")
 
 
-def parse_weights(payload: dict, key: str = "weights") -> pa.Weights:
-    v = _need(payload, key)
-    if not (isinstance(v, list) and len(v) == 3):
-        raise SchemaError("weights must be a 3-list")
-    w, _ = pa.make_weights(*(_parse_weight_entry(x) for x in v))
-    return w
+def parse_weights(v, message: str) -> tuple[pa.Weights, str]:
+    """The weights and chamber of a 3-list of raw weights, as make_weights gives them."""
+    return pa.make_weights(*(_parse_weight_entry(x) for x in _list(v, 3, message)))
 
 
 def ser_weights(w: pa.Weights) -> list:
@@ -203,34 +209,24 @@ def ser_weights(w: pa.Weights) -> list:
 
 
 def ser_locus_config(cfg: bd.SubbundleConfig) -> dict:
-    def pt_loc(l: bd.PointLocus) -> dict:
+    def ser_locus(l) -> dict:
+        # a PointLocus or LineLocus: its dim, then each of its plane fields that is set
         out: dict = {"dim": l.dim}
-        if l.point is not None:
-            out["point"] = ser_plane_point(l.point)
-        if l.sweep is not None:
-            out["sweep"] = ser_plane_line(l.sweep)
+        for name in l._fields[1:]:
+            p = getattr(l, name)
+            if p is not None:
+                out[name] = ser_plane(p)
         return out
 
-    def ln_loc(l: bd.LineLocus) -> dict:
-        out: dict = {"dim": l.dim}
-        if l.line is not None:
-            out["line"] = ser_plane_line(l.line)
-        if l.pencil is not None:
-            out["pencil"] = ser_plane_point(l.pencil)
-        return out
-
-    return {"rank1": [pt_loc(l) for l in cfg.rank1],
-            "rank2": [ln_loc(l) for l in cfg.rank2]}
+    return {"rank1": [ser_locus(l) for l in cfg.rank1],
+            "rank2": [ser_locus(l) for l in cfg.rank2]}
 
 
 # ---------- command handlers ----------
 
 def _cmd_classify_bundle(payload, tol):
     curve = parse_curve(payload)
-    triple = _need(payload, "triple")
-    if not (isinstance(triple, list) and len(triple) == 3):
-        raise SchemaError("'triple' must be a 3-list of points")
-    pts = [parse_point(p, curve) for p in triple]
+    pts = parse_points(_need(payload, "triple"), 3, curve, "'triple' must be a 3-list of points")
     cls = bd.classify_triple(*pts, tol=tol or jl.EQ_TOL)
     return ser_class(cls)
 
@@ -244,7 +240,7 @@ def _cmd_graded(payload, tol):
 def _cmd_tu_line(payload, tol):
     curve = parse_curve(payload)
     cls = parse_class(payload, curve)
-    return {"line": ser_plane_line(bd.tu_line(cls, curve))}
+    return {"line": ser_plane(bd.tu_line(cls, curve))}
 
 
 def _cmd_intersect_line(payload, tol):
@@ -298,10 +294,7 @@ def _cmd_universal_family(payload, tol):
 
 
 def _cmd_weights(payload, tol):
-    raw = _need(payload, "raw")
-    if not (isinstance(raw, list) and len(raw) == 3):
-        raise SchemaError("'raw' must be a 3-list")
-    w, chamber = pa.make_weights(*(_parse_weight_entry(x) for x in raw))
+    w, chamber = parse_weights(_need(payload, "raw"), "'raw' must be a 3-list")
     return {"weights": ser_weights(w), "chamber": chamber}
 
 
@@ -309,14 +302,13 @@ def _cmd_stability(payload, tol):
     curve = parse_curve(payload)
     cls = parse_class(payload, curve)
     flag = parse_flag(payload)
-    w = parse_weights(payload)
+    w, _ = parse_weights(_need(payload, "weights"), "weights must be a 3-list")
     v = pa.stability(cls, flag, w)
     out: dict = {"verdict": v.status}
     if v.witness is not None:
         wit = v.witness
-        locus = (ser_plane_point(wit.locus) if isinstance(wit.locus, we.PlanePoint)
-                 else ser_plane_line(wit.locus))
-        out["witness"] = {"rank": wit.rank, "locus": locus, "pardeg": float(wit.pardeg)}
+        out["witness"] = {"rank": wit.rank, "locus": ser_plane(wit.locus),
+                          "pardeg": float(wit.pardeg)}
     return out
 
 
@@ -379,10 +371,8 @@ def _cmd_abel(payload, tol):
     from . import modspace as ms
 
     curve = parse_curve(payload)
-    pair = _need(payload, "pair")
-    if not (isinstance(pair, list) and len(pair) == 2):
-        raise SchemaError("'pair' must be a 2-list of points")
-    sp = ms.SymPair(parse_point(pair[0], curve), parse_point(pair[1], curve))
+    sp = ms.SymPair(*parse_points(_need(payload, "pair"), 2, curve,
+                                  "'pair' must be a 2-list of points"))
     return {"point": ser_point(ms.abel(sp))}
 
 
@@ -394,47 +384,35 @@ def _cmd_torelli(payload, tol):
     return {"isomorphic": ms.curves_isomorphic(t1, t2, rel_tol=tol or jl.J_TOL)}
 
 
-def _ser_auto(g) -> dict:
-    return {"shift": ser_point(g.shift), "dual": g.dual}
-
-
-def _parse_auto(v, curve: CurveSpec):
-    from . import autgroup as ag
-
-    if not isinstance(v, dict):
-        raise SchemaError("automorphism must be an object {shift, dual}")
-    dual = _need(v, "dual")
-    if not isinstance(dual, bool):
-        raise SchemaError(f"'dual' must be true or false, got {dual!r}")
-    return ag.ModularAuto(parse_point(_need(v, "shift"), curve), dual)
-
-
 def _cmd_aut_elements(payload, tol):
     from . import autgroup as ag
 
     curve = parse_curve(payload)
-    return {"elements": [_ser_auto(g) for g in ag.group_elements(curve)]}
+    return {"elements": [{"shift": ser_point(g.shift), "dual": g.dual}
+                         for g in ag.group_elements(curve)]}
 
 
 def _cmd_aut_act(payload, tol):
     from . import autgroup as ag
 
     curve = parse_curve(payload)
-    g = _parse_auto(_need(payload, "g"), curve)
+    v = _object(_need(payload, "g"), "automorphism must be an object {shift, dual}")
+    dual = _need(v, "dual")
+    if not isinstance(dual, bool):
+        raise SchemaError(f"'dual' must be true or false, got {dual!r}")
+    g = ag.ModularAuto(parse_point(_need(v, "shift"), curve), dual)
     target = _need(payload, "target")
     if target == "plane":
         return {"matrix": ser_matrix(ag.act_plane(g, curve))}
-    if not isinstance(target, dict):
-        raise SchemaError("'target' must be 'plane' or an object")
-    if "class" in target and "coord" in target:
-        cls = parse_class(target, curve)
-        coord = parse_proj(target["coord"])
-        chamber = target.get("chamber", pa.CHAMBER_MINUS)
-        ncls, ncoord, nch = ag.act_parabolic(g, cls, coord, chamber)
-        return {"class": ser_class(ncls), "coord": ser_proj(ncoord), "chamber": nch}
-    if "class" in target:
-        return {"class": ser_class(ag.act_class(g, parse_class(target, curve)))}
-    raise SchemaError("'target' must be 'plane', {class}, or {class, coord, chamber}")
+    target = _object(target, "'target' must be 'plane' or an object")
+    if "class" not in target:
+        raise SchemaError("'target' must be 'plane', {class}, or {class, coord, chamber}")
+    cls = parse_class(target, curve)
+    if "coord" not in target:
+        return {"class": ser_class(ag.act_class(g, cls))}
+    chamber = target.get("chamber", pa.CHAMBER_MINUS)
+    ncls, ncoord, nch = ag.act_parabolic(g, cls, parse_proj(target["coord"]), chamber)
+    return {"class": ser_class(ncls), "coord": ser_proj(ncoord), "chamber": nch}
 
 
 COMMANDS = {
@@ -470,6 +448,11 @@ def _check_tol(tol, given=None) -> None:
         raise SchemaError(f"tol must be a finite number > 0, got {shown!r}")
 
 
+def _failure(error: str, message: str, diagnostics: list) -> dict:
+    return {"ok": False, "result": {"error": error, "message": message},
+            "diagnostics": diagnostics}
+
+
 def run(request: dict, tol: Optional[float] = None) -> tuple[dict, int]:
     """Dispatch one request; returns (response, exit_code)."""
     diagnostics: list[str] = []
@@ -477,27 +460,20 @@ def run(request: dict, tol: Optional[float] = None) -> tuple[dict, int]:
         diagnostics.append(f"tol={tol!r}")
     try:
         _check_tol(tol)
-        if not isinstance(request, dict):
-            raise SchemaError("request must be a JSON object")
-        command = request.get("command")
+        command = _object(request, "request must be a JSON object").get("command")
         if not isinstance(command, str):
             raise SchemaError("missing 'command' string")
         handler = COMMANDS.get(command)
         if handler is None:
-            return ({"ok": False, "result": {"error": "UnknownCommand",
-                                             "message": f"unknown command {command!r}"},
-                     "diagnostics": diagnostics}, EXIT_SCHEMA)
-        payload = request.get("payload", {})
-        if not isinstance(payload, dict):
-            raise SchemaError("'payload' must be a JSON object")
+            return _failure("UnknownCommand", f"unknown command {command!r}",
+                            diagnostics), EXIT_SCHEMA
+        payload = _object(request.get("payload", {}), "'payload' must be a JSON object")
         result = handler(payload, tol)
         return ({"ok": True, "result": result, "diagnostics": diagnostics}, EXIT_OK)
     except SchemaError as exc:
-        return ({"ok": False, "result": {"error": "SchemaViolation", "message": str(exc)},
-                 "diagnostics": diagnostics}, EXIT_SCHEMA)
+        return _failure("SchemaViolation", str(exc), diagnostics), EXIT_SCHEMA
     except (ValueError, ArithmeticError) as exc:
-        return ({"ok": False, "result": {"error": type(exc).__name__, "message": str(exc)},
-                 "diagnostics": diagnostics}, EXIT_DOMAIN)
+        return _failure(type(exc).__name__, str(exc), diagnostics), EXIT_DOMAIN
 
 
 # the encoder json.dumps would build for these arguments on every call
@@ -510,8 +486,7 @@ def _dump(obj) -> str:
 
 def _refuse(message: str) -> int:
     """Answer input refused before any request runs: SchemaViolation, exit 3."""
-    print(_dump({"ok": False, "result": {"error": "SchemaViolation", "message": message},
-                 "diagnostics": []}))
+    print(_dump(_failure("SchemaViolation", message, [])))
     return EXIT_SCHEMA
 
 
@@ -519,14 +494,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="ellpar",
         description="JSON oracle interface to the parabolic-moduli library")
-    parser.add_argument("--tol", default=None,
-                        help="a finite number > 0 (also via TOL env var) that replaces the "
-                             "library default tolerance of classify-bundle, "
-                             "classify-monodromy, universal-family, covering and torelli; "
-                             "the other commands ignore it (see README.md, Command-line "
-                             "interface)")
-    parser.add_argument("--file", type=str, default=None,
-                        help="read a JSON array of requests from a file instead of stdin")
+    parser.add_argument("--tol",
+                        help="a finite number > 0 (also via TOL env var) that replaces a "
+                             "library default: EQ_TOL in classify-bundle, the nilpotency "
+                             "tolerance in classify-monodromy and universal-family, CUSP_TOL "
+                             "in covering and J_TOL in torelli; the other commands ignore it "
+                             "(see README.md, Command-line interface)")
+    parser.add_argument("--file", help="read a JSON array of requests from a file instead of stdin")
     args = parser.parse_args(argv)
 
     raw = args.tol if args.tol is not None else os.environ.get("TOL") or None
@@ -536,33 +510,25 @@ def main(argv: Optional[list[str]] = None) -> int:
         tol = math.nan  # refused below with the other non-finite values
     try:
         _check_tol(tol, raw)
-    except SchemaError as exc:
-        return _refuse(str(exc))
-
-    try:
         if args.file:
             with open(args.file, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         else:
             data = json.load(sys.stdin)
-    except (OSError, json.JSONDecodeError) as exc:
+        if args.file and not isinstance(data, list):
+            raise SchemaError("--file expects a JSON array of requests")
+    except (OSError, ValueError, RecursionError) as exc:
+        # a refused tol or batch, no file, bytes that are not UTF-8, or text
+        # that is not JSON or nests deeper than the decoder allows
         return _refuse(str(exc))
 
-    if args.file:
-        if not isinstance(data, list):
-            return _refuse("--file expects a JSON array of requests")
-        texts = []
-        worst = EXIT_OK
-        for req in data:
-            resp, code = run(req, tol)
-            texts.append(_dump(resp))
-            worst = max(worst, code)
-        print("[" + ",".join(texts) + "]")
-        return worst
-
-    resp, code = run(data, tol)
-    print(_dump(resp))
-    return code
+    texts, codes = [], [EXIT_OK]
+    for req in data if args.file else [data]:
+        resp, code = run(req, tol)
+        texts.append(_dump(resp))
+        codes.append(code)
+    print("[" + ",".join(texts) + "]" if args.file else texts[0])
+    return max(codes)  # a batch exits with its worst code
 
 
 if __name__ == "__main__":

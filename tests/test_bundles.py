@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -264,6 +265,25 @@ def test_a_double_of_two_nearby_float_points_moves_to_the_root_of_the_sum(curve)
         assert jl.distance(jl.add(jl.mul(2, cls.point), r), jl.zero(curve)) < 1e-15
         assert jl.distance(cls.point, d) < jl.EQ_TOL
         assert jl.distance(cls.point, classes[0].point) < 1e-15
+
+
+def test_a_moved_double_point_that_reaches_the_third_point_joins_it(curve):
+    # a, b = a + dv are one pair at 0.99 EQ_TOL, and r = -a - b is 1.107 EQ_TOL
+    # from each; the double moves to d = a + dv/2, 0.99 EQ_TOL from r across
+    # v, so merge_triple makes all three one point: the flex (1/3, 1/3)
+    tol = jl.EQ_TOL
+    v, w = (math.cos(0.3), math.sin(0.3)), (-math.sin(0.3), math.cos(0.3))
+    eps = [0.33 * tol * wi - 0.5 * 0.99 * tol * vi for vi, wi in zip(v, w)]
+    a = JacPoint(curve, 1 / 3 + eps[0], 1 / 3 + eps[1])
+    b = JacPoint(curve, a.s + 0.99 * tol * v[0], a.t + 0.99 * tol * v[1])
+    r = JacPoint(curve, 1 / 3 - 0.66 * tol * w[0], 1 / 3 - 0.66 * tol * w[1])
+    gaps = sorted(jl.distance(p, q) / tol for p, q in ((a, b), (a, r), (b, r)))
+    assert gaps == pytest.approx([0.99, 1.107, 1.107], abs=1e-3)
+    flex = exact(curve, Fraction(1, 3), Fraction(1, 3))
+    for order in itertools.permutations((a, b, r)):
+        z1, z2, z3 = jl.merge_triple(order)
+        assert z1 is z2 is z3 and jl.distance(z1, flex) < 1e-15
+        assert bd.classify_triple(*order) == bd.BundleClass("T31", point=flex)
 
 
 def test_classify_triple_reads_a_merged_intersection_as_it_is(curve):

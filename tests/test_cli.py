@@ -236,6 +236,47 @@ def test_malformed_fraction_strings_are_schema_errors(request_):
     assert resp["result"]["error"] == "SchemaViolation"
 
 
+T1_CLASS = {"label": "T1", "triple": [[1, 5, 0, 1], [0, 1, 1, 7], [4, 5, 6, 7]]}
+FLAG = {"P": [1, 2, 3], "L": [1, 1, -1]}
+AUT = {"shift": [0, 1, 0, 1], "dual": True}
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("graded", {"tau": TAU, "class": {"label": "T21", "point": "x"}},
+     "expected a point as a 2- or 4-list, got 'x'"),
+    ("psi-plus", {"tau": TAU, "line": [1, 1, -1], "x": [1, 2]},
+     "plane point must be a 3-list of complex coordinates"),
+    ("intersect-line", {"tau": TAU, "line": 5},
+     "plane line must be a 3-list of complex coefficients"),
+    ("graded", {"tau": TAU, "class": []}, "class must be an object with a 'label'"),
+    ("graded", {"tau": TAU, "class": {"label": "T1", "triple": [[1, 5, 0, 1]]}},
+     "T1 class needs a 3-element 'triple'"),
+    ("graded", {"tau": TAU, "class": {"label": "T21"}}, "T21 class needs a 'point'"),
+    ("graded", {"tau": TAU, "class": {"label": "T9", "point": [1, 5, 0, 1]}},
+     "unknown class label 'T9'"),
+    ("stability", {"tau": TAU, "class": T1_CLASS, "flag": [1]}, "flag must be an object {P, L}"),
+    ("classify-monodromy", {"tau": TAU, "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "B": [[1, 0, 0]]},
+     "matrix must be a 3x3 array"),
+    ("classify-monodromy", {"tau": TAU, "A": [[1, 0, "x"], [0, 1], [0, 0, 1]], "B": []},
+     "matrix must be a 3x3 array"),
+    ("stability", {"tau": TAU, "class": T1_CLASS, "flag": FLAG, "weights": ["1/5", "-1/5"]},
+     "weights must be a 3-list"),
+    ("type-facts", {"label": "T9"}, "unknown label 'T9'"),
+    ("abel", {"tau": TAU, "pair": [[1, 5, 0, 1]]}, "'pair' must be a 2-list of points"),
+    ("aut-act", {"tau": TAU, "g": [], "target": "plane"},
+     "automorphism must be an object {shift, dual}"),
+    ("aut-act", {"tau": TAU, "g": AUT, "target": "x"}, "'target' must be 'plane' or an object"),
+    ("aut-act", {"tau": TAU, "g": AUT, "target": {"coord": [2, 1]}},
+     "'target' must be 'plane', {class}, or {class, coord, chamber}"),
+], ids=["point", "plane-point", "plane-line", "class", "t1-triple", "class-point",
+        "class-label", "flag", "matrix", "matrix-row", "weights", "type-facts-label", "pair",
+        "automorphism", "target", "target-object"])
+def test_each_malformed_shape_is_refused_with_its_message(command, payload, message):
+    resp = {"ok": False, "result": {"error": "SchemaViolation", "message": message},
+            "diagnostics": []}
+    assert cli.run({"command": command, "payload": payload}) == (resp, cli.EXIT_SCHEMA)
+
+
 STABILITY_JSON = ('{"command": "stability", "payload": {"tau": %s, "class": {"label": "T1", '
                   '"triple": [[1, 5, 0, 1], [0, 1, 1, 7], [4, 5, 6, 7]]}, "flag": '
                   '{"P": [1, 2, 3], "L": [1, 1, -1]}, "weights": ["1/5", "-1/10", "-1/10"]}}')
@@ -339,6 +380,46 @@ def test_executable_exit_codes():
                                                "class": {"label": "T31",
                                                          "point": [1, 5, 0, 1]}}}))
     assert proc.returncode == 2
+
+
+def refused(out: str) -> bool:
+    resp = json.loads(out)
+    return not resp["ok"] and resp["result"]["error"] == "SchemaViolation"
+
+
+def test_a_batch_file_that_is_not_utf8_is_a_schema_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("TOL", raising=False)
+    f = tmp_path / "batch.json"
+    f.write_bytes(b'[{"command": "type-facts", "payload": {"label": "T\xff"}}]')
+    assert cli.main(["--file", str(f)]) == cli.EXIT_SCHEMA
+    assert refused(capsys.readouterr().out)
+
+
+def test_stdin_that_is_not_utf8_is_a_schema_error():
+    env = {k: v for k, v in os.environ.items() if k != "TOL"}
+    env["PYTHONIOENCODING"] = "utf-8:strict"
+    proc = subprocess.run([sys.executable, "-m", "ellpar.cli"], input=b'{"command": "\xff"}',
+                          capture_output=True, env=env)
+    assert proc.returncode == 3, proc.stderr
+    assert refused(proc.stdout)
+
+
+@pytest.mark.parametrize("source", ["--file", "stdin"])
+@pytest.mark.parametrize("text", ["[" * 5000 + "]" * 5000, "[" + "9" * 5000 + "]"],
+                         ids=["nested", "long-integer"])
+def test_json_past_the_decoder_limits_is_a_schema_error(text, source, tmp_path, monkeypatch,
+                                                        capsys):
+    # nested deeper than the decoder recurses, or an integer longer than
+    # Python converts from a string
+    monkeypatch.delenv("TOL", raising=False)
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        args = []
+    else:
+        (tmp_path / "batch.json").write_text(text)
+        args = ["--file", str(tmp_path / "batch.json")]
+    assert cli.main(args) == cli.EXIT_SCHEMA
+    assert refused(capsys.readouterr().out)
 
 
 def test_batch_file_mode(tmp_path):
