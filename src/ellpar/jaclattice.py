@@ -27,7 +27,6 @@ from typing import Iterable, Sequence, Union
 # ---------------------------------------------------------------------------
 
 # jaclattice
-DEFAULT_TOL = 1e-9  # equal and is_zero without a tol: the lattice distance of one point
 # the coincidence rule of every library decision on approximate points: p, q
 # are one point when equal(p, q, EQ_TOL), a triple's points coincide as
 # merge_triple decides at it, and z is 3-torsion when 3z is 0 so
@@ -177,7 +176,7 @@ class JacPoint(Value):
         s, t = self.coords()
         return s + t * self.curve.tau
 
-    def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
+    def is_zero(self, tol: float = EQ_TOL) -> bool:
         """equal(self, zero(curve), tol), without building the zero point."""
         if self.is_exact:
             return not self.s and not self.t
@@ -298,7 +297,7 @@ def mul(k: int, p: JacPoint) -> JacPoint:
     return _reduced(p.curve, k * p.s, k * p.t)
 
 
-def sums_to_zero(p: JacPoint, q: JacPoint, r: JacPoint, tol: float = DEFAULT_TOL) -> bool:
+def sums_to_zero(p: JacPoint, q: JacPoint, r: JacPoint, tol: float = EQ_TOL) -> bool:
     """add(add(p, q), r).is_zero(tol): does the triple sum to 0 mod Lambda.
 
     Three exact points are decided on their coordinates' integers, building
@@ -331,7 +330,7 @@ def _integral_sum(x, y, z) -> bool:
                 + z.numerator * d1 * d2) % (d1 * d2 * d3)
 
 
-def is_torsion(p: JacPoint, n: int, tol: float = DEFAULT_TOL) -> bool:
+def is_torsion(p: JacPoint, n: int, tol: float = EQ_TOL) -> bool:
     """mul(n, p).is_zero(tol): is p n-torsion.
 
     An exact point is decided on its coordinates' integers, building no
@@ -342,7 +341,7 @@ def is_torsion(p: JacPoint, n: int, tol: float = DEFAULT_TOL) -> bool:
     return not n * s.numerator % s.denominator and not n * t.numerator % t.denominator
 
 
-def equal(p: JacPoint, q: JacPoint, tol: float = DEFAULT_TOL) -> bool:
+def equal(p: JacPoint, q: JacPoint, tol: float = EQ_TOL) -> bool:
     """Equality mod Lambda.
 
     Exact/exact comparison is exact: it compares the stored coordinates, so

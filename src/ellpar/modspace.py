@@ -51,14 +51,14 @@ class SymPair(Value):
 def cross_ratio(z1: ProjScalar, z2: ProjScalar, z3: ProjScalar,
                 z4: ProjScalar) -> ProjScalar:
     """((z1-z3)(z2-z4)) / ((z1-z4)(z2-z3)), projectively (infinities allowed)."""
-    zs = [z if isinstance(z, ProjScalar) else ProjScalar(z, 1) for z in (z1, z2, z3, z4)]
+    return _cross_ratio((z1.num, z1.den), (z2.num, z2.den), (z3.num, z3.den), (z4.num, z4.den))
 
-    def d(a: ProjScalar, b: ProjScalar) -> complex:
-        return a.num * b.den - b.num * a.den
 
-    z1, z2, z3, z4 = zs
-    num = d(z1, z3) * d(z2, z4)
-    den = d(z1, z4) * d(z2, z3)
+def _cross_ratio(a, b, c, d) -> ProjScalar:
+    """cross_ratio of four points of P^1 given as homogeneous pairs (x, y):
+    (ac)(bd) / ((ad)(bc)), (pq) the determinant p_x q_y - p_y q_x."""
+    num = (a[0] * c[1] - a[1] * c[0]) * (b[0] * d[1] - b[1] * d[0])
+    den = (a[0] * d[1] - a[1] * d[0]) * (b[0] * c[1] - b[1] * c[0])
     if num == 0 and den == 0:
         raise ThreefoldCoincidenceError("three of the four points coincide")
     return ProjScalar(num, den)
@@ -98,14 +98,13 @@ def psi_plus(ip: IncidencePoint, curve: CurveSpec) -> tuple[BundleClass, ProjSca
     points the intersection solved for, not re-embedded, and the line object
     keeps that intersection and its class: sigma_cover_count on it and
     psi_plus at every point of its fiber share one solve and one class.
-    lambda is read in one chart of the line (see _line_chart), as
-    (d13 d24) / (d14 d23) from the 2x2 determinants d_ij of the points'
-    kept coordinates.  A point ip.x off the line (IncidencePoint allows a
-    residual of INCIDENCE_POINT_TOL) is thereby projected onto it centrally
-    from e_k.  On a tangent line (a shared parameter: the extension stratum)
-    lambda is the cross-ratio's value there, whatever ip.x is: exactly 1 when
-    the double point sorts first and inf when it sorts last.  A flex tangent
-    has no frame.
+    lambda is cross_ratio's formula (_cross_ratio) on the points' coordinates
+    kept in one chart of the line (see _line_chart).  A point ip.x off the
+    line (IncidencePoint allows a residual of INCIDENCE_POINT_TOL) is thereby
+    projected onto it centrally from e_k.  On a tangent line (a shared
+    parameter: the extension stratum) lambda is the cross-ratio's value
+    there, whatever ip.x is: exactly 1 when the double point sorts first and
+    inf when it sorts last.  A flex tangent has no frame.
     """
     solved = _solved(ip.line, curve)
     cls = _line_class(solved)
@@ -127,11 +126,7 @@ def _framed(hits: Sequence[tuple[JacPoint, Vec]], line: PlaneLine,
         return PROJ_INF
     i, j = _line_chart(line)
     p4 = x.vec()
-    num = (p1[i] * p3[j] - p1[j] * p3[i]) * (p2[i] * p4[j] - p2[j] * p4[i])
-    den = (p1[i] * p4[j] - p1[j] * p4[i]) * (p2[i] * p3[j] - p2[j] * p3[i])
-    if num == 0 and den == 0:
-        raise ThreefoldCoincidenceError("three of the four points coincide")
-    return ProjScalar(num, den)
+    return _cross_ratio((p1[i], p1[j]), (p2[i], p2[j]), (p3[i], p3[j]), (p4[i], p4[j]))
 
 
 def _nearest_order(hits: Sequence[tuple[JacPoint, Vec]],
@@ -227,12 +222,10 @@ def _chart(line: PlaneLine, u1: complex, u2: complex, t: complex, curve: CurveSp
     lambda frames x with l's points in the order nearest the frame's (see
     _nearest_order) instead of in their own canonical order."""
     x = PlanePoint.of(1, complex(t), -u1 - complex(t) * u2)
-    ip = IncidencePoint(x, line)
-    if frame is None:
-        cls, lam = psi_plus(ip, curve)
-    else:
-        solved = _solved(line, curve)
-        cls, lam = _line_class(solved), _framed(_nearest_order(solved.hits, frame), line, x)
+    IncidencePoint(x, line)  # refuses an x off the line
+    solved = _solved(line, curve)
+    cls = _line_class(solved)
+    lam = _framed(solved.order if frame is None else _nearest_order(solved.hits, frame), line, x)
     lrec = tu_line(cls, curve)
     if abs(lrec.w) < CHART_EDGE_TOL:
         raise ValueError("recovered line leaves the affine chart")

@@ -21,7 +21,6 @@ import cmath
 import math
 from fractions import Fraction
 from functools import cached_property
-from numbers import Rational
 from typing import Optional, Sequence, Union
 
 from .bundles import _CONFIGS, BundleClass, LineLocus, PointLocus
@@ -45,13 +44,7 @@ class NotStableError(ValueError):
 
 
 def _exactify(x) -> Scalar:
-    if isinstance(x, Rational):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return x
-    return Fraction(x)
+    return x if isinstance(x, float) else Fraction(x)
 
 
 class Weights(Value):

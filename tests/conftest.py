@@ -126,7 +126,7 @@ def close_to_reference(a, b, tol: float = we.MERGE_TOL) -> bool:
     return math.hypot(*map(abs, we._cross(a.vec(), b.vec()))) <= tol
 
 
-def equal_reference(p: JacPoint, q: JacPoint, tol: float = jl.DEFAULT_TOL) -> bool:
+def equal_reference(p: JacPoint, q: JacPoint, tol: float = 1e-9) -> bool:
     """jaclattice.equal through is_exact and coords()."""
     jl._check_curves(p, q)
     if p.is_exact and q.is_exact:
@@ -138,12 +138,12 @@ def equal_reference(p: JacPoint, q: JacPoint, tol: float = jl.DEFAULT_TOL) -> bo
     return math.hypot(ds, dt) <= tol
 
 
-def sums_to_zero_reference(p: JacPoint, q: JacPoint, r: JacPoint, tol: float = jl.DEFAULT_TOL) -> bool:
+def sums_to_zero_reference(p: JacPoint, q: JacPoint, r: JacPoint, tol: float = 1e-9) -> bool:
     """jaclattice.sums_to_zero as the composition it is defined by."""
     return jl.add(jl.add(p, q), r).is_zero(tol)
 
 
-def is_torsion_reference(p: JacPoint, n: int, tol: float = jl.DEFAULT_TOL) -> bool:
+def is_torsion_reference(p: JacPoint, n: int, tol: float = 1e-9) -> bool:
     """jaclattice.is_torsion as the composition it is defined by."""
     return jl.mul(n, p).is_zero(tol)
 

@@ -38,8 +38,8 @@ def test_point_representation_is_exclusive(curve):
 
 def test_int_coordinates_are_exact(curve):
     p = JacPoint(curve, s=0, t=0)
-    assert p.is_exact and p.is_zero()
-    assert jl.equal(p, jl.zero(curve))
+    assert p.is_exact and p.is_zero(tol=1e-9)
+    assert jl.equal(p, jl.zero(curve), tol=1e-9)
 
 
 def test_float_seam_reduces_to_zero(curve):
@@ -61,9 +61,9 @@ def test_group_law_exact_commutative_associative(s1, t1, s2, t2):
     curve = CurveSpec(TAU)
     p = jl.canon((s1, t1), curve)
     q = jl.canon((s2, t2), curve)
-    assert jl.equal(jl.add(p, q), jl.add(q, p))
-    assert jl.add(p, jl.neg(p)).is_zero()
-    assert jl.equal(jl.sub(jl.add(p, q), q), p)
+    assert jl.equal(jl.add(p, q), jl.add(q, p), tol=1e-9)
+    assert jl.add(p, jl.neg(p)).is_zero(tol=1e-9)
+    assert jl.equal(jl.sub(jl.add(p, q), q), p, tol=1e-9)
 
 
 @given(s=fractions, t=fractions, k=st.integers(-5, 5))
@@ -75,7 +75,7 @@ def test_mul_matches_repeated_addition(s, t, k):
         acc = jl.add(acc, p)
     if k < 0:
         acc = jl.neg(acc)
-    assert jl.equal(jl.mul(k, p), acc)
+    assert jl.equal(jl.mul(k, p), acc, tol=1e-9)
 
 
 @given(z=small_complex)
@@ -98,11 +98,11 @@ def test_torsion_points_count_and_exactness(curve):
     pts = jl.torsion_points(3, curve)
     assert len(pts) == 9
     assert all(p.is_exact for p in pts)
-    assert all(jl.mul(3, p).is_zero() for p in pts)
+    assert all(jl.mul(3, p).is_zero(tol=1e-9) for p in pts)
     # pairwise distinct
     for i, p in enumerate(pts):
         for q in pts[i + 1:]:
-            assert not jl.equal(p, q)
+            assert not jl.equal(p, q, tol=1e-9)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
@@ -124,8 +124,8 @@ def test_canon_reduces_exact_coordinates_so_equal_compares_them(curve):
                 (Fraction(-5, 1), Fraction(7, 3))):
         p = jl.canon(raw, curve)
         assert (p.s, p.t) == (0, Fraction(1, 3))
-        assert jl.equal(p, reduced) and jl.equal(reduced, p)
-    assert jl.canon(JacPoint(curve, 1, 0), curve).is_zero()
+        assert jl.equal(p, reduced, tol=1e-9) and jl.equal(reduced, p, tol=1e-9)
+    assert jl.canon(JacPoint(curve, 1, 0), curve).is_zero(tol=1e-9)
 
 
 def test_curve_mismatch_raises(curve):
@@ -221,10 +221,11 @@ def test_exact_arithmetic_matches_fraction_reference(s1, t1, s2, t2, k):
     _check_reduced(jl.canon(p, curve), _ref(s1), _ref(t1))
     _check_reduced(jl.canon((s1, t1), curve), _ref(s1), _ref(t1))
     a, b = jl.canon(p, curve), jl.canon(q, curve)
-    assert jl.equal(a, b) == (_ref(s1) == _ref(s2) and _ref(t1) == _ref(t2))
-    assert jl.equal(a, jl.canon((s1 + 3, t1 - 2), curve))
-    assert a.is_zero() == (_ref(s1) == 0 and _ref(t1) == 0) == jl.equal(a, jl.zero(curve))
-    assert jl.sub(p, p).is_zero()
+    assert jl.equal(a, b, tol=1e-9) == (_ref(s1) == _ref(s2) and _ref(t1) == _ref(t2))
+    assert jl.equal(a, jl.canon((s1 + 3, t1 - 2), curve), tol=1e-9)
+    assert (a.is_zero(tol=1e-9) == (_ref(s1) == 0 and _ref(t1) == 0)
+            == jl.equal(a, jl.zero(curve), tol=1e-9))
+    assert jl.sub(p, p).is_zero(tol=1e-9)
     assert a.coords() == (float(_ref(s1)), float(_ref(t1)))
 
 
@@ -317,7 +318,7 @@ def test_equal_equals_its_reference_bit_for_bit(curve):
         ps, pt = p.coords()
         qs, qt = q.coords()
         d = math.hypot(min((ps - qs) % 1.0, (qs - ps) % 1.0), min((pt - qt) % 1.0, (qt - pt) % 1.0))
-        for tol in [jl.DEFAULT_TOL, jl.EQ_TOL, math.nextafter(d, 0), d, math.nextafter(d, 1)]:
+        for tol in [1e-9, jl.EQ_TOL, math.nextafter(d, 0), d, math.nextafter(d, 1)]:
             for a, b in ((p, q), (q, p)):
                 got = _decision(jl.equal, a, b, tol)
                 assert got == _decision(equal_reference, a, b, tol), (a.s, a.t, b.s, b.t, tol)
@@ -336,7 +337,7 @@ small_float = st.one_of(st.floats(-2, 2, allow_nan=False), st.floats(-1e-6, 1e-6
                         st.sampled_from([0.0, -0.0, 5e-324, 1 - 2 ** -53]))
 CURVE = CurveSpec(TAU)
 curves = st.sampled_from([CURVE] * 5 + [CurveSpec(TAU), CurveSpec(TAU + 1e-12), CurveSpec(TAU + 1e-3)])
-tols = st.sampled_from([0.0, 1e-12, jl.DEFAULT_TOL, jl.EQ_TOL, jl.TORSION_SNAP_TOL, 1e-3])
+tols = st.sampled_from([0.0, 1e-12, 1e-9, jl.EQ_TOL, jl.TORSION_SNAP_TOL, 1e-3])
 # added to minus the sum of two coordinates to give the third: 0 and
 # integers close the triple exactly, the rest miss by a little or a lot
 offsets = st.one_of(st.none(), st.sampled_from([0, 1, -2, Fraction(1, 60), Fraction(-1, 7)]),
@@ -430,9 +431,9 @@ def test_sums_to_zero_reads_the_seam_as_zero():
     # -1e-17 % 1 rounds to 1.0, which both sums read as the seam 0
     p, q = JacPoint(CURVE, -1e-17, 0.25), JacPoint(CURVE, 0.0, 0.25)
     r = JacPoint(CURVE, 1e-17, 0.5)
-    for tol in (0.0, 1e-17, jl.DEFAULT_TOL):
+    for tol in (0.0, 1e-17, 1e-9):
         assert jl.sums_to_zero(p, q, r, tol) == sums_to_zero_reference(p, q, r, tol)
-    assert jl.sums_to_zero(p, q, r, jl.DEFAULT_TOL)
+    assert jl.sums_to_zero(p, q, r, 1e-9)
 
 
 @given(coords=st.lists(st.tuples(st.one_of(small_exact, seam_float, seam_float.map(np.float64)),
@@ -464,8 +465,9 @@ def test_membership_tests_decide_exact_points_without_building_one(curve, monkey
     built = []
     count_calls(monkeypatch, built, JacPoint, ("__init__",))
     count_calls(monkeypatch, built, Fraction, ("__new__",))
-    answers = [jl.sums_to_zero(p, q, r), jl.sums_to_zero(p, q, p), jl.is_torsion(flex, 3),
-               jl.is_torsion(p, 3), jl.is_torsion(p, 5), jl.is_torsion(q, 28)]
+    answers = [jl.sums_to_zero(p, q, r, tol=1e-9), jl.sums_to_zero(p, q, p, tol=1e-9),
+               jl.is_torsion(flex, 3, tol=1e-9), jl.is_torsion(p, 3, tol=1e-9),
+               jl.is_torsion(p, 5, tol=1e-9), jl.is_torsion(q, 28, tol=1e-9)]
     assert answers == [True, False, True, False, False, True] and built == []
 
 
@@ -508,3 +510,19 @@ def test_merge_triple_keeps_exact_points_and_given_identity(curve):
     p, q = JacPoint(curve, 0.1, 0.2), JacPoint(curve, 0.4, 0.7)
     for zs in ([near, near, r], (p, q, jl.neg(jl.add(p, q))), [p, p, p]):
         assert jl.merge_triple(zs) is zs
+
+
+def test_the_predicates_default_to_the_one_coincidence_rule():
+    # equal, is_zero, sums_to_zero and is_torsion without a tol decide at
+    # EQ_TOL, the rule merge_triple and every library decision read: points
+    # 5e-7 apart are one point for all of them alike
+    curve = CurveSpec(TAU)
+    p = JacPoint(curve, 0.2, 0.3)
+    q = JacPoint(curve, 0.2 + 5e-7, 0.3)
+    assert jl.equal(p, q)
+    a, b, c = jl.merge_triple((p, q, jl.neg(jl.add(p, q))))
+    assert a is b and c is not a
+    assert JacPoint(curve, 5e-7, 0.0).is_zero()
+    assert jl.is_torsion(JacPoint(curve, 1 / 3 + 3e-7, 1 / 3), 3)
+    # (0.2, 0.3) + (0.5, 0.1) + (0.3, 0.6 + 5e-7) misses 0 by 5e-7
+    assert jl.sums_to_zero(p, JacPoint(curve, 0.5, 0.1), JacPoint(curve, 0.3, 0.6 + 5e-7))

@@ -182,7 +182,7 @@ def test_exotic_pair_raises_then_classifies_t32(curve):
     with pytest.raises(mo.ExoticPairError):
         mo.normal_form(pair)
     cls = mo.classify_bundle(pair, curve)
-    assert cls.label == "T32" and cls.point.is_zero()
+    assert cls.label == "T32" and cls.point.is_zero(tol=1e-9)
 
 
 def test_normal_form_conjugator_reproduces_matrices(curve):
@@ -304,7 +304,8 @@ def test_near_torsion_repeated_point_retries_finer_splits(curve, tol):
         cls = mo.classify_bundle(pair(delta), curve, tol=tol)
         assert cls.label == "T33" and cls.point == exact(curve, Fraction(1, 3), 0)
     cls = mo.classify_bundle(pair(3e-6), curve, tol=tol)
-    assert cls.label == "T22" and jl.equal(cls.point, jl.JacPoint(curve, s=1 / 3 + 1e-6, t=0.0))
+    assert cls.label == "T22" and jl.equal(cls.point, jl.JacPoint(curve, s=1 / 3 + 1e-6, t=0.0),
+                                           tol=1e-9)
     # |3z| = EQ_TOL lies in the ambiguous band: any label, but an answer
     assert mo.classify_bundle(pair(1e-6), curve, tol=tol).label in ("T22", "T33")
 

@@ -515,7 +515,7 @@ def test_shared_points_keep_the_triple_summing_to_zero():
     # a vertical tangent touches at a 2-torsion point, and the origin stays exact
     x = we.wp(0.5 + 5e-7, curve)[0]
     h, h2, o = we.intersect_curve(we.PlaneLine.of(1, 0, -x), curve)
-    assert h is h2 and o.is_exact and o.is_zero()
+    assert h is h2 and o.is_exact and o.is_zero(tol=1e-9)
     assert jl.mul(2, h).is_zero(tol=1e-15)
     # vertical lines far out meet the cubic in three points near the flex at
     # the origin: on tau = 2i the moved double point meets the third, on
