@@ -11,8 +11,8 @@ action.
 from __future__ import annotations
 
 from . import jaclattice as jl
-from .bundles import BundleClass, classify_triple, graded, make_t21, make_t22, make_t3x
-from .jaclattice import DLT_COND_TOL, EQ_TOL, CurveSpec, JacPoint, Value
+from .bundles import BundleClass
+from .jaclattice import DLT_COND_TOL, CurveSpec, JacPoint, Value
 from .parabolic import ProjScalar, _check_chamber, flip
 from .weierstrass import embed
 
@@ -22,7 +22,7 @@ class ModularAuto(Value):
     dual: bool
 
     def __init__(self, shift, dual):
-        if not jl.is_torsion(shift, 3, EQ_TOL):
+        if not jl.is_torsion(shift, 3):
             raise ValueError("shift must be a 3-torsion point")
         d = self.__dict__
         d["shift"], d["dual"] = shift, dual
@@ -48,13 +48,11 @@ def act_point(g: ModularAuto, z: JacPoint) -> JacPoint:
 
 
 def act_class(g: ModularAuto, cls: BundleClass) -> BundleClass:
-    """Tensor-and-dualize on the S-class; the label category is preserved."""
+    """Tensor-and-dualize on the S-class: it keeps the label, deciding nothing again."""
     if cls.label == "T1":
-        return classify_triple(*(act_point(g, z) for z in graded(cls)))
-    z = act_point(g, cls.point)
-    if cls.label in ("T21", "T22"):
-        return (make_t21 if cls.label == "T21" else make_t22)(z)
-    return make_t3x(cls.label, z)
+        return BundleClass("T1", triple=tuple(jl.canonical_sort(act_point(g, z)
+                                                                for z in cls.triple)))
+    return BundleClass(cls.label, point=act_point(g, cls.point))
 
 
 _IDENTITY = ((1 + 0j, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, 1 + 0j))

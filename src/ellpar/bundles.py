@@ -142,19 +142,19 @@ def _snap_to_torsion(p: JacPoint, n: int) -> JacPoint:
 
 
 def make_t21(z: JacPoint) -> BundleClass:
-    if jl.is_torsion(z, 3, EQ_TOL):
+    if jl.is_torsion(z, 3):
         raise ValueError("T21 requires 3z != 0")
     return BundleClass("T21", point=jl.canon(z, z.curve))
 
 
 def make_t22(z: JacPoint) -> BundleClass:
-    if jl.is_torsion(z, 3, EQ_TOL):
+    if jl.is_torsion(z, 3):
         raise ValueError("T22 requires 3z != 0")
     return BundleClass("T22", point=jl.canon(z, z.curve))
 
 
 def make_t3x(label: str, z: JacPoint) -> BundleClass:
-    if not jl.is_torsion(z, 3, EQ_TOL):
+    if not jl.is_torsion(z, 3):
         raise ValueError(f"{label} requires a 3-torsion point")
     return BundleClass(label, point=_snap_to_torsion(z, 3))
 

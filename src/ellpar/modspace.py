@@ -8,14 +8,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from numbers import Rational
 from typing import Optional, Sequence
 
 from . import jaclattice as jl
 from .bundles import BundleClass, _shared_class, tu_line, type_facts
-from .jaclattice import (CHART_EDGE_TOL, CUSP_TOL, EQ_TOL, INCIDENCE_POINT_TOL, J_TOL, RANK_TOL,
+from .jaclattice import (CHART_EDGE_TOL, CUSP_TOL, INCIDENCE_POINT_TOL, J_TOL, RANK_TOL,
                          CurveSpec, JacPoint, Value)
-from .parabolic import PROJ_INF, ProjScalar
+from .parabolic import PROJ_INF, ProjScalar, _exactify
 from .weierstrass import (PlaneLine, PlanePoint, Vec, _cross, _cubic_roots, _solved, _Solved,
                           curve_invariants, intersect_curve)
 
@@ -70,7 +69,7 @@ def _line_class(solved: _Solved) -> BundleClass:
     cls = solved.cls
     if cls is None:
         zs = [z for z, _ in solved.order]
-        if not jl.sums_to_zero(*zs, EQ_TOL):
+        if not jl.sums_to_zero(*zs):
             raise ValueError("triple does not sum to zero in the Jacobian")
         cls = solved.cls = _shared_class(zs)
     return cls
@@ -145,19 +144,13 @@ def parabolic_point(lam: ProjScalar) -> PlanePoint:
     return PlanePoint.of(lam.num, 1 - lam.num, 1)
 
 
-def _exact(x):
-    if isinstance(x, (Rational, str)):
-        return Fraction(x)
-    return x
-
-
 def covering_invariants(z1, z2, tol: float = CUSP_TOL) -> tuple[complex, complex, bool]:
     """The S3-invariants F2, F3 of the covering base and the cusp test.
 
     F2 = z1^2 + z1 z2 + z2^2, F3 = z1 z2 (z1 + z2); on_cusp iff
-    (F2/3)^3 = (F3/2)^2.  Exact on rational inputs.
+    (F2/3)^3 = (F3/2)^2.  Exact on exact inputs, as parabolic._exactify reads them.
     """
-    z1, z2 = _exact(z1), _exact(z2)
+    z1, z2 = _exactify(z1), _exactify(z2)
     f2 = z1 * z1 + z1 * z2 + z2 * z2
     f3 = z1 * z2 * (z1 + z2)
     lhs = (f2 / 3) ** 3

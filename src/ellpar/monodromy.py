@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from . import jaclattice as jl
 from .bundles import (BundleClass, LineLocus, PointLocus, SubbundleConfig, classify_triple,
-                      make_t21, make_t22, make_t3x)
+                      make_t3x)
 from .jaclattice import (EIGEN_SEP_TOL, EQ_TOL, NILPOTENT_TOL, PAIR_TOL, CurveSpec, JacPoint,
                          Value)
 from .weierstrass import PlaneLine, PlanePoint, _cubic_roots
@@ -321,12 +321,12 @@ def classify_bundle(pair: CommutingPair, curve: CurveSpec,
         return make_t3x("T31", by_size[3])
     if 2 in by_size:
         z = by_size[2]
-        return make_t3x("T32", z) if jl.is_torsion(z, 3, EQ_TOL) else make_t21(z)
+        return make_t3x("T32", z) if jl.is_torsion(z, 3) else BundleClass("T21", point=z)
     # semisimple: classify_triple's T21/T31 (at the repeated point) read T22/T33
     cls = classify_triple(*(z for z, _ in summands))
     if cls.label == "T1":
         return cls
-    return make_t22(cls.point) if cls.label == "T21" else make_t3x("T33", cls.point)
+    return BundleClass("T22" if cls.label == "T21" else "T33", point=cls.point)
 
 
 def universal_pair(b1: complex, b2: complex, kind: str = "generic") -> CommutingPair:

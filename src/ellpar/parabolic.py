@@ -43,8 +43,9 @@ class NotStableError(ValueError):
     """The flag is not stable in the requested chamber; no gauge exists."""
 
 
-def _exactify(x) -> Scalar:
-    return x if isinstance(x, float) else Fraction(x)
+def _exactify(x):
+    """A float or complex as it is, anything else as the Fraction it equals."""
+    return x if isinstance(x, (float, complex)) else Fraction(x)
 
 
 class Weights(Value):
@@ -166,9 +167,7 @@ def _incidence(sub: Union[PlanePoint, PlaneLine], flag: Flag) -> int:
     """0: sub is P (is L); 1: sub lies on L (passes through P); 2: neither."""
     if isinstance(sub, PlanePoint):
         return 0 if sub.close_to(flag.P) else 1 if flag.L.contains(sub) else 2
-    if isinstance(sub, PlaneLine):
-        return 0 if sub.close_to(flag.L) else 1 if sub.contains(flag.P) else 2
-    raise TypeError(f"sub must be a fiber point or line, got {type(sub)}")
+    return 0 if sub.close_to(flag.L) else 1 if sub.contains(flag.P) else 2
 
 
 def _worst_point_member(loc: PointLocus, flag: Flag) -> PlanePoint:
@@ -284,9 +283,9 @@ def flip(t: ProjScalar) -> ProjScalar:
 def _gauge_to_standard_point(cls: BundleClass, P: PlanePoint) -> Matrix:
     """Element of the class's gauge group sending P to [1:1:1].
 
-    normalize_flag calls this only on flags that stability calls Stable, so P
-    lies on no line the gauge group preserves; that incidence is not decided
-    again here."""
+    normalize_flag calls this only on flags that stability calls Stable: the
+    type is T1, T21 or T31, and P lies on no line the gauge group preserves;
+    neither is decided again here."""
     p1, p2, p3 = P.x, P.y, P.z
     lab = cls.label
     if lab == "T1":
@@ -296,12 +295,10 @@ def _gauge_to_standard_point(cls: BundleClass, P: PlanePoint) -> Matrix:
         c = 1 / p3
         b = (1 - a * p1) / p2
         return ((a, b, 0j), (0j, a, 0j), (0j, 0j, c))
-    if lab == "T31":
-        a = 1 / p3
-        b = (1 - a * p2) / p3
-        c = (1 - a * p1 - b * p2) / p3
-        return ((a, b, c), (0j, a, b), (0j, 0j, a))
-    raise NotStableError(f"type {lab} admits no stable parabolic structure")
+    a = 1 / p3
+    b = (1 - a * p2) / p3
+    c = (1 - a * p1 - b * p2) / p3
+    return ((a, b, c), (0j, a, b), (0j, 0j, a))
 
 
 def _gauge_to_standard_line(cls: BundleClass, L: PlaneLine) -> Matrix:
@@ -316,10 +313,8 @@ def _gauge_to_standard_line(cls: BundleClass, L: PlaneLine) -> Matrix:
     if lab == "T21":
         a, b, c = u, v - u, -w
         return ((a, b, 0j), (0j, a, 0j), (0j, 0j, c))
-    if lab == "T31":
-        a, b, c = u, v - u, w - v + 2 * u
-        return ((a, b, c), (0j, a, b), (0j, 0j, a))
-    raise NotStableError(f"type {lab} admits no stable parabolic structure")
+    a, b, c = u, v - u, w - v + 2 * u
+    return ((a, b, c), (0j, a, b), (0j, 0j, a))
 
 
 def _image_point(g: Sequence[Sequence[complex]], p: Sequence[complex]) -> tuple:

@@ -17,7 +17,7 @@ import math
 import sys
 from typing import Sequence
 
-from .jaclattice import (AXIS_TOL, EQ_TOL, INCIDENCE_TOL, MERGE_TOL, POLE_TOL, ROOT_MERGE_TOL,
+from .jaclattice import (AXIS_TOL, INCIDENCE_TOL, MERGE_TOL, POLE_TOL, ROOT_MERGE_TOL,
                          CurveSpec, JacPoint, Value, _from_complex, _sort_key, merge_triple,
                          neg, sums_to_zero, zero)
 
@@ -275,9 +275,9 @@ def line_through(p1: JacPoint, p2: JacPoint, p3: JacPoint, curve: CurveSpec) -> 
     inflection tangent), two the chord through the two class points (the
     tangent at the double one), three the chord through p1 and p2.
     """
-    if not sums_to_zero(p1, p2, p3, EQ_TOL):
+    if not sums_to_zero(p1, p2, p3):
         raise ValueError("triple does not sum to zero in the Jacobian")
-    z1, z2, z3 = merge_triple((p1, p2, p3), EQ_TOL)
+    z1, z2, z3 = merge_triple((p1, p2, p3))
     if z1 is z2 is z3:
         return tangent_line(z1, curve)
     # collinearity of the third point is automatic from the zero-sum condition

@@ -9,6 +9,7 @@ from ellpar import autgroup as ag
 from ellpar import bundles as bd
 from ellpar import cli
 from ellpar import jaclattice as jl
+from ellpar import modspace as ms
 from ellpar import parabolic as pa
 from ellpar import weierstrass as we
 from ellpar.jaclattice import CurveSpec
@@ -84,8 +85,7 @@ def test_act_class_is_a_group_action(curve):
         for a in els:
             for b in els:
                 lhs = ag.act_class(ag.compose(a, b), cls)
-                rhs = ag.act_class(a, ag.act_class(b, cls))
-                assert cls_eq(lhs, rhs)
+                assert lhs == ag.act_class(a, ag.act_class(b, cls))
 
 
 def test_act_class_preserves_label_category(curve):
@@ -96,6 +96,60 @@ def test_act_class_preserves_label_category(curve):
         assert ag.act_class(g, t21).label == "T21"
         assert ag.act_class(g, t33).label == "T33"
         assert ag.act_class(g, t1_class(curve)).label == "T1"
+
+
+def test_act_class_keeps_the_label_of_a_class_decided_at_a_finer_tol(curve):
+    # two points 1e-7 apart are one T1 class at tol=1e-8; the action moves
+    # the triple and decides no coincidence again, at EQ_TOL or any other tol
+    z1, z2 = jl.JacPoint(curve, 0.1, 0.2), jl.JacPoint(curve, 0.1 + 1e-7, 0.2)
+    cls = bd.classify_triple(z1, z2, jl.neg(jl.add(z1, z2)), tol=1e-8)
+    assert cls.label == "T1"
+    for g in ag.group_elements(curve):
+        moved = ag.act_class(g, cls)
+        assert moved.label == "T1"
+        assert moved.triple == tuple(jl.canonical_sort(ag.act_point(g, z) for z in cls.triple))
+
+
+def _far(p, points, sep=1e-2):
+    return all(jl.distance(p, q) >= sep for q in points)
+
+
+def _transport_classes(n, seed=57):
+    """Seeded T1 and T21 classes on curves with Im tau in [0.8, 2], each
+    point at least 1e-2 from the others and from every 3-torsion point, and
+    a T21 point 1e-2 from every 6-torsion point: the classes whose type no
+    tolerance band can change."""
+    rng = random.Random(seed)
+    while n:
+        curve = CurveSpec(complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2)))
+        flexes, six = jl.torsion_points(3, curve), jl.torsion_points(6, curve)
+        z1 = jl.JacPoint(curve, rng.random(), rng.random())
+        if n % 2:
+            z2 = jl.JacPoint(curve, rng.random(), rng.random())
+            triple = (z1, z2, jl.neg(jl.add(z1, z2)))
+            if not all(_far(p, flexes) and _far(p, [q for q in triple if q is not p])
+                       for p in triple):
+                continue
+            cls = bd.classify_triple(*triple)
+        elif _far(z1, six) and _far(jl.mul(-2, z1), flexes):
+            cls = bd.make_t21(z1)
+        else:
+            continue
+        n -= 1
+        yield curve, cls
+
+
+def test_transport_round_trips_under_the_eighteen_elements():
+    # class -> act_class(g) -> tu_line -> intersect_curve -> classify_triple
+    # comes back to act_class(g, cls), and the line's Sigma count is the type's
+    for curve, cls in _transport_classes(400):
+        count = bd.type_facts(cls.label)[2]
+        for g in ag.group_elements(curve):
+            moved = ag.act_class(g, cls)
+            line = bd.tu_line(moved, curve)
+            back = bd.classify_triple(*we.intersect_curve(line, curve))
+            assert cls_eq(back, moved)
+            assert ms.sigma_cover_count(line, curve) == count
 
 
 def test_dual_negates_triples_and_shift_translates(curve):

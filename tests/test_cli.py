@@ -356,11 +356,9 @@ def test_output_is_canonical_json():
 
 
 def run_cli(args, stdin_text):
-    # The child inherits this environment (PYTHONPATH finds the package), but
-    # not a TOL of the caller's: these tests expect the default tolerance.
-    env = {k: v for k, v in os.environ.items() if k != "TOL"}
+    # the child inherits this environment: PYTHONPATH finds the package
     return subprocess.run([sys.executable, "-m", "ellpar.cli", *args],
-                          input=stdin_text, capture_output=True, text=True, env=env)
+                          input=stdin_text, capture_output=True, text=True)
 
 
 def test_executable_stdin_roundtrip():
@@ -387,8 +385,7 @@ def refused(out: str) -> bool:
     return not resp["ok"] and resp["result"]["error"] == "SchemaViolation"
 
 
-def test_a_batch_file_that_is_not_utf8_is_a_schema_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("TOL", raising=False)
+def test_a_batch_file_that_is_not_utf8_is_a_schema_error(tmp_path, capsys):
     f = tmp_path / "batch.json"
     f.write_bytes(b'[{"command": "type-facts", "payload": {"label": "T\xff"}}]')
     assert cli.main(["--file", str(f)]) == cli.EXIT_SCHEMA
@@ -396,8 +393,7 @@ def test_a_batch_file_that_is_not_utf8_is_a_schema_error(tmp_path, monkeypatch, 
 
 
 def test_stdin_that_is_not_utf8_is_a_schema_error():
-    env = {k: v for k, v in os.environ.items() if k != "TOL"}
-    env["PYTHONIOENCODING"] = "utf-8:strict"
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8:strict"}
     proc = subprocess.run([sys.executable, "-m", "ellpar.cli"], input=b'{"command": "\xff"}',
                           capture_output=True, env=env)
     assert proc.returncode == 3, proc.stderr
@@ -411,7 +407,6 @@ def test_json_past_the_decoder_limits_is_a_schema_error(text, source, tmp_path, 
                                                         capsys):
     # nested deeper than the decoder recurses, or an integer longer than
     # Python converts from a string
-    monkeypatch.delenv("TOL", raising=False)
     if source == "stdin":
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         args = []
@@ -468,7 +463,6 @@ def test_tolerance_must_be_finite_and_positive(value, source, monkeypatch, capsy
         monkeypatch.setenv("TOL", value)
         code = cli.main([])
     else:
-        monkeypatch.delenv("TOL", raising=False)
         code = cli.main([f"--tol={value}"])
     out = json.loads(capsys.readouterr().out)
     assert code == cli.EXIT_SCHEMA
@@ -488,7 +482,6 @@ def test_run_refuses_the_tolerance_main_refuses(tol, monkeypatch, capsys):
         assert code == cli.EXIT_SCHEMA and resp["result"] == {
             "error": "SchemaViolation", "message": f"tol must be a finite number > 0, got {tol!r}"}
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(TORELLI_SELF)))
-    monkeypatch.delenv("TOL", raising=False)
     assert cli.main([f"--tol={tol!r}"]) == cli.EXIT_SCHEMA
     out = json.loads(capsys.readouterr().out)
     assert out["result"]["message"] == f"tol must be a finite number > 0, got {repr(tol)!r}"
@@ -525,9 +518,7 @@ print(json.dumps({"code": code, "label": resp["result"].get("label"),
 
 def test_core_and_cli_import_without_numpy():
     # numpy is loaded only by act_plane and normal_form
-    env = {k: v for k, v in os.environ.items() if k != "TOL"}
-    proc = subprocess.run([sys.executable, "-c", IMPORT_GATE],
-                          capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GATE], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     answer, gate, monodromy = proc.stdout.splitlines()
     assert json.loads(answer)["result"]["verdict"] == "Stable"
@@ -552,9 +543,8 @@ print(json.dumps({"code": code, "loaded": sorted(m for m in sys.modules if m.sta
 def test_cli_answers_stability_without_loading_modspace_or_autgroup():
     # a cold start loads only the modules its command uses, and neither
     # dataclasses nor inspect, which only dataclasses would load
-    env = {k: v for k, v in os.environ.items() if k != "TOL"}
     proc = subprocess.run([sys.executable, "-c", COLD_START], input=json.dumps(STABILITY_REQUEST),
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     answer, loaded = proc.stdout.splitlines()
     assert json.loads(answer)["result"]["verdict"] == "Stable"
@@ -587,15 +577,13 @@ COVERING_JSON = '{"command": "covering", "payload": {"z1": %s, "z2": 0.5}}'
 ], ids=["nan-input", "nan-covering", "inf-covering", "overflowing-result"])
 def test_non_finite_numbers_are_refused(request_json, code, error, monkeypatch, capsys):
     # json reads NaN and Infinity as floats, and a JSON answer cannot hold one
-    monkeypatch.delenv("TOL", raising=False)
     monkeypatch.setattr(sys, "stdin", io.StringIO(request_json))
     assert cli.main([]) == code
     out = json.loads(capsys.readouterr().out)
     assert not out["ok"] and out["result"]["error"] == error
 
 
-def test_a_non_finite_result_fails_only_its_own_batch_request(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("TOL", raising=False)
+def test_a_non_finite_result_fails_only_its_own_batch_request(tmp_path, capsys):
     f = tmp_path / "batch.json"
     f.write_text("[%s, %s, %s]" % (json.dumps(TORELLI_SELF), COVERING_JSON % "1e200",
                                    json.dumps({"command": "flip", "payload": {"t": 1}})))
@@ -611,7 +599,6 @@ def test_aut_act_prints_the_plane_pivot_as_one(monkeypatch, capsys):
         "tau": TAU, "g": {"shift": [0, 1, 2, 3], "dual": False}, "target": "plane"}}
     matrix = ok("aut-act", request["payload"])["matrix"]
     assert matrix[1][2] == 1.0 and type(matrix[1][2]) is float
-    monkeypatch.delenv("TOL", raising=False)
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(request)))
     assert cli.main([]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["result"]["matrix"] == matrix
@@ -621,14 +608,13 @@ NOT_FINITE = {"ok": False, "result": {"error": "ValueError", "message": "result 
               "diagnostics": []}
 
 
-def test_run_refuses_a_non_finite_result(tmp_path, monkeypatch, capsys):
+def test_run_refuses_a_non_finite_result(tmp_path, capsys):
     # in process, as bench/cli_batch.py calls it, the response is a domain
     # error that dumps to JSON, and main --file prints that response
     request = json.loads(COVERING_JSON % "1e200")
     resp, code = cli.run(request)
     assert (resp, code) == (NOT_FINITE, cli.EXIT_DOMAIN)
     assert json.loads(cli._dump(resp)) == resp
-    monkeypatch.delenv("TOL", raising=False)
     f = tmp_path / "batch.json"
     f.write_text(json.dumps([request]))
     assert cli.main(["--file", str(f)]) == cli.EXIT_DOMAIN

@@ -3,9 +3,9 @@ level is used in it, every module-level private name is referenced
 somewhere in the package, every public one and every public method in the
 package, the scripts, the README or the acceptance tests, no memo is
 unbounded, no small float literal stands outside a module-level name, no
-membership test of the Jacobian is composed outside jaclattice, no frozen
-value is built through object.__setattr__, and no module imports
-dataclasses.  No linter is part of the toolchain, so this test is the
+membership test of the Jacobian is composed outside jaclattice, no call
+outside jaclattice passes EQ_TOL, no frozen value is built through
+object.__setattr__, and no module imports dataclasses.  No linter is part of the toolchain, so this test is the
 check."""
 
 import ast
@@ -156,6 +156,23 @@ def test_no_is_zero_call_outside_jaclattice():
     # of each membership test
     paths = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
     calls = [c for p in sorted(paths) if p.name != "jaclattice.py" for c in _is_zero_calls(p)]
+    assert calls == []
+
+
+def _eq_tol_arguments(path: Path) -> list[str]:
+    """Calls given the name EQ_TOL (or jl.EQ_TOL) as an argument, positional
+    or keyword; an expression such as ``tol or jl.EQ_TOL`` is not the name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Call)
+            for a in [*n.args, *(k.value for k in n.keywords)]
+            if (a.id if isinstance(a, ast.Name) else getattr(a, "attr", None)) == "EQ_TOL"]
+
+
+def test_no_call_outside_jaclattice_passes_eq_tol():
+    # EQ_TOL is the default of every predicate that reads it, stated once in
+    # jaclattice: a caller that passes it states the default a second time
+    calls = [c for p in sorted(SRC.glob("*.py")) if p.name != "jaclattice.py"
+             for c in _eq_tol_arguments(p)]
     assert calls == []
 
 

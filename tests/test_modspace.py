@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import weakref
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,6 +59,14 @@ def test_covering_invariants_examples():
     assert (f2, f3, cusp) == (12, 16, True)
     f2, f3, cusp = ms.covering_invariants(1, -1)
     assert (f2, f3) == (1, 0) and not cusp
+
+
+@pytest.mark.parametrize("a, b", [("1", "1.0000000001"), ("0.5", "0.25")])
+def test_covering_invariants_read_a_decimal_as_the_equal_fraction(a, b):
+    # one rule reads exact input (parabolic's): near the cusp a Decimal once
+    # computed in Decimal arithmetic and read (..., True) against (..., False)
+    assert (ms.covering_invariants(Decimal(a), Decimal(b))
+            == ms.covering_invariants(Fraction(a), Fraction(b)))
 
 
 @given(z=rationals)

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,12 @@ def test_make_weights_normalizes_and_classifies():
     assert ch == pa.CHAMBER_WALL
     with pytest.raises(pa.InadmissibleWeightsError):
         pa.make_weights(Fraction(2, 3), Fraction(2, 3), Fraction(-4, 3))
+
+
+def test_make_weights_reads_a_decimal_as_the_equal_fraction():
+    raw = ("0.2", "0.1", "-0.3")
+    assert (pa.make_weights(*map(Decimal, raw))
+            == pa.make_weights(*map(Fraction, raw)))
 
 
 def test_flag_requires_incidence():

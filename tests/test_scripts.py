@@ -1,6 +1,5 @@
 """Smoke tests: each experiment script runs end to end and prints its expected tallies."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +8,9 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run_script(name, *args):
-    # The child inherits this environment (PYTHONPATH finds the package), but
-    # not a TOL of the caller's, as in the CLI tests.
-    env = {k: v for k, v in os.environ.items() if k != "TOL"}
+    # the child inherits this environment: PYTHONPATH finds the package
     proc = subprocess.run([sys.executable, str(SCRIPTS / name), *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
