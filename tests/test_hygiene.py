@@ -5,8 +5,8 @@ package, the scripts, the README or the acceptance tests, no memo is
 unbounded, no small float literal stands outside a module-level name, no
 membership test of the Jacobian is composed outside jaclattice, no call
 outside jaclattice passes EQ_TOL, no frozen value is built through
-object.__setattr__, and no module imports dataclasses.  No linter is part of the toolchain, so this test is the
-check."""
+object.__setattr__, and no module imports dataclasses.  No linter is part
+of the toolchain, so this test is the check."""
 
 import ast
 import re
