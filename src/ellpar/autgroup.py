@@ -18,14 +18,14 @@ from .weierstrass import embed
 
 
 class ModularAuto(Value):
-    shift: JacPoint  # 3-torsion
+    shift: JacPoint  # the exact 3-torsion point the given shift names
     dual: bool
 
     def __init__(self, shift, dual):
         if not jl.is_torsion(shift, 3):
             raise ValueError("shift must be a 3-torsion point")
         d = self.__dict__
-        d["shift"], d["dual"] = shift, dual
+        d["shift"], d["dual"] = jl.snap_to_torsion(shift, 3), dual
 
 
 def identity(curve: CurveSpec) -> ModularAuto:

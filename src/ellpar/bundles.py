@@ -12,7 +12,6 @@ are constructible explicitly for never-stable testing.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import jaclattice as jl
@@ -126,19 +125,10 @@ def _shared_class(zs: Sequence[JacPoint]) -> BundleClass:
     points are T1 with the triple as given."""
     z1, z2, z3 = zs
     if z1 is z2 is z3:
-        return BundleClass("T31", point=_snap_to_torsion(z1, 3))
+        return BundleClass("T31", point=jl.snap_to_torsion(z1, 3))
     if z1 is z2 or z1 is z3 or z2 is z3:
         return BundleClass("T21", point=z3 if z2 is z3 else z1)
     return BundleClass("T1", triple=tuple(zs))
-
-
-def _snap_to_torsion(p: JacPoint, n: int) -> JacPoint:
-    """The n-torsion point nearest p, which every caller has found n-torsion:
-    an exact p is then n-torsion exactly, and only canon is left to do."""
-    if p.is_exact:
-        return jl.canon(p, p.curve)
-    s, t = p.coords()
-    return JacPoint(p.curve, s=Fraction(round(s * n) % n, n), t=Fraction(round(t * n) % n, n))
 
 
 def make_t21(z: JacPoint) -> BundleClass:
@@ -156,7 +146,7 @@ def make_t22(z: JacPoint) -> BundleClass:
 def make_t3x(label: str, z: JacPoint) -> BundleClass:
     if not jl.is_torsion(z, 3):
         raise ValueError(f"{label} requires a 3-torsion point")
-    return BundleClass(label, point=_snap_to_torsion(z, 3))
+    return BundleClass(label, point=jl.snap_to_torsion(z, 3))
 
 
 def graded(cls: BundleClass) -> tuple[JacPoint, JacPoint, JacPoint]:

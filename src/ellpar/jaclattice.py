@@ -383,7 +383,7 @@ def merge_triple(zs: Sequence[JacPoint], tol: float = EQ_TOL) -> Sequence[JacPoi
     points takes up: a double point d moves to the root of 2d + r = 0
     nearest d, r the third point (a vertical tangent touches at a 2-torsion
     point), and joins r if it comes within tol of it; a triple point moves
-    to the flex nearest it.
+    to the flex nearest its first member, as the floats of that exact flex.
     """
     z1, z2, z3 = zs
     # identity answers a pair before equal does, and each pair is compared once
@@ -411,9 +411,17 @@ def merge_triple(zs: Sequence[JacPoint], tol: float = EQ_TOL) -> Sequence[JacPoi
         first = z1
     d = next((z for z in zs if z.is_exact), None)
     if d is None:
-        s, t = mul(3, first).coords()
-        d = sub(first, JacPoint(first.curve, (s - round(s)) / 3, (t - round(t)) / 3))
+        d = JacPoint(first.curve, *snap_to_torsion(first, 3).coords())
     return (d, d, d)
+
+
+def snap_to_torsion(p: JacPoint, n: int) -> JacPoint:
+    """The n-torsion point nearest p, which every caller has found n-torsion:
+    an exact p is then n-torsion exactly, and only canon is left to do."""
+    if p.is_exact:
+        return canon(p, p.curve)
+    s, t = p.coords()
+    return JacPoint(p.curve, s=Fraction(round(s * n) % n, n), t=Fraction(round(t * n) % n, n))
 
 
 def torsion_points(n: int, curve: CurveSpec) -> list[JacPoint]:

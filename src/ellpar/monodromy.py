@@ -321,7 +321,9 @@ def classify_bundle(pair: CommutingPair, curve: CurveSpec,
         return make_t3x("T31", by_size[3])
     if 2 in by_size:
         z = by_size[2]
-        return make_t3x("T32", z) if jl.is_torsion(z, 3) else BundleClass("T21", point=z)
+        if jl.is_torsion(z, 3):
+            return BundleClass("T32", point=jl.snap_to_torsion(z, 3))
+        return BundleClass("T21", point=z)
     # semisimple: classify_triple's T21/T31 (at the repeated point) read T22/T33
     cls = classify_triple(*(z for z, _ in summands))
     if cls.label == "T1":

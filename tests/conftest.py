@@ -157,7 +157,7 @@ def is_torsion_reference(p: JacPoint, n: int, tol: float = 1e-9) -> bool:
 
 
 def snap_to_torsion_reference(p: JacPoint, n: int) -> JacPoint:
-    """bundles._snap_to_torsion by rounding the float coordinates, exact
+    """jaclattice.snap_to_torsion by rounding the float coordinates, exact
     points included."""
     s, t = p.coords()
     return JacPoint(p.curve, s=Fraction(round(s * n) % n, n), t=Fraction(round(t * n) % n, n))
@@ -181,7 +181,7 @@ def classify_triple_reference(z1: JacPoint, z2: JacPoint, z3: JacPoint,
     if neq >= 2:
         if not jl.is_torsion(pts[0], 3, jl.TORSION_SNAP_TOL):
             raise ValueError("coincident triple is not 3-torsion")
-        return bd.BundleClass("T31", point=bd._snap_to_torsion(pts[0], 3))
+        return bd.BundleClass("T31", point=jl.snap_to_torsion(pts[0], 3))
     return bd.BundleClass("T21", point=pts[0] if e12 or e13 else pts[1])
 
 

@@ -152,6 +152,64 @@ def test_transport_round_trips_under_the_eighteen_elements():
             assert ms.sigma_cover_count(line, curve) == count
 
 
+def test_act_class_moves_the_point_of_t22_t32_and_t33_classes(curve):
+    # the moved point is act_point's, exact, and a flex again for T3x
+    samples = [bd.make_t22(exact(curve, Fraction(1, 5), 0)),
+               bd.make_t22(exact(curve, Fraction(2, 7), Fraction(3, 5)))]
+    samples += [bd.make_t3x(label, p) for label in ("T32", "T33")
+                for p in jl.torsion_points(3, curve)]
+    for cls in samples:
+        for g in ag.group_elements(curve):
+            moved = ag.act_class(g, cls)
+            assert moved.label == cls.label
+            assert moved.point == ag.act_point(g, cls.point)
+            assert moved.point.is_exact
+            assert jl.is_torsion(moved.point, 3) == (cls.label != "T22")
+
+
+def _adjugate(M):
+    """The adjugate of a 3x3 matrix: M adj(M) = det(M) I."""
+    cof = [[M[(i + 1) % 3][(j + 1) % 3] * M[(i + 2) % 3][(j + 2) % 3]
+            - M[(i + 1) % 3][(j + 2) % 3] * M[(i + 2) % 3][(j + 1) % 3] for j in range(3)]
+           for i in range(3)]
+    return [[cof[j][i] for j in range(3)] for i in range(3)]
+
+
+def test_tangents_transport_under_the_eighteen_lifts():
+    # a point p on the line L maps to M p on the line L adj(M): the lift of g
+    # carries the tangent at z to the tangent at g z
+    rng = random.Random(61)
+    worst = 0.0
+    for _ in range(40):
+        curve = CurveSpec(complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2)))
+        torsion = jl.torsion_points(2, curve) + jl.torsion_points(3, curve)
+        zs = []
+        while len(zs) < 5:
+            z = jl.JacPoint(curve, rng.random(), rng.random())
+            if _far(z, torsion):
+                zs.append(z)
+        for g in ag.group_elements(curve):
+            adj = _adjugate(ag.act_plane(g, curve))
+            for z in zs:
+                L = we.tangent_line(z, curve).vec()
+                moved = we.PlaneLine.of(*(sum(L[i] * adj[i][j] for i in range(3))
+                                          for j in range(3)))
+                want = we.tangent_line(ag.act_point(g, z), curve)
+                worst = max(worst, math.hypot(*map(abs, we._cross(moved.vec(), want.vec()))))
+    assert worst <= 1e-7
+
+
+def test_a_float_given_element_is_its_exact_element(curve):
+    # a shift sent as the floats of s + t*tau names one 3-torsion point, and
+    # the element stores that point: equality and the group law read it
+    els = ag.group_elements(curve)
+    floats = [ag.ModularAuto(jl.canon(g.shift.value(), curve), g.dual) for g in els]
+    assert floats == els
+    for a, fa in zip(els, floats):
+        for b, fb in zip(els, floats):
+            assert ag.compose(fa, fb) == ag.compose(a, b)
+
+
 def test_dual_negates_triples_and_shift_translates(curve):
     t1 = t1_class(curve)
     dual = ag.ModularAuto(jl.zero(curve), True)
@@ -304,11 +362,13 @@ def test_act_plane_refuses_a_degenerate_correspondence(curve, monkeypatch):
 @pytest.mark.parametrize("tau", [0.3294 + 0.8462j, 0.3 + 1.1j])
 def test_act_plane_lifts_the_identity_exactly(tau):
     # at tau = 0.3294+0.8462i the 8 sample correspondences of the identity
-    # once made a system the conditioning cut refused
+    # once made a system the conditioning cut refused; a shift 1e-17 off 0
+    # names the identity too, and is stored as it
     curve = CurveSpec(tau)
     eye = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    for g in (ag.identity(curve), ag.ModularAuto(jl.JacPoint(curve, 0.0, 0.0), False)):
-        assert ag.act_plane(g, curve) == eye
+    for shift in (jl.zero(curve), jl.JacPoint(curve, 0.0, 0.0), jl.JacPoint(curve, 1e-17, 0.0)):
+        g = ag.ModularAuto(shift, False)
+        assert ag.act_plane(g, curve) == eye and g == ag.identity(curve)
 
 
 def test_act_plane_embeds_16_points_over_one_series_table(curve, monkeypatch):

@@ -175,6 +175,31 @@ def test_aut_act_refuses_a_chamber_as_normalize_flag_does(chamber):
     assert cli.run(act) == refused and cli.run(normalize) == refused
 
 
+AUT_TARGETS = ["plane",
+               {"class": {"label": "T31", "point": [1, 3, 2, 3]}},
+               {"class": {"label": "T32", "point": [0, 1, 1, 3]}},
+               {"class": {"label": "T33", "point": [2, 3, 0, 1]}},
+               {"class": {"label": "T21", "point": [0.2, 0.1]}},
+               {"class": {"label": "T1", "triple": [[1, 5, 0, 1], [0, 1, 1, 7], [4, 5, 6, 7]]}},
+               {"class": {"label": "T31", "point": [0, 1, 0, 1]}, "coord": [0.4, 1],
+                "chamber": "Pplus"}]
+
+
+def test_aut_act_answers_alike_for_an_exact_and_a_float_shift():
+    # a shift sent as [a, 3, b, 3] and as the floats of a/3 + (b/3) tau names
+    # one group element, so every target gets the same bytes back
+    tau = complex(*TAU)
+    for a in range(3):
+        for b in range(3):
+            z = a / 3 + b / 3 * tau
+            for dual in (False, True):
+                for target in AUT_TARGETS:
+                    answers = [json.dumps(cli.run({"command": "aut-act", "payload": {
+                        "tau": TAU, "g": {"shift": shift, "dual": dual}, "target": target}}))
+                        for shift in ([a, 3, b, 3], [z.real, z.imag])]
+                    assert answers[0] == answers[1], (a, b, dual, target)
+
+
 # the five commands that read --tol, each on an input whose answer changes
 # with a --tol 100 times smaller or larger than the library default it reads
 TOL_READERS = {

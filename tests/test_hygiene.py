@@ -4,9 +4,10 @@ somewhere in the package, every public one and every public method in the
 package, the scripts, the README or the acceptance tests, no memo is
 unbounded, no small float literal stands outside a module-level name, no
 membership test of the Jacobian is composed outside jaclattice, no call
-outside jaclattice passes EQ_TOL, no frozen value is built through
-object.__setattr__, and no module imports dataclasses.  No linter is part
-of the toolchain, so this test is the check."""
+outside jaclattice passes EQ_TOL or rounds a coordinate into a Fraction,
+no frozen value is built through object.__setattr__, and no module imports
+dataclasses.  No linter is part of the toolchain, so this test is the
+check."""
 
 import ast
 import re
@@ -173,6 +174,25 @@ def test_no_call_outside_jaclattice_passes_eq_tol():
     # jaclattice: a caller that passes it states the default a second time
     calls = [c for p in sorted(SRC.glob("*.py")) if p.name != "jaclattice.py"
              for c in _eq_tol_arguments(p)]
+    assert calls == []
+
+
+def _rounded_fractions(path: Path) -> list[str]:
+    """Calls of Fraction (or x.Fraction) with a round(...) call anywhere in
+    their arguments."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and (getattr(n.func, "id", None) or getattr(n.func, "attr", None)) == "Fraction"
+            and any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "round"
+                    for a in [*n.args, *(k.value for k in n.keywords)] for c in ast.walk(a))]
+
+
+def test_no_torsion_point_is_rounded_outside_jaclattice():
+    # jaclattice.snap_to_torsion is the one rule that builds the torsion point
+    # nearest an approximate one; a Fraction of a rounded float elsewhere is
+    # a second copy of it
+    calls = [c for p in sorted(SRC.glob("*.py")) if p.name != "jaclattice.py"
+             for c in _rounded_fractions(p)]
     assert calls == []
 
 

@@ -512,6 +512,25 @@ def test_merge_triple_keeps_exact_points_and_given_identity(curve):
         assert jl.merge_triple(zs) is zs
 
 
+def test_a_merged_triple_point_is_exactly_the_flex():
+    # three reduced float points within 3e-7 of a flex, summing to 0, merge
+    # into one class whose point is the flex's correctly rounded coordinates
+    curve = CurveSpec(TAU)
+    rng = random.Random(29)
+    merged = 0
+    for _ in range(20000):
+        a, b = rng.randrange(3), rng.randrange(3)
+        o1 = (rng.uniform(-3e-7, 3e-7), rng.uniform(-3e-7, 3e-7))
+        o2 = (rng.uniform(-3e-7, 3e-7), rng.uniform(-3e-7, 3e-7))
+        offsets = (o1, o2, (-o1[0] - o2[0], -o1[1] - o2[1]))
+        zs = [jl.canon(JacPoint(curve, a / 3 + ds, b / 3 + dt), curve) for ds, dt in offsets]
+        z1, z2, z3 = jl.merge_triple(zs)
+        if z1 is z2 is z3:
+            merged += 1
+            assert (z1.s, z1.t) == (float(Fraction(a, 3)), float(Fraction(b, 3)))
+    assert merged > 19000
+
+
 def test_the_predicates_default_to_the_one_coincidence_rule():
     # equal, is_zero, sums_to_zero and is_torsion without a tol decide at
     # EQ_TOL, the rule merge_triple and every library decision read: points
