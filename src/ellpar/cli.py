@@ -7,7 +7,6 @@ Exit codes: 0 ok, 2 domain error (valid request, library rejected the data),
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import json
 import math
@@ -490,7 +489,12 @@ def _refuse(message: str) -> int:
     return EXIT_SCHEMA
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def _options(argv: Sequence[str]) -> tuple[Optional[str], Optional[str]]:
+    """(--tol, --file) of the command line, both None without arguments:
+    argparse is imported only to parse some."""
+    if not argv:
+        return None, None
+    import argparse
     parser = argparse.ArgumentParser(
         prog="ellpar",
         description="JSON oracle interface to the parabolic-moduli library")
@@ -502,20 +506,24 @@ def main(argv: Optional[list[str]] = None) -> int:
                              "(see README.md, Command-line interface)")
     parser.add_argument("--file", help="read a JSON array of requests from a file instead of stdin")
     args = parser.parse_args(argv)
+    return args.tol, args.file
 
-    raw = args.tol if args.tol is not None else os.environ.get("TOL") or None
+
+def main(argv: Optional[list[str]] = None) -> int:
+    tol_arg, file = _options(sys.argv[1:] if argv is None else argv)
+    raw = tol_arg if tol_arg is not None else os.environ.get("TOL") or None
     try:
         tol = None if raw is None else float(raw)
     except ValueError:
         tol = math.nan  # refused below with the other non-finite values
     try:
         _check_tol(tol, raw)
-        if args.file:
-            with open(args.file, "r", encoding="utf-8") as fh:
+        if file:
+            with open(file, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         else:
             data = json.load(sys.stdin)
-        if args.file and not isinstance(data, list):
+        if file and not isinstance(data, list):
             raise SchemaError("--file expects a JSON array of requests")
     except (OSError, ValueError, RecursionError) as exc:
         # a refused tol or batch, no file, bytes that are not UTF-8, or text
@@ -523,11 +531,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _refuse(str(exc))
 
     texts, codes = [], [EXIT_OK]
-    for req in data if args.file else [data]:
+    for req in data if file else [data]:
         resp, code = run(req, tol)
         texts.append(_dump(resp))
         codes.append(code)
-    print("[" + ",".join(texts) + "]" if args.file else texts[0])
+    print("[" + ",".join(texts) + "]" if file else texts[0])
     return max(codes)  # a batch exits with its worst code
 
 

@@ -6,7 +6,10 @@ dual cuspidal sextic (tangent lines, with flex tangents as cusps).
 
 P and P' are evaluated through their Fourier (q-series) expansions, truncated
 adaptively; the direct lattice sums converge far too slowly for the 1e-8
-residual targets.
+residual targets.  Each intersection point is carried back to C/Lambda by
+the elliptic logarithm, computed by the complex AGM from per-curve tables
+(_log_tables) that the curve memo keeps and each solve hands to every
+inversion.
 """
 
 from __future__ import annotations
@@ -284,75 +287,81 @@ def line_through(p1: JacPoint, p2: JacPoint, p3: JacPoint, curve: CurveSpec) -> 
     return line_through_points(embed(z1, curve), embed(z3 if z1 is z2 else z2, curve))
 
 
-# _carlson_rf's series finishes once its arguments agree to 1/_RF_STOP ~ 1/79
-_RF_STOP = (3 * sys.float_info.epsilon) ** (-1 / 8)
+# the AGM of a table stops once its a and b agree to this, relative to |a|
+_AGM_STOP = 2 * sys.float_info.epsilon
 
 
-def _carlson_rf(x: complex, y: complex, z: complex,
-                roots: Sequence[complex] = ()) -> complex:
-    """Carlson's R_F(x, y, z) = 1/2 int_0^inf dt / sqrt((t+x)(t+y)(t+z)), by duplication.
+def _log_table(e1: complex, e2: complex, e3: complex) -> tuple:
+    """The elliptic logarithm's table for the branch point e3: (e1, e2, e3, k, M).
 
-    Principal square roots; valid off the cut (-inf, 0] with at most one zero
-    argument (Carlson, Numer. Algorithms 10, 1995; DLMF 19.36.1).  Each
-    duplication step divides every difference a - x_i by exactly 4, so the
-    spread is measured once, as q = _RF_STOP max|a - x_i|, and q is divided
-    by 4 per step: the loop stops when q < |a|, in exact arithmetic the test
-    max|a - x_i| < |a| / _RF_STOP of the current arguments.  It finishes
-    with the 7th-order series
-
-      R_F = (1 - E2/10 + E3/14 + E2^2/24 - 3 E2 E3/44 - 5 E2^3/208
-             + 3 E3^2/104 + E2^2 E3/16) / sqrt(a)
-
-    in the elementary symmetric functions E2, E3 of the differences 1 - x_i/a.
-    Carlson bounds the relative error of the series cut after degree 5 by r
-    once the arguments agree to (3r)^(1/6); cut after degree 7 the bound
-    holds at (3r)^(1/8), so _RF_STOP = (3 eps)^(-1/8), as in Boost's
-    ellint_rf.  roots, if given, are cmath.sqrt of x, y, z, which the first
-    step takes instead of computing them again.
+    The AGM of a = sqrt(e1 - e3), b = sqrt(e1 - e2) takes b with the sign
+    that makes |a - b| <= |a + b| (the right choice of Cremona and
+    Thongjunthug, J. Number Theory 133, 2013) and then steps
+    (a, b) -> ((a + b)/2, sqrt(a b)) until |a - b| <= _AGM_STOP |a|; M is
+    its last a, and k holds a_n^2 - b_n^2 = ((a_{n-1} - b_{n-1})/2)^2 for
+    n = 1, 2, ... along it, the differences _invert_embedding's steps after
+    its first read.
     """
-    a = (x + y + z) / 3
-    q = _RF_STOP * max(abs(a - x), abs(a - y), abs(a - z))
+    a, b = cmath.sqrt(e1 - e3), cmath.sqrt(e1 - e2)
+    k = []
     for _ in range(100):
-        if q < abs(a):
-            break
-        sx, sy, sz = roots or (cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z))
-        roots = ()
-        lam = sx * (sy + sz) + sy * sz
-        x, y, z, a = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4, (a + lam) / 4
-        q /= 4
-    else:
-        raise DegenerateGeometryError("Carlson duplication did not converge")
-    # the mean of the final arguments, so that the three differences sum to 0
-    a = (x + y + z) / 3
-    dx, dy = 1 - x / a, 1 - y / a
-    dz = -dx - dy
-    e2 = dx * dy - dz * dz
-    e3 = dx * dy * dz
-    # the terms after 1 are small: summed first, they keep more of their bits
-    return (1 + (-e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44 - 5 * e2 * e2 * e2 / 208
-                 + 3 * e3 * e3 / 104 + e2 * e2 * e3 / 16)) / cmath.sqrt(a)
+        d = a - b
+        if abs(d) > abs(a + b):
+            b = -b
+            d = a - b
+        if abs(d) <= _AGM_STOP * abs(a):
+            return e1, e2, e3, tuple(k), a
+        k.append(d * d / 4)
+        a, b = (a + b) / 2, cmath.sqrt(a * b)
+    raise ArithmeticError("AGM did not converge")
 
 
-def _invert_embedding(x: complex, y: complex, e: Sequence[complex],
-                      curve: CurveSpec) -> tuple[JacPoint, complex]:
-    """The elliptic logarithm: z with P(z) = x, P'(z) = y; e are the roots of 4t^3 - g2 t - g3.
-
-    z = R_F(a1, a2, a3)/u with a_i = (x - e_i)/u^2, u^2 = x/|x|, integrates
-    dt / sqrt(4t^3 - g2 t - g3) along the ray from x away from 0, so P(z) = x
-    and P'(z) = -2 u^3 sqrt(a1) sqrt(a2) sqrt(a3) with the same principal roots
-    (and signed zeros on R_F's cut), taken once for both.  Along the horizontal ray (u = 1) the
-    duplication cancels ~|x| against itself near the pole and can flip z.
-    Returns z with the curve's ordinate P'(z), whose sign y picks.
-    """
-    u = cmath.sqrt(x / abs(x)) if x else 1.0
-    u2 = u**2
+def _log_tables(e: Sequence[complex]) -> tuple[tuple, tuple, tuple]:
+    """_log_table for each of the roots e of 4t^3 - g2 t - g3 as e3."""
     e1, e2, e3 = e
-    a1, a2, a3 = (x - e1) / u2, (x - e2) / u2, (x - e3) / u2
-    r1, r2, r3 = cmath.sqrt(a1), cmath.sqrt(a2), cmath.sqrt(a3)
-    z = _carlson_rf(a1, a2, a3, (r1, r2, r3)) / u
-    pp = -2 * u**3 * r1 * r2 * r3
+    return _log_table(e2, e3, e1), _log_table(e3, e1, e2), _log_table(e1, e2, e3)
+
+
+def _invert_embedding(x: complex, y: complex, tables: Sequence[tuple],
+                      curve: CurveSpec) -> tuple[JacPoint, complex]:
+    """The elliptic logarithm: z with P(z) = x, P'(z) = y; tables are _log_tables of the curve.
+
+    z = int_x^inf dt / sqrt(4 (t - e1)(t - e2)(t - e3)), by the complex AGM
+    (Cremona and Thongjunthug; Cohen, GTM 138, 7.4 for the real case).  With
+    t - e3 = s^2 it is int_c^inf ds / sqrt((s^2 - a^2)(s^2 - a^2 + b^2)) from
+    c = sqrt(x - e3), a = sqrt(e1 - e3), b = sqrt(e1 - e2), which Landen's
+    step (a, b, c) -> ((a + b)/2, sqrt(a b), (c + sqrt(c^2 - a^2 + b^2))/2)
+    keeps; at the AGM's limit a = b = M it is asin(M/c)/M.  The first step
+    is written out, c = (c0 + d0)/2 with c0 = sqrt(x - e3), d0 = sqrt(x - e2)
+    and Re(d0 conj(c0)) >= 0, so that x = e3 divides by no c = 0; each later
+    one is c <- c (1 + r)/2 with r = sqrt(1 - k/c^2), whose product R gives
+    P'(z) = 1/(dz/dx) = -2 c0 d0 R c cos(asin(M/c)), the cos of the same
+    asin value, which fixes z's sign to y's.  e3 is the branch point nearest
+    x, as asin(M/c) loses its accuracy where M/c nears +-1, at x = e1.
+    Returns z with the curve's ordinate +-2 c0 d0 sqrt(x - e1), whose sign y
+    picks.
+    """
+    ta, tb, tc = tables
+    da, db, dc = abs(x - ta[2]), abs(x - tb[2]), abs(x - tc[2])
+    e1, e2, e3, ks, m = ta if da <= db and da <= dc else tb if db <= dc else tc
+    c0, d0 = cmath.sqrt(x - e3), cmath.sqrt(x - e2)
+    if d0.real * c0.real + d0.imag * c0.imag < 0:
+        d0 = -d0
+    c = (c0 + d0) / 2
+    prod = 1
+    for k in ks:
+        r = cmath.sqrt(1 - k / (c * c))
+        prod *= r
+        c *= (1 + r) / 2
+    w = cmath.asin(m / c)
+    z = w / m
+    cd = 2 * c0 * d0
+    pz = -cd * prod * c * cmath.cos(w)
+    if abs(pz - y) > abs(pz + y):
+        z = -z
+    pp = cd * cmath.sqrt(x - e1)
     if abs(pp - y) > abs(pp + y):
-        z, pp = -z, -pp
+        pp = -pp
     return _from_complex(z, curve), pp
 
 
@@ -422,10 +431,11 @@ def _shared(hits: list[tuple[JacPoint, Vec]]) -> tuple[tuple[JacPoint, Vec], ...
 
 
 @functools.lru_cache(maxsize=8)
-def _curve_constants(curve: CurveSpec) -> tuple[complex, complex, tuple[complex, ...]]:
-    """(g2, g3, e) of the last few curves, e the roots of 4t^3 - g2 t - g3."""
+def _curve_constants(curve: CurveSpec) -> tuple[complex, complex, tuple[tuple, ...]]:
+    """(g2, g3, tables) of the last few curves: tables are the elliptic
+    logarithm's _log_tables of the roots of 4t^3 - g2 t - g3."""
     g2, g3, _ = curve_invariants(curve)
-    return g2, g3, _cubic_roots(4, 0, -g2, -g3)
+    return g2, g3, _log_tables(_cubic_roots(4, 0, -g2, -g3))
 
 
 class _Solved:
@@ -467,11 +477,11 @@ def _solve(line: PlaneLine, curve: CurveSpec) -> tuple[tuple[JacPoint, Vec], ...
     if abs(u) <= AXIS_TOL * scale and abs(v) <= AXIS_TOL * scale:
         # the line at infinity meets the cubic only in the flex at the origin
         return ((zero(curve), INFINITY_POINT.vec()),) * 3
-    g2, g3, e = _curve_constants(curve)
+    g2, g3, tables = _curve_constants(curve)
     if abs(v) <= AXIS_TOL * scale:
         # vertical line x = -w/u: points (x, +-y) plus the point at infinity
         x = -w / u
-        z1, y = _invert_embedding(x, cmath.sqrt(4 * x**3 - g2 * x - g3), e, curve)
+        z1, y = _invert_embedding(x, cmath.sqrt(4 * x**3 - g2 * x - g3), tables, curve)
         return _shared([(z1, (x, y, 1)), (neg(z1), (x, -y, 1)),
                         (zero(curve), INFINITY_POINT.vec())])
     # y = -(u x + w)/v substituted into y^2 = 4x^3 - g2 x - g3
@@ -481,7 +491,7 @@ def _solve(line: PlaneLine, curve: CurveSpec) -> tuple[tuple[JacPoint, Vec], ...
     a0 = -g3 - (w / v) ** 2
     hits = []
     for x, m in _clusters(_cubic_roots(a3, a2, a1, a0)):
-        z, y = _invert_embedding(x, -(u * x + w) / v, e, curve)
+        z, y = _invert_embedding(x, -(u * x + w) / v, tables, curve)
         hits += [(z, (x, y, 1))] * m
     return _shared(hits)
 

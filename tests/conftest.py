@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -119,9 +120,10 @@ def wp_reference(z: complex, curve: CurveSpec) -> tuple[complex, complex]:
 
 # The value layer as it was before its primitives read attributes directly
 # and its membership tests read integers: the references for the bits of
-# contains, both close_to, equal, sums_to_zero, is_torsion, the torsion snap
-# and _invert_embedding (see test_weierstrass, test_jaclattice, test_bundles
-# and test_bench), and classify_triple as it was before jaclattice.merge_triple.
+# contains, both close_to, equal, sums_to_zero, is_torsion and the torsion
+# snap (see test_weierstrass, test_jaclattice, test_bundles and test_bench),
+# classify_triple as it was before jaclattice.merge_triple, and the elliptic
+# logarithm by Carlson's R_F, the reference for the AGM's accuracy.
 
 def contains_reference(line: we.PlaneLine, p: we.PlanePoint, tol: float = we.INCIDENCE_TOL) -> bool:
     """PlaneLine.contains through vec(), map and max."""
@@ -185,12 +187,65 @@ def classify_triple_reference(z1: JacPoint, z2: JacPoint, z3: JacPoint,
     return bd.BundleClass("T21", point=pts[0] if e12 or e13 else pts[1])
 
 
+# carlson_rf's series finishes once its arguments agree to 1/RF_STOP ~ 1/79
+RF_STOP = (3 * sys.float_info.epsilon) ** (-1 / 8)
+
+
+def carlson_rf(x: complex, y: complex, z: complex, roots=()) -> complex:
+    """Carlson's R_F(x, y, z) = 1/2 int_0^inf dt / sqrt((t+x)(t+y)(t+z)), by duplication.
+
+    weierstrass's elliptic logarithm before the complex AGM, and the
+    reference its accuracy tests compare against.  Principal square roots;
+    valid off the cut (-inf, 0] with at most one zero argument (Carlson,
+    Numer. Algorithms 10, 1995; DLMF 19.36.1).  Each duplication step
+    divides every difference a - x_i by exactly 4, so the spread is measured
+    once, as q = RF_STOP max|a - x_i|, and q is divided by 4 per step: the
+    loop stops when q < |a|, in exact arithmetic the test
+    max|a - x_i| < |a| / RF_STOP of the current arguments.  It finishes
+    with the 7th-order series
+
+      R_F = (1 - E2/10 + E3/14 + E2^2/24 - 3 E2 E3/44 - 5 E2^3/208
+             + 3 E3^2/104 + E2^2 E3/16) / sqrt(a)
+
+    in the elementary symmetric functions E2, E3 of the differences 1 - x_i/a.
+    Carlson bounds the relative error of the series cut after degree 5 by r
+    once the arguments agree to (3r)^(1/6); cut after degree 7 the bound
+    holds at (3r)^(1/8), so RF_STOP = (3 eps)^(-1/8), as in Boost's
+    ellint_rf.  roots, if given, are cmath.sqrt of x, y, z, which the first
+    step takes instead of computing them again.
+    """
+    a = (x + y + z) / 3
+    q = RF_STOP * max(abs(a - x), abs(a - y), abs(a - z))
+    for _ in range(100):
+        if q < abs(a):
+            break
+        sx, sy, sz = roots or (cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z))
+        roots = ()
+        lam = sx * (sy + sz) + sy * sz
+        x, y, z, a = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4, (a + lam) / 4
+        q /= 4
+    else:
+        raise we.DegenerateGeometryError("Carlson duplication did not converge")
+    # the mean of the final arguments, so that the three differences sum to 0
+    a = (x + y + z) / 3
+    dx, dy = 1 - x / a, 1 - y / a
+    dz = -dx - dy
+    e2 = dx * dy - dz * dz
+    e3 = dx * dy * dz
+    # the terms after 1 are small: summed first, they keep more of their bits
+    return (1 + (-e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44 - 5 * e2 * e2 * e2 / 208
+                 + 3 * e3 * e3 / 104 + e2 * e2 * e3 / 16)) / cmath.sqrt(a)
+
+
 def invert_embedding_reference(x, y, e, curve: CurveSpec):
-    """weierstrass._invert_embedding with R_F taking its own first square
-    roots, the roots of P' taken again, and the parameter reduced by canon."""
+    """weierstrass._invert_embedding before the complex AGM, on the roots e of
+    4t^3 - g2 t - g3: z = R_F(a1, a2, a3)/u with a_i = (x - e_i)/u^2,
+    u^2 = x/|x|, integrates along the ray from x away from 0, and
+    P'(z) = -2 u^3 sqrt(a1) sqrt(a2) sqrt(a3) picks z's sign by y; the
+    parameter is reduced by canon."""
     u = cmath.sqrt(x / abs(x)) if x else 1.0
     a = [(x - ei) / u**2 for ei in e]
-    z = we._carlson_rf(*a) / u
+    z = carlson_rf(*a) / u
     pp = -2 * u**3 * cmath.sqrt(a[0]) * cmath.sqrt(a[1]) * cmath.sqrt(a[2])
     if abs(pp - y) > abs(pp + y):
         z, pp = -z, -pp
@@ -220,15 +275,15 @@ def cluster_bits(clusters):
 
 
 def duplication_steps(monkeypatch, triples) -> float:
-    """The mean number of duplication steps weierstrass._carlson_rf takes on
-    the argument triples: without roots given, a call takes three square
-    roots per step and one for the result."""
+    """The mean number of duplication steps carlson_rf takes on the argument
+    triples: without roots given, a call takes three square roots per step
+    and one for the result."""
     taken = []
     sqrt = cmath.sqrt
     with monkeypatch.context() as m:
         m.setattr(cmath, "sqrt", lambda v: taken.append(v) or sqrt(v))
         for args in triples:
-            we._carlson_rf(*args)
+            carlson_rf(*args)
     return (len(taken) - len(triples)) / 3 / len(triples)
 
 

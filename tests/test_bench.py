@@ -2,7 +2,9 @@
 workload, run in process and scored by the workload's own reference check,
 fail only in the input classes the workload lists as known defects."""
 
+import cmath
 import importlib
+import json
 import math
 import sys
 from fractions import Fraction
@@ -19,7 +21,7 @@ from ellpar.bundles import classify_triple
 from ellpar.jaclattice import CurveSpec, JacPoint
 
 from conftest import (close_to_reference, cluster_bits, cluster_reference, contains_reference,
-                      cubic_roots_reference, duplication_steps, equal_reference, frame_lambda,
+                      cubic_roots_reference, equal_reference, frame_lambda,
                       invert_embedding_reference, wp_reference)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -107,20 +109,31 @@ def test_dual_plane_lambda_on_the_benchmark_inputs_matches_the_frame_reference(m
     assert checked_chords > 300
 
 
-def test_dual_plane_inversions_take_fewer_duplication_steps(monkeypatch):
-    # R_F on the elliptic logs of the first operations: stopping at a spread
-    # of 1e-3 for the 5th-order series took 5.36 steps per inversion here
+def test_dual_plane_inversions_take_at_most_five_agm_steps(monkeypatch):
+    # the elliptic logs of the first operations, on the three benchmark
+    # curves: an inversion takes two square roots before its AGM steps, one
+    # per step, and one for the ordinate
     monkeypatch.syspath_prepend(str(BENCH))
-    batch = list(islice(importlib.import_module("dual_plane").ops(1), OPS))
-    triples = []
-    rf = we._carlson_rf
+    dual_plane = importlib.import_module("dual_plane")
+    batch = list(islice(dual_plane.ops(1), OPS))
+    inversions = []
+    invert = we._invert_embedding
     with monkeypatch.context() as m:
-        m.setattr(we, "_carlson_rf",
-                  lambda x, y, z, roots=(): triples.append((x, y, z)) or rf(x, y, z, roots))
+        m.setattr(we, "_invert_embedding", lambda *a: inversions.append(a) or invert(*a))
         for op in batch:
             _outcome(op)
-    assert len(triples) > 2 * OPS
-    assert duplication_steps(monkeypatch, triples) < 5.33
+    assert {curve.tau for *_, curve in inversions} == set(dual_plane.CURVES)
+    assert len(inversions) > 2 * OPS
+    roots = []
+    sqrt = cmath.sqrt
+    steps = set()
+    with monkeypatch.context() as m:
+        m.setattr(cmath, "sqrt", lambda v: roots.append(v) or sqrt(v))
+        for args in inversions:
+            roots.clear()
+            invert(*args)
+            steps.add(len(roots) - 3)
+    assert max(steps) <= 5
 
 
 def test_dual_plane_root_clusters_equal_the_reference_loop_bit_for_bit(monkeypatch):
@@ -199,9 +212,8 @@ def _counted(f, calls):
 
 @pytest.mark.parametrize("workload", ["stability_scan", "dual_plane"])
 def test_workload_answers_alike_with_the_reference_primitives(workload, monkeypatch):
-    # plane incidence on attributes, the float path of equal, the shared
-    # square roots of the elliptic log and the line cubic's table of unit
-    # cube roots change no bit of any answer
+    # plane incidence on attributes, the float path of equal and the line
+    # cubic's table of unit cube roots change no bit of any answer
     monkeypatch.syspath_prepend(str(BENCH))
     batch = list(islice(importlib.import_module(workload).ops(1), OPS))
     fast = [_stored_outcome(op) for op in batch]
@@ -209,7 +221,6 @@ def test_workload_answers_alike_with_the_reference_primitives(workload, monkeypa
     monkeypatch.setattr(we.PlaneLine, "contains", _counted(contains_reference, calls))
     monkeypatch.setattr(we.PlanePoint, "close_to", _counted(close_to_reference, calls))
     monkeypatch.setattr(we.PlaneLine, "close_to", _counted(close_to_reference, calls))
-    monkeypatch.setattr(we, "_invert_embedding", _counted(invert_embedding_reference, calls))
     monkeypatch.setattr(we, "_cubic_roots", _counted(cubic_roots_reference, calls))
     # the definition, which no other module binds: each caller reaches it there
     assert [name for name, module in sys.modules.items() if name.startswith("ellpar")
@@ -217,9 +228,68 @@ def test_workload_answers_alike_with_the_reference_primitives(workload, monkeypa
     monkeypatch.setattr(jl, "equal", _counted(equal_reference, calls))
     assert [_stored_outcome(op) for op in batch] == fast
     used = {"stability_scan": {"close_to_reference", "contains_reference", "equal_reference"},
-            "dual_plane": {"contains_reference", "cubic_roots_reference", "equal_reference",
-                           "invert_embedding_reference"}}
+            "dual_plane": {"contains_reference", "cubic_roots_reference", "equal_reference"}}
     assert set(calls) == used[workload]
+
+
+def _carlson_log(x, y, tables, curve):
+    return invert_embedding_reference(x, y, [table[2] for table in tables], curve)
+
+
+def _close_answers(a, b) -> bool:
+    """Two answers of plain values alike: the same shape, strings, booleans
+    and integers, and every float within 1e-12 of max(1, |float|)."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(
+            _close_answers(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(_close_answers, a, b))
+    if isinstance(a, float) or isinstance(b, float):
+        return abs(a - b) <= 1e-12 * max(1.0, abs(a))
+    return type(a) is type(b) and a == b
+
+
+def _answer(op):
+    """An operation's verdict (None when its check passes, else "wrong" or
+    the type of the error it raised) and its output as plain values: a
+    dual-plane line's answer as its count and its class's label and points,
+    a command-line one as its exit code and its JSON, a rank as it is.  A
+    line's cross-ratio is left to the verdict: near-coincident points, as on
+    a near-tangent line, amplify the roundoff of the points in it."""
+    try:
+        out = op.call()
+    except Exception as exc:
+        return type(exc).__name__, None
+    try:
+        op.check(out)
+        verdict = None
+    except Exception:
+        verdict = "wrong"
+    if not isinstance(out, tuple):
+        return verdict, out
+    if isinstance(out[1], str):
+        return verdict, [out[0], json.loads(out[1])]
+    n, cls, _ = out
+    if hasattr(cls, "label"):
+        cls = [cls.label] + [list(p.coords()) for p in cls.triple or (cls.point,)]
+    return verdict, [n, cls]
+
+
+@pytest.mark.parametrize("workload", ["dual_plane", "cli_batch"])
+def test_workload_answers_alike_with_the_agm_and_the_carlson_logarithm(workload, monkeypatch):
+    # the complex AGM replaced Carlson's R_F in the elliptic logarithm: the
+    # first operations pass or fail alike, with the same counts, labels and
+    # exit codes, and every point and coordinate within 1e-12
+    monkeypatch.syspath_prepend(str(BENCH))
+    batch = list(islice(importlib.import_module(workload).ops(1), 4 * OPS))
+    agm = [_answer(op) for op in batch]
+    calls = []
+    monkeypatch.setattr(we, "_invert_embedding", _counted(_carlson_log, calls))
+    carlson = [_answer(op) for op in batch]
+    assert len(calls) > OPS
+    for op, (verdict, out), (want_verdict, want) in zip(batch, agm, carlson):
+        assert verdict == want_verdict, op.kind
+        assert _close_answers(out, want), (op.kind, out, want)
 
 
 def test_the_tracer_wraps_every_traced_primitive(monkeypatch):

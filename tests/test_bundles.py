@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellpar import autgroup as ag
@@ -133,6 +133,36 @@ def test_a_t21_class_away_from_the_2_and_3_torsion_comes_back_through_its_line()
         done += 1
         back = _back_through_the_line(bd.make_t21(z))
         assert back.label == "T21" and jl.distance(back.point, z) <= 1e-9, z
+
+
+coords = st.floats(0, 1, exclude_max=True)
+curves = st.builds(lambda re, im: CurveSpec(complex(re, im)), st.floats(-0.5, 0.5),
+                   st.floats(0.8, 2))
+
+
+@given(curve=curves, s1=coords, t1=coords, s2=coords, t2=coords)
+@settings(max_examples=150, deadline=None)
+def test_any_generic_t1_class_comes_back_through_its_line(curve, s1, t1, s2, t2):
+    # as above, on the points hypothesis draws: separations, and distances
+    # to the 2-torsion, at least 1e-2; a point at a 2-torsion point, where
+    # P' = 0, comes back only to about sqrt(eps)
+    z1, z2 = JacPoint(curve, s1, t1), JacPoint(curve, s2, t2)
+    zs = (z1, z2, jl.neg(jl.add(z1, z2)))
+    assume(min(jl.distance(p, q) for p, q in itertools.combinations(zs, 2)) >= 1e-2)
+    assume(min(jl.distance(z, q) for z in zs for q in jl.torsion_points(2, curve)) >= 1e-2)
+    back = _back_through_the_line(bd.classify_triple(*zs))
+    assert back.label == "T1"
+    assert all(min(jl.distance(z, q) for q in back.triple) <= 1e-9 for z in zs)
+
+
+@given(curve=curves, s=coords, t=coords)
+@settings(max_examples=150, deadline=None)
+def test_any_t21_class_away_from_the_2_and_3_torsion_comes_back_through_its_line(curve, s, t):
+    z = JacPoint(curve, s, t)
+    torsion = jl.torsion_points(2, curve) + jl.torsion_points(3, curve)
+    assume(min(jl.distance(z, q) for q in torsion) >= 1e-2)
+    back = _back_through_the_line(bd.make_t21(z))
+    assert back.label == "T21" and jl.distance(back.point, z) <= 1e-9
 
 
 def test_tu_line_tangency_matches_type(curve):

@@ -578,6 +578,34 @@ def test_cli_answers_stability_without_loading_modspace_or_autgroup():
         "ellpar.weierstrass"], "unused": []}
 
 
+NO_ARGUMENTS = """
+import json, sys
+from ellpar import cli
+sys.argv = ["ellpar"]
+code = cli.main()
+print(json.dumps({"code": code, "argparse": "argparse" in sys.modules}))
+"""
+
+
+def test_a_spawn_without_arguments_does_not_load_argparse():
+    # main parses sys.argv[1:] when called without argv, and builds its
+    # parser only when there are arguments to parse
+    proc = subprocess.run([sys.executable, "-c", NO_ARGUMENTS], input=json.dumps(STABILITY_REQUEST),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    answer, loaded = proc.stdout.splitlines()
+    assert json.loads(answer)["result"]["verdict"] == "Stable"
+    assert json.loads(loaded) == {"code": 0, "argparse": False}
+
+
+def test_help_prints_the_usage_of_both_options(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: ellpar [-h] [--tol TOL] [--file FILE]")
+
+
 def test_matrices_in_and_out_of_the_cli():
     payload = {"tau": TAU, "class": {"label": "T1",
                                      "triple": [[1, 5, 0, 1], [0, 1, 1, 7], [4, 5, 6, 7]]},

@@ -6,14 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellpar import jaclattice as jl
 from ellpar import weierstrass as we
-from ellpar.jaclattice import CurveSpec
+from ellpar.jaclattice import CurveSpec, JacPoint
 
-from conftest import (TAU, close_to_reference, cluster_bits, cluster_reference,
+from conftest import (TAU, carlson_rf, close_to_reference, cluster_bits, cluster_reference,
                       contains_reference, cubic_roots_reference, duplication_steps, exact,
                       invert_embedding_reference, wp_reference)
 
@@ -283,7 +283,7 @@ def test_carlson_rf_matches_mpmath():
         args = list((rng.randn(3) + 1j * rng.randn(3)) * 10 ** rng.uniform(-6, 6, 3))
         if i % 3 == 0:
             args[i % 9 // 3] = 0j
-        got = we._carlson_rf(*args)
+        got = carlson_rf(*args)
         want = complex(mpmath.elliprf(*(mpmath.mpc(a.real, a.imag) for a in args)))
         assert abs(got - want) <= 4e-15 * abs(want), args
 
@@ -312,7 +312,7 @@ def _carlson_cases():
         cases["near_zero"].append(args)
     for tau in (1j, 0.5 + 1j, TAU):
         curve = CurveSpec(tau)
-        g2, g3, e = we._curve_constants(curve)
+        e = [t[2] for t in we._curve_constants(curve)[2]]
         for _ in range(100):
             x, _ = we.wp(10 ** rng.uniform(-6.5, -1) * unit(), curve)
             u = cmath.sqrt(x / abs(x))
@@ -332,7 +332,7 @@ def test_carlson_rf_matches_mpmath_across_spreads_and_near_pole_inversions():
         for args in cases:
             with mpmath.workdps(40):
                 want = complex(mpmath.elliprf(*(mpmath.mpc(a.real, a.imag) for a in args)))
-            worst = max(worst, abs(we._carlson_rf(*args) - want) / abs(want))
+            worst = max(worst, abs(carlson_rf(*args) - want) / abs(want))
         assert worst <= CARLSON_WORST[family], (family, worst)
 
 
@@ -352,7 +352,7 @@ def _assert_inverts(x, y, curve):
     """
     g2, g3, _ = we.curve_invariants(curve)
     e = [complex(r) for r in np.roots([4, 0, -g2, -g3])]
-    z = we._invert_embedding(x, y, e, curve)[0].value()
+    z = we._invert_embedding(x, y, we._log_tables(e), curve)[0].value()
     p, pp = we.wp(z, curve)
     scale = max(1.0, abs(x), *map(abs, e))
     assert abs(p - x) <= 1e-13 * scale + 1e-15 * (1 + abs(curve.tau)) * abs(pp), (x, y)
@@ -373,7 +373,7 @@ def test_elliptic_log_near_lattice_and_at_two_torsion(tau):
 
 @pytest.mark.parametrize("tau", [1j, 0.5 + 1j])
 def test_elliptic_log_on_real_loci(tau):
-    # where P is real, an argument of R_F can lie on its cut: try both signed zeros
+    # where P is real, x - e_i can lie on the square root's cut: try both signed zeros
     curve = CurveSpec(tau)
     for line in (lambda r: r, lambda r: r + tau / 2, lambda r: 1j * r * tau.imag):
         for k in range(1, 200):
@@ -382,6 +382,136 @@ def test_elliptic_log_on_real_loci(tau):
             if abs(x.imag) <= 1e-12 * abs(x):
                 for xr in (complex(x.real, 0.0), complex(x.real, -0.0)):
                     _assert_inverts(xr, y, curve)
+
+
+@pytest.mark.parametrize("tau", [TAU, 1j, 0.5 + 1j, 2j, 0.1 + 0.4j])
+def test_elliptic_log_at_the_branch_points_and_of_non_finite_input(tau):
+    # x at a branch point, which is its own nearest and so e3, where the
+    # first step's c0 is 0: a 2-torsion point with ordinate 0 for either
+    # signed zero y; a non-finite x is refused with a ValueError
+    curve = CurveSpec(tau)
+    tables = we._curve_constants(curve)[2]
+    for e in (table[2] for table in tables):
+        for y in (0j, complex(-0.0, -0.0)):
+            z, pp = we._invert_embedding(e, y, tables, curve)
+            assert pp == 0 and jl.mul(2, z).is_zero(tol=1e-12), (e, y, z)
+    for x in (complex(math.inf, 0), complex(math.nan, 0), complex(0, -math.inf)):
+        with pytest.raises(ValueError):
+            we._invert_embedding(x, 1, tables, curve)
+
+
+@given(s=st.floats(0, 1, exclude_max=True), t=st.floats(0, 1, exclude_max=True),
+       re=st.floats(-0.5, 0.5), im=st.floats(0.8, 2))
+@settings(max_examples=200, deadline=None)
+def test_the_elliptic_log_of_an_embedded_point_is_the_point(s, t, re, im):
+    # z -> embed -> elliptic log -> z mod Lambda, the sign fixed by y, for z
+    # at least 1e-2 from the lattice and from the 2-torsion
+    curve = CurveSpec(complex(re, im))
+    z = JacPoint(curve, s, t)
+    assume(min(jl.distance(z, q) for q in jl.torsion_points(2, curve)) >= 1e-2)
+    pt = we.embed(z, curve)
+    back, _ = we._invert_embedding(pt.x / pt.z, pt.y / pt.z, we._curve_constants(curve)[2], curve)
+    assert jl.distance(back, z) <= 1e-9
+
+
+@pytest.mark.parametrize("tau", [TAU, 1j, 0.5 + 1j, 3j])
+def test_elliptic_log_next_to_each_branch_point_is_as_accurate_as_carlson(tau):
+    # z within h = 1e-8..1e-4 of a 2-torsion point, where x is within ~h^2
+    # of a branch point and P' ~ h, so that z moves by ~eps/h: the AGM's
+    # worst h * |z - z0| at each 2-torsion point is at most 1.25 times
+    # Carlson's.  The branch point nearest x is e3; labelled e1, it would put
+    # asin(M/c) next to +-1, where asin is ill-conditioned
+    curve = CurveSpec(tau)
+    tables = we._curve_constants(curve)[2]
+    e = [table[2] for table in tables]
+    rng = random.Random(137)
+    for w in (0.5, tau / 2, (1 + tau) / 2):
+        worst = {"agm": 0.0, "carlson": 0.0}
+        for _ in range(100):
+            h = 10 ** rng.uniform(-8, -4)
+            z0 = w + h * cmath.exp(1j * rng.uniform(-3.1, 3.1))
+            x, y = we.wp(z0, curve)
+            want = jl.canon(z0, curve)
+            for method, (z, _) in (("agm", we._invert_embedding(x, y, tables, curve)),
+                                   ("carlson", invert_embedding_reference(x, y, e, curve))):
+                worst[method] = max(worst[method], h * jl.distance(z, want))
+        assert worst["agm"] <= 1.25 * worst["carlson"], (w, worst)
+
+
+def _wp_mpmath(mpmath, z: complex, tau: complex):
+    """P(z) on Z + tau Z at mpmath's working precision, from wp's q-series
+    with z reduced to the parallelogram centred at 0.  For |tau| < 1 the
+    series runs on the lattice scaled by 1/tau, Z + tau' Z with
+    tau' = -1/tau, whose nome is smaller: P(z) = P(z/tau; tau')/tau^2."""
+    tau, z = mpmath.mpc(tau.real, tau.imag), mpmath.mpc(z.real, z.imag)
+    scale = 1
+    if abs(tau) < 1:
+        z, scale, tau = z / tau, 1 / (tau * tau), -1 / tau
+    t = z.imag / tau.imag
+    s = z.real - t * tau.real
+    z = (s - mpmath.nint(s)) + (t - mpmath.nint(t)) * tau
+    q, u = mpmath.expjpi(2 * tau), mpmath.expjpi(2 * z)
+    iu, om = 1 / u, 1 - u
+    p = mpmath.mpf(1) / 12 + u / (om * om)
+    qn = q
+    while True:
+        a, b, c = 1 - qn * u, 1 - qn * iu, 1 - qn
+        term = qn * (u / (a * a) + iu / (b * b) - 2 / (c * c))
+        p += term
+        if abs(term) < mpmath.eps * abs(p):
+            return scale * (2j * mpmath.pi) ** 2 * p
+        qn *= q
+
+
+def _log_families(tau: complex, rng: random.Random):
+    """(x, y) inputs of the elliptic logarithm on Z + tau Z, by family: generic
+    points, points 1e-7..1e-2 from the lattice and 1e-6..1e-2 from each
+    2-torsion point, and, on the lines where P is real (for a real lattice,
+    Re tau = 0 or 1/2), x with a +0.0 and a -0.0 imaginary part."""
+    curve = CurveSpec(tau)
+
+    def near(v, lo, hi):
+        return v + 10 ** rng.uniform(lo, hi) * cmath.exp(1j * rng.uniform(-3.1, 3.1))
+
+    zs = {"generic": [rng.random() + rng.random() * tau for _ in range(24)],
+          "near_lattice": [near(v, -6.99, -2) for v in (0, 1, tau, 1 + tau) for _ in range(6)],
+          "near_2_torsion": [near(v, -6, -2) for v in (0.5, tau / 2, (1 + tau) / 2)
+                             for _ in range(8)]}
+    families = {family: [we.wp(z, curve) for z in zs[family]] for family in zs}
+    families["real_loci"] = []
+    if tau.real in (0, 0.5):
+        for line in (lambda r: r, lambda r: r + tau / 2, lambda r: 1j * r * tau.imag):
+            for k in range(1, 10):
+                x, y = we.wp(line(k / 10 + rng.uniform(-0.04, 0.04)), curve)
+                if abs(x.imag) <= 1e-12 * abs(x):
+                    families["real_loci"] += [(complex(x.real, sign), y) for sign in (0.0, -0.0)]
+    return families
+
+
+@pytest.mark.parametrize("band", [(0.3, 0.8), (0.8, 2), (2, 5)])
+def test_elliptic_log_is_as_accurate_as_carlson_against_mpmath(band):
+    # the backward error |P(z) - x|/|x| of the AGM's z and of Carlson's, P at
+    # 40 digits, on the same inputs: the AGM's worst in each family of a band
+    # of Im tau is at most twice Carlson's
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(131)
+    lo, hi = band
+    taus = [complex(re, rng.uniform(lo, hi)) for re in (rng.uniform(-0.5, 0.5), 0, 0.5)]
+    worst = {}
+    with mpmath.workdps(40):
+        for tau in taus:
+            curve = CurveSpec(tau)
+            tables = we._curve_constants(curve)[2]
+            e = [table[2] for table in tables]
+            for family, xys in _log_families(tau, rng).items():
+                for x, y in xys:
+                    for method, z in (("agm", we._invert_embedding(x, y, tables, curve)[0]),
+                                      ("carlson", invert_embedding_reference(x, y, e, curve)[0])):
+                        err = float(abs(_wp_mpmath(mpmath, z.value(), tau) - x) / abs(x))
+                        worst[family, method] = max(worst.get((family, method), 0.0), err)
+    assert len(worst) == 8
+    for family in ("generic", "near_lattice", "near_2_torsion", "real_loci"):
+        assert worst[family, "agm"] <= 2 * worst[family, "carlson"], (family, worst)
 
 
 def _root_errors(got, want):
@@ -537,11 +667,11 @@ def _chord_lines(curve, n, seed):
 
 
 def test_intersections_on_one_curve_compute_its_constants_once(monkeypatch):
-    # g2, g3 and the branch points e are memoised per curve value, so fresh
-    # CurveSpecs of one tau share them
+    # g2, g3, the branch points e and the elliptic log's tables are memoised
+    # per curve value, so fresh CurveSpecs of one tau share them
     lines = _chord_lines(CurveSpec(TAU), 50, seed=41)
-    calls = {"invariants": 0, "e_cubic": 0}
-    invariants, cubic_roots = we.curve_invariants, we._cubic_roots
+    calls = {"invariants": 0, "e_cubic": 0, "tables": 0}
+    invariants, cubic_roots, log_tables = we.curve_invariants, we._cubic_roots, we._log_tables
 
     def counted_invariants(curve):
         calls["invariants"] += 1
@@ -552,11 +682,16 @@ def test_intersections_on_one_curve_compute_its_constants_once(monkeypatch):
         return cubic_roots(*coeffs)
 
     monkeypatch.setattr(we, "curve_invariants", counted_invariants)
+    def counted_log_tables(e):
+        calls["tables"] += 1
+        return log_tables(e)
+
     monkeypatch.setattr(we, "_cubic_roots", counted_cubic_roots)
+    monkeypatch.setattr(we, "_log_tables", counted_log_tables)
     we._curve_constants.cache_clear()
     for line in lines:
         assert len(we.intersect_curve(line, CurveSpec(TAU))) == 3
-    assert calls == {"invariants": 1, "e_cubic": 1}
+    assert calls == {"invariants": 1, "e_cubic": 1, "tables": 1}
 
 
 def test_the_curve_memo_stays_at_its_bound():
@@ -572,7 +707,8 @@ def test_memoised_curve_constants_equal_a_fresh_computation(tau):
     curve = CurveSpec(tau)
     we._curve_constants(curve)
     g2, g3, _ = we.curve_invariants(curve)
-    assert we._curve_constants(CurveSpec(tau)) == (g2, g3, we._cubic_roots(4, 0, -g2, -g3))
+    assert we._curve_constants(CurveSpec(tau)) == (g2, g3,
+                                                   we._log_tables(we._cubic_roots(4, 0, -g2, -g3)))
 
 
 def _bits(hits):
@@ -725,38 +861,6 @@ def test_plane_incidence_equals_its_reference_bit_for_bit():
     assert decided == {True, False}
 
 
-def _invert_bits(f, x, y, e, curve):
-    """f's parameter and ordinate by the hex of every part, or the error it raised."""
-    try:
-        z, pp = f(x, y, e, curve)
-    except (ArithmeticError, ValueError) as exc:
-        return type(exc).__name__, str(exc)
-    return [type(v).__name__ + v.hex() for v in (z.s, z.t)] + [pp.real.hex(), pp.imag.hex()]
-
-
-@pytest.mark.parametrize("tau", [TAU, 1j, 0.5 + 1j, 2j, 0.1 + 0.4j])
-def test_elliptic_log_equals_its_reference_bit_for_bit(tau):
-    # the square roots of the a_i are taken once, for R_F's first step and
-    # for P', and the parameter is reduced without canon's dispatch: no bit
-    # moves, near the pole, on the real loci (signed zeros), at the branch
-    # points and on a seam
-    curve = CurveSpec(tau)
-    _, _, e = we._curve_constants(curve)
-    rng = random.Random(97)
-    xys = [we.wp(rng.random() + rng.random() * tau, curve) for _ in range(200)]
-    xys += [we.wp(10 ** rng.uniform(-6.5, -1) * cmath.exp(1j * rng.uniform(-3.1, 3.1)), curve)
-            for _ in range(100)]
-    for r in (lambda k: k / 50, lambda k: k / 50 + tau / 2, lambda k: 1j * k / 50 * tau.imag):
-        for k in range(1, 50):
-            x, y = we.wp(r(k), curve)
-            xys += [(complex(x.real, sign), y) for sign in (0.0, -0.0)] + [(x, -y)]
-    xys += [(ei, 0j) for ei in e] + [(ei, complex(-0.0, -0.0)) for ei in e] + [(0j, 1), (0, -1)]
-    xys += [(x, complex(math.nan, 0)) for x, _ in xys[:5]] + [(complex(math.inf, 0), 1)]
-    for x, y in xys:
-        assert _invert_bits(we._invert_embedding, x, y, e, curve) == \
-            _invert_bits(invert_embedding_reference, x, y, e, curve), (x, y)
-
-
 def test_carlson_rf_with_shared_roots_equals_the_plain_call_bit_for_bit():
     # R_F's first step takes the square roots it is given; with a spread
     # already below 1e-3 no step is taken and the roots go unused
@@ -772,6 +876,6 @@ def test_carlson_rf_with_shared_roots_equals_the_plain_call_bit_for_bit():
         a = sum(args) / 3
         zero_steps += 1e3 * max(abs(a - x) for x in args) < abs(a)
         roots = [cmath.sqrt(x) for x in args]
-        got, want = we._carlson_rf(*args, roots), we._carlson_rf(*args)
+        got, want = carlson_rf(*args, roots), carlson_rf(*args)
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), args
     assert zero_steps >= 200
