@@ -2,7 +2,8 @@
 one canonical-JSON response on stdout.
 
 Exit codes: 0 ok, 2 domain error (valid request, library rejected the data),
-3 schema error (malformed request or unknown command).
+3 schema error (malformed request, unknown command, or a tol for a command
+that reads none; see TOL_DEFAULTS).
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import Any, Optional, Sequence
@@ -226,23 +226,23 @@ def ser_locus_config(cfg: bd.SubbundleConfig) -> dict:
 def _cmd_classify_bundle(payload, tol):
     curve = parse_curve(payload)
     pts = parse_points(_need(payload, "triple"), 3, curve, "'triple' must be a 3-list of points")
-    cls = bd.classify_triple(*pts, tol=tol or jl.EQ_TOL)
+    cls = bd.classify_triple(*pts, tol=tol)
     return ser_class(cls)
 
 
-def _cmd_graded(payload, tol):
+def _cmd_graded(payload):
     curve = parse_curve(payload)
     cls = parse_class(payload, curve)
     return {"triple": [ser_point(p) for p in bd.graded(cls)]}
 
 
-def _cmd_tu_line(payload, tol):
+def _cmd_tu_line(payload):
     curve = parse_curve(payload)
     cls = parse_class(payload, curve)
     return {"line": ser_plane(bd.tu_line(cls, curve))}
 
 
-def _cmd_intersect_line(payload, tol):
+def _cmd_intersect_line(payload):
     curve = parse_curve(payload)
     line = parse_plane_line(_need(payload, "line"))
     pts = we.intersect_curve(line, curve)
@@ -250,13 +250,13 @@ def _cmd_intersect_line(payload, tol):
             "multiplicities": we.multiplicities(pts)}
 
 
-def _cmd_subbundles(payload, tol):
+def _cmd_subbundles(payload):
     curve = parse_curve(payload)
     cls = parse_class(payload, curve)
     return ser_locus_config(bd.subbundle_config(cls))
 
 
-def _cmd_type_facts(payload, tol):
+def _cmd_type_facts(payload):
     label = _need(payload, "label")
     if label not in bd.LABELS:
         raise SchemaError(f"unknown label {label!r}")
@@ -270,7 +270,7 @@ def _cmd_classify_monodromy(payload, tol):
     curve = parse_curve(payload)
     pair = mo.CommutingPair(parse_matrix(_need(payload, "A")),
                             parse_matrix(_need(payload, "B")))
-    cls = mo.classify_bundle(pair, curve, tol=tol or jl.EQ_TOL)
+    cls = mo.classify_bundle(pair, curve, tol=tol)
     return ser_class(cls)
 
 
@@ -282,7 +282,7 @@ def _cmd_universal_family(payload, tol):
     b2 = parse_complex(_need(payload, "b2"))
     kind = payload.get("kind", "generic")
     pair = mo.universal_pair(b1, b2, kind)
-    cls = mo.classify_bundle(pair, curve, tol=tol or jl.EQ_TOL)
+    cls = mo.classify_bundle(pair, curve, tol=tol)
     out = {"A": ser_matrix(pair.A), "B": ser_matrix(pair.B), "class": ser_class(cls)}
     if kind == "generic":
         try:
@@ -292,12 +292,12 @@ def _cmd_universal_family(payload, tol):
     return out
 
 
-def _cmd_weights(payload, tol):
+def _cmd_weights(payload):
     w, chamber = parse_weights(_need(payload, "raw"), "'raw' must be a 3-list")
     return {"weights": ser_weights(w), "chamber": chamber}
 
 
-def _cmd_stability(payload, tol):
+def _cmd_stability(payload):
     curve = parse_curve(payload)
     cls = parse_class(payload, curve)
     flag = parse_flag(payload)
@@ -311,14 +311,14 @@ def _cmd_stability(payload, tol):
     return out
 
 
-def _cmd_locus(payload, tol):
+def _cmd_locus(payload):
     curve = parse_curve(payload)
     cls = parse_class(payload, curve)
     flag = parse_flag(payload)
     return {"locus": pa.locus(cls, flag)}
 
 
-def _cmd_normalize_flag(payload, tol):
+def _cmd_normalize_flag(payload):
     curve = parse_curve(payload)
     cls = parse_class(payload, curve)
     flag = parse_flag(payload)
@@ -327,12 +327,12 @@ def _cmd_normalize_flag(payload, tol):
     return {"coord": ser_proj(coord), "gauge": ser_matrix(gauge)}
 
 
-def _cmd_flip(payload, tol):
+def _cmd_flip(payload):
     t = parse_proj(_need(payload, "t"))
     return {"lambda": ser_proj(pa.flip(t))}
 
 
-def _cmd_psi_plus(payload, tol):
+def _cmd_psi_plus(payload):
     from . import modspace as ms
 
     curve = parse_curve(payload)
@@ -353,12 +353,12 @@ def _cmd_covering(payload, tol):
             return parse_fraction(z)
         return parse_complex(z)
 
-    f2, f3, cusp = ms.covering_invariants(conv(z1), conv(z2), tol=tol or jl.CUSP_TOL)
+    f2, f3, cusp = ms.covering_invariants(conv(z1), conv(z2), tol=tol)
     return {"F2": ser_complex(complex(f2)), "F3": ser_complex(complex(f3)),
             "on_cusp": bool(cusp)}
 
 
-def _cmd_sigma_count(payload, tol):
+def _cmd_sigma_count(payload):
     from . import modspace as ms
 
     curve = parse_curve(payload)
@@ -366,7 +366,7 @@ def _cmd_sigma_count(payload, tol):
     return {"count": ms.sigma_cover_count(line, curve)}
 
 
-def _cmd_abel(payload, tol):
+def _cmd_abel(payload):
     from . import modspace as ms
 
     curve = parse_curve(payload)
@@ -380,10 +380,10 @@ def _cmd_torelli(payload, tol):
 
     t1 = parse_complex(_need(payload, "tau1"))
     t2 = parse_complex(_need(payload, "tau2"))
-    return {"isomorphic": ms.curves_isomorphic(t1, t2, rel_tol=tol or jl.J_TOL)}
+    return {"isomorphic": ms.curves_isomorphic(t1, t2, rel_tol=tol)}
 
 
-def _cmd_aut_elements(payload, tol):
+def _cmd_aut_elements(payload):
     from . import autgroup as ag
 
     curve = parse_curve(payload)
@@ -391,7 +391,7 @@ def _cmd_aut_elements(payload, tol):
                          for g in ag.group_elements(curve)]}
 
 
-def _cmd_aut_act(payload, tol):
+def _cmd_aut_act(payload):
     from . import autgroup as ag
 
     curve = parse_curve(payload)
@@ -438,10 +438,21 @@ COMMANDS = {
 }
 
 
+# the commands that read a tolerance, each with the library default that a
+# given tol replaces; every other command refuses one
+TOL_DEFAULTS = {
+    "classify-bundle": jl.EQ_TOL,
+    "classify-monodromy": jl.EQ_TOL,
+    "universal-family": jl.EQ_TOL,
+    "covering": jl.CUSP_TOL,
+    "torelli": jl.J_TOL,
+}
+
+
 def _check_tol(tol, given=None) -> None:
     """Refuse a tol other than None or a finite number > 0, named as given:
     a negative or NaN tol reverses or voids the decisions it sets, and 0
-    would fall back to the library default while echoed in diagnostics."""
+    would decide them by exact equality."""
     if tol is not None and not (_is_number(tol) and tol > 0):
         shown = tol if given is None else given
         raise SchemaError(f"tol must be a finite number > 0, got {shown!r}")
@@ -453,12 +464,14 @@ def _failure(error: str, message: str, diagnostics: list) -> dict:
 
 
 def run(request: dict, tol: Optional[float] = None) -> tuple[dict, int]:
-    """Dispatch one request; returns (response, exit_code)."""
+    """Dispatch one request; returns (response, exit_code).  A command of
+    TOL_DEFAULTS gets tol, or its default without one; any other command
+    refuses a tol."""
     diagnostics: list[str] = []
-    if tol is not None:
-        diagnostics.append(f"tol={tol!r}")
     try:
-        _check_tol(tol)
+        if tol is not None:
+            diagnostics.append(f"tol={tol!r}")
+            _check_tol(tol)
         command = _object(request, "request must be a JSON object").get("command")
         if not isinstance(command, str):
             raise SchemaError("missing 'command' string")
@@ -467,7 +480,13 @@ def run(request: dict, tol: Optional[float] = None) -> tuple[dict, int]:
             return _failure("UnknownCommand", f"unknown command {command!r}",
                             diagnostics), EXIT_SCHEMA
         payload = _object(request.get("payload", {}), "'payload' must be a JSON object")
-        result = handler(payload, tol)
+        default = TOL_DEFAULTS.get(command)
+        if default is None:
+            if tol is not None:
+                raise SchemaError(f"{command!r} reads no tol; only {', '.join(TOL_DEFAULTS)} do")
+            result = handler(payload)
+        else:
+            result = handler(payload, default if tol is None else tol)
         return ({"ok": True, "result": result, "diagnostics": diagnostics}, EXIT_OK)
     except SchemaError as exc:
         return _failure("SchemaViolation", str(exc), diagnostics), EXIT_SCHEMA
@@ -498,20 +517,17 @@ def _options(argv: Sequence[str]) -> tuple[Optional[str], Optional[str]]:
     parser = argparse.ArgumentParser(
         prog="ellpar",
         description="JSON oracle interface to the parabolic-moduli library")
-    parser.add_argument("--tol",
-                        help="a finite number > 0 (also via TOL env var) that replaces a "
-                             "library default: EQ_TOL in classify-bundle, the nilpotency "
-                             "tolerance in classify-monodromy and universal-family, CUSP_TOL "
-                             "in covering and J_TOL in torelli; the other commands ignore it "
-                             "(see README.md, Command-line interface)")
+    parser.add_argument("--tol", help="a finite number > 0 that replaces the library default of "
+                        + ", ".join(f"{c} ({d!r})" for c, d in TOL_DEFAULTS.items())
+                        + "; every other command refuses it (see README.md, Command-line "
+                          "interface)")
     parser.add_argument("--file", help="read a JSON array of requests from a file instead of stdin")
     args = parser.parse_args(argv)
     return args.tol, args.file
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    tol_arg, file = _options(sys.argv[1:] if argv is None else argv)
-    raw = tol_arg if tol_arg is not None else os.environ.get("TOL") or None
+    raw, file = _options(sys.argv[1:] if argv is None else argv)
     try:
         tol = None if raw is None else float(raw)
     except ValueError:

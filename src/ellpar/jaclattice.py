@@ -417,7 +417,13 @@ def merge_triple(zs: Sequence[JacPoint], tol: float = EQ_TOL) -> Sequence[JacPoi
 
 def snap_to_torsion(p: JacPoint, n: int) -> JacPoint:
     """The n-torsion point nearest p, which every caller has found n-torsion:
-    an exact p is then n-torsion exactly, and only canon is left to do."""
+    an exact p is then n-torsion exactly, and only canon is left to do; one
+    with reduced Fraction coordinates, as torsion_points builds them, is
+    returned as it is, as canon would return it."""
+    s, t = p.s, p.t
+    if (type(s) is type(t) is Fraction
+            and 0 <= s.numerator < s.denominator and 0 <= t.numerator < t.denominator):
+        return p
     if p.is_exact:
         return canon(p, p.curve)
     s, t = p.coords()

@@ -145,30 +145,49 @@ def _nome(tau: complex) -> complex:
     return cmath.exp(2j * math.pi * tau)
 
 
+# g2 = _G2_SCALE E4, g3 = _G3_SCALE E6, and the discriminant's factor before
+# Jacobi's product q prod (1 - q^n)^24
+_G2_SCALE = (2 * math.pi) ** 4 / 12.0
+_G3_SCALE = (2 * math.pi) ** 6 / 216.0
+_DISC_SCALE = (2 * math.pi) ** 12
+
+
 def curve_invariants(curve: CurveSpec) -> tuple[complex, complex, complex]:
-    """(g2, g3, j) of the lattice Z + tau*Z."""
+    """(g2, g3, j) of the lattice Z + tau*Z.
+
+    j = 1728 g2^3 / Delta with the discriminant from Jacobi's product
+    Delta = (2 pi)^12 q prod (1 - q^n)^24 (Apostol, Modular Functions and
+    Dirichlet Series, ch. 3), not as g2^3 - 27 g3^2, which cancels wherever
+    j is large.  The product is taken in the Eisenstein loop: at its break
+    |q^n| is below ~4e-20, so every later factor rounds to 1.  From Im tau
+    ~ 113 on, j ~ 1/q leaves the range of a double: an OverflowError.
+    """
     q = _nome(curve.tau)
     e4 = 1.0 + 0j
     e6 = 1.0 + 0j
+    prod = 1.0 + 0j
     qn = q
     for n in range(1, _MAX_TERMS):
-        term = qn / (1 - qn)
+        om = 1 - qn
+        term = qn / om
         t4 = 240 * n**3 * term
         t6 = -504 * n**5 * term
         e4 += t4
         e6 += t6
+        prod *= om
         if abs(t4) < _SERIES_BREAK * abs(e4) and abs(t6) < _SERIES_BREAK * max(abs(e6), _FLOOR):
             break
         qn *= q
     else:
         raise ArithmeticError("Eisenstein series did not converge")
-    c4 = (2 * math.pi) ** 4 / 12.0
-    c6 = (2 * math.pi) ** 6 / 216.0
-    g2 = c4 * e4
-    g3 = c6 * e6
-    disc = g2**3 - 27 * g3**2
-    j = 1728 * g2**3 / disc
-    return g2, g3, j
+    g2 = _G2_SCALE * e4
+    g3 = _G3_SCALE * e6
+    disc = _DISC_SCALE * q * prod**24
+    if disc:
+        j = 1728 * g2**3 / disc
+        if cmath.isfinite(j):
+            return g2, g3, j
+    raise OverflowError(f"the j-invariant at tau = {curve.tau} exceeds the range of a double")
 
 
 # (2*pi*i)^2 and (2*pi*i)^3, the factors of wp's two series

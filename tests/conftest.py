@@ -16,14 +16,6 @@ from ellpar.parabolic import ProjScalar
 TAU = 0.3 + 1.1j
 
 
-@pytest.fixture(autouse=True)
-def _no_tolerance_from_the_environment(monkeypatch):
-    """A TOL in the calling shell would set the CLI's tolerance, in process
-    and in every child a test starts; the tests expect the defaults, and the
-    tests of the variable set it themselves."""
-    monkeypatch.delenv("TOL", raising=False)
-
-
 @pytest.fixture
 def curve():
     return CurveSpec(TAU)

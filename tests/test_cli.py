@@ -226,6 +226,62 @@ def test_no_tol_answers_as_the_library_default(command):
                for f in (0.01, 100))
 
 
+def test_the_tol_readers_are_the_table_of_the_cli():
+    assert {c: d for c, (_, d) in TOL_READERS.items()} == cli.TOL_DEFAULTS
+
+
+T1_CLASS = {"label": "T1", "triple": [[1, 5, 0, 1], [0, 1, 1, 7], [4, 5, 6, 7]]}
+FLAG = {"P": [1, 1, 0], "L": [1, -1, -1]}
+
+# a valid request of each command
+EVERY_COMMAND = {
+    "classify-bundle": {"tau": TAU, "triple": T1_CLASS["triple"]},
+    "graded": {"tau": TAU, "class": {"label": "T21", "point": [1, 5, 0, 1]}},
+    "tu-line": {"tau": TAU, "class": {"label": "T21", "point": [1, 5, 0, 1]}},
+    "intersect-line": {"tau": TAU, "line": [1, 1, 1]},
+    "subbundles": {"tau": TAU, "class": {"label": "T33", "point": [1, 3, 0, 1]}},
+    "type-facts": {"label": "T1"},
+    "classify-monodromy": {"tau": TAU, "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                           "B": [[1, 1, 0], [0, 1, 1], [0, 0, 1]]},
+    "universal-family": {"tau": TAU, "b1": [0.7, 0.2], "b2": [1.3, -0.1]},
+    "weights": {"raw": ["1/5", "1/10", "-3/10"]},
+    "stability": {"tau": TAU, "class": T1_CLASS, "flag": FLAG,
+                  "weights": ["1/5", "1/10", "-3/10"]},
+    "locus": {"tau": TAU, "class": T1_CLASS, "flag": FLAG},
+    "normalize-flag": {"tau": TAU, "class": T1_CLASS, "flag": {"P": [1, 1, 1], "L": [-2, 1, 1]},
+                       "chamber": "Pminus"},
+    "flip": {"t": 1},
+    "psi-plus": {"tau": TAU, "line": [1, 1, -1], "x": [1, 0, 1]},
+    "covering": {"z1": "2", "z2": "2"},
+    "sigma-count": {"tau": TAU, "line": [1, 1, 1]},
+    "abel": {"tau": TAU, "pair": [[1, 5, 0, 1], [4, 5, 0, 1]]},
+    "torelli": {"tau1": TAU, "tau2": [1.3, 1.1]},
+    "aut-elements": {"tau": TAU},
+    "aut-act": {"tau": TAU, "g": {"shift": [0, 1, 0, 1], "dual": True},
+                "target": {"class": {"label": "T21", "point": [1, 5, 0, 1]}}},
+}
+
+
+def test_every_command_has_a_request():
+    assert sorted(EVERY_COMMAND) == sorted(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(EVERY_COMMAND))
+def test_only_the_five_readers_take_a_tol(command):
+    request = {"command": command, "payload": EVERY_COMMAND[command]}
+    plain, code = cli.run(request)
+    assert code == cli.EXIT_OK and plain["ok"] and plain["diagnostics"] == [], plain
+    resp, code = cli.run(request, tol=1e-9)
+    if command in cli.TOL_DEFAULTS:
+        assert code == cli.EXIT_OK and resp["diagnostics"] == ["tol=1e-09"]
+    else:
+        assert code == cli.EXIT_SCHEMA and resp == {
+            "ok": False, "diagnostics": ["tol=1e-09"], "result": {
+                "error": "SchemaViolation",
+                "message": f"{command!r} reads no tol; only classify-bundle, "
+                           "classify-monodromy, universal-family, covering, torelli do"}}
+
+
 def test_schema_errors_exit_3():
     for req in [
         {"payload": {}},
@@ -359,18 +415,19 @@ def test_t21_and_t22_classes_need_a_point_off_the_3_torsion():
     assert t21 == t22
 
 
-def test_intersect_line_multiplicities_ignore_tol():
+def test_intersect_line_multiplicities_under_the_one_rule_and_no_tol():
     # the chord through 0.5 +- 2e-6 is a chord under the one coincidence
-    # rule, whatever --tol says, as sigma-count reads it
+    # rule, as sigma-count reads it; intersect-line reads no tol and refuses one
     from ellpar import weierstrass as we
     from ellpar.jaclattice import CurveSpec
 
     x = we.wp(0.5 + 2e-6, CurveSpec(complex(*TAU)))[0]
     req = {"command": "intersect-line",
            "payload": {"tau": TAU, "line": [1, 0, [-x.real, -x.imag]]}}
+    plain, code = cli.run(req)
+    assert code == cli.EXIT_OK and plain["result"]["multiplicities"] == [1, 1, 1]
     wide, code = cli.run(req, tol=1e-4)
-    assert code == cli.EXIT_OK and wide["result"]["multiplicities"] == [1, 1, 1]
-    assert wide["result"] == cli.run(req)[0]["result"]
+    assert code == cli.EXIT_SCHEMA and wide["result"]["error"] == "SchemaViolation"
 
 
 def test_output_is_canonical_json():
@@ -460,35 +517,34 @@ def test_batch_file_mode(tmp_path):
     assert out[4]["result"]["error"] == "ArithmeticError" and out[5]["ok"]
 
 
-def test_tol_env_var(monkeypatch):
-    req = json.dumps({"command": "type-facts", "payload": {"label": "T1"}})
-    monkeypatch.setenv("TOL", "1e-9")
-    proc = subprocess.run([sys.executable, "-m", "ellpar.cli"], input=req,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
-    out = json.loads(proc.stdout)
-    assert out["diagnostics"] == ["tol=1e-09"]
-    monkeypatch.setenv("TOL", "abc")
-    proc = subprocess.run([sys.executable, "-m", "ellpar.cli"], input=req,
-                          capture_output=True, text=True)
+def test_a_tol_on_a_command_that_reads_none_exits_3():
+    proc = run_cli(["--tol", "1e-9"], json.dumps({"command": "type-facts",
+                                                  "payload": {"label": "T1"}}))
     assert proc.returncode == 3
+    assert refused(proc.stdout) and json.loads(proc.stdout)["diagnostics"] == ["tol=1e-09"]
+
+
+def test_a_batch_under_tol_answers_the_readers_and_refuses_the_rest(tmp_path):
+    f = tmp_path / "batch.json"
+    f.write_text(json.dumps([{"command": "torelli", "payload": {"tau1": [0, 1], "tau2": [0, 1]}},
+                             {"command": "type-facts", "payload": {"label": "T1"}}]))
+    proc = run_cli(["--tol", "1e-9", "--file", str(f)], "")
+    assert proc.returncode == 3
+    reader, other = json.loads(proc.stdout)
+    assert reader == {"ok": True, "result": {"isomorphic": True}, "diagnostics": ["tol=1e-09"]}
+    assert not other["ok"] and other["result"]["error"] == "SchemaViolation"
 
 
 TORELLI_SELF = {"command": "torelli", "payload": {"tau1": [0, 1], "tau2": [0, 1]}}
 
 
-@pytest.mark.parametrize("source", ["--tol", "TOL"])
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])
-def test_tolerance_must_be_finite_and_positive(value, source, monkeypatch, capsys):
-    # refused by one check before any request runs, from either source: nan
-    # would make a curve non-isomorphic to itself, inf make any two isomorphic
-    # and 0 fall back to the default while echoed in diagnostics
+def test_tolerance_must_be_finite_and_positive(value, monkeypatch, capsys):
+    # refused by one check before any request runs: nan would make a curve
+    # non-isomorphic to itself, inf make any two isomorphic and 0 decide by
+    # exact equality
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(TORELLI_SELF)))
-    if source == "TOL":
-        monkeypatch.setenv("TOL", value)
-        code = cli.main([])
-    else:
-        code = cli.main([f"--tol={value}"])
+    code = cli.main([f"--tol={value}"])
     out = json.loads(capsys.readouterr().out)
     assert code == cli.EXIT_SCHEMA
     assert not out["ok"] and out["result"]["error"] == "SchemaViolation"
@@ -510,14 +566,6 @@ def test_run_refuses_the_tolerance_main_refuses(tol, monkeypatch, capsys):
     assert cli.main([f"--tol={tol!r}"]) == cli.EXIT_SCHEMA
     out = json.loads(capsys.readouterr().out)
     assert out["result"]["message"] == f"tol must be a finite number > 0, got {repr(tol)!r}"
-
-
-def test_a_valid_tolerance_flag_wins_over_the_environment(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(TORELLI_SELF)))
-    monkeypatch.setenv("TOL", "abc")
-    assert cli.main(["--tol", "1e-6"]) == cli.EXIT_OK
-    out = json.loads(capsys.readouterr().out)
-    assert out["result"] == {"isomorphic": True} and out["diagnostics"] == ["tol=1e-06"]
 
 
 IMPORT_GATE = """

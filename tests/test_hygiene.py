@@ -5,9 +5,9 @@ package, the scripts, the README or the acceptance tests, no memo is
 unbounded, no small float literal stands outside a module-level name, no
 membership test of the Jacobian is composed outside jaclattice, no call
 outside jaclattice passes EQ_TOL or rounds a coordinate into a Fraction,
-no frozen value is built through object.__setattr__, and no module imports
-dataclasses.  No linter is part of the toolchain, so this test is the
-check."""
+no frozen value is built through object.__setattr__, no module imports
+dataclasses, and no module reads the environment.  No linter is part of
+the toolchain, so this test is the check."""
 
 import ast
 import re
@@ -223,3 +223,24 @@ def test_no_dataclasses_import_in_the_library():
     # cost a fifth of a cold start of the CLI
     imports = [i for p in sorted(SRC.glob("*.py")) for i in _dataclasses_imports(p)]
     assert imports == []
+
+
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(path: Path) -> list[str]:
+    """os.environ and os.getenv (and their bytes forms), as attributes of os
+    or imported from it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr in _ENVIRONMENT
+            and getattr(n.value, "id", None) == "os"
+            or isinstance(n, ast.ImportFrom) and n.module == "os"
+            and any(a.name in _ENVIRONMENT for a in n.names)]
+
+
+def test_no_module_reads_the_environment():
+    # each option of the library has one source, the CLI's arguments: an
+    # environment variable would be a second, set unseen by the calling shell
+    reads = [r for p in sorted(SRC.glob("*.py")) for r in _environment_reads(p)]
+    assert reads == []

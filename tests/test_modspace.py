@@ -105,6 +105,14 @@ def test_curves_isomorphic_modular_invariance():
     assert not ms.curves_isomorphic(1j, 2j)
 
 
+@pytest.mark.parametrize("tau1, tau2, same", [
+    (5j, 0.2j, True), (6j, 1j / 6, True), (6j, 6.00001j, False), (7j, 8j, False),
+    (10j, 10j + 1, True)])
+def test_curves_isomorphic_high_in_the_half_plane(tau1, tau2, same):
+    # j ~ 1/q is large there, and g2^3 - 27 g3^2 cancelled to a few digits or to 0
+    assert ms.curves_isomorphic(tau1, tau2) is same
+
+
 def _chord_setup(curve, rng):
     z1 = jl.canon(complex(rng.rand() + rng.rand() * curve.tau), curve)
     z2 = jl.canon(complex(rng.rand() + rng.rand() * curve.tau), curve)

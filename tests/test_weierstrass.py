@@ -78,6 +78,25 @@ def test_j_is_modular():
         assert abs(j1 - j3) < 1e-8 * max(1.0, abs(j1))
 
 
+@pytest.mark.parametrize("band", [(0.05, 0.2), (0.2, 0.8), (0.8, 2), (2, 5), (5, 10)])
+def test_j_matches_mpmath_kleinj(band):
+    # j from Jacobi's product discriminant keeps its digits where
+    # g2^3 - 27 g3^2 cancels: near the real axis and high up the half-plane
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(31)
+    for _ in range(40):
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(*band))
+        want = 1728 * mpmath.kleinj(mpmath.mpc(tau.real, tau.imag))
+        j = we.curve_invariants(CurveSpec(tau))[2]
+        assert abs(mpmath.mpc(j) - want) <= 1e-13 * abs(want), tau
+
+
+@pytest.mark.parametrize("tau", [113j, 120j, 0.5 + 300j])
+def test_a_j_past_the_range_of_a_double_is_an_overflow(tau):
+    with pytest.raises(OverflowError, match="exceeds the range of a double"):
+        we.curve_invariants(CurveSpec(tau))
+
+
 @given(pt=interior)
 @settings(max_examples=60, deadline=None)
 def test_wp_differential_equation(pt):
