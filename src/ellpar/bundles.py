@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from . import jaclattice as jl
-from .jaclattice import EQ_TOL, TORSION_SNAP_TOL, CurveSpec, JacPoint, Value
+from .jaclattice import EQ_TOL, CurveSpec, JacPoint, Value
 from .weierstrass import PlaneLine, PlanePoint, line_through
 
 LABELS = ("T1", "T21", "T22", "T31", "T32", "T33")
@@ -104,7 +104,9 @@ def classify_triple(z1: JacPoint, z2: JacPoint, z3: JacPoint,
     The representative convention picks the class admitting stable parabolic
     structures: all distinct -> T1, exactly two equal -> T21, all equal -> T31,
     with the coincidences of jaclattice.merge_triple at tol.  A coincident
-    triple must be 3-torsion at TORSION_SNAP_TOL before it merges.
+    triple is refused only when its point is an exact member that is not
+    exactly 3-torsion; an approximate one, which the zero sum and the merge
+    at tol put within 4 tol of a flex, reads that flex.
     """
     if not jl.sums_to_zero(z1, z2, z3, tol):
         raise ValueError("triple does not sum to zero in the Jacobian")
@@ -112,8 +114,7 @@ def classify_triple(z1: JacPoint, z2: JacPoint, z3: JacPoint,
     pts = jl.canonical_sort([jl.canon(z1, curve), jl.canon(z2, curve), jl.canon(z3, curve)])
     zs = jl.merge_triple(pts, tol)
     z = zs[0]
-    if z is zs[1] is zs[2] and not jl.is_torsion(z if z.is_exact else pts[0], 3,
-                                                  TORSION_SNAP_TOL):
+    if z is zs[1] is zs[2] and z.is_exact and not jl.is_torsion(z, 3):
         raise ValueError("coincident triple is not 3-torsion")
     return _shared_class(zs)
 

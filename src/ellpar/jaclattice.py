@@ -29,7 +29,8 @@ from typing import Iterable, Sequence, Union
 # jaclattice
 # the coincidence rule of every library decision on approximate points: p, q
 # are one point when equal(p, q, EQ_TOL), a triple's points coincide as
-# merge_triple decides at it, and z is 3-torsion when 3z is 0 so
+# merge_triple decides at it, and z is 3-torsion when 3z is 0 so; also the
+# default nilpotency tol of monodromy.classify_bundle and normal_form
 EQ_TOL = 1e-6
 CURVE_TOL = 1e-9  # CurveSpec.same: taus this close, relative to max(1, |tau|), are one curve
 
@@ -39,9 +40,6 @@ POLE_TOL = 1e-7  # wp refuses z this close to the lattice, and embed sends it to
 INCIDENCE_TOL = 1e-9  # PlaneLine.contains: |l.p| at most this of max|l_i| max|p_i|
 AXIS_TOL = 1e-12  # intersection: |u|, |v| below this of max|l_i| read 0 (vertical, at infinity)
 ROOT_MERGE_TOL = 1e-4  # intersection: x-roots this close, relative to max(1, |x|), are one
-
-# bundles
-TORSION_SNAP_TOL = 1e-4  # classify_triple: a coincident triple must be 3-torsion to this
 
 # modspace
 INCIDENCE_POINT_TOL = 1e-7  # IncidencePoint: a point this far off its line still lies on it
@@ -55,8 +53,7 @@ WEIGHT_SUM_TOL = 1e-12  # Weights: float weights summing to 0 within this are ad
 CHORDAL_TOL = 1e-9  # ProjScalar.close_to: the chordal distance of one point of P^1
 
 # monodromy
-NILPOTENT_TOL = 1e-8  # normal_form and validate without a tol: nilpotency tests and residuals
-PAIR_TOL = 1e-7  # the least tol at which classify_bundle and normal_form validate a pair
+PAIR_TOL = 1e-7  # validate: |det - 1| and the commutator, as both classifiers check a pair
 EIGEN_SEP_TOL = 1e-9  # universal_config: eigenvalues this close degenerate the configuration
 
 # autgroup

@@ -21,8 +21,7 @@ from __future__ import annotations
 from . import jaclattice as jl
 from .bundles import (BundleClass, LineLocus, PointLocus, SubbundleConfig, classify_triple,
                       make_t3x)
-from .jaclattice import (EIGEN_SEP_TOL, EQ_TOL, NILPOTENT_TOL, PAIR_TOL, CurveSpec, JacPoint,
-                         Value)
+from .jaclattice import EIGEN_SEP_TOL, EQ_TOL, PAIR_TOL, CurveSpec, JacPoint, Value
 from .weierstrass import PlaneLine, PlanePoint, _cubic_roots
 
 _I = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
@@ -101,8 +100,8 @@ def _adjugate(M, sign: float = -1.0) -> tuple[tuple, complex]:
     return K, m00 * K[0] + m01 * K[3] + m02 * K[6]
 
 
-def validate(pair: CommutingPair, tol: float = NILPOTENT_TOL) -> CommutingPair:
-    """Check |det - 1| and the commutator at tolerance."""
+def validate(pair: CommutingPair, tol: float = PAIR_TOL) -> CommutingPair:
+    """Check |det - 1| and the commutator at tol, as both classifiers do."""
     A, B = pair.A, pair.B
     scale = max(_amax(A), _amax(B), 1.0)
     for which, M in (("A", A), ("B", B)):
@@ -226,8 +225,9 @@ def _is_regular(nil: tuple[tuple, tuple], tol: float) -> bool:
     return _amax(nil[1]) > tol * _amax(nil[0])
 
 
-def normal_form(pair: CommutingPair, tol: float = NILPOTENT_TOL):
-    """Reduce a valid commuting pair to its normal form.
+def normal_form(pair: CommutingPair, tol: float = EQ_TOL):
+    """Reduce a valid commuting pair to its normal form.  As in
+    classify_bundle, tol sets only the nilpotency tests.
 
     Returns (form, conjugator P, swapped) with
     inv(P) @ M1 @ P and inv(P) @ M2 @ P reproducing the normal-form matrices,
@@ -240,7 +240,7 @@ def normal_form(pair: CommutingPair, tol: float = NILPOTENT_TOL):
     def _unimodular(P):
         return P / np.linalg.det(P) ** (1.0 / 3.0)
 
-    validate(pair, tol=max(tol, PAIR_TOL))
+    validate(pair)
     blocks = _joint_blocks(pair.A, pair.B, tol)
     A, B = np.array(pair.A), np.array(pair.B)
     if all(m == 1 or _is_zero(nA[0], P, tol) and _is_zero(nB[0], P, tol)
@@ -291,7 +291,7 @@ def classify_bundle(pair: CommutingPair, curve: CurveSpec,
     """Bundle type of the flat bundle with monodromy (A, B) along (1, tau),
     from the Atiyah summands L_z (x) F of its joint blocks.  tol sets only the
     nilpotency tests; coincidence and 3-torsion are decided at EQ_TOL."""
-    validate(pair, tol=PAIR_TOL)
+    validate(pair)
     tau = curve.tau
     scale = tol * max(1.0, abs(tau))
     summands: list[tuple[JacPoint, int]] = []

@@ -157,6 +157,11 @@ def snap_to_torsion_reference(p: JacPoint, n: int) -> JacPoint:
     return JacPoint(p.curve, s=Fraction(round(s * n) % n, n), t=Fraction(round(t * n) % n, n))
 
 
+# classify_triple_reference refuses a coincident triple that is not
+# 3-torsion at this tol
+REFERENCE_TORSION_TOL = 1e-4
+
+
 def classify_triple_reference(z1: JacPoint, z2: JacPoint, z3: JacPoint,
                               tol: float = jl.EQ_TOL) -> bd.BundleClass:
     """bundles.classify_triple by counting the pairs equal at tol: none is
@@ -173,7 +178,7 @@ def classify_triple_reference(z1: JacPoint, z2: JacPoint, z3: JacPoint,
     if neq == 0:
         return bd.BundleClass("T1", triple=tuple(jl.canonical_sort(pts)))
     if neq >= 2:
-        if not jl.is_torsion(pts[0], 3, jl.TORSION_SNAP_TOL):
+        if not jl.is_torsion(pts[0], 3, REFERENCE_TORSION_TOL):
             raise ValueError("coincident triple is not 3-torsion")
         return bd.BundleClass("T31", point=jl.snap_to_torsion(pts[0], 3))
     return bd.BundleClass("T21", point=pts[0] if e12 or e13 else pts[1])

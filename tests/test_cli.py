@@ -62,6 +62,19 @@ def test_universal_family():
     assert len(res["config"]["rank1"]) == 3
 
 
+def test_universal_family_lists_a_configuration_only_beside_a_t1_class():
+    # as b2 = b1 (1 + d) leaves b1 the class goes T21, T22, T1: the three
+    # loci are the configuration of three distinct points, so they come with
+    # the class that reads three
+    labels = set()
+    for d in (0, 1e-9, 1e-8, 1e-7, 3e-7, 1e-6, 3e-6, 1e-5, 1e-4):
+        res = ok("universal-family", {"tau": TAU, "b1": [0.7, 0.2], "b2": [0.7 * (1 + d), 0.2]})
+        label = res["class"]["label"]
+        labels.add(label)
+        assert ("config" in res) == (label == "T1"), (d, label)
+    assert "T1" in labels and len(labels) > 1
+
+
 def test_weights_accept_fraction_strings():
     res = ok("weights", {"raw": ["1/5", "1/10", "-3/10"]})
     assert res["chamber"] == "Pplus"

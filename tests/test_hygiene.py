@@ -244,3 +244,27 @@ def test_no_module_reads_the_environment():
     # environment variable would be a second, set unseen by the calling shell
     reads = [r for p in sorted(SRC.glob("*.py")) for r in _environment_reads(p)]
     assert reads == []
+
+
+def _policy_block() -> list[str]:
+    """The *_TOL names jaclattice assigns at module level before TWO_PI_I,
+    in order."""
+    names = []
+    for node in ast.parse((SRC / "jaclattice.py").read_text(encoding="utf-8")).body:
+        targets = [t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)]
+        if targets == ["TWO_PI_I"]:
+            return names
+        names += [t for t in targets if t.endswith("_TOL")]
+    raise AssertionError("jaclattice assigns no TWO_PI_I")
+
+
+def test_the_readme_lists_the_policy_block():
+    # the README's jaclattice row counts and names the thresholds of the
+    # policy block: a name added to the block or retired from it is so in
+    # the row too
+    row = next(line for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+               if line.startswith("| `ellpar.jaclattice` |"))
+    count, listed = re.search(r"it has (\d+) names: (.*?)(?: \(|\s*\|)", row).groups()
+    names = re.findall(r"`(\w+)`", listed)
+    assert names == _policy_block()
+    assert int(count) == len(names)

@@ -100,6 +100,50 @@ def test_validate_rejects_bad_pairs(curve):
         mo.classify_bundle(mo.CommutingPair(A, B), curve)
 
 
+def test_validate_checks_a_pair_as_both_classifiers_do(curve):
+    # validate, classify_bundle and normal_form check |det - 1| at PAIR_TOL,
+    # whatever the nilpotency tol: inside it every entry point accepts the
+    # pair, outside it each one refuses it
+    a, b = 1.1 * cmath.exp(0.3j), 0.9 * cmath.exp(0.7j)
+
+    def scaled(excess):
+        pair = block_pair(a, b, 1, 0.37)
+        return mo.CommutingPair(np.array(pair.A) * (1 + excess) ** (1 / 3), pair.B)
+
+    pair = scaled(5e-8)
+    assert np.linalg.det(np.array(pair.A)) - 1 == pytest.approx(5e-8, rel=1e-3)
+    assert mo.validate(pair) is pair
+    assert mo.classify_bundle(pair, curve).label == "T21"
+    assert mo.normal_form(pair)[0].case == "ii"
+    pair = scaled(5e-6)
+    with pytest.raises(mo.NotUnimodularError):
+        mo.classify_bundle(pair, curve, tol=1e-4)
+    with pytest.raises(mo.NotUnimodularError):
+        mo.normal_form(pair, tol=1e-4)
+
+
+def test_normal_form_reads_the_case_classify_bundle_reads_across_the_nilpotency_band(curve):
+    # a 1+2 block whose nilpotent parts have size eps, not proportional to
+    # (1, tau): classify_bundle reads T22 while eps is below its default tol
+    # and T21 above it, and normal_form, at the same default, reads case (i)
+    # and case (ii) there.  eps = 1e-6 is that tol itself: classify_bundle
+    # tests N_B - tau N_A against tol max(1, |tau|), and normal_form tests
+    # n_A and n_B against tol, so the two may fall on either side of it
+    a, b = 1.1 * cmath.exp(0.3j), 0.9 * cmath.exp(0.7j)
+    rng = np.random.RandomState(32)
+    # the identity and nine random unitary conjugators
+    conjugators = [np.eye(3)] + [conditioned_unimodular(rng, 1) for _ in range(9)]
+    case = {"T22": "i", "T21": "ii"}
+    labels = set()
+    for eps in (1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 3e-7, 3e-6, 1e-5, 3e-5, 1e-4):
+        for k, Q in enumerate(conjugators):
+            pair = conj_pair(block_pair(a, b, eps, 0.37 * eps), Q)
+            label = mo.classify_bundle(pair, curve).label
+            labels.add(label)
+            assert mo.normal_form(pair)[0].case == case[label], (eps, k, label)
+    assert labels == {"T21", "T22"}
+
+
 def test_case_i_classification(curve):
     pts = [exact(curve, Fraction(1, 5), 0), exact(curve, 0, Fraction(1, 7))]
     pts.append(jl.neg(jl.add(pts[0], pts[1])))
