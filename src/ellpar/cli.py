@@ -285,10 +285,7 @@ def _cmd_universal_family(payload, tol):
     cls = mo.classify_bundle(pair, curve, tol=tol)
     out = {"A": ser_matrix(pair.A), "B": ser_matrix(pair.B), "class": ser_class(cls)}
     if kind == "generic" and cls.label == "T1":
-        try:
-            out["config"] = ser_locus_config(mo.universal_config(b1, b2))
-        except ValueError:
-            pass
+        out["config"] = ser_locus_config(mo.universal_config(b1, b2))
     return out
 
 

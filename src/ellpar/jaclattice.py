@@ -32,7 +32,6 @@ from typing import Iterable, Sequence, Union
 # merge_triple decides at it, and z is 3-torsion when 3z is 0 so; also the
 # default nilpotency tol of monodromy.classify_bundle and normal_form
 EQ_TOL = 1e-6
-CURVE_TOL = 1e-9  # CurveSpec.same: taus this close, relative to max(1, |tau|), are one curve
 
 # weierstrass, which re-exports the first three
 MERGE_TOL = 1e-6  # close_to: plane points (lines) with |p x q| at most this are one
@@ -54,7 +53,6 @@ CHORDAL_TOL = 1e-9  # ProjScalar.close_to: the chordal distance of one point of 
 
 # monodromy
 PAIR_TOL = 1e-7  # validate: |det - 1| and the commutator, as both classifiers check a pair
-EIGEN_SEP_TOL = 1e-9  # universal_config: eigenvalues this close degenerate the configuration
 
 # autgroup
 DLT_COND_TOL = 1e-8  # act_plane: 2nd-smallest singular value below this of the largest: no lift
@@ -109,7 +107,7 @@ class Value:
 
 
 class CurveSpec(Value):
-    """Lattice parameter tau with Im(tau) > 0, fixing the curve C/(Z + tau*Z)."""
+    """The curve C/(Z + tau*Z), given by and equal to its lattice parameter tau, Im(tau) > 0."""
 
     tau: complex
 
@@ -130,9 +128,6 @@ class CurveSpec(Value):
 
     def __hash__(self):
         return hash((self.tau,))
-
-    def same(self, other: "CurveSpec") -> bool:
-        return abs(self.tau - other.tau) <= CURVE_TOL * max(1.0, abs(self.tau))
 
 
 class JacPoint(Value):
@@ -257,7 +252,7 @@ def _from_complex(z: complex, curve: CurveSpec) -> JacPoint:
 
 
 def _check_curves(p: JacPoint, q: JacPoint):
-    if p.curve is not q.curve and not p.curve.same(q.curve):
+    if p.curve is not q.curve and p.curve != q.curve:
         raise CurveMismatchError(f"points over different curves: {p.curve.tau} vs {q.curve.tau}")
 
 

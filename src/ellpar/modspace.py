@@ -215,7 +215,6 @@ def _chart(line: PlaneLine, u1: complex, u2: complex, t: complex, curve: CurveSp
     lambda frames x with l's points in the order nearest the frame's (see
     _nearest_order) instead of in their own canonical order."""
     x = PlanePoint.of(1, complex(t), -u1 - complex(t) * u2)
-    IncidencePoint(x, line)  # refuses an x off the line
     solved = _solved(line, curve)
     cls = _line_class(solved)
     lam = _framed(solved.order if frame is None else _nearest_order(solved.hits, frame), line, x)

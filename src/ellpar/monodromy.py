@@ -21,7 +21,7 @@ from __future__ import annotations
 from . import jaclattice as jl
 from .bundles import (BundleClass, LineLocus, PointLocus, SubbundleConfig, classify_triple,
                       make_t3x)
-from .jaclattice import EIGEN_SEP_TOL, EQ_TOL, PAIR_TOL, CurveSpec, JacPoint, Value
+from .jaclattice import EQ_TOL, PAIR_TOL, CurveSpec, JacPoint, Value
 from .weierstrass import PlaneLine, PlanePoint, _cubic_roots
 
 _I = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
@@ -41,7 +41,7 @@ class NotUnimodularError(ValueError):
 
 
 class EigenvalueSeparationError(ValueError):
-    """Eigenvalues of different joint blocks too close to separate."""
+    """Eigenvalues too close to separate into blocks, or too inaccurate to place their points."""
 
 
 class ExoticPairError(ValueError):
@@ -100,16 +100,16 @@ def _adjugate(M, sign: float = -1.0) -> tuple[tuple, complex]:
     return K, m00 * K[0] + m01 * K[3] + m02 * K[6]
 
 
-def validate(pair: CommutingPair, tol: float = PAIR_TOL) -> CommutingPair:
-    """Check |det - 1| and the commutator at tol, as both classifiers do."""
+def validate(pair: CommutingPair) -> CommutingPair:
+    """Check |det - 1| and the commutator at PAIR_TOL, as both classifiers do."""
     A, B = pair.A, pair.B
     scale = max(_amax(A), _amax(B), 1.0)
     for which, M in (("A", A), ("B", B)):
         r = abs(_adjugate(M)[1] - 1.0)
-        if r > tol * scale**3:
+        if r > PAIR_TOL * scale**3:
             raise NotUnimodularError(which, r)
     comm = max(abs(x - y) for r, s in zip(_mul(A, B), _mul(B, A)) for x, y in zip(r, s))
-    if comm > tol * scale**2:
+    if comm > PAIR_TOL * scale**2:
         raise NotCommutingError(comm)
     return pair
 
@@ -290,7 +290,8 @@ def classify_bundle(pair: CommutingPair, curve: CurveSpec,
                     tol: float = EQ_TOL) -> BundleClass:
     """Bundle type of the flat bundle with monodromy (A, B) along (1, tau),
     from the Atiyah summands L_z (x) F of its joint blocks.  tol sets only the
-    nilpotency tests; coincidence and 3-torsion are decided at EQ_TOL."""
+    nilpotency tests; coincidence and 3-torsion are decided at EQ_TOL, and summand
+    points that, counted with their sizes, do not sum to 0 raise EigenvalueSeparationError."""
     validate(pair)
     tau = curve.tau
     scale = tol * max(1.0, abs(tau))
@@ -316,6 +317,8 @@ def classify_bundle(pair: CommutingPair, curve: CurveSpec,
         else:
             summands += [(z, 2)] + [(z, 1)] * (m - 2)
 
+    if not jl.sums_to_zero(*(z for z, k in summands for _ in range(k))):
+        raise EigenvalueSeparationError("eigenvalues read too inaccurately to place their points")
     by_size = {k: z for z, k in summands}
     if 3 in by_size:
         return make_t3x("T31", by_size[3])
@@ -347,19 +350,19 @@ def universal_pair(b1: complex, b2: complex, kind: str = "generic") -> Commuting
 
 
 def universal_config(b1: complex, b2: complex):
-    """Fiber-plane loci of the degree-0 subbundles of the generic universal family."""
+    """Fiber-plane loci of the degree-0 subbundles of the generic universal
+    family, refused exactly where b1 b2 (b3 = 1/(b1 b2)), b2 - b1, 1 - b1 b2^2
+    (b2 = b3) or 1 - b1^2 b2 (b1 = b3) is 0: an eigenvalue is 0, inf or double."""
     b1, b2 = complex(b1), complex(b2)
-    b3 = 1.0 / (b1 * b2)
-    if min(abs(b1 - b2), abs(b1 - b3), abs(b2 - b3)) < EIGEN_SEP_TOL:
-        raise ValueError("coincident eigenvalues: the configuration degenerates")
+    d12, d23, d13 = b2 - b1, 1 - b1 * b2**2, 1 - b1**2 * b2
+    if not (b1 * b2 and d12 and d23 and d13):
+        raise ValueError("zero or coincident eigenvalues: the configuration degenerates")
     L1 = PlanePoint.of(1, 0, 0)
-    L2 = PlanePoint.of(1, b2 - b1, 0)
-    L3 = PlanePoint.of((b1 * b2) ** 2,
-                       b1 * b2 * (1 - b1**2 * b2),
-                       (1 - b1**2 * b2) * (1 - b1 * b2**2))
+    L2 = PlanePoint.of(1, d12, 0)
+    L3 = PlanePoint.of((b1 * b2) ** 2, b1 * b2 * d13, d13 * d23)
     l12 = PlaneLine.of(0, 0, 1)
-    l13 = PlaneLine.of(0, 1, -b1 * b2 / (1 - b1 * b2**2))
-    l23 = PlaneLine.of(-(b2 - b1), 1, -b1 * b2 / (1 - b1**2 * b2))
+    l13 = PlaneLine.of(0, 1, -b1 * b2 / d23)
+    l23 = PlaneLine.of(-d12, 1, -b1 * b2 / d13)
     return SubbundleConfig(
         rank1=tuple(PointLocus(0, point=p) for p in (L1, L2, L3)),
         rank2=tuple(LineLocus(0, line=l) for l in (l12, l13, l23)),

@@ -279,14 +279,18 @@ def cubic_residual(pt: PlanePoint, curve: CurveSpec) -> float:
 
 
 def tangent_line(p: JacPoint, curve: CurveSpec) -> PlaneLine:
-    """Tangent to the embedded cubic at embed(p), by the gradient of the cubic."""
+    """Tangent to the embedded cubic at embed(p), by the gradient of the cubic;
+    DegenerateGeometryError where it misses embed(p), as near the node at large Im tau."""
     g2, g3, _ = curve_invariants(curve)
     pt = embed(p, curve)
     x, y, w = pt.x, pt.y, pt.z
     fx = -12 * x**2 + g2 * w**2
     fy = 2 * y * w
     fw = y**2 + 2 * g2 * x * w + 3 * g3 * w**2
-    return PlaneLine.of(fx, fy, fw)
+    line = PlaneLine.of(fx, fy, fw)
+    if not line.contains(pt):
+        raise DegenerateGeometryError("tangent misses its point: the gradient cancels to rounding")
+    return line
 
 
 def line_through(p1: JacPoint, p2: JacPoint, p3: JacPoint, curve: CurveSpec) -> PlaneLine:

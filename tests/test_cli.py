@@ -55,8 +55,13 @@ def test_classify_monodromy():
     assert res["point"] == [0, 1, 0, 1]
 
 
-def test_universal_family():
-    res = ok("universal-family", {"tau": TAU, "b1": [0.7, 0.2], "b2": [1.3, -0.1]})
+@pytest.mark.parametrize("tau, b1, b2", [(TAU, [0.7, 0.2], [1.3, -0.1]),
+                                         # three distinct points, two eigenvalues
+                                         # 1e-10 and 1e-12 apart
+                                         ([0.3, 1], 1e-5, 1e-5 + 1e-10),
+                                         ([0.3, 1], 1e-4, 1e-4 + 1e-12)])
+def test_universal_family(tau, b1, b2):
+    res = ok("universal-family", {"tau": tau, "b1": b1, "b2": b2})
     assert res["class"]["label"] == "T1"
     assert "config" in res
     assert len(res["config"]["rank1"]) == 3
@@ -411,6 +416,12 @@ def test_domain_errors_exit_2():
     # the Eisenstein series does not converge this close to the real axis
     resp, code = cli.run(TORELLI_DIVERGENT)
     assert code == cli.EXIT_DOMAIN and resp["result"]["error"] == "ArithmeticError"
+    # eigenvalues spread from 1e-5 to 1e10 are read too inaccurately to place
+    # their points on a curve this close to the real axis
+    resp, code = cli.run({"command": "universal-family",
+                          "payload": {"tau": [0.3, 0.01], "b1": 1e-5, "b2": 1e-5 + 1e-10}})
+    assert code == cli.EXIT_DOMAIN
+    assert resp["result"]["error"] == "EigenvalueSeparationError", resp
 
 
 def test_t21_and_t22_classes_need_a_point_off_the_3_torsion():

@@ -268,3 +268,18 @@ def test_the_readme_lists_the_policy_block():
     names = re.findall(r"`(\w+)`", listed)
     assert names == _policy_block()
     assert int(count) == len(names)
+
+
+def _reads(path: Path) -> set[str]:
+    """The names a module reads: loaded as a name or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_threshold_of_the_policy_block_is_read():
+    # a threshold no site reads decides nothing; its assignment is a store,
+    # and an import is no read
+    read = set().union(*(_reads(p) for p in SRC.glob("*.py")))
+    unread = [name for name in _policy_block() if name not in read]
+    assert _policy_block() and unread == []

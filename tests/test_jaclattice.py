@@ -128,10 +128,12 @@ def test_canon_reduces_exact_coordinates_so_equal_compares_them(curve):
     assert jl.canon(JacPoint(curve, 1, 0), curve).is_zero(tol=1e-9)
 
 
-def test_curve_mismatch_raises(curve):
-    other = CurveSpec(2j)
+@pytest.mark.parametrize("tau", [2j, TAU + 1e-12])
+def test_curve_mismatch_raises(curve, tau):
+    # a curve is its tau, as every per-curve memo keys it: one 1e-12 away is
+    # another curve
     with pytest.raises(jl.CurveMismatchError):
-        jl.add(jl.zero(curve), jl.zero(other))
+        jl.add(jl.zero(curve), jl.zero(CurveSpec(tau)))
 
 
 def test_from_holonomy_known_values(curve):
@@ -328,8 +330,8 @@ def test_equal_equals_its_reference_bit_for_bit(curve):
 
 # the membership tests against their compositions: exact coordinates (ints,
 # Fractions of either sign, denominators up to 60), floats (near the seam
-# too), and points on the curve, an equal copy of it, one within CURVE_TOL
-# and one off it
+# too), and points on the curve, an equal copy of it, and two other curves,
+# 1e-12 and 1e-3 away
 small_exact = st.one_of(st.integers(-5, 5),
                         st.builds(Fraction, st.integers(-120, 120), st.integers(1, 60)),
                         st.builds(Fraction, st.integers(-120, 120), st.integers(-60, -1)))

@@ -415,8 +415,11 @@ def test_universal_pair_validates_and_classifies(curve):
         mo.universal_pair(1, 1, "weird")
 
 
-def test_universal_config_is_a_triangle_of_eigenlines():
-    b1, b2 = 0.7 + 0.2j, 1.3 - 0.1j
+@pytest.mark.parametrize("b1, b2", [(0.7 + 0.2j, 1.3 - 0.1j),
+                                    # eigenvalues from 1e-5 (or 1e-4) to 1e10, the
+                                    # two small ones 1e-10 (or 1e-12) apart
+                                    (1e-5, 1e-5 + 1e-10), (1e-4, 1e-4 + 1e-12)])
+def test_universal_config_is_a_triangle_of_eigenlines(b1, b2):
     b3 = 1 / (b1 * b2)
     cfg = mo.universal_config(b1, b2)
     pts = [np.array([p.point.x, p.point.y, p.point.z]) for p in cfg.rank1]
@@ -424,11 +427,19 @@ def test_universal_config_is_a_triangle_of_eigenlines():
     B = mo.universal_pair(b1, b2, "generic").B
     for p, lam in zip(pts, (b1, b2, b3)):
         assert np.linalg.norm(B @ p - lam * p) < 1e-12 * np.linalg.norm(p)
-    incidence = [[abs(p @ l) < 1e-10 for l in lns] for p in pts]
+    # relative: the points and lines span 20 orders at the small b's
+    incidence = [[abs(p @ l) < 1e-14 * np.linalg.norm(p) * np.linalg.norm(l) for l in lns]
+                 for p in pts]
     assert [sum(row) for row in incidence] == [2, 2, 2]
     assert [sum(col) for col in zip(*incidence)] == [2, 2, 2]
-    with pytest.raises(ValueError):
-        mo.universal_config(1.0, 1.0)
+
+
+@pytest.mark.parametrize("b1, b2", [(1.0, 1.0), (4.0, 0.5), (0.5, 4.0), (0.0, 1.0)])
+def test_universal_config_refuses_a_zero_or_double_eigenvalue(b1, b2):
+    # b1 = b2, b2 = b3, b1 = b3 and b1 = 0: a denominator of its formulas is
+    # 0, and the refusal is a ValueError, not a ZeroDivisionError
+    with pytest.raises(ValueError, match="zero or coincident eigenvalues"):
+        mo.universal_config(b1, b2)
 
 
 def test_block_tolerance_does_not_decide_torsion(curve, monkeypatch):

@@ -252,6 +252,18 @@ def test_tangent_and_flex_multiplicities(curve):
     assert not member and not cusp
 
 
+def test_tangent_line_refuses_a_line_that_misses_its_point(curve):
+    rng = random.Random(5)
+    for _ in range(20):
+        z = jl.canon(complex(rng.random() + rng.random() * curve.tau), curve)
+        assert we.tangent_line(z, curve).contains(we.embed(z, curve))
+    # near the node of the cubic, at large Im tau, the gradient's X and Z
+    # entries cancel to rounding
+    far = CurveSpec(0.1 + 50j)
+    with pytest.raises(we.DegenerateGeometryError):
+        we.tangent_line(jl.canon(0.3 + 0.2 * far.tau, far), far)
+
+
 def test_intersect_line_at_infinity(curve):
     pts = we.intersect_curve(we.PlaneLine.of(0, 0, 1), curve)
     assert len(pts) == 3 and all(p.is_zero(tol=1e-9) for p in pts)
