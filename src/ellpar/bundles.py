@@ -110,6 +110,11 @@ def classify_triple(z1: JacPoint, z2: JacPoint, z3: JacPoint,
     """
     if not jl.sums_to_zero(z1, z2, z3, tol):
         raise ValueError("triple does not sum to zero in the Jacobian")
+    return _zero_sum_class(z1, z2, z3, tol)
+
+
+def _zero_sum_class(z1: JacPoint, z2: JacPoint, z3: JacPoint, tol: float = EQ_TOL) -> BundleClass:
+    """classify_triple of a triple its caller has found to sum to zero at tol."""
     curve = z1.curve
     pts = jl.canonical_sort([jl.canon(z1, curve), jl.canon(z2, curve), jl.canon(z3, curve)])
     zs = jl.merge_triple(pts, tol)

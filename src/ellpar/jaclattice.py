@@ -378,6 +378,17 @@ def merge_triple(zs: Sequence[JacPoint], tol: float = EQ_TOL) -> Sequence[JacPoi
     to the flex nearest its first member, as the floats of that exact flex.
     """
     z1, z2, z3 = zs
+    s1, t1, s2, t2, s3, t3 = z1.s, z1.t, z2.s, z2.t, z3.s, z3.t
+    # plain floats on one curve object, each pair apart at tol by distance's arithmetic: zs
+    if (type(s1) is type(t1) is type(s2) is type(t2) is type(s3) is type(t3) is float
+            and z1.curve is z2.curve is z3.curve
+            and math.hypot(min((s1 - s2) % 1.0, (s2 - s1) % 1.0),
+                           min((t1 - t2) % 1.0, (t2 - t1) % 1.0)) > tol
+            and math.hypot(min((s1 - s3) % 1.0, (s3 - s1) % 1.0),
+                           min((t1 - t3) % 1.0, (t3 - t1) % 1.0)) > tol
+            and math.hypot(min((s2 - s3) % 1.0, (s3 - s2) % 1.0),
+                           min((t2 - t3) % 1.0, (t3 - t2) % 1.0)) > tol):
+        return zs
     # identity answers a pair before equal does, and each pair is compared once
     e12 = z1 is z2 or equal(z1, z2, tol)
     e13 = e12 if z2 is z3 else z1 is z3 or equal(z1, z3, tol)

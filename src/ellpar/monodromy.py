@@ -19,7 +19,7 @@ normal_form raises ExoticPairError, while classify_bundle reads them as T32.
 from __future__ import annotations
 
 from . import jaclattice as jl
-from .bundles import (BundleClass, LineLocus, PointLocus, SubbundleConfig, classify_triple,
+from .bundles import (BundleClass, LineLocus, PointLocus, SubbundleConfig, _zero_sum_class,
                       make_t3x)
 from .jaclattice import EQ_TOL, PAIR_TOL, CurveSpec, JacPoint, Value
 from .weierstrass import PlaneLine, PlanePoint, _cubic_roots
@@ -327,8 +327,8 @@ def classify_bundle(pair: CommutingPair, curve: CurveSpec,
         if jl.is_torsion(z, 3):
             return BundleClass("T32", point=jl.snap_to_torsion(z, 3))
         return BundleClass("T21", point=z)
-    # semisimple: classify_triple's T21/T31 (at the repeated point) read T22/T33
-    cls = classify_triple(*(z for z, _ in summands))
+    # semisimple, its zero sum checked above: T21/T31 at the repeated point read T22/T33
+    cls = _zero_sum_class(*(z for z, _ in summands))
     if cls.label == "T1":
         return cls
     return BundleClass("T22" if cls.label == "T21" else "T33", point=cls.point)

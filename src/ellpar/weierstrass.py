@@ -405,10 +405,6 @@ def _cubic_roots(a3: complex, a2: complex, a1: complex,
     centre.
     """
     b, c, d = a2 / a3, a1 / a3, a0 / a3
-
-    def f(x):
-        return ((x + b) * x + c) * x + d
-
     # x = y - b/3 gives y^3 + p y + q; Cardano's y = u - p/(3u), u^3 = -q/2 -+ s
     p = c - b * b / 3
     q = (2 * b * b - 9 * c) * b / 27 + d
@@ -416,17 +412,22 @@ def _cubic_roots(a3: complex, a2: complex, a1: complex,
     big = -q / 2 - s if abs(-q / 2 - s) >= abs(-q / 2 + s) else -q / 2 + s
     x1 = complex(-b / 3)
     if big:
-        u = big ** (1 / 3)
-        x1 = max((u * w - p / (3 * u * w) - b / 3 for w in _UNIT_CUBE_ROOTS), key=abs)
+        # the candidate u w - p/(3 u w) - b/3 of largest modulus, the first on a tie
+        u, b3 = big ** (1 / 3), b / 3
+        w0, w1, w2 = _UNIT_CUBE_ROOTS
+        x1, r1, r2 = (u * w0 - p / (3 * u * w0) - b3, u * w1 - p / (3 * u * w1) - b3,
+                      u * w2 - p / (3 * u * w2) - b3)
+        x1 = r1 if abs(r1) > abs(x1) else x1
+        x1 = r2 if abs(r2) > abs(x1) else x1
     if x1 == 0:
         return (0j, 0j, 0j)
-    f1 = f(x1)
+    f1 = ((x1 + b) * x1 + c) * x1 + d
     for _ in range(3):
         dp = (3 * x1 + 2 * b) * x1 + c
         if dp == 0:
             break
         x = x1 - f1 / dp
-        fx = f(x)
+        fx = ((x + b) * x + c) * x + d
         if abs(fx) >= abs(f1):
             break
         x1, f1 = x, fx
@@ -472,7 +473,12 @@ class _Solved:
 
     def __init__(self, hits: tuple[tuple[JacPoint, Vec], ...]):
         self.hits = hits
-        self.order = tuple(sorted(hits, key=lambda h: _sort_key(h[0])))
+        # sorted's stable order, by insertion: a hit passes one before it only on a smaller key
+        h0, h1, h2 = hits
+        k0, k1, k2 = _sort_key(h0[0]), _sort_key(h1[0]), _sort_key(h2[0])
+        if k1 < k0:
+            h0, h1, k0, k1 = h1, h0, k1, k0
+        self.order = (h0, h1, h2) if not k2 < k1 else (h0, h2, h1) if not k2 < k0 else (h2, h0, h1)
         self.cls = None
 
 
@@ -508,10 +514,11 @@ def _solve(line: PlaneLine, curve: CurveSpec) -> tuple[tuple[JacPoint, Vec], ...
         return _shared([(z1, (x, y, 1)), (neg(z1), (x, -y, 1)),
                         (zero(curve), INFINITY_POINT.vec())])
     # y = -(u x + w)/v substituted into y^2 = 4x^3 - g2 x - g3
+    uv, wv = u / v, w / v
     a3 = 4.0
-    a2 = -(u / v) ** 2
-    a1 = -g2 - 2 * (u / v) * (w / v)
-    a0 = -g3 - (w / v) ** 2
+    a2 = -uv ** 2
+    a1 = -g2 - 2 * uv * wv
+    a0 = -g3 - wv ** 2
     hits = []
     for x, m in _clusters(_cubic_roots(a3, a2, a1, a0)):
         z, y = _invert_embedding(x, -(u * x + w) / v, tables, curve)
@@ -519,31 +526,27 @@ def _solve(line: PlaneLine, curve: CurveSpec) -> tuple[tuple[JacPoint, Vec], ...
     return _shared(hits)
 
 
-def _near(x: complex, m: complex) -> bool:
-    return abs(x - m) < ROOT_MERGE_TOL * max(1.0, abs(x), abs(m))
-
-
 def _clusters(roots: Sequence[complex]) -> tuple[tuple[complex, int], ...]:
     """The three roots grouped into clusters of near-coincident roots, each as
     (mean, size): the mean cancels the leading O(eps^(1/m)) perturbation of an
     m-fold root.
 
-    In (real, imag) order, a root joins the first earlier cluster whose
-    running mean it is _near, and starts a new cluster otherwise.  Each mean
-    is summed from the int 0 and divided by the size, as sum(c) / len(c)
-    forms it, so a -0.0 part of a finite root reads +0.0.
+    In (real, imag) order, a root x joins the first earlier cluster whose
+    running mean m has |x - m| < ROOT_MERGE_TOL max(1, |x|, |m|), else starts
+    one.  Each mean is summed from the int 0 and divided by the size, as
+    sum(c) / len(c) forms it, so a -0.0 part of a finite root reads +0.0.
     """
     x0, x1, x2 = sorted(roots, key=lambda r: (r.real, r.imag))
     m0 = 0 + x0
-    if _near(x1, m0):
+    if abs(x1 - m0) < ROOT_MERGE_TOL * max(1.0, abs(x1), abs(m0)):
         m01 = (m0 + x1) / 2
-        if _near(x2, m01):
+        if abs(x2 - m01) < ROOT_MERGE_TOL * max(1.0, abs(x2), abs(m01)):
             return (((m0 + x1 + x2) / 3, 3),)
         return ((m01, 2), (0 + x2, 1))
-    if _near(x2, m0):
+    if abs(x2 - m0) < ROOT_MERGE_TOL * max(1.0, abs(x2), abs(m0)):
         return (((m0 + x2) / 2, 2), (0 + x1, 1))
     m1 = 0 + x1
-    if _near(x2, m1):
+    if abs(x2 - m1) < ROOT_MERGE_TOL * max(1.0, abs(x2), abs(m1)):
         return ((m0, 1), ((m1 + x2) / 2, 2))
     return ((m0, 1), (m1, 1), (0 + x2, 1))
 

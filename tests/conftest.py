@@ -316,3 +316,35 @@ def cubic_roots_reference(a3, a2, a1, a0):
     s = cmath.sqrt(q1 * q1 - 4 * q0)
     t = -(q1 + s) / 2 if abs(q1 + s) >= abs(q1 - s) else -(q1 - s) / 2
     return (x1, t, q0 / t if t else t)
+
+
+def merge_triple_reference(zs, tol: float = jl.EQ_TOL, equal=equal_reference):
+    """jaclattice.merge_triple before it decided three plain-float points in
+    place: every pair through equal (equal_reference unless given), each
+    compared once and identity first.  The reference for merge_triple's bits."""
+    z1, z2, z3 = zs
+    e12 = z1 is z2 or equal(z1, z2, tol)
+    e13 = e12 if z2 is z3 else z1 is z3 or equal(z1, z3, tol)
+    e23 = e13 if z1 is z2 else e12 if z1 is z3 else z2 is z3 or equal(z2, z3, tol)
+    if not (e12 or e13 or e23):
+        return zs
+    if e12 + e13 + e23 == 1:
+        (a, b), r = ((z1, z2), z3) if e12 else ((z1, z3), z2) if e13 else ((z2, z3), z1)
+        if a is b:
+            return zs
+        if a.is_exact or b.is_exact:
+            d = a if a.is_exact else b
+        else:
+            s, t = jl.add(jl.mul(2, a), r).coords()
+            d = jl.sub(a, JacPoint(a.curve, (s - round(s)) / 2, (t - round(t)) / 2))
+        if d is a or d is b or not equal(d, r, tol):
+            return (d, d, z3) if e12 else (d, z2, d) if e13 else (z1, d, d)
+        first = r if r is z1 else d
+    elif z1 is z2 is z3:
+        return zs
+    else:
+        first = z1
+    d = next((z for z in zs if z.is_exact), None)
+    if d is None:
+        d = JacPoint(first.curve, *jl.snap_to_torsion(first, 3).coords())
+    return (d, d, d)

@@ -22,7 +22,7 @@ from ellpar.jaclattice import CurveSpec, JacPoint
 
 from conftest import (close_to_reference, cluster_bits, cluster_reference, contains_reference,
                       cubic_roots_reference, equal_reference, frame_lambda,
-                      invert_embedding_reference, wp_reference)
+                      invert_embedding_reference, merge_triple_reference, wp_reference)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 OPS = 300
@@ -136,9 +136,8 @@ def test_dual_plane_inversions_take_at_most_five_agm_steps(monkeypatch):
     assert max(steps) <= 5
 
 
-def test_dual_plane_root_clusters_equal_the_reference_loop_bit_for_bit(monkeypatch):
-    # the roots _solve clusters on the lines of the first operations of each
-    # line class: same clusters and same bits as the loop over lists
+def _first_line_ops(monkeypatch) -> dict:
+    """The first OPS dual-plane operations of seed 1 of each line class."""
     monkeypatch.syspath_prepend(str(BENCH))
     dual_plane = importlib.import_module("dual_plane")
     firsts = {kind: [] for kind in dual_plane.MIX if kind != "rank"}
@@ -146,7 +145,13 @@ def test_dual_plane_root_clusters_equal_the_reference_loop_bit_for_bit(monkeypat
         if op.kind in firsts and len(firsts[op.kind]) < OPS:
             firsts[op.kind].append(op)
         if all(len(ops) == OPS for ops in firsts.values()):
-            break
+            return firsts
+
+
+def test_dual_plane_root_clusters_equal_the_reference_loop_bit_for_bit(monkeypatch):
+    # the roots _solve clusters on the lines of the first operations of each
+    # line class: same clusters and same bits as the loop over lists
+    firsts = _first_line_ops(monkeypatch)
     roots = []
     cubic_roots = we._cubic_roots
     monkeypatch.setattr(we, "_cubic_roots", lambda *a: roots.append(cubic_roots(*a)) or roots[-1])
@@ -158,6 +163,27 @@ def test_dual_plane_root_clusters_equal_the_reference_loop_bit_for_bit(monkeypat
     for r in roots:
         want = [(complex(sum(c) / len(c)), len(c)) for c in cluster_reference(r)]
         assert cluster_bits(we._clusters(r)) == cluster_bits(want), r
+
+
+def test_dual_plane_solved_order_is_the_stable_sort_of_its_hits(monkeypatch):
+    # _Solved orders a line's three hits by insertion: on the lines of the
+    # first operations of each line class it is sorted's stable order, on
+    # the tangents and flexes too, where one JacPoint is hit two and three times
+    firsts = _first_line_ops(monkeypatch)
+    solved = []
+    solve = we._solve
+    monkeypatch.setattr(we, "_solve", lambda *a: solved.append(solve(*a)) or solved[-1])
+    for ops in firsts.values():
+        for op in ops:
+            _outcome(op)
+    assert len(solved) > (len(firsts) - 1) * OPS
+    repeats = set()
+    for hits in solved:
+        want = tuple(sorted(hits, key=lambda h: jl._sort_key(h[0])))
+        got = we._Solved(hits).order
+        assert len(got) == 3 and all(a is b for a, b in zip(got, want)), hits
+        repeats.add(max(sum(z is y for y, _ in hits) for z, _ in hits))
+    assert repeats == {1, 2, 3}
 
 
 def test_cli_batch_answers_alike_with_the_reference_wp(monkeypatch):
@@ -212,8 +238,9 @@ def _counted(f, calls):
 
 @pytest.mark.parametrize("workload", ["stability_scan", "dual_plane"])
 def test_workload_answers_alike_with_the_reference_primitives(workload, monkeypatch):
-    # plane incidence on attributes, the float path of equal and the line
-    # cubic's table of unit cube roots change no bit of any answer
+    # plane incidence on attributes, the float path of equal, the line
+    # cubic's written-out candidates and the in-place pairs of merge_triple
+    # change no bit of any answer
     monkeypatch.syspath_prepend(str(BENCH))
     batch = list(islice(importlib.import_module(workload).ops(1), OPS))
     fast = [_stored_outcome(op) for op in batch]
@@ -225,10 +252,22 @@ def test_workload_answers_alike_with_the_reference_primitives(workload, monkeypa
     # the definition, which no other module binds: each caller reaches it there
     assert [name for name, module in sys.modules.items() if name.startswith("ellpar")
             and getattr(module, "equal", None) is jl.equal] == ["ellpar.jaclattice"]
-    monkeypatch.setattr(jl, "equal", _counted(equal_reference, calls))
+    equal = _counted(equal_reference, calls)
+    monkeypatch.setattr(jl, "equal", equal)
+    # merge_triple is bound at its definition and in weierstrass; the
+    # reference decides its pairs through the counted equal_reference
+    bound = [name for name, module in sys.modules.items() if name.startswith("ellpar")
+             and getattr(module, "merge_triple", None) is jl.merge_triple]
+    assert bound == ["ellpar.jaclattice", "ellpar.weierstrass"]
+    merge = _counted(merge_triple_reference, calls)
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "merge_triple",
+                            lambda zs, tol=jl.EQ_TOL: merge(zs, tol, equal))
     assert [_stored_outcome(op) for op in batch] == fast
-    used = {"stability_scan": {"close_to_reference", "contains_reference", "equal_reference"},
-            "dual_plane": {"contains_reference", "cubic_roots_reference", "equal_reference"}}
+    used = {"stability_scan": {"close_to_reference", "contains_reference", "equal_reference",
+                               "merge_triple_reference"},
+            "dual_plane": {"contains_reference", "cubic_roots_reference", "equal_reference",
+                           "merge_triple_reference"}}
     assert set(calls) == used[workload]
 
 

@@ -12,6 +12,8 @@ from ellpar import cli
 from ellpar import jaclattice as jl
 from ellpar.jaclattice import CurveSpec
 
+from conftest import holonomy_scalars
+
 TAU = [0.3, 1.1]
 
 
@@ -53,6 +55,22 @@ def test_classify_monodromy():
     res = ok("classify-monodromy", {"tau": TAU, "A": A, "B": B})
     assert res["label"] == "T31"
     assert res["point"] == [0, 1, 0, 1]
+
+
+def test_classify_monodromy_decides_a_t1_zero_sum_once(monkeypatch):
+    # the diagonal pair of the exact triple (1/5, 0), (0, 1/7), (4/5, 6/7):
+    # one check that its points sum to 0, classify_bundle's own
+    curve = CurveSpec(complex(*TAU))
+    scalars = [holonomy_scalars(jl.canon((s, t), curve))
+               for s, t in ((Fraction(1, 5), 0), (0, Fraction(1, 7)),
+                            (Fraction(4, 5), Fraction(6, 7)))]
+    A, B = ([[[x.real, x.imag] if i == j else 0 for j in range(3)] for i, x in enumerate(d)]
+            for d in zip(*scalars))
+    calls = []
+    sums_to_zero = jl.sums_to_zero
+    monkeypatch.setattr(jl, "sums_to_zero", lambda *a: calls.append(a) or sums_to_zero(*a))
+    assert ok("classify-monodromy", {"tau": TAU, "A": A, "B": B})["label"] == "T1"
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("tau, b1, b2", [(TAU, [0.7, 0.2], [1.3, -0.1]),

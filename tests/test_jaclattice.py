@@ -13,7 +13,7 @@ from ellpar import jaclattice as jl
 from ellpar.jaclattice import CurveSpec, JacPoint
 
 from conftest import (TAU, count_calls, equal_reference, exact, is_torsion_reference,
-                      sums_to_zero_reference)
+                      merge_triple_reference, sums_to_zero_reference)
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=24)
 small_complex = st.builds(complex,
@@ -531,6 +531,111 @@ def test_a_merged_triple_point_is_exactly_the_flex():
             merged += 1
             assert (z1.s, z1.t) == (float(Fraction(a, 3)), float(Fraction(b, 3)))
     assert merged > 19000
+
+
+def _merged(got, zs):
+    """merge_triple's answer by identity and bits: whether it is zs, each
+    position as the index of the given point it is and its coordinates, and
+    which positions hold one object."""
+    bits = [[c.hex() if type(c) is float else repr(c) for c in (m.s, m.t)] for m in got]
+    given = [next((i for i, z in enumerate(zs) if m is z), None) for m in got]
+    return got is zs, given, bits, [[m is n for n in got] for m in got]
+
+
+def _check_merge(zs, tol):
+    """merge_triple(zs, tol) answers as the reference, and a triple of plain
+    floats on one curve object whose pairs equal_reference finds all apart
+    is zs, decided without a call of equal."""
+    calls = []
+    equal = jl.equal
+    jl.equal = lambda *a: calls.append(a) or equal(*a)
+    try:
+        got = jl.merge_triple(zs, tol)
+    finally:
+        jl.equal = equal
+    assert _merged(got, zs) == _merged(merge_triple_reference(zs, tol), zs)
+    apart = not any(p is q or equal_reference(p, q, tol) for p, q in itertools.combinations(zs, 2))
+    if apart and zs[0].curve is zs[1].curve is zs[2].curve and not any(z.is_exact for z in zs):
+        assert got is zs and calls == []
+    return got
+
+
+def _float_triple(curve, base, steps, twice, copy=None):
+    """Three reduced float points: base, and each other point at step
+    (r, a) from it, r EQ_TOL in the direction a, or far (step None); twice
+    gives a pair of positions that hold one object, and copy one whose
+    second point is another object of the first's coordinates."""
+    s, t = base
+    pts = [jl.canon(JacPoint(curve, s, t), curve)]
+    for k, step in enumerate(steps, 1):
+        ds, dt = (0.37 * k, 0.61 * k) if step is None else (
+            step[0] * jl.EQ_TOL * math.cos(step[1]), step[0] * jl.EQ_TOL * math.sin(step[1]))
+        pts.append(jl.canon(JacPoint(curve, s + ds, t + dt), curve))
+    if twice is not None:
+        pts[twice[1]] = pts[twice[0]]
+    if copy is not None:
+        pts[copy[1]] = JacPoint(curve, pts[copy[0]].s, pts[copy[0]].t)
+    return tuple(pts)
+
+
+# coordinates near the seam (near 0 and near 1) as well as anywhere
+unit_float = st.one_of(st.floats(0, 1, exclude_max=True),
+                       st.sampled_from([0.0, 1e-17, 4e-7, 1 - 2 ** -53, 1 - 4e-7]))
+steps = st.one_of(st.none(), st.tuples(st.floats(0.5, 2), st.floats(0, 2 * math.pi)))
+
+
+@given(base=st.tuples(unit_float, unit_float), steps=st.lists(steps, min_size=2, max_size=2),
+       twice=st.sampled_from([None, None, (0, 1), (0, 2), (1, 2)]),
+       copy=st.sampled_from([None, None, (0, 1), (1, 2)]),
+       tol=st.sampled_from([jl.EQ_TOL, 0.0, 1e-9, 4e-7, 1.5e-6, 1e-4]))
+def test_merge_triple_of_plain_float_points_equals_the_reference(base, steps, twice, copy, tol):
+    _check_merge(_float_triple(CURVE, base, steps, twice, copy), tol)
+
+
+def test_merge_triple_of_plain_float_points_decides_each_pair_as_the_reference():
+    # pairs 0.5-2 EQ_TOL apart, across the seam too, at the default and at
+    # other tols (0 among them), with one object given twice and a point
+    # given as two objects: every answer the reference's, each kind met
+    rng = random.Random(43)
+    seam = [0.0, 1e-17, 3e-7, 1 - 2 ** -53, 1 - 3e-7]
+    kinds = set()
+    for _ in range(6000):
+        base = [rng.choice(seam) if rng.random() < 0.4 else rng.random() for _ in range(2)]
+        steps = [None if rng.random() < 0.3 else (rng.uniform(0.5, 2), rng.uniform(0, 2 * math.pi))
+                 for _ in range(2)]
+        twice = rng.choice([None] * 6 + [(0, 1), (0, 2), (1, 2)])
+        copy = rng.choice([None] * 6 + [(0, 1), (0, 2), (1, 2)])
+        zs = _float_triple(CURVE, base, steps, twice, copy)
+        if rng.random() < 0.3:  # a zero-sum triple, whose double moves
+            zs = (*zs[:2], jl.neg(jl.add(zs[0], zs[1])))
+        tol = rng.choice([jl.EQ_TOL, jl.EQ_TOL, 0.0, 1e-9, 4e-7, 1.5e-6, 1e-4])
+        got = _check_merge(zs, tol)
+        shared = sum(a is b for a, b in itertools.combinations(got, 2))
+        kinds.add((got is zs, shared, all(m is z for m, z in zip(got, zs))))
+    assert kinds == {(True, 0, True), (True, 1, True), (False, 1, False), (False, 3, False)}
+
+
+def test_merge_triple_decides_an_exact_member_or_two_curve_objects_by_its_pairs(monkeypatch):
+    # an exact member, or a point on an equal curve given as another object,
+    # takes the pairs through equal and answers as before
+    calls = []
+    equal = jl.equal
+    monkeypatch.setattr(jl, "equal", lambda *a: calls.append(a) or equal(*a))
+    twin = CurveSpec(TAU)
+    p, q = JacPoint(CURVE, 0.1, 0.2), JacPoint(CURVE, 0.4, 0.7)
+    r = jl.neg(jl.add(p, q))
+    e = exact(CURVE, Fraction(1, 5), Fraction(2, 7))
+    near = JacPoint(CURVE, 0.2 + 5e-7, 2 / 7)
+    cases = [(p, q, e), (e, near, jl.neg(jl.mul(2, e))), (p, q, JacPoint(twin, r.s, r.t)),
+             (p, JacPoint(twin, 0.1 + 5e-7, 0.2), JacPoint(CURVE, 0.8 - 5e-7, 0.6))]
+    for zs in cases:
+        calls.clear()
+        got = jl.merge_triple(zs)
+        assert len(calls) >= 2
+        assert _merged(got, zs) == _merged(merge_triple_reference(zs), zs)
+    assert jl.merge_triple(cases[0]) is cases[0] and jl.merge_triple(cases[2]) is cases[2]
+    with pytest.raises(jl.CurveMismatchError):
+        jl.merge_triple((p, q, JacPoint(CurveSpec(TAU + 1e-3), r.s, r.t)))
 
 
 def test_the_predicates_default_to_the_one_coincidence_rule():

@@ -402,6 +402,22 @@ def test_one_plus_two_pair_builds_each_nilpotent_part_once(curve, monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("label, pts", [
+    ("T1", [(Fraction(1, 5), 0), (0, Fraction(1, 7)), (Fraction(4, 5), Fraction(6, 7))]),
+    ("T22", [(Fraction(1, 5), Fraction(1, 7)), (Fraction(1, 5), Fraction(1, 7)),
+             (Fraction(3, 5), Fraction(5, 7))]),
+    ("T33", [(Fraction(1, 3), 0)] * 3)])
+def test_a_semisimple_pair_decides_its_zero_sum_once(curve, monkeypatch, label, pts):
+    # classify_bundle checks that its summands sum to 0 and reads the
+    # semisimple class without classify_triple checking the same sum again
+    calls = []
+    sums_to_zero = jl.sums_to_zero
+    monkeypatch.setattr(jl, "sums_to_zero", lambda *a: calls.append(a) or sums_to_zero(*a))
+    pair = diag_pair(curve, [exact(curve, s, t) for s, t in pts])
+    assert mo.classify_bundle(pair, curve).label == label
+    assert len(calls) == 1
+
+
 def test_universal_pair_validates_and_classifies(curve):
     pair = mo.universal_pair(0.7 + 0.2j, 1.3 - 0.1j, "generic")
     mo.validate(pair)

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 import weakref
@@ -654,6 +655,18 @@ def test_root_clusters_equal_the_reference_loop_bit_for_bit():
         assert cluster_bits(got) == cluster_bits(want), roots
         shapes.add(tuple(size for _, size in got))
     assert shapes == {(1, 1, 1), (2, 1), (1, 2), (3,)}
+
+
+def test_solved_order_is_the_stable_sort_on_every_pattern_of_keys(curve):
+    # three hits, each a new object, over every pattern of keys, with ties of
+    # equal floats, of -0.0 and 0.0 and of a float and an exact point: the
+    # insertion order of _Solved is sorted's, tie by tie
+    points = [(0.25, 0.5), (Fraction(1, 4), Fraction(1, 2)), (0.25, 0.75), (0.5, 0.0),
+              (0.5, -0.0)]
+    for pattern in itertools.product(range(len(points)), repeat=3):
+        hits = tuple((JacPoint(curve, *points[k]), (k, 0j, 1)) for k in pattern)
+        want = sorted(hits, key=lambda h: jl._sort_key(h[0]))
+        assert [id(h) for h in we._Solved(hits).order] == [id(h) for h in want], pattern
 
 
 def test_shared_points_keep_the_triple_summing_to_zero():
