@@ -2,8 +2,9 @@
 one canonical-JSON response on stdout.
 
 Exit codes: 0 ok, 2 domain error (valid request, library rejected the data),
-3 schema error (malformed request, unknown command, or a tol for a command
-that reads none; see TOL_DEFAULTS).
+3 schema error (malformed request, unknown command, or a command-line
+argument that is not `--file FILE`).  Every command decides at the library
+defaults, the thresholds of the jaclattice policy block.
 """
 
 from __future__ import annotations
@@ -223,11 +224,10 @@ def ser_locus_config(cfg: bd.SubbundleConfig) -> dict:
 
 # ---------- command handlers ----------
 
-def _cmd_classify_bundle(payload, tol):
+def _cmd_classify_bundle(payload):
     curve = parse_curve(payload)
     pts = parse_points(_need(payload, "triple"), 3, curve, "'triple' must be a 3-list of points")
-    cls = bd.classify_triple(*pts, tol=tol)
-    return ser_class(cls)
+    return ser_class(bd.classify_triple(*pts))
 
 
 def _cmd_graded(payload):
@@ -264,17 +264,16 @@ def _cmd_type_facts(payload):
     return {"endo_dim": endo, "admits_stable": admits, "sigma_count": count}
 
 
-def _cmd_classify_monodromy(payload, tol):
+def _cmd_classify_monodromy(payload):
     from . import monodromy as mo
 
     curve = parse_curve(payload)
     pair = mo.CommutingPair(parse_matrix(_need(payload, "A")),
                             parse_matrix(_need(payload, "B")))
-    cls = mo.classify_bundle(pair, curve, tol=tol)
-    return ser_class(cls)
+    return ser_class(mo.classify_bundle(pair, curve))
 
 
-def _cmd_universal_family(payload, tol):
+def _cmd_universal_family(payload):
     from . import monodromy as mo
 
     curve = parse_curve(payload)
@@ -282,7 +281,7 @@ def _cmd_universal_family(payload, tol):
     b2 = parse_complex(_need(payload, "b2"))
     kind = payload.get("kind", "generic")
     pair = mo.universal_pair(b1, b2, kind)
-    cls = mo.classify_bundle(pair, curve, tol=tol)
+    cls = mo.classify_bundle(pair, curve)
     out = {"A": ser_matrix(pair.A), "B": ser_matrix(pair.B), "class": ser_class(cls)}
     if kind == "generic" and cls.label == "T1":
         out["config"] = ser_locus_config(mo.universal_config(b1, b2))
@@ -339,7 +338,7 @@ def _cmd_psi_plus(payload):
     return {"class": ser_class(cls), "lambda": ser_proj(lam)}
 
 
-def _cmd_covering(payload, tol):
+def _cmd_covering(payload):
     from . import modspace as ms
 
     z1 = _need(payload, "z1")
@@ -350,7 +349,7 @@ def _cmd_covering(payload, tol):
             return parse_fraction(z)
         return parse_complex(z)
 
-    f2, f3, cusp = ms.covering_invariants(conv(z1), conv(z2), tol=tol)
+    f2, f3, cusp = ms.covering_invariants(conv(z1), conv(z2))
     return {"F2": ser_complex(complex(f2)), "F3": ser_complex(complex(f3)),
             "on_cusp": bool(cusp)}
 
@@ -372,12 +371,12 @@ def _cmd_abel(payload):
     return {"point": ser_point(ms.abel(sp))}
 
 
-def _cmd_torelli(payload, tol):
+def _cmd_torelli(payload):
     from . import modspace as ms
 
     t1 = parse_complex(_need(payload, "tau1"))
     t2 = parse_complex(_need(payload, "tau2"))
-    return {"isomorphic": ms.curves_isomorphic(t1, t2, rel_tol=tol)}
+    return {"isomorphic": ms.curves_isomorphic(t1, t2)}
 
 
 def _cmd_aut_elements(payload):
@@ -435,60 +434,25 @@ COMMANDS = {
 }
 
 
-# the commands that read a tolerance, each with the library default that a
-# given tol replaces; every other command refuses one
-TOL_DEFAULTS = {
-    "classify-bundle": jl.EQ_TOL,
-    "classify-monodromy": jl.EQ_TOL,
-    "universal-family": jl.EQ_TOL,
-    "covering": jl.CUSP_TOL,
-    "torelli": jl.J_TOL,
-}
+def _failure(error: str, message: str) -> dict:
+    return {"ok": False, "result": {"error": error, "message": message}, "diagnostics": []}
 
 
-def _check_tol(tol, given=None) -> None:
-    """Refuse a tol other than None or a finite number > 0, named as given:
-    a negative or NaN tol reverses or voids the decisions it sets, and 0
-    would decide them by exact equality."""
-    if tol is not None and not (_is_number(tol) and tol > 0):
-        shown = tol if given is None else given
-        raise SchemaError(f"tol must be a finite number > 0, got {shown!r}")
-
-
-def _failure(error: str, message: str, diagnostics: list) -> dict:
-    return {"ok": False, "result": {"error": error, "message": message},
-            "diagnostics": diagnostics}
-
-
-def run(request: dict, tol: Optional[float] = None) -> tuple[dict, int]:
-    """Dispatch one request; returns (response, exit_code).  A command of
-    TOL_DEFAULTS gets tol, or its default without one; any other command
-    refuses a tol."""
-    diagnostics: list[str] = []
+def run(request: dict) -> tuple[dict, int]:
+    """Dispatch one request; returns (response, exit_code)."""
     try:
-        if tol is not None:
-            diagnostics.append(f"tol={tol!r}")
-            _check_tol(tol)
         command = _object(request, "request must be a JSON object").get("command")
         if not isinstance(command, str):
             raise SchemaError("missing 'command' string")
         handler = COMMANDS.get(command)
         if handler is None:
-            return _failure("UnknownCommand", f"unknown command {command!r}",
-                            diagnostics), EXIT_SCHEMA
+            return _failure("UnknownCommand", f"unknown command {command!r}"), EXIT_SCHEMA
         payload = _object(request.get("payload", {}), "'payload' must be a JSON object")
-        default = TOL_DEFAULTS.get(command)
-        if default is None:
-            if tol is not None:
-                raise SchemaError(f"{command!r} reads no tol; only {', '.join(TOL_DEFAULTS)} do")
-            result = handler(payload)
-        else:
-            result = handler(payload, default if tol is None else tol)
-        return ({"ok": True, "result": result, "diagnostics": diagnostics}, EXIT_OK)
+        return {"ok": True, "result": handler(payload), "diagnostics": []}, EXIT_OK
     except SchemaError as exc:
-        return _failure("SchemaViolation", str(exc), diagnostics), EXIT_SCHEMA
+        return _failure("SchemaViolation", str(exc)), EXIT_SCHEMA
     except (ValueError, ArithmeticError) as exc:
-        return _failure(type(exc).__name__, str(exc), diagnostics), EXIT_DOMAIN
+        return _failure(type(exc).__name__, str(exc)), EXIT_DOMAIN
 
 
 # the encoder json.dumps would build for these arguments on every call
@@ -501,36 +465,31 @@ def _dump(obj) -> str:
 
 def _refuse(message: str) -> int:
     """Answer input refused before any request runs: SchemaViolation, exit 3."""
-    print(_dump(_failure("SchemaViolation", message, [])))
+    print(_dump(_failure("SchemaViolation", message)))
     return EXIT_SCHEMA
 
 
-def _options(argv: Sequence[str]) -> tuple[Optional[str], Optional[str]]:
-    """(--tol, --file) of the command line, both None without arguments:
-    argparse is imported only to parse some."""
+def _file(argv: Sequence[str]) -> Optional[str]:
+    """The --file of the command line, None without arguments: argparse is
+    imported only to parse some.  An argument error (an unknown option, a
+    --file without a value) is a SchemaError, not argparse's exit 2."""
     if not argv:
-        return None, None
+        return None
     import argparse
-    parser = argparse.ArgumentParser(
-        prog="ellpar",
-        description="JSON oracle interface to the parabolic-moduli library")
-    parser.add_argument("--tol", help="a finite number > 0 that replaces the library default of "
-                        + ", ".join(f"{c} ({d!r})" for c, d in TOL_DEFAULTS.items())
-                        + "; every other command refuses it (see README.md, Command-line "
-                          "interface)")
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise SchemaError(message)
+
+    parser = Parser(prog="ellpar",
+                    description="JSON oracle interface to the parabolic-moduli library")
     parser.add_argument("--file", help="read a JSON array of requests from a file instead of stdin")
-    args = parser.parse_args(argv)
-    return args.tol, args.file
+    return parser.parse_args(argv).file
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    raw, file = _options(sys.argv[1:] if argv is None else argv)
     try:
-        tol = None if raw is None else float(raw)
-    except ValueError:
-        tol = math.nan  # refused below with the other non-finite values
-    try:
-        _check_tol(tol, raw)
+        file = _file(sys.argv[1:] if argv is None else argv)
         if file:
             with open(file, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -539,13 +498,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         if file and not isinstance(data, list):
             raise SchemaError("--file expects a JSON array of requests")
     except (OSError, ValueError, RecursionError) as exc:
-        # a refused tol or batch, no file, bytes that are not UTF-8, or text
-        # that is not JSON or nests deeper than the decoder allows
+        # a refused argument or batch, no file, bytes that are not UTF-8, or
+        # text that is not JSON or nests deeper than the decoder allows
         return _refuse(str(exc))
 
     texts, codes = [], [EXIT_OK]
     for req in data if file else [data]:
-        resp, code = run(req, tol)
+        resp, code = run(req)
         texts.append(_dump(resp))
         codes.append(code)
     print("[" + ",".join(texts) + "]" if file else texts[0])

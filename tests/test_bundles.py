@@ -313,6 +313,18 @@ def test_a_merged_triple_reads_its_torsion_off_the_merge(curve):
         assert all(c.point == flex for c in classes if c.label == "T31")
 
 
+def test_a_coincident_triple_at_an_exact_point_off_the_flex_is_refused(curve):
+    # the exact point 1/3 + 1/30000000 never moves, and the two float points
+    # 1e-7 and 2e-7 below it merge with it: the zero sum holds at EQ_TOL, but
+    # the one point of the triple is not 3-torsion
+    z = exact(curve, Fraction(10000001, 30000000), 0)
+    s = float(z.s)
+    triple = (z, JacPoint(curve, s - 1e-7, 0.0), JacPoint(curve, s - 2e-7, 0.0))
+    for order in itertools.permutations(triple):
+        with pytest.raises(ValueError, match="coincident triple is not 3-torsion"):
+            bd.classify_triple(*order)
+
+
 def test_a_chain_triple_reads_one_class_in_every_order(curve):
     # p1, p2 and p2, p3 are within EQ_TOL, p1, p3 are not: single linkage
     # makes them one class whatever their order, as the pairwise count did

@@ -1,6 +1,5 @@
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -17,8 +16,8 @@ from conftest import holonomy_scalars
 TAU = [0.3, 1.1]
 
 
-def ok(command, payload, tol=None):
-    resp, code = cli.run({"command": command, "payload": payload}, tol)
+def ok(command, payload):
+    resp, code = cli.run({"command": command, "payload": payload})
     assert code == cli.EXIT_OK, resp
     assert resp["ok"]
     return resp["result"]
@@ -236,36 +235,6 @@ def test_aut_act_answers_alike_for_an_exact_and_a_float_shift():
                     assert answers[0] == answers[1], (a, b, dual, target)
 
 
-# the five commands that read --tol, each on an input whose answer changes
-# with a --tol 100 times smaller or larger than the library default it reads
-TOL_READERS = {
-    "classify-bundle": ({"tau": TAU, "triple": [[0.1, 0.2], [0.1 + 3e-7, 0.2],
-                                                [-0.2 - 3e-7, -0.4]]}, jl.EQ_TOL),
-    "classify-monodromy": ({"tau": TAU, "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-                            "B": [[1, 5e-7, 0], [0, 1, 0], [0, 0, 1]]}, jl.EQ_TOL),
-    "universal-family": ({"tau": TAU, "b1": 1.3, "b2": 1.3 + 1e-7, "kind": "decomposable"},
-                         jl.EQ_TOL),
-    "covering": ({"z1": 2.0001, "z2": 2}, jl.CUSP_TOL),
-    "torelli": ({"tau1": TAU, "tau2": [0.3, 1.1 + 3e-8]}, jl.J_TOL),
-}
-
-
-@pytest.mark.parametrize("command", sorted(TOL_READERS))
-def test_no_tol_answers_as_the_library_default(command):
-    payload, default = TOL_READERS[command]
-    request = {"command": command, "payload": payload}
-    plain, code = cli.run(request)
-    named, named_code = cli.run(request, tol=default)
-    assert (named_code, named["ok"], named["result"]) == (code, plain["ok"], plain["result"])
-    assert named["diagnostics"] == [f"tol={default!r}"]
-    assert any(cli.run(request, tol=default * f)[0]["result"] != plain["result"]
-               for f in (0.01, 100))
-
-
-def test_the_tol_readers_are_the_table_of_the_cli():
-    assert {c: d for c, (_, d) in TOL_READERS.items()} == cli.TOL_DEFAULTS
-
-
 T1_CLASS = {"label": "T1", "triple": [[1, 5, 0, 1], [0, 1, 1, 7], [4, 5, 6, 7]]}
 FLAG = {"P": [1, 1, 0], "L": [1, -1, -1]}
 
@@ -303,19 +272,10 @@ def test_every_command_has_a_request():
 
 
 @pytest.mark.parametrize("command", sorted(EVERY_COMMAND))
-def test_only_the_five_readers_take_a_tol(command):
-    request = {"command": command, "payload": EVERY_COMMAND[command]}
-    plain, code = cli.run(request)
-    assert code == cli.EXIT_OK and plain["ok"] and plain["diagnostics"] == [], plain
-    resp, code = cli.run(request, tol=1e-9)
-    if command in cli.TOL_DEFAULTS:
-        assert code == cli.EXIT_OK and resp["diagnostics"] == ["tol=1e-09"]
-    else:
-        assert code == cli.EXIT_SCHEMA and resp == {
-            "ok": False, "diagnostics": ["tol=1e-09"], "result": {
-                "error": "SchemaViolation",
-                "message": f"{command!r} reads no tol; only classify-bundle, "
-                           "classify-monodromy, universal-family, covering, torelli do"}}
+def test_every_command_answers_with_empty_diagnostics(command):
+    # every command decides at the library defaults and reports no margins yet
+    resp, code = cli.run({"command": command, "payload": EVERY_COMMAND[command]})
+    assert code == cli.EXIT_OK and resp["ok"] and resp["diagnostics"] == [], resp
 
 
 def test_schema_errors_exit_3():
@@ -457,19 +417,28 @@ def test_t21_and_t22_classes_need_a_point_off_the_3_torsion():
     assert t21 == t22
 
 
-def test_intersect_line_multiplicities_under_the_one_rule_and_no_tol():
+def test_a_coincident_triple_off_the_3_torsion_is_a_domain_error():
+    # an exact point 1/30000000 past the flex 1/3, with two approximate points
+    # that merge with it and sum to zero at EQ_TOL: an exact point never
+    # moves, so the coincident triple is not 3-torsion
+    s = float(Fraction(1, 3) + Fraction(1, 30000000))
+    resp, code = cli.run({"command": "classify-bundle", "payload": {
+        "tau": TAU, "triple": [[10000001, 30000000, 0, 1], [s - 1e-7, 0], [s - 2e-7, 0]]}})
+    assert (code, resp["result"]) == (cli.EXIT_DOMAIN, {
+        "error": "ValueError", "message": "coincident triple is not 3-torsion"})
+
+
+def test_intersect_line_multiplicities_under_the_one_rule():
     # the chord through 0.5 +- 2e-6 is a chord under the one coincidence
-    # rule, as sigma-count reads it; intersect-line reads no tol and refuses one
+    # rule, as sigma-count reads it
     from ellpar import weierstrass as we
     from ellpar.jaclattice import CurveSpec
 
     x = we.wp(0.5 + 2e-6, CurveSpec(complex(*TAU)))[0]
     req = {"command": "intersect-line",
            "payload": {"tau": TAU, "line": [1, 0, [-x.real, -x.imag]]}}
-    plain, code = cli.run(req)
-    assert code == cli.EXIT_OK and plain["result"]["multiplicities"] == [1, 1, 1]
-    wide, code = cli.run(req, tol=1e-4)
-    assert code == cli.EXIT_SCHEMA and wide["result"]["error"] == "SchemaViolation"
+    resp, code = cli.run(req)
+    assert code == cli.EXIT_OK and resp["result"]["multiplicities"] == [1, 1, 1]
 
 
 def test_output_is_canonical_json():
@@ -559,55 +528,29 @@ def test_batch_file_mode(tmp_path):
     assert out[4]["result"]["error"] == "ArithmeticError" and out[5]["ok"]
 
 
-def test_a_tol_on_a_command_that_reads_none_exits_3():
-    proc = run_cli(["--tol", "1e-9"], json.dumps({"command": "type-facts",
-                                                  "payload": {"label": "T1"}}))
-    assert proc.returncode == 3
-    assert refused(proc.stdout) and json.loads(proc.stdout)["diagnostics"] == ["tol=1e-09"]
+CLASSIFY_MONODROMY = {"command": "classify-monodromy",
+                      "payload": EVERY_COMMAND["classify-monodromy"]}
 
 
-def test_a_batch_under_tol_answers_the_readers_and_refuses_the_rest(tmp_path):
+@pytest.mark.parametrize("args, named", [(["--tol", "1e-16"], "--tol"), (["--file"], "--file")],
+                         ids=["unknown-option", "file-without-value"])
+def test_a_command_line_argument_error_exits_3(args, named):
+    # answered in JSON on stdout before any request runs, as any other input
+    # that cannot be read; --tol is an unknown option, as every command
+    # answers at the library defaults
+    proc = run_cli(args, json.dumps(CLASSIFY_MONODROMY))
+    assert proc.returncode == 3, proc.stderr
+    assert refused(proc.stdout) and named in json.loads(proc.stdout)["result"]["message"]
+    assert proc.stderr == ""
+
+
+def test_a_batch_file_of_one_request_object_exits_3(tmp_path, capsys):
     f = tmp_path / "batch.json"
-    f.write_text(json.dumps([{"command": "torelli", "payload": {"tau1": [0, 1], "tau2": [0, 1]}},
-                             {"command": "type-facts", "payload": {"label": "T1"}}]))
-    proc = run_cli(["--tol", "1e-9", "--file", str(f)], "")
-    assert proc.returncode == 3
-    reader, other = json.loads(proc.stdout)
-    assert reader == {"ok": True, "result": {"isomorphic": True}, "diagnostics": ["tol=1e-09"]}
-    assert not other["ok"] and other["result"]["error"] == "SchemaViolation"
-
-
-TORELLI_SELF = {"command": "torelli", "payload": {"tau1": [0, 1], "tau2": [0, 1]}}
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])
-def test_tolerance_must_be_finite_and_positive(value, monkeypatch, capsys):
-    # refused by one check before any request runs: nan would make a curve
-    # non-isomorphic to itself, inf make any two isomorphic and 0 decide by
-    # exact equality
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(TORELLI_SELF)))
-    code = cli.main([f"--tol={value}"])
+    f.write_text(json.dumps(CLASSIFY_MONODROMY))
+    assert cli.main(["--file", str(f)]) == cli.EXIT_SCHEMA
     out = json.loads(capsys.readouterr().out)
-    assert code == cli.EXIT_SCHEMA
-    assert not out["ok"] and out["result"]["error"] == "SchemaViolation"
-    assert value in out["result"]["message"]
-
-
-COVERING_CUSP = {"command": "covering", "payload": {"z1": 2.0, "z2": 2.0}}
-
-
-@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
-def test_run_refuses_the_tolerance_main_refuses(tol, monkeypatch, capsys):
-    # in process as from the command line: -1 read the cusp as off it and a
-    # curve as not isomorphic to itself, 0 fell back to the default
-    for request in (TORELLI_SELF, COVERING_CUSP):
-        resp, code = cli.run(request, tol=tol)
-        assert code == cli.EXIT_SCHEMA and resp["result"] == {
-            "error": "SchemaViolation", "message": f"tol must be a finite number > 0, got {tol!r}"}
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(TORELLI_SELF)))
-    assert cli.main([f"--tol={tol!r}"]) == cli.EXIT_SCHEMA
-    out = json.loads(capsys.readouterr().out)
-    assert out["result"]["message"] == f"tol must be a finite number > 0, got {repr(tol)!r}"
+    assert out["result"] == {"error": "SchemaViolation",
+                             "message": "--file expects a JSON array of requests"}
 
 
 IMPORT_GATE = """
@@ -688,12 +631,12 @@ def test_a_spawn_without_arguments_does_not_load_argparse():
     assert json.loads(loaded) == {"code": 0, "argparse": False}
 
 
-def test_help_prints_the_usage_of_both_options(capsys):
+def test_help_prints_the_usage_of_the_one_option(capsys):
     with pytest.raises(SystemExit) as exit_:
         cli.main(["--help"])
     assert exit_.value.code == 0
     out = capsys.readouterr().out
-    assert out.startswith("usage: ellpar [-h] [--tol TOL] [--file FILE]")
+    assert out.startswith("usage: ellpar [-h] [--file FILE]")
 
 
 def test_matrices_in_and_out_of_the_cli():
@@ -709,6 +652,7 @@ def test_matrices_in_and_out_of_the_cli():
 
 
 COVERING_JSON = '{"command": "covering", "payload": {"z1": %s, "z2": 0.5}}'
+TORELLI_SELF = {"command": "torelli", "payload": {"tau1": [0, 1], "tau2": [0, 1]}}
 
 
 @pytest.mark.parametrize("request_json, code, error", [

@@ -6,8 +6,9 @@ unbounded, no small float literal stands outside a module-level name, no
 membership test of the Jacobian is composed outside jaclattice, no call
 outside jaclattice passes EQ_TOL or rounds a coordinate into a Fraction,
 no frozen value is built through object.__setattr__, no module imports
-dataclasses, and no module reads the environment.  No linter is part of
-the toolchain, so this test is the check."""
+dataclasses, no module reads the environment, and every command of the
+CLI takes its payload alone and binds no tol.  No linter is part of the
+toolchain, so this test is the check."""
 
 import ast
 import re
@@ -244,6 +245,35 @@ def test_no_module_reads_the_environment():
     # environment variable would be a second, set unseen by the calling shell
     reads = [r for p in sorted(SRC.glob("*.py")) for r in _environment_reads(p)]
     assert reads == []
+
+
+def _cli_handler_shapes() -> dict[str, list[str]]:
+    """The parameters of each handler of cli.COMMANDS, by command."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    defs = {n.name: n.args for n in tree.body if isinstance(n, ast.FunctionDef)}
+    table = next(n.value for n in tree.body if isinstance(n, ast.Assign)
+                 and [getattr(t, "id", None) for t in n.targets] == ["COMMANDS"])
+    return {k.value: [a.arg for a in ast.walk(defs[v.id]) if isinstance(a, ast.arg)]
+            for k, v in zip(table.keys, table.values)}
+
+
+def _tol_bindings(path: Path) -> list[str]:
+    """Each name tol the module binds: an assignment, a parameter or a keyword
+    argument."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and n.id == "tol" and not isinstance(n.ctx, ast.Load)
+            or isinstance(n, (ast.arg, ast.keyword)) and n.arg == "tol"]
+
+
+def test_every_cli_command_takes_its_payload_alone():
+    # every command answers at the policy values of the library defaults: a
+    # handler with a second parameter, or a tol bound in the CLI, would be a
+    # per-request override of them
+    shapes = _cli_handler_shapes()
+    assert len(shapes) == 20
+    assert {c: a for c, a in shapes.items() if a != ["payload"]} == {}
+    assert _tol_bindings(SRC / "cli.py") == []
 
 
 def _policy_block() -> list[str]:

@@ -462,8 +462,6 @@ def test_block_tolerance_does_not_decide_torsion(curve, monkeypatch):
     # z with |3z| = 1e-7 is 3-torsion under the coincidence rule.  Genuine
     # pairs put all of its blocks in one eigenvalue cluster; stubbed blocks
     # that keep them apart check that tol = 1e-8 still reads z as torsion
-    from ellpar import cli
-
     z = jl.JacPoint(curve, s=1 / 3 + 1e-7 / 3, t=0.0)
     a, b = holonomy_scalars(z)
     e = [tuple(float(i == k) for i in range(3)) for k in range(3)]
@@ -479,8 +477,3 @@ def test_block_tolerance_does_not_decide_torsion(curve, monkeypatch):
         monkeypatch.setattr(mo, "_joint_blocks", lambda A, B, tol: blocks)
         cls = mo.classify_bundle(pair, curve, tol=1e-8)
         assert cls.label == label and cls.point == exact(curve, Fraction(1, 3), 0)
-        matrix = lambda M: [[[c.real, c.imag] for c in map(complex, row)] for row in M]
-        resp, code = cli.run({"command": "classify-monodromy",
-                              "payload": {"tau": [curve.tau.real, curve.tau.imag],
-                                          "A": matrix(pair.A), "B": matrix(pair.B)}}, tol=1e-8)
-        assert code == cli.EXIT_OK and resp["result"]["label"] == label, resp
