@@ -490,12 +490,12 @@ def _file(argv: Sequence[str]) -> Optional[str]:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         file = _file(sys.argv[1:] if argv is None else argv)
-        if file:
+        if file is not None:
             with open(file, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         else:
             data = json.load(sys.stdin)
-        if file and not isinstance(data, list):
+        if file is not None and not isinstance(data, list):
             raise SchemaError("--file expects a JSON array of requests")
     except (OSError, ValueError, RecursionError) as exc:
         # a refused argument or batch, no file, bytes that are not UTF-8, or
@@ -503,11 +503,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _refuse(str(exc))
 
     texts, codes = [], [EXIT_OK]
-    for req in data if file else [data]:
+    for req in data if file is not None else [data]:
         resp, code = run(req)
         texts.append(_dump(resp))
         codes.append(code)
-    print("[" + ",".join(texts) + "]" if file else texts[0])
+    print("[" + ",".join(texts) + "]" if file is not None else texts[0])
     return max(codes)  # a batch exits with its worst code
 
 

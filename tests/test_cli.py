@@ -235,6 +235,61 @@ def test_aut_act_answers_alike_for_an_exact_and_a_float_shift():
                     assert answers[0] == answers[1], (a, b, dual, target)
 
 
+# the five commands that decide at a threshold of the policy block, each on
+# an input whose answer changes with a tol 100 times smaller or larger than
+# the library default: (payload, default, the field of the result it decides)
+THRESHOLD_READERS = {
+    "classify-bundle": ({"tau": TAU, "triple": [[0.1, 0.2], [0.1 + 3e-7, 0.2],
+                                                [-0.2 - 3e-7, -0.4]]}, jl.EQ_TOL, None),
+    "classify-monodromy": ({"tau": TAU, "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                            "B": [[1, 5e-7, 0], [0, 1, 0], [0, 0, 1]]}, jl.EQ_TOL, None),
+    "universal-family": ({"tau": TAU, "b1": 1.3, "b2": 1.3 + 1e-7, "kind": "decomposable"},
+                         jl.EQ_TOL, "class"),
+    "covering": ({"z1": 2.0001, "z2": 2}, jl.CUSP_TOL, "on_cusp"),
+    "torelli": ({"tau1": TAU, "tau2": [0.3, 1.1 + 3e-8]}, jl.J_TOL, "isomorphic"),
+}
+
+
+def library_answer(command, payload, tol):
+    """The library's decision on the payload at tol, in the CLI's form."""
+    from ellpar import bundles as bd
+    from ellpar import modspace as ms
+    from ellpar import monodromy as mo
+
+    if command == "covering":
+        return ms.covering_invariants(payload["z1"], payload["z2"], tol=tol)[2]
+    if command == "torelli":
+        return ms.curves_isomorphic(cli.parse_complex(payload["tau1"]),
+                                    cli.parse_complex(payload["tau2"]), rel_tol=tol)
+    curve = cli.parse_curve(payload)
+    if command == "classify-bundle":
+        return cli.ser_class(bd.classify_triple(
+            *cli.parse_points(payload["triple"], 3, curve, "a triple"), tol=tol))
+    if command == "classify-monodromy":
+        pair = mo.CommutingPair(cli.parse_matrix(payload["A"]), cli.parse_matrix(payload["B"]))
+    else:
+        pair = mo.universal_pair(payload["b1"], payload["b2"], payload["kind"])
+    return cli.ser_class(mo.classify_bundle(pair, curve, tol=tol))
+
+
+@pytest.mark.parametrize("command", sorted(THRESHOLD_READERS))
+def test_a_threshold_reader_answers_at_the_library_default(command):
+    payload, default, field = THRESHOLD_READERS[command]
+    result = ok(command, payload)
+    answer = result if field is None else result[field]
+    assert answer == library_answer(command, payload, default)
+    # the input sits near the threshold, so the answer tells which tol decided
+    assert any(library_answer(command, payload, default * f) != answer for f in (0.01, 100))
+
+
+def test_a_batch_answers_each_threshold_reader_as_a_single_request(tmp_path, capsys):
+    reqs = [{"command": c, "payload": p} for c, (p, _, _) in sorted(THRESHOLD_READERS.items())]
+    f = tmp_path / "batch.json"
+    f.write_text(json.dumps(reqs))
+    assert cli.main(["--file", str(f)]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out) == [cli.run(r)[0] for r in reqs]
+
+
 T1_CLASS = {"label": "T1", "triple": [[1, 5, 0, 1], [0, 1, 1, 7], [4, 5, 6, 7]]}
 FLAG = {"P": [1, 1, 0], "L": [1, -1, -1]}
 
@@ -551,6 +606,39 @@ def test_a_batch_file_of_one_request_object_exits_3(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["result"] == {"error": "SchemaViolation",
                              "message": "--file expects a JSON array of requests"}
+
+
+class UnreadStdin(io.StringIO):
+    def read(self, *args):
+        raise AssertionError("stdin was read")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--tol", "1e-9"], "unrecognized arguments: --tol 1e-9"),
+    (["--tol=1e-9"], "unrecognized arguments: --tol=1e-9"),
+    (["--tol"], "unrecognized arguments: --tol"),
+    (["-f", "x"], "unrecognized arguments: -f x"),
+    (["extra"], "unrecognized arguments: extra"),
+    (["--file", "batch.json", "extra"], "unrecognized arguments: extra"),
+    (["--file"], "argument --file: expected one argument"),
+], ids=["tol", "tol-equals", "tol-without-value", "short-option", "positional",
+        "positional-after-file", "file-without-value"])
+def test_main_refuses_an_argument_error_before_reading_input(argv, message, monkeypatch,
+                                                             capsys):
+    monkeypatch.setattr(sys, "stdin", UnreadStdin())
+    assert cli.main(argv) == cli.EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"ok": False, "diagnostics": [], "result": {
+        "error": "SchemaViolation", "message": message}}
+    assert captured.err == ""
+
+
+def test_an_empty_file_name_is_refused_not_read_as_stdin(monkeypatch, capsys):
+    # --file "" names a file that cannot be opened, not the absence of --file
+    monkeypatch.setattr(sys, "stdin", UnreadStdin())
+    for argv in (["--file", ""], ["--file="]):
+        assert cli.main(argv) == cli.EXIT_SCHEMA
+        assert refused(capsys.readouterr().out)
 
 
 IMPORT_GATE = """
