@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from . import jaclattice as jl
-from .jaclattice import EQ_TOL, CurveSpec, JacPoint, Value
+from .jaclattice import CurveSpec, JacPoint, Value
 from .weierstrass import PlaneLine, PlanePoint, line_through
 
 LABELS = ("T1", "T21", "T22", "T31", "T32", "T33")
@@ -97,27 +97,27 @@ class SubbundleConfig(Value):
         d["rank1"], d["rank2"] = rank1, rank2
 
 
-def classify_triple(z1: JacPoint, z2: JacPoint, z3: JacPoint,
-                    tol: float = EQ_TOL) -> BundleClass:
+def classify_triple(z1: JacPoint, z2: JacPoint, z3: JacPoint) -> BundleClass:
     """Classify a zero-sum triple of Jacobian points into T1 / T21 / T31.
 
     The representative convention picks the class admitting stable parabolic
     structures: all distinct -> T1, exactly two equal -> T21, all equal -> T31,
-    with the coincidences of jaclattice.merge_triple at tol.  A coincident
-    triple is refused only when its point is an exact member that is not
-    exactly 3-torsion; an approximate one, which the zero sum and the merge
-    at tol put within 4 tol of a flex, reads that flex.
+    with the coincidences of jaclattice.merge_triple; the zero sum and the
+    coincidences are decided at jaclattice.EQ_TOL.  A coincident triple is
+    refused only when its point is an exact member that is not exactly
+    3-torsion; an approximate one, which the zero sum and the merge put
+    within 4 EQ_TOL of a flex, reads that flex.
     """
-    if not jl.sums_to_zero(z1, z2, z3, tol):
+    if not jl.sums_to_zero(z1, z2, z3):
         raise ValueError("triple does not sum to zero in the Jacobian")
-    return _zero_sum_class(z1, z2, z3, tol)
+    return _zero_sum_class(z1, z2, z3)
 
 
-def _zero_sum_class(z1: JacPoint, z2: JacPoint, z3: JacPoint, tol: float = EQ_TOL) -> BundleClass:
-    """classify_triple of a triple its caller has found to sum to zero at tol."""
+def _zero_sum_class(z1: JacPoint, z2: JacPoint, z3: JacPoint) -> BundleClass:
+    """classify_triple of a triple its caller has found to sum to zero."""
     curve = z1.curve
     pts = jl.canonical_sort([jl.canon(z1, curve), jl.canon(z2, curve), jl.canon(z3, curve)])
-    zs = jl.merge_triple(pts, tol)
+    zs = jl.merge_triple(pts)
     z = zs[0]
     if z is zs[1] is zs[2] and z.is_exact and not jl.is_torsion(z, 3):
         raise ValueError("coincident triple is not 3-torsion")

@@ -30,7 +30,9 @@ from typing import Iterable, Sequence, Union
 # the coincidence rule of every library decision on approximate points: p, q
 # are one point when equal(p, q, EQ_TOL), a triple's points coincide as
 # merge_triple decides at it, and z is 3-torsion when 3z is 0 so; also the
-# default nilpotency tol of monodromy.classify_bundle and normal_form
+# nilpotency threshold of monodromy.classify_bundle and normal_form, read
+# through monodromy's own import of the name.  Deciders read these names at
+# call time and take no tol; only distance comparisons take one
 EQ_TOL = 1e-6
 
 # weierstrass, which re-exports the first three
@@ -289,8 +291,8 @@ def mul(k: int, p: JacPoint) -> JacPoint:
     return _reduced(p.curve, k * p.s, k * p.t)
 
 
-def sums_to_zero(p: JacPoint, q: JacPoint, r: JacPoint, tol: float = EQ_TOL) -> bool:
-    """add(add(p, q), r).is_zero(tol): does the triple sum to 0 mod Lambda.
+def sums_to_zero(p: JacPoint, q: JacPoint, r: JacPoint) -> bool:
+    """add(add(p, q), r).is_zero(EQ_TOL): does the triple sum to 0 mod Lambda.
 
     Three exact points are decided on their coordinates' integers, building
     no point or Fraction.  Six plain float coordinates make the composition's
@@ -306,10 +308,10 @@ def sums_to_zero(p: JacPoint, q: JacPoint, r: JacPoint, tol: float = EQ_TOL) -> 
         s, t = (s if s < 1 else 0.0) + rs, (t if t < 1 else 0.0) + rt
         s, t = s % 1, t % 1
         s, t = s if s < 1 else 0.0, t if t < 1 else 0.0
-        return math.hypot(min(s % 1.0, -s % 1.0), min(t % 1.0, -t % 1.0)) <= tol
+        return math.hypot(min(s % 1.0, -s % 1.0), min(t % 1.0, -t % 1.0)) <= EQ_TOL
     if (isinstance(ps, float) or isinstance(pt, float) or isinstance(qs, float)
             or isinstance(qt, float) or isinstance(rs, float) or isinstance(rt, float)):
-        return add(add(p, q), r).is_zero(tol)
+        return add(add(p, q), r).is_zero(EQ_TOL)
     _check_curves(p, q)
     _check_curves(p, r)
     return _integral_sum(ps, qs, rs) and _integral_sum(pt, qt, rt)
@@ -322,14 +324,14 @@ def _integral_sum(x, y, z) -> bool:
                 + z.numerator * d1 * d2) % (d1 * d2 * d3)
 
 
-def is_torsion(p: JacPoint, n: int, tol: float = EQ_TOL) -> bool:
-    """mul(n, p).is_zero(tol): is p n-torsion.
+def is_torsion(p: JacPoint, n: int) -> bool:
+    """mul(n, p).is_zero(EQ_TOL): is p n-torsion.
 
     An exact point is decided on its coordinates' integers, building no
     point or Fraction; a float coordinate takes the composition itself."""
     s, t = p.s, p.t
     if isinstance(s, float) or isinstance(t, float):
-        return mul(n, p).is_zero(tol)
+        return mul(n, p).is_zero(EQ_TOL)
     return not n * s.numerator % s.denominator and not n * t.numerator % t.denominator
 
 
@@ -362,25 +364,29 @@ def distance(p: JacPoint, q: JacPoint) -> float:
     return math.hypot(ds, dt)
 
 
-def merge_triple(zs: Sequence[JacPoint], tol: float = EQ_TOL) -> Sequence[JacPoint]:
-    """The coincidences of a zero-sum triple zs at tol: zs with each class
+def merge_triple(zs: Sequence[JacPoint]) -> Sequence[JacPoint]:
+    """The coincidences of a zero-sum triple zs at EQ_TOL: zs with each class
     of coincident points as one shared point, position by position, and zs
     itself when every class is one object already.
 
     Points given as one object are one point, and the classes are
-    single-linkage: a point equal at tol to any member joins the class, so
+    single-linkage: a point equal at EQ_TOL to any member joins the class, so
     they do not depend on the order of zs.  A class's point is its first
     exact member, which never moves, else its first member.  A merge moves
-    the sum by up to tol, which a class of two or more distinct approximate
+    the sum by up to EQ_TOL, which a class of two or more distinct approximate
     points takes up: a double point d moves to the root of 2d + r = 0
     nearest d, r the third point (a vertical tangent touches at a 2-torsion
-    point), and joins r if it comes within tol of it; a triple point moves
+    point), and joins r if it comes within EQ_TOL of it; a triple point moves
     to the flex nearest its first member, as the floats of that exact flex.
     """
     z1, z2, z3 = zs
+    tol = EQ_TOL
     s1, t1, s2, t2, s3, t3 = z1.s, z1.t, z2.s, z2.t, z3.s, z3.t
-    # plain floats on one curve object, each pair apart at tol by distance's arithmetic: zs
-    if (type(s1) is type(t1) is type(s2) is type(t2) is type(s3) is type(t3) is float
+    # three objects of plain floats on one curve object, each pair apart at tol by
+    # distance's arithmetic: zs.  A repeated object, at distance 0, is left to
+    # the identity tests below without its distances.
+    if (z1 is not z2 and z1 is not z3 and z2 is not z3
+            and type(s1) is type(t1) is type(s2) is type(t2) is type(s3) is type(t3) is float
             and z1.curve is z2.curve is z3.curve
             and math.hypot(min((s1 - s2) % 1.0, (s2 - s1) % 1.0),
                            min((t1 - t2) % 1.0, (t2 - t1) % 1.0)) > tol

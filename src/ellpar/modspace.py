@@ -144,11 +144,12 @@ def parabolic_point(lam: ProjScalar) -> PlanePoint:
     return PlanePoint.of(lam.num, 1 - lam.num, 1)
 
 
-def covering_invariants(z1, z2, tol: float = CUSP_TOL) -> tuple[complex, complex, bool]:
+def covering_invariants(z1, z2) -> tuple[complex, complex, bool]:
     """The S3-invariants F2, F3 of the covering base and the cusp test.
 
     F2 = z1^2 + z1 z2 + z2^2, F3 = z1 z2 (z1 + z2); on_cusp iff
-    (F2/3)^3 = (F3/2)^2.  Exact on exact inputs, as parabolic._exactify reads them.
+    (F2/3)^3 = (F3/2)^2, exactly on exact inputs, as parabolic._exactify reads
+    them, and to CUSP_TOL, relative, on others.
     """
     z1, z2 = _exactify(z1), _exactify(z2)
     f2 = z1 * z1 + z1 * z2 + z2 * z2
@@ -159,7 +160,7 @@ def covering_invariants(z1, z2, tol: float = CUSP_TOL) -> tuple[complex, complex
         on_cusp = lhs == rhs
     else:
         scale = max(abs(complex(lhs)), abs(complex(rhs)), 1.0)
-        on_cusp = abs(complex(lhs) - complex(rhs)) <= tol * scale
+        on_cusp = abs(complex(lhs) - complex(rhs)) <= CUSP_TOL * scale
     return f2, f3, on_cusp
 
 

@@ -179,7 +179,7 @@ def _nilpotent(M: tuple, lam: complex, P: tuple) -> tuple[tuple, tuple]:
     return n, _mul(n, n)
 
 
-def _joint_blocks(A: tuple, B: tuple, tol: float) -> list[tuple]:
+def _joint_blocks(A: tuple, B: tuple) -> list[tuple]:
     """Joint generalised eigenspaces of a commuting pair as (m, a, b, P, nA, nB),
     one per eigenvalue cluster of C = A + kappa*B: A and B have eigenvalues a
     and b on the m-dimensional block.  A simple eigenvalue with null vectors
@@ -187,8 +187,9 @@ def _joint_blocks(A: tuple, B: tuple, tol: float) -> list[tuple]:
     one has the projector P = I, or I - v w^T after a 1+2 split, and nA, nB
     are its nilpotent parts (n, n^2).  A split with a simple eigenvalue
     without null vectors, or a multiple block that is not scalar plus
-    nilpotent at tol, is retried under the second kappa, then at the next
-    finer split (3, then 1+2, then 1+1+1)."""
+    nilpotent at EQ_TOL, is retried under the second kappa, then at the next
+    finer split (3, then 1+2, then 1+1+1).  A multiple block whose mean
+    eigenvalue a or b cancels to 0 raises EigenvalueSeparationError at once."""
     for level in range(3):
         for kappa in _KAPPAS:
             C = tuple(tuple(x + kappa * y for x, y in zip(r, s)) for r, s in zip(A, B))
@@ -204,8 +205,12 @@ def _joint_blocks(A: tuple, B: tuple, tol: float) -> list[tuple]:
                                         for r, x in zip(_I, vws[0][0]))
             a = (A[0][0] + A[1][1] + A[2][2] - sum(blk[1] for blk in out)) / m
             b = (B[0][0] + B[1][1] + B[2][2] - sum(blk[2] for blk in out)) / m
+            if not a or not b:
+                # the trace minus the simple eigenvalues lost every digit of
+                # the block's: an eigenvalue of a unimodular matrix is never 0
+                raise EigenvalueSeparationError("a multiple eigenvalue cancels to 0 in the trace")
             nA, nB = _nilpotent(A, a, P), _nilpotent(B, b, P)
-            if all(_amax(n2 if m == 2 else _mul(n2, n)) <= tol * _amax(n) ** (m - 1) * _amax(P)
+            if all(_amax(n2 if m == 2 else _mul(n2, n)) <= EQ_TOL * _amax(n) ** (m - 1) * _amax(P)
                    for n, n2 in (nA, nB)):
                 return out + [(m, a, b, P, nA, nB)]
     raise EigenvalueSeparationError("eigenvalues of different joint blocks collide")
@@ -215,19 +220,19 @@ def _is_zero(n, P, tol: float) -> bool:
     return _amax(n) <= tol * _amax(P)
 
 
-def _is_regular(nil: tuple[tuple, tuple], tol: float) -> bool:
+def _is_regular(nil: tuple[tuple, tuple]) -> bool:
     """Whether the nilpotent n, as (n, n^2), on a 3-dimensional block has rank 2.
 
     n = c1 N + c2 N^2 gives n^2 = c1^2 N^2, so |n^2| / |n| is about
     c1^2 / max(|c1|, |c2|), a distance from the rank-1 nilpotents that
     roundoff moves only linearly.
     """
-    return _amax(nil[1]) > tol * _amax(nil[0])
+    return _amax(nil[1]) > EQ_TOL * _amax(nil[0])
 
 
-def normal_form(pair: CommutingPair, tol: float = EQ_TOL):
+def normal_form(pair: CommutingPair):
     """Reduce a valid commuting pair to its normal form.  As in
-    classify_bundle, tol sets only the nilpotency tests.
+    classify_bundle, the nilpotency tests read EQ_TOL.
 
     Returns (form, conjugator P, swapped) with
     inv(P) @ M1 @ P and inv(P) @ M2 @ P reproducing the normal-form matrices,
@@ -241,7 +246,8 @@ def normal_form(pair: CommutingPair, tol: float = EQ_TOL):
         return P / np.linalg.det(P) ** (1.0 / 3.0)
 
     validate(pair)
-    blocks = _joint_blocks(pair.A, pair.B, tol)
+    tol = EQ_TOL
+    blocks = _joint_blocks(pair.A, pair.B)
     A, B = np.array(pair.A), np.array(pair.B)
     if all(m == 1 or _is_zero(nA[0], P, tol) and _is_zero(nB[0], P, tol)
            for m, _, _, P, nA, nB in blocks):
@@ -253,7 +259,7 @@ def normal_form(pair: CommutingPair, tol: float = EQ_TOL):
         return NormalForm("i", tuple(params)), P, False
 
     m, a, b, P, nA, nB = next(blk for blk in blocks if blk[0] > 1)
-    regular = [m == 3 and _is_regular(n, tol) for n in (nA, nB)]
+    regular = [m == 3 and _is_regular(n) for n in (nA, nB)]
     # M1 carries the Jordan block, the regular one if there is one
     swapped = not regular[0] and (regular[1] or _is_zero(nA[0], P, tol))
     (a1, n1), (a2, n2) = ((b, nB), (a, nA)) if swapped else ((a, nA), (b, nB))
@@ -286,17 +292,17 @@ def normal_form(pair: CommutingPair, tol: float = EQ_TOL):
     return NormalForm("ii", (a1, a2, a2 * beta / a1)), P, swapped
 
 
-def classify_bundle(pair: CommutingPair, curve: CurveSpec,
-                    tol: float = EQ_TOL) -> BundleClass:
+def classify_bundle(pair: CommutingPair, curve: CurveSpec) -> BundleClass:
     """Bundle type of the flat bundle with monodromy (A, B) along (1, tau),
-    from the Atiyah summands L_z (x) F of its joint blocks.  tol sets only the
-    nilpotency tests; coincidence and 3-torsion are decided at EQ_TOL, and summand
-    points that, counted with their sizes, do not sum to 0 raise EigenvalueSeparationError."""
+    from the Atiyah summands L_z (x) F of its joint blocks.  The nilpotency
+    tests read this module's EQ_TOL; coincidence and 3-torsion are decided at
+    jaclattice.EQ_TOL, and summand points that, counted with their sizes, do
+    not sum to 0 raise EigenvalueSeparationError."""
     validate(pair)
     tau = curve.tau
-    scale = tol * max(1.0, abs(tau))
+    scale = EQ_TOL * max(1.0, abs(tau))
     summands: list[tuple[JacPoint, int]] = []
-    for m, a, b, P, nA, nB in _joint_blocks(pair.A, pair.B, tol):
+    for m, a, b, P, nA, nB in _joint_blocks(pair.A, pair.B):
         z = jl.from_holonomy(a, b, curve)
         if m == 1:
             summands.append((z, 1))
@@ -311,7 +317,7 @@ def classify_bundle(pair: CommutingPair, curve: CurveSpec,
         # N1 = M1 - lambda I for the regular M1, so |c1| is read in the Jordan
         # basis of M1, as the normal form (iii) would give it
         N1sq = next((abs(lam) ** 2 * _amax(nil[1]) for lam, nil in ((a, nA), (b, nB))
-                     if m == 3 and _is_regular(nil, tol)), None)
+                     if m == 3 and _is_regular(nil)), None)
         if N1sq is not None and _amax(_mul(Nt, Nt)) > scale**2 * N1sq:
             summands.append((z, 3))
         else:

@@ -168,7 +168,7 @@ def classify_triple_reference(z1: JacPoint, z2: JacPoint, z3: JacPoint,
     T1, one is T21 at the first point of the pair as given, more is T31 at
     the flex of the first point.  The reference for the classes of triples
     whose pairs are all apart, or all one object."""
-    if not jl.sums_to_zero(z1, z2, z3, tol):
+    if not sums_to_zero_reference(z1, z2, z3, tol):
         raise ValueError("triple does not sum to zero in the Jacobian")
     pts = [jl.canon(z, z1.curve) for z in (z1, z2, z3)]
     e12 = jl.equal(pts[0], pts[1], tol=tol)
@@ -178,7 +178,7 @@ def classify_triple_reference(z1: JacPoint, z2: JacPoint, z3: JacPoint,
     if neq == 0:
         return bd.BundleClass("T1", triple=tuple(jl.canonical_sort(pts)))
     if neq >= 2:
-        if not jl.is_torsion(pts[0], 3, REFERENCE_TORSION_TOL):
+        if not is_torsion_reference(pts[0], 3, REFERENCE_TORSION_TOL):
             raise ValueError("coincident triple is not 3-torsion")
         return bd.BundleClass("T31", point=jl.snap_to_torsion(pts[0], 3))
     return bd.BundleClass("T21", point=pts[0] if e12 or e13 else pts[1])

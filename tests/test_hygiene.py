@@ -5,6 +5,7 @@ package, the scripts, the README or the acceptance tests, no memo is
 unbounded, no small float literal stands outside a module-level name, no
 membership test of the Jacobian is composed outside jaclattice, no call
 outside jaclattice passes EQ_TOL or rounds a coordinate into a Fraction,
+only nine distance comparisons take a tol (or rel_tol) parameter,
 no frozen value is built through object.__setattr__, no module imports
 dataclasses, no module reads the environment, and every command of the
 CLI takes its payload alone and binds no tol.  No linter is part of the
@@ -171,11 +172,50 @@ def _eq_tol_arguments(path: Path) -> list[str]:
 
 
 def test_no_call_outside_jaclattice_passes_eq_tol():
-    # EQ_TOL is the default of every predicate that reads it, stated once in
-    # jaclattice: a caller that passes it states the default a second time
+    # EQ_TOL is the default of the distance predicates that take a tol and
+    # the name every decider reads at call time: a caller that passes it
+    # states it a second time
     calls = [c for p in sorted(SRC.glob("*.py")) if p.name != "jaclattice.py"
              for c in _eq_tol_arguments(p)]
     assert calls == []
+
+
+def _tol_parameters(path: Path) -> set[tuple[str, str]]:
+    """(module.qualified name, parameter) of each function or lambda with a
+    parameter named tol or rel_tol."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+                name = prefix + getattr(child, "name", "<lambda>")
+                if not isinstance(child, ast.ClassDef):
+                    a = child.args
+                    found.update((name, p.arg) for p in [*a.posonlyargs, *a.args, *a.kwonlyargs]
+                                 if p.arg in ("tol", "rel_tol"))
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem + ".")
+    return found
+
+
+# the distance comparisons a caller measures with at its own radius, and the
+# two a caller passes a threshold to: every decision reads its policy name
+# (EQ_TOL, CUSP_TOL) at call time instead, so that one value decides it
+TOL_PARAMETERS = {
+    ("jaclattice.JacPoint.is_zero", "tol"), ("jaclattice.equal", "tol"),
+    ("weierstrass.PlanePoint.close_to", "tol"), ("weierstrass.PlaneLine.close_to", "tol"),
+    ("weierstrass.PlaneLine.contains", "tol"), ("parabolic.ProjScalar.close_to", "tol"),
+    ("modspace.curves_isomorphic", "rel_tol"), ("modspace.parametrization_rank", "tol"),
+    ("monodromy._is_zero", "tol"),
+}
+
+
+def test_only_the_distance_comparisons_take_a_tol():
+    found = set().union(*(_tol_parameters(p) for p in SRC.glob("*.py")))
+    assert found == TOL_PARAMETERS
 
 
 def _rounded_fractions(path: Path) -> list[str]:

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -363,8 +364,11 @@ def _triple(coords, close, curves):
 
 
 def _check_sums_to_zero(coords, close, curves, tol):
+    # sums_to_zero reads the policy name EQ_TOL; it is patched to tol here
     p, q, r = _triple(coords, close, curves)
-    assert _outcome(jl.sums_to_zero, p, q, r, tol) == _outcome(sums_to_zero_reference, p, q, r, tol)
+    with mock.patch.object(jl, "EQ_TOL", tol):
+        got = _outcome(jl.sums_to_zero, p, q, r)
+    assert got == _outcome(sums_to_zero_reference, p, q, r, tol)
 
 
 @given(coords=st.lists(st.tuples(small_exact, small_exact), min_size=3, max_size=3),
@@ -400,7 +404,9 @@ def test_is_torsion_equals_its_composition(s, t, n, near, tol):
     if near is not None and n:
         s, t = round(float(s) * n) / n + near, round(float(t) * n) / n - near
     p = JacPoint(CURVE, s, t)
-    assert _outcome(jl.is_torsion, p, n, tol) == _outcome(is_torsion_reference, p, n, tol)
+    with mock.patch.object(jl, "EQ_TOL", tol):
+        got = _outcome(jl.is_torsion, p, n)
+    assert got == _outcome(is_torsion_reference, p, n, tol)
 
 
 # floats at and near the seam: sums that reduce to 1.0 (the seam 0), -0.0,
@@ -423,19 +429,21 @@ def test_sums_to_zero_on_plain_floats_equals_its_composition_and_builds_no_point
     original = JacPoint.__init__
     JacPoint.__init__ = lambda self, *a, **k: built.append(a) or original(self, *a, **k)
     try:
-        got = _outcome(jl.sums_to_zero, p, q, r, tol)
+        with mock.patch.object(jl, "EQ_TOL", tol):
+            got = _outcome(jl.sums_to_zero, p, q, r)
     finally:
         JacPoint.__init__ = original
     assert got == want and built == []
 
 
-def test_sums_to_zero_reads_the_seam_as_zero():
+def test_sums_to_zero_reads_the_seam_as_zero(monkeypatch):
     # -1e-17 % 1 rounds to 1.0, which both sums read as the seam 0
     p, q = JacPoint(CURVE, -1e-17, 0.25), JacPoint(CURVE, 0.0, 0.25)
     r = JacPoint(CURVE, 1e-17, 0.5)
     for tol in (0.0, 1e-17, 1e-9):
-        assert jl.sums_to_zero(p, q, r, tol) == sums_to_zero_reference(p, q, r, tol)
-    assert jl.sums_to_zero(p, q, r, 1e-9)
+        monkeypatch.setattr(jl, "EQ_TOL", tol)
+        assert jl.sums_to_zero(p, q, r) == sums_to_zero_reference(p, q, r, tol)
+    assert jl.sums_to_zero(p, q, r)  # at the last, 1e-9
 
 
 @given(coords=st.lists(st.tuples(st.one_of(small_exact, seam_float, seam_float.map(np.float64)),
@@ -467,9 +475,8 @@ def test_membership_tests_decide_exact_points_without_building_one(curve, monkey
     built = []
     count_calls(monkeypatch, built, JacPoint, ("__init__",))
     count_calls(monkeypatch, built, Fraction, ("__new__",))
-    answers = [jl.sums_to_zero(p, q, r, tol=1e-9), jl.sums_to_zero(p, q, p, tol=1e-9),
-               jl.is_torsion(flex, 3, tol=1e-9), jl.is_torsion(p, 3, tol=1e-9),
-               jl.is_torsion(p, 5, tol=1e-9), jl.is_torsion(q, 28, tol=1e-9)]
+    answers = [jl.sums_to_zero(p, q, r), jl.sums_to_zero(p, q, p), jl.is_torsion(flex, 3),
+               jl.is_torsion(p, 3), jl.is_torsion(p, 5), jl.is_torsion(q, 28)]
     assert answers == [True, False, True, False, False, True] and built == []
 
 
@@ -543,14 +550,15 @@ def _merged(got, zs):
 
 
 def _check_merge(zs, tol):
-    """merge_triple(zs, tol) answers as the reference, and a triple of plain
-    floats on one curve object whose pairs equal_reference finds all apart
-    is zs, decided without a call of equal."""
+    """merge_triple(zs) with EQ_TOL patched to tol answers as the reference
+    at tol, and a triple of plain floats on one curve object whose pairs
+    equal_reference finds all apart is zs, decided without a call of equal."""
     calls = []
     equal = jl.equal
     jl.equal = lambda *a: calls.append(a) or equal(*a)
     try:
-        got = jl.merge_triple(zs, tol)
+        with mock.patch.object(jl, "EQ_TOL", tol):
+            got = jl.merge_triple(zs)
     finally:
         jl.equal = equal
     assert _merged(got, zs) == _merged(merge_triple_reference(zs, tol), zs)
@@ -652,3 +660,19 @@ def test_the_predicates_default_to_the_one_coincidence_rule():
     assert jl.is_torsion(JacPoint(curve, 1 / 3 + 3e-7, 1 / 3), 3)
     # (0.2, 0.3) + (0.5, 0.1) + (0.3, 0.6 + 5e-7) misses 0 by 5e-7
     assert jl.sums_to_zero(p, JacPoint(curve, 0.5, 0.1), JacPoint(curve, 0.3, 0.6 + 5e-7))
+
+
+def test_merge_triple_decides_a_repeated_object_by_identity_alone(curve, monkeypatch):
+    # a tangent's or a flex's triple holds one object twice or thrice: the
+    # in-place path measures no distance for it, and the only distance left
+    # is equal's for a pair of two objects
+    hypots, equals = [], []
+    hypot, equal = math.hypot, jl.equal
+    monkeypatch.setattr(math, "hypot", lambda *a: hypots.append(a) or hypot(*a))
+    monkeypatch.setattr(jl, "equal", lambda *a: equals.append(a) or equal(*a))
+    p, r = JacPoint(curve, 0.1, 0.2), JacPoint(curve, 0.8, 0.6)
+    for zs, pairs in (((p, p, r), 1), ((p, r, p), 1), ((r, p, p), 1), ((p, p, p), 0)):
+        hypots.clear()
+        equals.clear()
+        assert jl.merge_triple(zs) is zs
+        assert len(hypots) == len(equals) == pairs, zs

@@ -100,10 +100,10 @@ def test_validate_rejects_bad_pairs(curve):
         mo.classify_bundle(mo.CommutingPair(A, B), curve)
 
 
-def test_validate_checks_a_pair_as_both_classifiers_do(curve):
+def test_validate_checks_a_pair_as_both_classifiers_do(curve, monkeypatch):
     # validate, classify_bundle and normal_form check |det - 1| at PAIR_TOL,
-    # whatever the nilpotency tol: inside it every entry point accepts the
-    # pair, outside it each one refuses it
+    # whatever the nilpotency threshold EQ_TOL: inside it every entry point
+    # accepts the pair, outside it each one refuses it
     a, b = 1.1 * cmath.exp(0.3j), 0.9 * cmath.exp(0.7j)
 
     def scaled(excess):
@@ -116,10 +116,11 @@ def test_validate_checks_a_pair_as_both_classifiers_do(curve):
     assert mo.classify_bundle(pair, curve).label == "T21"
     assert mo.normal_form(pair)[0].case == "ii"
     pair = scaled(5e-6)
+    monkeypatch.setattr(mo, "EQ_TOL", 1e-4)
     with pytest.raises(mo.NotUnimodularError):
-        mo.classify_bundle(pair, curve, tol=1e-4)
+        mo.classify_bundle(pair, curve)
     with pytest.raises(mo.NotUnimodularError):
-        mo.normal_form(pair, tol=1e-4)
+        mo.normal_form(pair)
 
 
 def test_normal_form_reads_the_case_classify_bundle_reads_across_the_nilpotency_band(curve):
@@ -336,35 +337,40 @@ def test_kappa_collision_is_split_by_a_second_weight(curve):
 
 
 @pytest.mark.parametrize("tol", [jl.EQ_TOL, 1e-8])
-def test_near_torsion_repeated_point_retries_finer_splits(curve, tol):
+def test_near_torsion_repeated_point_retries_finer_splits(curve, tol, monkeypatch):
     # z, z, -2z with |3z| = delta: the three eigenvalues share one cluster,
-    # which is not scalar plus nilpotent at tol, so the finer splits 1+2 and
-    # 1+1+1 are tried before EigenvalueSeparationError
+    # which is not scalar plus nilpotent at tol (the nilpotency threshold
+    # EQ_TOL of monodromy, patched to it), so the finer splits 1+2 and 1+1+1
+    # are tried before EigenvalueSeparationError
+    monkeypatch.setattr(mo, "EQ_TOL", tol)
+
     def pair(delta):
         z = jl.JacPoint(curve, s=1 / 3 + delta / 3, t=0.0)
         return diag_pair(curve, [z, z, jl.neg(jl.mul(2, z))])
 
     for delta in (1e-7, 3e-7):
-        cls = mo.classify_bundle(pair(delta), curve, tol=tol)
+        cls = mo.classify_bundle(pair(delta), curve)
         assert cls.label == "T33" and cls.point == exact(curve, Fraction(1, 3), 0)
-    cls = mo.classify_bundle(pair(3e-6), curve, tol=tol)
+    cls = mo.classify_bundle(pair(3e-6), curve)
     assert cls.label == "T22" and jl.equal(cls.point, jl.JacPoint(curve, s=1 / 3 + 1e-6, t=0.0),
                                            tol=1e-9)
     # |3z| = EQ_TOL lies in the ambiguous band: any label, but an answer
-    assert mo.classify_bundle(pair(1e-6), curve, tol=tol).label in ("T22", "T33")
+    assert mo.classify_bundle(pair(1e-6), curve).label in ("T22", "T33")
 
 
-def test_no_split_of_a_jordan_block_is_read_as_simple_eigenvalues(curve):
-    # at a tolerance below roundoff the Jordan block of T31 fails its
-    # nilpotency test under every kappa, so the finer splits are tried; their
-    # simple roots have nearly orthogonal null vectors and are not read
+def test_no_split_of_a_jordan_block_is_read_as_simple_eigenvalues(curve, monkeypatch):
+    # at a nilpotency threshold EQ_TOL below roundoff the Jordan block of T31
+    # fails its nilpotency test under every kappa, so the finer splits are
+    # tried; their simple roots have nearly orthogonal null vectors and are
+    # not read
+    monkeypatch.setattr(mo, "EQ_TOL", 1e-16)
     z3 = exact(curve, Fraction(1, 3), 0)
     pair = representatives(curve)["T31"]
     rng = np.random.RandomState(31)
     for _ in range(5):
         conj = conj_pair(pair, random_unimodular(rng))
         try:
-            cls = mo.classify_bundle(conj, curve, tol=1e-16)
+            cls = mo.classify_bundle(conj, curve)
         except mo.EigenvalueSeparationError:
             continue
         assert cls.label == "T31" and jl.equal(cls.point, z3, tol=1e-6)
@@ -461,7 +467,8 @@ def test_universal_config_refuses_a_zero_or_double_eigenvalue(b1, b2):
 def test_block_tolerance_does_not_decide_torsion(curve, monkeypatch):
     # z with |3z| = 1e-7 is 3-torsion under the coincidence rule.  Genuine
     # pairs put all of its blocks in one eigenvalue cluster; stubbed blocks
-    # that keep them apart check that tol = 1e-8 still reads z as torsion
+    # that keep them apart check that a nilpotency threshold EQ_TOL of 1e-8
+    # in monodromy still reads z as torsion, decided at jaclattice's EQ_TOL
     z = jl.JacPoint(curve, s=1 / 3 + 1e-7 / 3, t=0.0)
     a, b = holonomy_scalars(z)
     e = [tuple(float(i == k) for i in range(3)) for k in range(3)]
@@ -473,7 +480,25 @@ def test_block_tolerance_does_not_decide_torsion(curve, monkeypatch):
              (diag_pair(curve, [z, z, jl.neg(jl.mul(2, z))]),
               [(1, a, b, e[0], None, None), (1, a, b, e[1], None, None),
                (1, a**-2, b**-2, e[2], None, None)], "T33"))
+    monkeypatch.setattr(mo, "EQ_TOL", 1e-8)
     for pair, blocks, label in cases:
-        monkeypatch.setattr(mo, "_joint_blocks", lambda A, B, tol: blocks)
-        cls = mo.classify_bundle(pair, curve, tol=1e-8)
+        monkeypatch.setattr(mo, "_joint_blocks", lambda A, B: blocks)
+        cls = mo.classify_bundle(pair, curve)
         assert cls.label == label and cls.point == exact(curve, Fraction(1, 3), 0)
+
+
+# generic universal family at omega^2 q, b1 = b2 with b3 = 1/b1^2 near 4.5e10:
+# the trace minus b3 cancels the double eigenvalue b1 to exactly 0
+CANCELLING_TAU = complex(0.30074659035418094, 1.9495753269156646)
+CANCELLING_B = complex(4.687307916921878e-06, -9.733593537360438e-07)
+
+
+def test_a_multiple_eigenvalue_that_cancels_to_zero_is_a_separation_error():
+    # the block's mean eigenvalue b reads 0, and its nilpotent part divides
+    # by it: both classifiers refuse the pair, without a retry that would
+    # answer another type
+    pair = mo.universal_pair(CANCELLING_B, CANCELLING_B)
+    with pytest.raises(mo.EigenvalueSeparationError, match="cancels to 0"):
+        mo.classify_bundle(pair, CurveSpec(CANCELLING_TAU))
+    with pytest.raises(mo.EigenvalueSeparationError, match="cancels to 0"):
+        mo.normal_form(pair)
