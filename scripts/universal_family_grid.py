@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Classify the two-parameter monodromy family on a grid around the
-triple-coincidence point (b1, b2) = (1, 1) and print an ASCII label map.
+triple-coincidence point (b1, b2) = (1, 1), from its parameters
+(monodromy.universal_class), and print an ASCII label map.
 """
 
 import argparse
@@ -31,8 +32,7 @@ def main():
         for j in range(n):
             b1 = 1 + args.radius * (2 * j / (n - 1) - 1)
             try:
-                pair = mo.universal_pair(b1, b2, args.kind)
-                label = mo.classify_bundle(pair, curve).label
+                label = mo.universal_class(b1, b2, args.kind, curve).label
             except ValueError:
                 label = "?"
             counts[label] += 1

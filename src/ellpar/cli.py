@@ -281,7 +281,7 @@ def _cmd_universal_family(payload):
     b2 = parse_complex(_need(payload, "b2"))
     kind = payload.get("kind", "generic")
     pair = mo.universal_pair(b1, b2, kind)
-    cls = mo.classify_bundle(pair, curve)
+    cls = mo.universal_class(b1, b2, kind, curve)
     out = {"A": ser_matrix(pair.A), "B": ser_matrix(pair.B), "class": ser_class(cls)}
     if kind == "generic" and cls.label == "T1":
         out["config"] = ser_locus_config(mo.universal_config(b1, b2))

@@ -30,6 +30,7 @@ from typing import Iterable, Sequence, Union
 # the coincidence rule of every library decision on approximate points: p, q
 # are one point when equal(p, q, EQ_TOL), a triple's points coincide as
 # merge_triple decides at it, and z is 3-torsion when 3z is 0 so; also the
+# relative sheet gap of modspace.covering_invariants' cusp, and the
 # nilpotency threshold of monodromy.classify_bundle and normal_form, read
 # through monodromy's own import of the name.  Deciders read these names at
 # call time and take no tol; only distance comparisons take one
@@ -45,7 +46,6 @@ ROOT_MERGE_TOL = 1e-4  # intersection: x-roots this close, relative to max(1, |x
 # modspace
 INCIDENCE_POINT_TOL = 1e-7  # IncidencePoint: a point this far off its line still lies on it
 CHART_EDGE_TOL = 1e-9  # incidence_parametrization: a line with |w| below this leaves the chart
-CUSP_TOL = 1e-9  # covering_invariants: (F2/3)^3 = (F3/2)^2 to this, relative, is the cusp
 J_TOL = 1e-6  # curves_isomorphic: j-invariants this close, relative to max(1, |j|), agree
 RANK_TOL = 1e-6  # parametrization_rank: the singular values above this count
 

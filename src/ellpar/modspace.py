@@ -12,8 +12,8 @@ from typing import Optional, Sequence
 
 from . import jaclattice as jl
 from .bundles import BundleClass, _shared_class, tu_line, type_facts
-from .jaclattice import (CHART_EDGE_TOL, CUSP_TOL, INCIDENCE_POINT_TOL, J_TOL, RANK_TOL,
-                         CurveSpec, JacPoint, Value)
+from .jaclattice import (CHART_EDGE_TOL, EQ_TOL, INCIDENCE_POINT_TOL, J_TOL, RANK_TOL, CurveSpec,
+                         JacPoint, Value)
 from .parabolic import PROJ_INF, ProjScalar, _exactify
 from .weierstrass import (PlaneLine, PlanePoint, Vec, _cross, _cubic_roots, _solved, _Solved,
                           curve_invariants, intersect_curve)
@@ -147,20 +147,22 @@ def parabolic_point(lam: ProjScalar) -> PlanePoint:
 def covering_invariants(z1, z2) -> tuple[complex, complex, bool]:
     """The S3-invariants F2, F3 of the covering base and the cusp test.
 
-    F2 = z1^2 + z1 z2 + z2^2, F3 = z1 z2 (z1 + z2); on_cusp iff
-    (F2/3)^3 = (F3/2)^2, exactly on exact inputs, as parabolic._exactify reads
-    them, and to CUSP_TOL, relative, on others.
+    F2 = z1^2 + z1 z2 + z2^2, F3 = z1 z2 (z1 + z2).  The discriminant
+    4 F2^3 - 27 F3^2 of t^3 - F2 t + F3, whose roots are the sheets z1, z2
+    and z3 = -z1 - z2, is ((z1 - z2)(2 z1 + z2)(z1 + 2 z2))^2, so on_cusp iff
+    two sheets coincide: exactly on exact inputs, as parabolic._exactify reads
+    them, and on others when the smallest of the three gaps is at most EQ_TOL
+    of the largest sheet, max(|z1|, |z2|, |z1 + z2|), scale-free as the cusp
+    (a cone) is.
     """
     z1, z2 = _exactify(z1), _exactify(z2)
     f2 = z1 * z1 + z1 * z2 + z2 * z2
     f3 = z1 * z2 * (z1 + z2)
-    lhs = (f2 / 3) ** 3
-    rhs = (f3 / 2) ** 2
-    if isinstance(f2, Fraction) and isinstance(f3, Fraction):
-        on_cusp = lhs == rhs
+    gaps = (z1 - z2, 2 * z1 + z2, z1 + 2 * z2)
+    if isinstance(z1, Fraction) and isinstance(z2, Fraction):
+        on_cusp = not all(gaps)
     else:
-        scale = max(abs(complex(lhs)), abs(complex(rhs)), 1.0)
-        on_cusp = abs(complex(lhs) - complex(rhs)) <= CUSP_TOL * scale
+        on_cusp = min(map(abs, gaps)) <= EQ_TOL * max(abs(z1), abs(z2), abs(z1 + z2))
     return f2, f3, on_cusp
 
 

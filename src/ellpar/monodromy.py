@@ -18,9 +18,12 @@ normal_form raises ExoticPairError, while classify_bundle reads them as T32.
 
 from __future__ import annotations
 
+import cmath
+import math
+
 from . import jaclattice as jl
-from .bundles import (BundleClass, LineLocus, PointLocus, SubbundleConfig, _zero_sum_class,
-                      make_t3x)
+from .bundles import (BundleClass, LineLocus, PointLocus, SubbundleConfig, _shared_class,
+                      _zero_sum_class, make_t3x)
 from .jaclattice import EQ_TOL, PAIR_TOL, CurveSpec, JacPoint, Value
 from .weierstrass import PlaneLine, PlanePoint, _cubic_roots
 
@@ -340,12 +343,20 @@ def classify_bundle(pair: CommutingPair, curve: CurveSpec) -> BundleClass:
     return BundleClass("T22" if cls.label == "T21" else "T33", point=cls.point)
 
 
+def _eigenvalues(b1: complex, b2: complex) -> tuple[complex, complex, complex]:
+    """b1, b2 and b3 = 1/(b1 b2), refused where b1 b2 or b3 is 0 or not
+    finite: the product has overflowed or underflowed, or an entry is 0."""
+    b1, b2 = complex(b1), complex(b2)
+    p = b1 * b2
+    b3 = 1.0 / p if p else 0j
+    if not (b3 and cmath.isfinite(p) and cmath.isfinite(b3)):
+        raise ValueError("b1 b2 and b3 = 1/(b1 b2) must be nonzero and finite")
+    return b1, b2, b3
+
+
 def universal_pair(b1: complex, b2: complex, kind: str = "generic") -> CommutingPair:
     """The two explicit universal families: A = I and B diagonal or triangular."""
-    b1, b2 = complex(b1), complex(b2)
-    if b1 == 0 or b2 == 0:
-        raise ValueError("b1, b2 must be nonzero")
-    b3 = 1.0 / (b1 * b2)
+    b1, b2, b3 = _eigenvalues(b1, b2)
     if kind == "decomposable":
         B = ((b1, 0, 0), (0, b2, 0), (0, 0, b3))
     elif kind == "generic":
@@ -353,6 +364,40 @@ def universal_pair(b1: complex, b2: complex, kind: str = "generic") -> Commuting
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return CommutingPair(_I, B)
+
+
+def universal_class(b1: complex, b2: complex, kind: str, curve: CurveSpec) -> BundleClass:
+    """The class of universal_pair(b1, b2, kind) from its parameters, with no
+    matrix read (Atiyah's summands, as in classify_bundle).  Eigenvalue b of
+    B (A = I) is the summand point z = from_holonomy(1, b) = log(b)/(2 pi i)
+    mod Lambda; the three points sum to 0, and merge_triple decides once which
+    coincide.  A diagonal B makes every coincidence semisimple: T21 reads T22
+    and T31 reads T33.  A triangular B is non-derogatory, so coincident
+    members i, j are one Jordan block when their tau-lift
+    m = round(-ln|b_i/b_j| / (2 pi Im tau)) is 0, and two blocks, whose
+    eigenvalues differ by the factor q^m with q = e^(2 pi i tau), when not.
+    """
+    bs = _eigenvalues(b1, b2)
+    if kind not in ("generic", "decomposable"):
+        raise ValueError(f"unknown kind {kind!r}")
+    zs = jl.merge_triple([jl.from_holonomy(1, b, curve) for b in bs])
+    cls = _shared_class(jl.canonical_sort(zs))
+    if cls.label == "T1":
+        return cls
+    if kind == "decomposable":
+        return BundleClass("T22" if cls.label == "T21" else "T33", point=cls.point)
+    # a block is the members of one point (one object after the merge) with
+    # one tau-lift against its first member: T21 with three blocks reads T22,
+    # and T31 with 1, 2 or 3 reads T31, T32 or T33
+    lift = 2 * math.pi * curve.tau.imag
+    firsts: dict[int, float] = {}
+    blocks = set()
+    for z, b in zip(zs, bs):
+        log_b = math.log(abs(b))
+        blocks.add((id(z), round((firsts.setdefault(id(z), log_b) - log_b) / lift)))
+    if cls.label == "T21":
+        return cls if len(blocks) == 2 else BundleClass("T22", point=cls.point)
+    return BundleClass(("T31", "T32", "T33")[len(blocks) - 1], point=cls.point)
 
 
 def universal_config(b1: complex, b2: complex):

@@ -73,22 +73,32 @@ def test_classify_monodromy_decides_a_t1_zero_sum_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("tau, b1, b2", [(TAU, [0.7, 0.2], [1.3, -0.1]),
-                                         # three distinct points, two eigenvalues
-                                         # 1e-10 and 1e-12 apart
-                                         ([0.3, 1], 1e-5, 1e-5 + 1e-10),
-                                         ([0.3, 1], 1e-4, 1e-4 + 1e-12)])
-def test_universal_family(tau, b1, b2):
+@pytest.mark.parametrize("tau, b1, b2, label", [
+    pytest.param(TAU, [0.7, 0.2], [1.3, -0.1], "T1", id="tau0-b10-b20"),
+    # three distinct points, two eigenvalues 1e-10 apart: log(b)/(2 pi i) puts
+    # their points 1.66e-6 apart
+    pytest.param([0.3, 1], 1e-5, 1e-5 + 1e-10, "T1", id="tau1-1e-05-1.0000100000000001e-05"),
+    # eigenvalues 1e-12 apart: points 1.66e-9 apart, one point at EQ_TOL with
+    # one tau-lift, so one Jordan block of the triangular B
+    pytest.param([0.3, 1], 1e-4, 1e-4 + 1e-12, "T21", id="tau2-0.0001-0.000100000001"),
+    # eigenvalues from 1e-5 to 1e10 on a curve near the real axis: their
+    # points are placed from the parameters, where a matrix read lost them
+    pytest.param([0.3, 0.01], 1e-5, 1e-5 + 1e-10, "T1", id="near-real-axis"),
+])
+def test_universal_family(tau, b1, b2, label):
     res = ok("universal-family", {"tau": tau, "b1": b1, "b2": b2})
-    assert res["class"]["label"] == "T1"
-    assert "config" in res
-    assert len(res["config"]["rank1"]) == 3
+    assert res["class"]["label"] == label
+    assert ("config" in res) == (label == "T1")
+    if label == "T1":
+        assert len(res["config"]["rank1"]) == 3
+        curve = CurveSpec(complex(*tau))
+        assert jl.sums_to_zero(*cli.parse_points(res["class"]["triple"], 3, curve, "a triple"))
 
 
 def test_universal_family_lists_a_configuration_only_beside_a_t1_class():
-    # as b2 = b1 (1 + d) leaves b1 the class goes T21, T22, T1: the three
-    # loci are the configuration of three distinct points, so they come with
-    # the class that reads three
+    # as b2 = b1 (1 + d) leaves b1 the class goes T21, T1: the three loci are
+    # the configuration of three distinct points, so they come with the class
+    # that reads three
     labels = set()
     for d in (0, 1e-9, 1e-8, 1e-7, 3e-7, 1e-6, 3e-6, 1e-5, 1e-4):
         res = ok("universal-family", {"tau": TAU, "b1": [0.7, 0.2], "b2": [0.7 * (1 + d), 0.2]})
@@ -246,7 +256,7 @@ THRESHOLD_READERS = {
                             "B": [[1, 5e-7, 0], [0, 1, 0], [0, 0, 1]]}, jl.EQ_TOL, None),
     "universal-family": ({"tau": TAU, "b1": 1.3, "b2": 1.3 + 1e-7, "kind": "decomposable"},
                          jl.EQ_TOL, "class"),
-    "covering": ({"z1": 2.0001, "z2": 2}, jl.CUSP_TOL, "on_cusp"),
+    "covering": ({"z1": 2.0001, "z2": 2}, jl.EQ_TOL, "on_cusp"),
     "torelli": ({"tau1": TAU, "tau2": [0.3, 1.1 + 3e-8]}, jl.J_TOL, "isomorphic"),
 }
 
@@ -254,8 +264,8 @@ THRESHOLD_READERS = {
 def library_answer(command, payload, tol):
     """The library's decision on the payload at tol, in the CLI's form:
     curves_isomorphic takes it as rel_tol, and each other reader's module
-    policy name (CUSP_TOL, or EQ_TOL of jaclattice or monodromy) is patched
-    to it for the call."""
+    policy name (EQ_TOL of jaclattice, modspace or monodromy) is patched to
+    it for the call."""
     from ellpar import bundles as bd
     from ellpar import modspace as ms
     from ellpar import monodromy as mo
@@ -264,17 +274,19 @@ def library_answer(command, payload, tol):
         return ms.curves_isomorphic(cli.parse_complex(payload["tau1"]),
                                     cli.parse_complex(payload["tau2"]), rel_tol=tol)
     if command == "covering":
-        with mock.patch.object(ms, "CUSP_TOL", tol):
+        with mock.patch.object(ms, "EQ_TOL", tol):
             return ms.covering_invariants(payload["z1"], payload["z2"])[2]
     curve = cli.parse_curve(payload)
     if command == "classify-bundle":
         with mock.patch.object(jl, "EQ_TOL", tol):
             return cli.ser_class(bd.classify_triple(
                 *cli.parse_points(payload["triple"], 3, curve, "a triple")))
-    if command == "classify-monodromy":
-        pair = mo.CommutingPair(cli.parse_matrix(payload["A"]), cli.parse_matrix(payload["B"]))
-    else:
-        pair = mo.universal_pair(payload["b1"], payload["b2"], payload["kind"])
+    if command == "universal-family":
+        # merge_triple decides the family's coincidences at jaclattice's EQ_TOL
+        with mock.patch.object(jl, "EQ_TOL", tol):
+            return cli.ser_class(mo.universal_class(payload["b1"], payload["b2"],
+                                                    payload["kind"], curve))
+    pair = mo.CommutingPair(cli.parse_matrix(payload["A"]), cli.parse_matrix(payload["B"]))
     with mock.patch.object(mo, "EQ_TOL", tol):
         return cli.ser_class(mo.classify_bundle(pair, curve))
 
@@ -456,12 +468,23 @@ def test_domain_errors_exit_2():
     # the Eisenstein series does not converge this close to the real axis
     resp, code = cli.run(TORELLI_DIVERGENT)
     assert code == cli.EXIT_DOMAIN and resp["result"]["error"] == "ArithmeticError"
-    # eigenvalues spread from 1e-5 to 1e10 are read too inaccurately to place
-    # their points on a curve this close to the real axis
+    # an eigenvalue 0 has no point
     resp, code = cli.run({"command": "universal-family",
-                          "payload": {"tau": [0.3, 0.01], "b1": 1e-5, "b2": 1e-5 + 1e-10}})
+                          "payload": {"tau": [0.3, 0.01], "b1": 0, "b2": 1e-5}})
     assert code == cli.EXIT_DOMAIN
-    assert resp["result"]["error"] == "EigenvalueSeparationError", resp
+    assert resp["result"]["error"] == "ValueError", resp
+
+
+@pytest.mark.parametrize("b, kind", [(1e-200, "generic"), (1e200, "generic"),
+                                     (1e-170, "decomposable")])
+def test_a_universal_family_whose_product_leaves_the_floats_is_a_value_error(b, kind):
+    # b1 b2 underflows to 0 or overflows to inf: a typed refusal, not the
+    # division by zero or the overflow of the arithmetic
+    resp, code = cli.run({"command": "universal-family",
+                          "payload": {"tau": TAU, "b1": b, "b2": b, "kind": kind}})
+    assert code == cli.EXIT_DOMAIN
+    assert resp["result"] == {"error": "ValueError",
+                              "message": "b1 b2 and b3 = 1/(b1 b2) must be nonzero and finite"}
 
 
 def test_t21_and_t22_classes_need_a_point_off_the_3_torsion():
@@ -804,17 +827,20 @@ def test_run_refuses_a_non_finite_result(tmp_path, capsys):
 
 
 def test_a_multiple_eigenvalue_that_cancels_to_zero_answers_a_separation_error():
-    # the pair of test_monodromy's cancelling universal family, given as a
-    # universal family and as its matrices: exit 2 with the library's error
+    # the pair of test_monodromy's cancelling universal family: given as its
+    # matrices, exit 2 with the library's error; given as a universal family,
+    # the class of its parameters, b1 = b2 = omega^2 q (a Jordan pair at a
+    # flex beside b3 = omega^2 q^-2)
     from ellpar import monodromy as mo
 
     tau, b = [0.30074659035418094, 1.9495753269156646], [4.687307916921878e-06,
                                                           -9.733593537360438e-07]
     pair = mo.universal_pair(complex(*b), complex(*b))
-    requests = [("universal-family", {"tau": tau, "b1": b, "b2": b}),
-                ("classify-monodromy", {"tau": tau, "A": cli.ser_matrix(pair.A),
-                                        "B": cli.ser_matrix(pair.B)})]
-    for command, payload in requests:
-        resp, code = cli.run({"command": command, "payload": payload})
-        assert code == cli.EXIT_DOMAIN
-        assert resp["result"]["error"] == "EigenvalueSeparationError", resp
+    resp, code = cli.run({"command": "classify-monodromy",
+                          "payload": {"tau": tau, "A": cli.ser_matrix(pair.A),
+                                      "B": cli.ser_matrix(pair.B)}})
+    assert code == cli.EXIT_DOMAIN
+    assert resp["result"]["error"] == "EigenvalueSeparationError", resp
+    res = ok("universal-family", {"tau": tau, "b1": b, "b2": b})
+    assert res["class"] == {"label": "T32", "point": [2, 3, 0, 1]}
+    assert "config" not in res

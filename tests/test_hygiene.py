@@ -203,7 +203,7 @@ def _tol_parameters(path: Path) -> set[tuple[str, str]]:
 
 # the distance comparisons a caller measures with at its own radius, and the
 # two a caller passes a threshold to: every decision reads its policy name
-# (EQ_TOL, CUSP_TOL) at call time instead, so that one value decides it
+# (EQ_TOL) at call time instead, so that one value decides it
 TOL_PARAMETERS = {
     ("jaclattice.JacPoint.is_zero", "tol"), ("jaclattice.equal", "tol"),
     ("weierstrass.PlanePoint.close_to", "tol"), ("weierstrass.PlaneLine.close_to", "tol"),

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellpar import bundles as bd
@@ -67,6 +67,47 @@ def test_covering_invariants_read_a_decimal_as_the_equal_fraction(a, b):
     # computed in Decimal arithmetic and read (..., True) against (..., False)
     assert (ms.covering_invariants(Decimal(a), Decimal(b))
             == ms.covering_invariants(Fraction(a), Fraction(b)))
+
+
+@pytest.mark.parametrize("z1, z2", [(0.001, 0.002), (0.01, 0.02), (1, 1.0001)])
+def test_sheets_apart_are_off_the_cusp_at_any_scale(z1, z2):
+    # the closest two sheets a third of their size apart (1e-4 in the last
+    # pair): the discriminant's old floor of 1 read the small pairs as on the cusp
+    assert not ms.covering_invariants(z1, z2)[2]
+    assert not ms.covering_invariants(Fraction(z1), Fraction(z2))[2]
+
+
+def _sheet_gap(z1, z2):
+    """The smallest of the three sheet gaps relative to the largest sheet."""
+    scale = max(abs(z1), abs(z2), abs(z1 + z2))
+    return min(abs(z1 - z2), abs(2 * z1 + z2), abs(z1 + 2 * z2)) / scale if scale else 0
+
+
+# an exact pair on a reflection line, moved off it by 10^-k (or not)
+_exact_pairs = st.tuples(rationals, st.sampled_from([lambda z: z, lambda z: -2 * z,
+                                                     lambda z: -z / 2]),
+                         st.integers(1, 14), st.sampled_from([0, 1, -1]))
+
+
+@given(pair=_exact_pairs)
+def test_a_float_pair_and_its_fraction_form_read_one_cusp(pair):
+    z, reflect, k, sign = pair
+    z1, z2 = z, reflect(z) + sign * Fraction(1, 10**k)
+    # exact input decides the cusp exactly, so a float gap below the threshold
+    # reads on the cusp where its exact form does not
+    gap = _sheet_gap(z1, z2)
+    assume(gap == 0 or gap > 10 * jl.EQ_TOL)
+    assert ms.covering_invariants(float(z1), float(z2))[2] == ms.covering_invariants(z1, z2)[2]
+
+
+@given(z1=st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+       ratio=st.sampled_from([1, -2, -0.5]), eps=st.floats(-1e-3, 1e-3),
+       scale=st.floats(-6, 6))
+def test_the_cusp_is_a_cone(z1, ratio, eps, scale):
+    z2 = z1 * ratio * (1 + eps)
+    assume(abs(z1) > 1e-3 and not jl.EQ_TOL / 10 <= _sheet_gap(z1, z2) <= 10 * jl.EQ_TOL)
+    lam = 10**scale
+    assert ms.covering_invariants(lam * z1, lam * z2)[2] == ms.covering_invariants(z1, z2)[2]
 
 
 @given(z=rationals)

@@ -1,8 +1,11 @@
 import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ellpar import jaclattice as jl
 from ellpar import monodromy as mo
@@ -502,3 +505,100 @@ def test_a_multiple_eigenvalue_that_cancels_to_zero_is_a_separation_error():
         mo.classify_bundle(pair, CurveSpec(CANCELLING_TAU))
     with pytest.raises(mo.EigenvalueSeparationError, match="cancels to 0"):
         mo.normal_form(pair)
+
+
+def _q(tau):
+    return cmath.exp(2j * math.pi * tau)
+
+
+@pytest.mark.parametrize("d", [1e-6, 3e-6])
+def test_a_near_double_eigenvalue_of_the_triangular_family_is_one_jordan_block(curve, d):
+    # the two points are one at EQ_TOL with one tau-lift, and B is
+    # non-derogatory; classify_bundle reads T22 here, from eigenvalues it
+    # reads with an error of about sqrt(eps)
+    b1, b2 = 0.7 + 0.2j, 0.7 * (1 + d) + 0.2j
+    assert mo.universal_class(b1, b2, "generic", curve).label == "T21"
+    assert mo.universal_class(b1, b2, "decomposable", curve).label == "T22"
+
+
+@pytest.mark.parametrize("kind", ["generic", "decomposable"])
+def test_eigenvalues_a_factor_q_apart_are_two_blocks_at_one_point(curve, kind):
+    b1 = 0.7 + 0.2j
+    cls = mo.universal_class(b1, b1 * _q(curve.tau), kind, curve)
+    assert cls.label == "T22"
+    assert jl.distance(cls.point, jl.from_holonomy(1, b1, curve)) < 1e-12
+
+
+@pytest.mark.parametrize("re_tau", [-0.4, 0.0, 0.3])
+def test_a_jordan_pair_at_a_flex_beside_its_q_translate_is_t32(re_tau):
+    # b1 = b2 = omega q, b3 = omega q^-2: one 3-torsion point, whose pair is
+    # one Jordan block and whose third member lies a factor q^3 away
+    curve = CurveSpec(complex(re_tau, 1.5))
+    b = cmath.exp(2j * math.pi / 3) * _q(curve.tau)
+    cls = mo.universal_class(b, b, "generic", curve)
+    assert cls.label == "T32" and jl.is_torsion(cls.point, 3)
+    assert mo.universal_class(b, b, "decomposable", curve).label == "T33"
+
+
+def test_the_identity_eigenvalue_thrice_is_one_block_or_three(curve):
+    cls = mo.universal_class(1, 1, "generic", curve)
+    assert (cls.label, cls.point) == ("T31", exact(curve, 0, 0))
+    assert mo.universal_class(1, 1, "decomposable", curve).label == "T33"
+
+
+@pytest.mark.parametrize("b1, b2, kind", [(1e-200, 1e-200, "generic"),
+                                          (1e200, 1e200, "generic"),
+                                          (1e-170, 1e-170, "decomposable"),
+                                          (0, 1, "generic")])
+def test_a_universal_family_whose_product_leaves_the_floats_is_refused(curve, b1, b2, kind):
+    # b1 b2 underflows to 0 or overflows to inf, or an entry is 0
+    with pytest.raises(ValueError, match="nonzero and finite"):
+        mo.universal_pair(b1, b2, kind)
+    with pytest.raises(ValueError, match="nonzero and finite"):
+        mo.universal_class(b1, b2, kind, curve)
+
+
+def test_universal_class_refuses_an_unknown_kind(curve):
+    with pytest.raises(ValueError, match="unknown kind"):
+        mo.universal_class(1, 1, "weird", curve)
+
+
+_log_moduli = st.floats(-3, 3)
+_angles = st.floats(-math.pi, math.pi)
+
+
+@st.composite
+def _universal_parameters(draw):
+    """(b1, b2, kind, curve) with |b1|, |b2| in 1e-3..1e3 and Im tau in 0.3..3:
+    b2 independent of b1, or b1 (1 + delta), or its q-translate, with |delta|
+    at most 1e-8."""
+    curve = CurveSpec(complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(0.3, 3))))
+    b1 = cmath.rect(10 ** draw(_log_moduli), draw(_angles))
+    way = draw(st.sampled_from(["far", "near", "translate"]))
+    if way == "far":
+        b2 = cmath.rect(10 ** draw(_log_moduli), draw(_angles))
+    else:
+        delta = draw(st.just(0.0) | st.floats(-16, -8).map(lambda e: 10 ** e))
+        b2 = b1 * (1 + cmath.rect(delta, draw(_angles)))
+        if way == "translate":
+            b2 *= _q(curve.tau) ** draw(st.sampled_from([-1, 1]))
+    return b1, b2, draw(st.sampled_from(["generic", "decomposable"])), curve
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=_universal_parameters())
+def test_the_parameters_and_the_matrices_read_one_class(params):
+    # away from point gaps of 1e-9..1e-3 (relative eigenvalue gaps of about
+    # 1e-8..1e-3), where the matrix read has an error of about sqrt(eps); the
+    # Jordan pair at a flex, where it also errs, is left to the test above
+    b1, b2, kind, curve = params
+    points = [jl.from_holonomy(1, b, curve) for b in (b1, b2, 1 / (b1 * b2))]
+    gaps = [jl.distance(p, q) for p, q in ((points[0], points[1]), (points[0], points[2]),
+                                            (points[1], points[2]))]
+    assume(not any(1e-9 < g < 1e-3 for g in gaps))
+    expected = mo.classify_bundle(mo.universal_pair(b1, b2, kind), curve)
+    cls = mo.universal_class(b1, b2, kind, curve)
+    assert cls.label == expected.label
+    # a T1 triple's order may differ where a coordinate lies at the seam 0
+    points, expected_points = cls.triple or [cls.point], expected.triple or [expected.point]
+    assert all(min(jl.distance(p, q) for q in expected_points) < 1e-6 for p in points)
