@@ -403,18 +403,20 @@ def universal_class(b1: complex, b2: complex, kind: str, curve: CurveSpec) -> Bu
 def universal_config(b1: complex, b2: complex):
     """Fiber-plane loci of the degree-0 subbundles of the generic universal
     family, refused exactly where b1 b2 (b3 = 1/(b1 b2)), b2 - b1, 1 - b1 b2^2
-    (b2 = b3) or 1 - b1^2 b2 (b1 = b3) is 0: an eigenvalue is 0, inf or double."""
+    (b2 = b3) or 1 - b1^2 b2 (b1 = b3) is 0: an eigenvalue is 0, inf or double.
+    The squares are products, so that a value the floats cannot hold is inf
+    or nan, not an OverflowError; it is refused alike."""
     b1, b2 = complex(b1), complex(b2)
-    d12, d23, d13 = b2 - b1, 1 - b1 * b2**2, 1 - b1**2 * b2
-    if not (b1 * b2 and d12 and d23 and d13):
-        raise ValueError("zero or coincident eigenvalues: the configuration degenerates")
-    L1 = PlanePoint.of(1, 0, 0)
-    L2 = PlanePoint.of(1, d12, 0)
-    L3 = PlanePoint.of((b1 * b2) ** 2, b1 * b2 * d13, d13 * d23)
-    l12 = PlaneLine.of(0, 0, 1)
-    l13 = PlaneLine.of(0, 1, -b1 * b2 / d23)
-    l23 = PlaneLine.of(-d12, 1, -b1 * b2 / d13)
-    return SubbundleConfig(
-        rank1=tuple(PointLocus(0, point=p) for p in (L1, L2, L3)),
-        rank2=tuple(LineLocus(0, line=l) for l in (l12, l13, l23)),
-    )
+    p = b1 * b2
+    d12, d23, d13 = b2 - b1, 1 - b1 * (b2 * b2), 1 - (b1 * b1) * b2
+    if p and d12 and d23 and d13:
+        L3 = (p * p, p * d13, d13 * d23)
+        c13, c23 = -p / d23, -p / d13
+        if all(map(cmath.isfinite, (d12, *L3, c13, c23))):
+            return SubbundleConfig(
+                rank1=tuple(PointLocus(0, point=q) for q in (
+                    PlanePoint.of(1, 0, 0), PlanePoint.of(1, d12, 0), PlanePoint.of(*L3))),
+                rank2=tuple(LineLocus(0, line=l) for l in (
+                    PlaneLine.of(0, 0, 1), PlaneLine.of(0, 1, c13), PlaneLine.of(-d12, 1, c23))),
+            )
+    raise ValueError("zero or coincident eigenvalues: the configuration degenerates")

@@ -12,7 +12,10 @@ label, decided on first use, which serves every stability probe, locus and
 normalize_flag on it.  Each Weights ranks its six possible degrees once and
 remembers which subbundle wins for each tuple of incidences it has seen, so
 a verdict compares no degrees.  Weight triples given exactly (int / Fraction
-/ decimal string) are processed in exact arithmetic.
+/ Decimal / fraction string) live on one integer denominator: they are
+shifted, sorted, checked and graded as integer numerators, and a Fraction is
+built only where a caller reads a weight or a degree.  A triple with a float
+is added in floats.
 """
 
 from __future__ import annotations
@@ -44,25 +47,92 @@ class NotStableError(ValueError):
 
 
 def _exactify(x):
-    """A float or complex as it is, anything else as the Fraction it equals."""
-    return x if isinstance(x, (float, complex)) else Fraction(x)
+    """A float, complex or Fraction as it is, anything else as the Fraction it equals."""
+    return x if isinstance(x, (float, complex, Fraction)) else Fraction(x)
+
+
+def _approximate(xs) -> bool:
+    """Whether a float or complex is among xs: a triple read in floats."""
+    return any(isinstance(x, (float, complex)) for x in xs)
+
+
+class _OnRead:
+    """mu1, mu2 or mu3 of a triple make_weights built on integers: the
+    Fraction its numerator over the denominator equals, built on first read
+    and kept in the instance dict, where the constructor writes the weights
+    it is given."""
+
+    def __init__(self, i: int):
+        self.i = i
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, w, owner=None):
+        if w is None:
+            return self
+        mu = w.__dict__[self.name] = Fraction(w._nums[self.i], w._den)
+        return mu
+
+
+def _admit(nums: tuple, den: Optional[int]) -> None:
+    """Refuse a triple that is not descending, spreads 1 or more, or does not
+    sum to 0: exactly, for integer numerators over den, and within
+    WEIGHT_SUM_TOL for a triple read in floats (den None)."""
+    n1, n2, n3 = nums
+    if not (n1 >= n2 >= n3):
+        raise InadmissibleWeightsError("weights must be sorted descending")
+    if n1 - n3 >= (1 if den is None else den):
+        raise InadmissibleWeightsError("weight spread must be < 1")
+    s = n1 + n2 + n3
+    if abs(s) > (WEIGHT_SUM_TOL if den is None else 0):
+        raise InadmissibleWeightsError(
+            f"weights must sum to 0, got {s if den is None else Fraction(s, den)}")
 
 
 class Weights(Value):
-    mu1: Scalar
-    mu2: Scalar
-    mu3: Scalar
+    """A descending weight triple of spread < 1 summing to 0.
+
+    An exact triple is held as integer numerators _nums over one denominator
+    _den, and chamber_of, grades and winner compare those integers.  mu1, mu2
+    and mu3 are the weights given to the constructor or, for a triple
+    make_weights built, the Fractions its numerators over _den equal, each
+    made when first read.  A triple with a float is held as given, over _den
+    None, and added in floats."""
+
+    mu1: Scalar = _OnRead(0)
+    mu2: Scalar = _OnRead(1)
+    mu3: Scalar = _OnRead(2)
 
     def __init__(self, mu1, mu2, mu3):
-        if not (mu1 >= mu2 >= mu3):
-            raise InadmissibleWeightsError("weights must be sorted descending")
-        if mu1 - mu3 >= 1:
-            raise InadmissibleWeightsError("weight spread must be < 1")
-        s = mu1 + mu2 + mu3
-        if abs(s) > WEIGHT_SUM_TOL:
-            raise InadmissibleWeightsError(f"weights must sum to 0, got {s}")
+        mus = (mu1, mu2, mu3)
+        if _approximate(mus):
+            nums, den = mus, None
+        else:
+            fs = [Fraction(mu) for mu in mus]
+            den = math.lcm(*(f.denominator for f in fs))
+            nums = tuple(f.numerator * (den // f.denominator) for f in fs)
+        _admit(nums, den)
         d = self.__dict__
-        d["mu1"], d["mu2"], d["mu3"] = mu1, mu2, mu3
+        d["mu1"], d["mu2"], d["mu3"] = mus
+        d.update(_nums=nums, _den=den, _winners={}, _degrees={})
+
+    @classmethod
+    def _over(cls, nums: tuple[int, int, int], den: int) -> "Weights":
+        """The exact triple of integer numerators nums over den."""
+        _admit(nums, den)
+        w = cls.__new__(cls)
+        w.__dict__.update(_nums=nums, _den=den, _winners={}, _degrees={})
+        return w
+
+    def _degree(self, j: int) -> Scalar:
+        """Degree j of grades as callers read it, made on first read: its
+        numerator over _den, or the float itself."""
+        d = self._degrees.get(j)
+        if d is None:
+            m = self._graded[j][2]
+            d = self._degrees[j] = m if self._den is None else Fraction(m, self._den)
+        return d
 
     def as_tuple(self) -> tuple[Scalar, Scalar, Scalar]:
         return (self.mu1, self.mu2, self.mu3)
@@ -70,20 +140,23 @@ class Weights(Value):
     @cached_property
     def pair_sums(self) -> tuple[Scalar, Scalar, Scalar]:
         """(mu1 + mu2, mu1 + mu3, mu2 + mu3): the degrees a fiber line can induce."""
-        return (self.mu1 + self.mu2, self.mu1 + self.mu3, self.mu2 + self.mu3)
+        return (self._degree(3), self._degree(4), self._degree(5))
+
+    @cached_property
+    def _graded(self) -> tuple[tuple[int, str, Scalar], ...]:
+        """grades with each degree as its numerator over _den."""
+        n1, n2, n3 = self._nums
+        nums = (n1, n2, n3, n1 + n2, n1 + n3, n2 + n3)
+        order = sorted(set(nums))
+        return tuple((order.index(m), "Stable" if m < 0 else
+                      "StrictlySemistable" if m == 0 else "Unstable", m) for m in nums)
 
     @cached_property
     def grades(self) -> tuple[tuple[int, str, Scalar], ...]:
         """(rank among the six, verdict, degree) of each degree a subbundle can
         induce, mu1, mu2, mu3 and then pair_sums: equal degrees share a rank."""
-        degrees = self.as_tuple() + self.pair_sums
-        order = sorted(set(degrees))
-        return tuple((order.index(d), "Stable" if d < 0 else
-                      "StrictlySemistable" if d == 0 else "Unstable", d) for d in degrees)
-
-    @cached_property
-    def _winners(self) -> dict[tuple[int, ...], int]:
-        return {}
+        return tuple((rank, status, self._degree(j))
+                     for j, (rank, status, _) in enumerate(self._graded))
 
     def winner(self, degrees: tuple[int, ...]) -> int:
         """Position of the first maximum among the degrees with these indices
@@ -91,7 +164,7 @@ class Weights(Value):
         three incidences for each of at most six loci)."""
         k = self._winners.get(degrees)
         if k is None:
-            ranks = [self.grades[j][0] for j in degrees]
+            ranks = [self._graded[j][0] for j in degrees]
             k = self._winners[degrees] = ranks.index(max(ranks))
         return k
 
@@ -113,19 +186,28 @@ def _check_chamber(chamber: str) -> None:
 
 
 def chamber_of(w: Weights) -> str:
-    if w.mu2 > 0:
+    mu2 = w._nums[1]
+    if mu2 > 0:
         return CHAMBER_PLUS
-    if w.mu2 < 0:
+    if mu2 < 0:
         return CHAMBER_MINUS
     return CHAMBER_WALL
 
 
 def make_weights(raw1, raw2, raw3) -> tuple[Weights, str]:
-    """Shift by the mean so the sum is 0, sort descending, classify the chamber."""
+    """Shift by the mean so the sum is 0, sort descending, classify the
+    chamber.  An exact triple is shifted and sorted as integer numerators
+    over D = 3 lcm of its denominators, whose mean is an integer over D; a
+    triple with a float, in floats."""
     vals = [_exactify(raw1), _exactify(raw2), _exactify(raw3)]
-    shift = sum(vals) / 3
-    vals = sorted((v - shift for v in vals), reverse=True)
-    w = Weights(*vals)
+    if _approximate(vals):
+        shift = sum(vals) / 3
+        w = Weights(*sorted((v - shift for v in vals), reverse=True))
+    else:
+        den = 3 * math.lcm(*(v.denominator for v in vals))
+        nums = [v.numerator * (den // v.denominator) for v in vals]
+        shift = sum(nums) // 3
+        w = Weights._over(tuple(sorted((n - shift for n in nums), reverse=True)), den)
     return w, chamber_of(w)
 
 
@@ -204,10 +286,10 @@ def stability(cls: BundleClass, flag: Flag, w: Weights) -> Verdict:
         sig = flag._signatures[cls.label] = _signature(cls.label, flag)
     degrees, members = sig
     k = w.winner(degrees)
-    _, status, d = w.grades[degrees[k]]
+    status = w._graded[degrees[k]][1]
     if status == "Stable":
         return Verdict(status)
-    return Verdict(status, Witness(*members[k], d))
+    return Verdict(status, Witness(*members[k], w._degree(degrees[k])))
 
 
 LOCUS_UGEN = "Ugen"

@@ -2,6 +2,7 @@ import cmath
 import math
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from ellpar import bundles as bd
 from ellpar import jaclattice as jl
 from ellpar import modspace as ms
+from ellpar import parabolic as pa
 from ellpar import weierstrass as we
 from ellpar.jaclattice import CurveSpec, JacPoint
 from ellpar.parabolic import ProjScalar
@@ -348,3 +350,47 @@ def merge_triple_reference(zs, tol: float = jl.EQ_TOL, equal=equal_reference):
     if d is None:
         d = JacPoint(first.curve, *jl.snap_to_torsion(first, 3).coords())
     return (d, d, d)
+
+
+class WeightsReference(pa.Weights):
+    """parabolic.Weights before its integer numerators: checked and graded on
+    the weights themselves, in Fraction arithmetic for exact weights, with
+    the sum within WEIGHT_SUM_TOL of 0 for exact weights too.  Its degrees
+    are its _graded entries as they are (over no denominator), so stability
+    and winner read it as they read a Weights.  The reference for the ranks,
+    verdicts and degrees of exact weights."""
+
+    # a Value's fields are the names its own class annotates
+    mu1: object
+    mu2: object
+    mu3: object
+
+    def __init__(self, mu1, mu2, mu3):
+        if not (mu1 >= mu2 >= mu3):
+            raise pa.InadmissibleWeightsError("weights must be sorted descending")
+        if mu1 - mu3 >= 1:
+            raise pa.InadmissibleWeightsError("weight spread must be < 1")
+        s = mu1 + mu2 + mu3
+        if abs(s) > jl.WEIGHT_SUM_TOL:
+            raise pa.InadmissibleWeightsError(f"weights must sum to 0, got {s}")
+        self.__dict__.update(mu1=mu1, mu2=mu2, mu3=mu3, _nums=(mu1, mu2, mu3), _den=None,
+                             _winners={}, _degrees={})
+
+    @cached_property
+    def _graded(self):
+        degrees = (self.mu1, self.mu2, self.mu3,
+                   self.mu1 + self.mu2, self.mu1 + self.mu3, self.mu2 + self.mu3)
+        order = sorted(set(degrees))
+        return tuple((order.index(d), "Stable" if d < 0 else
+                      "StrictlySemistable" if d == 0 else "Unstable", d) for d in degrees)
+
+
+def make_weights_reference(raw1, raw2, raw3) -> tuple[WeightsReference, str]:
+    """parabolic.make_weights before its integer numerators: each raw weight
+    read as the Fraction it equals (a float or complex as it is), shifted by
+    the mean and sorted in Fraction arithmetic, the chamber read off mu2."""
+    vals = [x if isinstance(x, (float, complex)) else Fraction(x) for x in (raw1, raw2, raw3)]
+    shift = sum(vals) / 3
+    w = WeightsReference(*sorted((v - shift for v in vals), reverse=True))
+    return w, (pa.CHAMBER_PLUS if w.mu2 > 0 else pa.CHAMBER_MINUS if w.mu2 < 0
+               else pa.CHAMBER_WALL)

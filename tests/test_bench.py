@@ -22,7 +22,8 @@ from ellpar.jaclattice import CurveSpec, JacPoint
 
 from conftest import (close_to_reference, cluster_bits, cluster_reference, contains_reference,
                       cubic_roots_reference, equal_reference, frame_lambda,
-                      invert_embedding_reference, merge_triple_reference, wp_reference)
+                      invert_embedding_reference, make_weights_reference,
+                      merge_triple_reference, wp_reference)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 OPS = 300
@@ -199,6 +200,20 @@ def test_cli_batch_answers_alike_with_the_reference_wp(monkeypatch):
     monkeypatch.setattr(we, "wp", lambda z, c: calls.append(z) or wp_reference(z, c))
     assert [op.call() for op in batch] == fast
     assert fast_calls == len(calls) - fast_calls > 50
+
+
+def test_cli_batch_answers_alike_with_the_reference_make_weights(monkeypatch):
+    # weights on integer numerators change no byte of any response: the
+    # first cli-batch requests dump to the same text with the Fraction
+    # make_weights and grades
+    monkeypatch.syspath_prepend(str(BENCH))
+    batch = list(islice(importlib.import_module("cli_batch").ops(1), OPS))
+    fast = [op.call() for op in batch]
+    calls = []
+    monkeypatch.setattr(pa, "make_weights",
+                        lambda *raw: calls.append(raw) or make_weights_reference(*raw))
+    assert [op.call() for op in batch] == fast
+    assert len(calls) > 20
 
 
 def _stored(x):

@@ -487,6 +487,17 @@ def test_a_universal_family_whose_product_leaves_the_floats_is_a_value_error(b, 
                               "message": "b1 b2 and b3 = 1/(b1 b2) must be nonzero and finite"}
 
 
+@pytest.mark.parametrize("b1, b2", [(1e200, 1e-200), (1e-200, 1e200), (1e100, 1e55)])
+def test_a_universal_configuration_that_leaves_the_floats_is_a_value_error(b1, b2):
+    # b1 b2 and b3 are finite, but b1^2 b2, b1 b2^2 or the point of L3
+    # overflow: a typed refusal, not the OverflowError of a power
+    resp, code = cli.run({"command": "universal-family",
+                          "payload": {"tau": TAU, "b1": b1, "b2": b2}})
+    assert code == cli.EXIT_DOMAIN
+    assert resp["result"] == {"error": "ValueError", "message":
+                              "zero or coincident eigenvalues: the configuration degenerates"}
+
+
 def test_t21_and_t22_classes_need_a_point_off_the_3_torsion():
     for command, label, point in (("graded", "T21", [1, 3, 0, 1]),
                                   ("tu-line", "T22", [0, 1, 0, 1])):

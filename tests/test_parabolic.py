@@ -1,5 +1,7 @@
 import gc
+import re
 import weakref
+from itertools import product
 from decimal import Decimal
 from fractions import Fraction
 
@@ -14,7 +16,7 @@ from ellpar import parabolic as pa
 from ellpar.jaclattice import CurveSpec
 from ellpar.weierstrass import PlaneLine, PlanePoint, line_through_points, lines_meet
 
-from conftest import TAU, count_calls, exact
+from conftest import TAU, WeightsReference, count_calls, exact, make_weights_reference
 
 
 def t1_class(curve):
@@ -39,6 +41,135 @@ def test_make_weights_reads_a_decimal_as_the_equal_fraction():
     raw = ("0.2", "0.1", "-0.3")
     assert (pa.make_weights(*map(Decimal, raw))
             == pa.make_weights(*map(Fraction, raw)))
+
+
+def test_exact_weights_must_sum_to_exactly_0():
+    # WEIGHT_SUM_TOL is a float tolerance: an exact triple 1e-13 off a zero
+    # sum is refused, not read as the wall
+    with pytest.raises(pa.InadmissibleWeightsError,
+                       match="^weights must sum to 0, got 1/10000000000000$"):
+        pa.Weights(Fraction(1, 3), Fraction(0), Fraction(-1, 3) + Fraction(1, 10**13))
+    # float weights still sum to 0 within it
+    assert pa.Weights(1 / 3, 0.0, -1 / 3 + 1e-13).mu3 == -1 / 3 + 1e-13
+
+
+# small denominators, large primes, powers of 2 and 10 (which Decimals
+# hold) and denominators wide enough that no float holds the weights
+DENOMINATORS = st.one_of(st.integers(1, 12),
+                         st.sampled_from([10, 1000, 10**9 + 7, 2**61 - 1, 2**70, 10**12, 10**30]),
+                         st.integers(1, 10**40))
+
+
+def _written(x: Fraction, draw):
+    """x as make_weights may be given it: an int, a Fraction, a Decimal or a
+    fraction string."""
+    forms = [x, f"{x.numerator}/{x.denominator}"]
+    if x.denominator == 1:
+        forms.append(int(x))
+    k = next((k for k in range(80) if 10**k % x.denominator == 0), None)
+    if k is not None:
+        forms.append(Decimal(f"{x.numerator * 10**k // x.denominator}E-{k}"))
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def exact_raw_weights(draw):
+    """Three exact raw weights: a common shift plus offsets over unequal
+    denominators, with equal entries, walls (mu2 the mean) and spreads of 1
+    and more among them."""
+    shift = Fraction(draw(st.integers(-10**6, 10**6)), draw(st.just(1) | DENOMINATORS))
+    offset = st.builds(lambda n, d: Fraction(n % d - d // 2, d), st.integers(0, 10**40),
+                       DENOMINATORS)
+    kind = draw(st.sampled_from(["free", "equal", "wall", "wide"]))
+    if kind == "equal":
+        a = draw(offset)
+        xs = [a, a, draw(st.one_of(st.just(a), offset))]
+    elif kind == "wall":
+        e = draw(offset)
+        xs = [-e, Fraction(0), e]
+    elif kind == "wide":
+        xs = [draw(offset), draw(offset), draw(offset) + draw(st.sampled_from([1, 2, Fraction(3, 2)]))]
+    else:
+        xs = [draw(offset) for _ in range(3)]
+    xs = draw(st.permutations(xs))
+    return tuple(_written(x + shift, draw) for x in xs)
+
+
+# three flags: generic, P on a coordinate line, P a vertex
+PROBE_FLAGS = [pa.Flag(PlanePoint.of(1, 2, 3), PlaneLine.of(1, 1, -1)),
+               pa.Flag(PlanePoint.of(1, 1, 0), PlaneLine.of(1, -1, -1)),
+               pa.Flag(PlanePoint.of(1, 0, 0), PlaneLine.of(0, 1, -1))]
+INDEX_TUPLES = [t for n in (1, 2, 3) for t in product(range(6), repeat=n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=exact_raw_weights())
+@example(raw=("1/5", "1/10", "-3/10"))
+@example(raw=(Fraction(1, 3), 0, Fraction(-1, 3)))
+@example(raw=(7, 7, 7))
+@example(raw=(Decimal("0.2"), Decimal("0.2"), Decimal("-0.3")))
+def test_make_weights_on_integers_answers_as_the_fraction_reference(raw):
+    try:
+        want, chamber = make_weights_reference(*raw)
+    except pa.InadmissibleWeightsError as exc:
+        with pytest.raises(pa.InadmissibleWeightsError, match=f"^{re.escape(str(exc))}$"):
+            pa.make_weights(*raw)
+        return
+    got, got_chamber = pa.make_weights(*raw)
+    assert got_chamber == chamber
+    assert got.as_tuple() == want.as_tuple()
+    assert all(type(mu) is Fraction for mu in got.as_tuple())
+    assert got == pa.Weights(*want.as_tuple())
+    assert hash(got) == hash(pa.Weights(*want.as_tuple()))
+    assert got.grades == want.grades and got.pair_sums == want.pair_sums
+    assert all(type(d) is Fraction for _, _, d in got.grades)
+    assert [got.winner(t) for t in INDEX_TUPLES] == [want.winner(t) for t in INDEX_TUPLES]
+    curve = CurveSpec(TAU)
+    for label in bd.LABELS:
+        cls = _class_of(label, curve)
+        for flag in PROBE_FLAGS:
+            v, ref = pa.stability(cls, flag, got), pa.stability(cls, flag, want)
+            assert v == ref
+            if v.witness is not None:
+                assert type(v.witness.pardeg) is Fraction
+
+
+def test_weights_with_a_float_answer_as_before():
+    # a float among the raw weights puts the triple on floats, as before:
+    # the same float weights, grades and verdicts, bit for bit
+    for raw in [(0.1, Fraction(1, 5), "1/3"), (0.1, 0.2, -0.3), (Decimal("0.2"), 0.1, 0)]:
+        got, chamber = pa.make_weights(*raw)
+        want, want_chamber = make_weights_reference(*raw)
+        assert chamber == want_chamber
+        assert [mu.hex() for mu in got.as_tuple()] == [mu.hex() for mu in want.as_tuple()]
+        assert got.grades == want.grades
+        for flag in PROBE_FLAGS:
+            assert pa.stability(t1_class(CurveSpec(TAU)), flag, got) == \
+                pa.stability(t1_class(CurveSpec(TAU)), flag, want)
+    # the constructor keeps a mixed triple as given and adds it in floats
+    mixed = pa.Weights(0.2, Fraction(1, 10), Fraction(-3, 10))
+    ref = WeightsReference(0.2, Fraction(1, 10), Fraction(-3, 10))
+    assert mixed.as_tuple() == ref.as_tuple() and mixed.grades == ref.grades
+    assert [type(d) for _, _, d in mixed.grades] == [type(d) for _, _, d in ref.grades]
+
+
+def test_exact_weights_are_graded_without_fraction_arithmetic(curve, monkeypatch):
+    # make_weights, the grade table and a Stable verdict compare and add the
+    # integer numerators; the witness of another verdict builds its degree
+    t1 = t1_class(curve)
+    raw = [Fraction(x) for x in ("7/3", "19/9", "13/6")]
+    calls = []
+    count_calls(monkeypatch, calls, Fraction,
+                ("__add__", "__sub__", "__truediv__", "__hash__", "__eq__", "__lt__",
+                 "__le__", "__gt__", "__ge__"))
+    w, chamber = pa.make_weights(*raw)
+    verdicts = [pa.stability(t1, flag, w) for flag in PROBE_FLAGS]
+    assert calls == []
+    # no weight was read: none was built
+    assert chamber == pa.CHAMBER_MINUS and "mu1" not in vars(w)
+    assert [v.status for v in verdicts] == ["Stable", "Unstable", "Unstable"]
+    monkeypatch.undo()
+    assert verdicts[1].witness.pardeg == Fraction(1, 27) == w.mu1 + w.mu3
 
 
 def test_flag_requires_incidence():
