@@ -109,6 +109,8 @@ class Weights(Value):
         if _approximate(mus):
             nums, den = mus, None
         else:
+            if any(isinstance(mu, str) for mu in mus):
+                raise TypeError("weights must be numbers; make_weights reads strings")
             fs = [Fraction(mu) for mu in mus]
             den = math.lcm(*(f.denominator for f in fs))
             nums = tuple(f.numerator * (den // f.denominator) for f in fs)

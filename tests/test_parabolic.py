@@ -51,6 +51,9 @@ def test_exact_weights_must_sum_to_exactly_0():
         pa.Weights(Fraction(1, 3), Fraction(0), Fraction(-1, 3) + Fraction(1, 10**13))
     # float weights still sum to 0 within it
     assert pa.Weights(1 / 3, 0.0, -1 / 3 + 1e-13).mu3 == -1 / 3 + 1e-13
+    # the constructor takes numbers; make_weights reads fraction strings
+    with pytest.raises(TypeError):
+        pa.Weights("1/3", "0", "-1/3")
 
 
 # small denominators, large primes, powers of 2 and 10 (which Decimals
