@@ -1,9 +1,9 @@
 import gc
 import re
 import weakref
-from itertools import product
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -91,7 +91,8 @@ def exact_raw_weights(draw):
         e = draw(offset)
         xs = [-e, Fraction(0), e]
     elif kind == "wide":
-        xs = [draw(offset), draw(offset), draw(offset) + draw(st.sampled_from([1, 2, Fraction(3, 2)]))]
+        wide = draw(st.sampled_from([1, 2, Fraction(3, 2)]))
+        xs = [draw(offset), draw(offset), draw(offset) + wide]
     else:
         xs = [draw(offset) for _ in range(3)]
     xs = draw(st.permutations(xs))
